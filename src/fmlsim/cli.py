@@ -16,7 +16,7 @@ from pathlib import Path
 import jsonschema
 
 from . import rng
-from .errors import ConfigurationError, InvalidInputError
+from .errors import ConfigurationError, InvalidInputError, NumericalError
 from .harness import (
     ExperimentConfig,
     config_from_dict,
@@ -307,7 +307,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (ConfigurationError, InvalidInputError) as exc:
+    except (ConfigurationError, InvalidInputError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

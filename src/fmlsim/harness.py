@@ -2,9 +2,13 @@
 
 Two entry points: ``run_nufm`` runs the pure learning loop (selection +
 aggregation, no wireless model), ``run_wireless`` co-simulates training
-with per-round resource allocation.  Both are deterministic functions of
-(config, seed) regardless of the FMLSIM_THREADS setting because every
-random draw comes from a keyed stream.
+with per-round resource allocation.  Both hold the train and test devices
+as padded arrays built once per run; each round updates every training
+device in one ``local_update`` call and evaluates each loss in one
+``adapted_loss`` call.  Both are deterministic functions of (config, seed)
+because every random draw comes from a stream keyed by (seed, round, step)
+or a similar tuple.  A round whose meta-gradients, scores or losses are
+non-finite stops the run with NumericalError.
 """
 
 from __future__ import annotations
@@ -14,16 +18,14 @@ import io
 import json
 import logging
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import rng
-from .errors import ConfigurationError, InvalidInputError
+from .errors import ConfigurationError, InvalidInputError, NumericalError
 from .metacore import (
-    LossModel,
+    DeviceArrays,
     MetaHyper,
     SmoothnessConstants,
     draw_batch,
@@ -103,49 +105,64 @@ class RoundMetrics:
     ives_iterations: int = 0
 
 
-def thread_count() -> int:
-    raw = os.environ.get("FMLSIM_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigurationError(f"FMLSIM_THREADS={raw!r} is not an integer")
+@dataclass
+class _Population:
+    """The run's devices: training ids in row order, train and test arrays."""
+
+    train_ids: list[int]
+    train: DeviceArrays
+    test: DeviceArrays
+
+    def rows(self, ids) -> list[int]:
+        """Training-array rows of the given device ids, in ascending id order."""
+        row_of = {i: r for r, i in enumerate(self.train_ids)}
+        return [row_of[i] for i in sorted(ids)]
 
 
-def _effective_batch(model: LossModel, batch_size: int | None) -> int:
-    return model.n_samples if batch_size is None else min(batch_size, model.n_samples)
+def _population(config: ExperimentConfig) -> _Population:
+    devices = generate_population(replace(config.population, seed=config.seed))
+    train = [d for d in devices if d.role == ROLE_TRAIN]
+    test = [d for d in devices if d.role == ROLE_TEST] or train
+    if len(train) < 1:
+        raise ConfigurationError("population has no training devices")
+    return _Population(
+        train_ids=[d.device_id for d in train],
+        train=DeviceArrays([d.model for d in train]),
+        test=DeviceArrays([d.model for d in test]),
+    )
 
 
 def _round_of_updates(
-    train: list[Device],
+    train: DeviceArrays,
     theta: np.ndarray,
     config: ExperimentConfig,
     k: int,
-) -> dict[int, tuple[np.ndarray, float]]:
-    """Run every device's local update for round k, possibly in parallel."""
-
-    def one(dev: Device) -> tuple[int, tuple[np.ndarray, float]]:
-        def batch_rng(step: int, role: int) -> np.random.Generator:
-            return rng.stream(config.seed, k, dev.device_id, step, role)
-
-        size = _effective_batch(dev.model, config.batch_size)
-        return dev.device_id, local_update(dev.model, theta, config.hyper, batch_rng, size)
-
-    workers = thread_count()
-    if workers == 1:
-        results = [one(dev) for dev in train]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, train))
-    return dict(results)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every training device's local update for round k: parameters (n, d), scores (n,)."""
+    try:
+        return local_update(
+            train, theta, config.hyper, train.batch_sizes(config.batch_size),
+            lambda step: rng.stream(config.seed, k, step, rng.ROLE_BATCH),
+        )
+    except NumericalError as exc:
+        raise NumericalError(f"round {k}: {exc}") from None
 
 
-def adapted_loss(devices: list[Device], theta: np.ndarray, alpha: float) -> float:
-    """Mean loss after one personalization gradient step per device."""
-    if not devices:
-        return math.nan
-    return float(np.mean([
-        d.model.loss(theta - alpha * d.model.grad(theta)) for d in devices
-    ]))
+def adapted_loss(data: DeviceArrays, theta: np.ndarray, alpha: float) -> float:
+    """Mean over devices of the full-data loss after one personalization step."""
+    w = data.full_weights
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(data.loss(w, theta - alpha * data.grad(w, theta)).mean())
+
+
+def _round_losses(
+    pop: _Population, theta: np.ndarray, alpha: float, k: int
+) -> tuple[float, float]:
+    """Round k's train and test adapted losses; NumericalError if either is non-finite."""
+    losses = adapted_loss(pop.train, theta, alpha), adapted_loss(pop.test, theta, alpha)
+    if not all(map(math.isfinite, losses)):
+        raise NumericalError(f"round {k}: non-finite adapted loss {losses}")
+    return losses
 
 
 def _select(
@@ -161,24 +178,20 @@ def _select(
 
 def run_nufm(config: ExperimentConfig) -> list[RoundMetrics]:
     """Federated meta-training with contribution-based (or uniform) selection."""
-    pop = replace(config.population, seed=config.seed)
-    devices = generate_population(pop)
-    train = [d for d in devices if d.role == ROLE_TRAIN]
-    test = [d for d in devices if d.role == ROLE_TEST] or train
-    if len(train) < 1:
-        raise ConfigurationError("population has no training devices")
-    theta = np.zeros(pop.d)
+    pop = _population(config)
+    theta = np.zeros(config.population.d)
     alpha = config.hyper.alpha
     metrics: list[RoundMetrics] = []
     for k in range(config.rounds):
-        results = _round_of_updates(train, theta, config, k)
-        u = {i: r[1] for i, r in results.items()}
+        thetas, scores = _round_of_updates(pop.train, theta, config, k)
+        u = dict(zip(pop.train_ids, scores.tolist()))
         selected = _select(u, config, k)
-        theta = aggregate([results[i][0] for i in sorted(selected)])
+        theta = aggregate(thetas[pop.rows(selected)])
+        train_loss, test_loss = _round_losses(pop, theta, alpha, k)
         metrics.append(RoundMetrics(
             round=k,
-            train_loss=adapted_loss(train, theta, alpha),
-            test_loss=adapted_loss(test, theta, alpha),
+            train_loss=train_loss,
+            test_loss=test_loss,
             contribution_sum=float(sum(u[i] for i in selected)),
             energy=0.0,
             time=0.0,
@@ -257,32 +270,25 @@ def _baseline_allocation(
 
 def run_wireless(config: ExperimentConfig) -> list[RoundMetrics]:
     """Co-simulate training rounds with per-round resource allocation."""
-    pop = replace(config.population, seed=config.seed)
-    devices = generate_population(pop)
-    train = [d for d in devices if d.role == ROLE_TRAIN]
-    test = [d for d in devices if d.role == ROLE_TEST] or train
-    if len(train) < 1:
-        raise ConfigurationError("population has no training devices")
-
+    pop = _population(config)
     env_spec = config.env if config.env is not None else EnvironmentSpec(device_ids=())
     env_spec = replace(
         env_spec,
-        device_ids=tuple(d.device_id for d in train),
-        batch_sizes={
-            d.device_id: _effective_batch(d.model, config.batch_size) for d in train
-        },
+        device_ids=tuple(pop.train_ids),
+        batch_sizes=dict(zip(
+            pop.train_ids, pop.train.batch_sizes(config.batch_size).tolist()
+        )),
     )
     compute, radios, net = sample_environment(
         rng.stream(config.seed, rng.ROLE_ENV), env_spec
     )
 
-    theta = np.zeros(pop.d)
+    theta = np.zeros(config.population.d)
     alpha = config.hyper.alpha
     metrics: list[RoundMetrics] = []
     for k in range(config.rounds):
-        results = _round_of_updates(train, theta, config, k)
-        u = {i: r[1] for i, r in results.items()}
-        su = shifted_scores(u)
+        thetas, scores = _round_of_updates(pop.train, theta, config, k)
+        su = shifted_scores(dict(zip(pop.train_ids, scores.tolist())))
         ives_iters = 0
         if config.allocation == "ural":
             sp1, sp2 = ural(compute, radios, net, su)
@@ -294,16 +300,17 @@ def run_wireless(config: ExperimentConfig) -> list[RoundMetrics]:
             )
         transmitters = sorted(alloc.z)
         if transmitters:
-            theta = aggregate([results[i][0] for i in transmitters])
+            theta = aggregate(thetas[pop.rows(transmitters)])
         else:
             log.info("round %d: empty selection, aggregation skipped", k)
-        contribution, energy, time = round_totals(
+        contribution, energy, time = map(float, round_totals(
             compute, radios, net, alloc, su, tau=config.hyper.tau
-        )
+        ))
+        train_loss, test_loss = _round_losses(pop, theta, alpha, k)
         metrics.append(RoundMetrics(
             round=k,
-            train_loss=adapted_loss(train, theta, alpha),
-            test_loss=adapted_loss(test, theta, alpha),
+            train_loss=train_loss,
+            test_loss=test_loss,
             contribution_sum=contribution,
             energy=energy,
             time=time,
@@ -426,15 +433,17 @@ def theorem1_bound(
     if math.isnan(c.gamma_G):
         c = replace(c, gamma_G=empirical_gamma_g(devices, theta))
 
-    sizes = {
-        i: _effective_batch(by_id[i].model, batch_size) for i in sel
-    }
+    arrays = DeviceArrays([d.model for d in devices])
+    all_sizes = dict(zip(
+        (d.device_id for d in devices), arrays.batch_sizes(batch_size).tolist()
+    ))
+    sizes = {i: all_sizes[i] for i in sel}
     sigma_f = {i: math.sqrt(sigma_f_squared(c, s, s, s)) for i, s in sizes.items()}
 
     # per-device meta-gradient second moments over resampled batches
     sq_norm = {i: np.empty(mc) for i in sel}
     decreases = np.empty(mc)
-    f_now = adapted_loss(devices, theta, c.alpha)
+    f_now = adapted_loss(arrays, theta, c.alpha)
     for r in range(mc):
         updated = []
         for i in sel:
@@ -445,7 +454,7 @@ def theorem1_bound(
             sq_norm[i][r] = float(grad @ grad)
             updated.append(theta - hyper.beta * grad)
         theta_next = aggregate(updated)
-        decreases[r] = f_now - adapted_loss(devices, theta_next, c.alpha)
+        decreases[r] = f_now - adapted_loss(arrays, theta_next, c.alpha)
 
     dissimilarity = math.sqrt(
         (1.0 + c.alpha * c.L) ** 2 * c.gamma_G + c.alpha * c.zeta * c.gamma_H

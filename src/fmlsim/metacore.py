@@ -10,12 +10,17 @@ are available in closed form:
 For both families a device's expected loss is identified with the mean
 loss over its full local dataset, so full-batch estimates are exact and
 serve as analytic oracles for the stochastic estimators.
+
+``meta_gradient`` and ``draw_batch`` work on one device and one batch;
+they are the reference.  The training loop runs ``local_update``, which
+holds the population as padded arrays (``DeviceArrays``) and takes each
+local step for every device in one array pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -94,8 +99,25 @@ class SmoothnessConstants:
         return (1.0 + self.alpha * self.L) ** 2 * self.L + rho_term
 
 
+def _margin(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Per-sample ``x @ theta``; broadcasts over leading (device) axes of both.
+
+    A matmul rounds each sample's dot product as ``x @ theta`` does.
+    """
+    return np.matmul(x, theta[..., None])[..., 0]
+
+
 class LossModel:
-    """Base class: an analytic loss family bound to a device's full dataset."""
+    """Base class: an analytic loss family bound to a device's full dataset.
+
+    A family is fixed by its per-sample loss ``margin_loss(a, y)`` as a
+    function of the margin ``a = x @ theta`` and the label: the per-sample
+    gradient is ``margin_slope(a, y) * x`` and the Hessian
+    ``margin_curvature(a, y) * x x^T``.  The per-sample formulas below are
+    written once for both the single-device shapes ``x (S, d)``,
+    ``theta (d,)`` and the padded population shapes ``x (n, S, d)``,
+    ``theta (d,)`` or ``(n, d)`` of ``DeviceArrays``.
+    """
 
     family = "abstract"
 
@@ -118,15 +140,38 @@ class LossModel:
     def full_batch(self) -> Batch:
         return Batch(self.x, self.y)
 
-    # per-sample quantities; subclasses implement these on arbitrary batches
-    def per_sample_loss(self, theta, x, y) -> np.ndarray:
+    # the family: loss, slope and curvature as functions of the margin
+    @staticmethod
+    def margin_loss(a, y) -> np.ndarray:
         raise NotImplementedError
 
-    def per_sample_grad(self, theta, x, y) -> np.ndarray:
+    @staticmethod
+    def margin_slope(a, y) -> np.ndarray:
         raise NotImplementedError
 
-    def per_sample_hessian(self, theta, x, y) -> np.ndarray:
+    @staticmethod
+    def margin_curvature(a, y) -> np.ndarray:
         raise NotImplementedError
+
+    # per-sample quantities on arbitrary (possibly padded, batched) samples
+    @classmethod
+    def per_sample_loss(cls, theta, x, y) -> np.ndarray:
+        return cls.margin_loss(_margin(theta, x), y)
+
+    @classmethod
+    def per_sample_grad(cls, theta, x, y) -> np.ndarray:
+        return cls.margin_slope(_margin(theta, x), y)[..., None] * x
+
+    @classmethod
+    def per_sample_hvp(cls, theta, x, y, v) -> np.ndarray:
+        """Per-sample Hessian at theta times v, without forming the Hessian."""
+        c = cls.margin_curvature(_margin(theta, x), y)
+        return (c * _margin(v, x))[..., None] * x
+
+    @classmethod
+    def per_sample_hessian(cls, theta, x, y) -> np.ndarray:
+        c = cls.margin_curvature(_margin(theta, x), y)
+        return c[..., None, None] * (x[..., :, None] * x[..., None, :])
 
     # exact (full-dataset) quantities
     def grad(self, theta: np.ndarray) -> np.ndarray:
@@ -144,16 +189,18 @@ class QuadraticModel(LossModel):
 
     family = "quadratic-regression"
 
-    def per_sample_loss(self, theta, x, y):
-        r = x @ theta - y
+    @staticmethod
+    def margin_loss(a, y):
+        r = a - y
         return 0.5 * r * r
 
-    def per_sample_grad(self, theta, x, y):
-        r = x @ theta - y
-        return x * r[:, None]
+    @staticmethod
+    def margin_slope(a, y):
+        return a - y
 
-    def per_sample_hessian(self, theta, x, y):
-        return x[:, :, None] * x[:, None, :]
+    @staticmethod
+    def margin_curvature(a, y):
+        return np.ones_like(a)
 
 
 class LogisticModel(LossModel):
@@ -161,21 +208,19 @@ class LogisticModel(LossModel):
 
     family = "logistic-regression"
 
-    def per_sample_loss(self, theta, x, y):
-        z = -y * (x @ theta)
-        # log(1 + e^z) computed stably
-        return np.logaddexp(0.0, z)
+    @staticmethod
+    def margin_loss(a, y):
+        # log(1 + e^(-y a)) computed stably
+        return np.logaddexp(0.0, -y * a)
 
-    def per_sample_grad(self, theta, x, y):
-        z = y * (x @ theta)
-        s = _sigmoid(-z)
-        return -(y * s)[:, None] * x
+    @staticmethod
+    def margin_slope(a, y):
+        return -y * _sigmoid(-y * a)
 
-    def per_sample_hessian(self, theta, x, y):
-        z = y * (x @ theta)
-        s = _sigmoid(z)
-        w = s * (1.0 - s)
-        return w[:, None, None] * (x[:, :, None] * x[:, None, :])
+    @staticmethod
+    def margin_curvature(a, y):
+        s = _sigmoid(y * a)
+        return s * (1.0 - s)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -279,34 +324,119 @@ def draw_batch(model: LossModel, rng: np.random.Generator, size: int) -> Batch:
     return Batch(model.x[idx], model.y[idx])
 
 
+class DeviceArrays:
+    """A device population as zero-padded arrays, one row per device.
+
+    ``x (n, S_max, d)`` and ``y (n, S_max)`` hold each device's samples in
+    its first ``counts[i]`` slots and zeros after them; ``mask`` marks the
+    real samples.  Every device must share one loss family and dimension.
+    """
+
+    def __init__(self, models: Sequence[LossModel]):
+        if not models:
+            raise InvalidInputError("a device population needs at least one device")
+        model_class = type(models[0])
+        if any(type(m) is not model_class for m in models):
+            raise InvalidInputError("devices of one population must share a loss family")
+        d = models[0].dim
+        if any(m.dim != d for m in models):
+            raise InvalidInputError("devices of one population must share a dimension")
+        counts = np.array([m.n_samples for m in models])
+        mask = np.arange(counts.max()) < counts[:, None]
+        x = np.zeros(mask.shape + (d,))
+        y = np.zeros(mask.shape)
+        x[mask] = np.concatenate([m.x for m in models])
+        y[mask] = np.concatenate([m.y for m in models])
+        self.model_class = model_class
+        self.x, self.y, self.mask, self.counts = x, y, mask, counts
+        self.full_weights = mask / counts[:, None]
+
+    def batch_sizes(self, batch_size: int | None) -> np.ndarray:
+        """Per-device batch size: the full dataset, or batch_size clamped to it."""
+        return self.counts if batch_size is None else np.minimum(batch_size, self.counts)
+
+    def grad(self, weights: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        """Per-device weighted sum of per-sample gradients, (n, d)."""
+        per_sample = self.model_class.per_sample_grad(theta, self.x, self.y)
+        return np.einsum("ns,nsd->nd", weights, per_sample)
+
+    def hvp(self, weights: np.ndarray, theta: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Per-device weighted sum of per-sample Hessian-vector products, (n, d)."""
+        per_sample = self.model_class.per_sample_hvp(theta, self.x, self.y, v)
+        return np.einsum("ns,nsd->nd", weights, per_sample)
+
+    def loss(self, weights: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        """Per-device weighted sum of per-sample losses, (n,)."""
+        per_sample = self.model_class.per_sample_loss(theta, self.x, self.y)
+        return np.einsum("ns,ns->n", weights, per_sample)
+
+
+def draw_batch_weights(
+    g: np.random.Generator, mask: np.ndarray, sizes: np.ndarray
+) -> np.ndarray:
+    """Batch weights of the three roles of one step for every device, (3, n, S_max).
+
+    One uniform key per (role, device, sample slot), with +inf on padding;
+    each device's ``sizes[i]`` smallest keys of a role form its batch, each
+    sample weighted ``1/sizes[i]``.  A full-batch device takes every sample.
+    """
+    keys = np.where(mask, g.random((3,) + mask.shape), np.inf)
+    rank = keys.argsort(axis=-1).argsort(axis=-1)
+    return (rank < sizes[:, None]) / sizes[:, None]
+
+
+def batched_meta_gradient(
+    data: DeviceArrays, theta: np.ndarray, weights: np.ndarray, hyper: MetaHyper
+) -> np.ndarray:
+    """``meta_gradient`` of every device row at once, (n, d).
+
+    ``weights[r]`` are the batch weights of role r (D, D', D''), as drawn
+    by ``draw_batch_weights``; theta is shared (d,) or per device (n, d).
+    """
+    alpha = hyper.alpha
+    g = data.grad(weights[1], theta - alpha * data.grad(weights[0], theta))
+    if hyper.mode == MODE_FIRST_ORDER:
+        return g
+    if hyper.mode == MODE_HESSIAN:
+        hvp = data.hvp(weights[2], theta, g)
+    else:
+        hvp = finite_difference_hvp(
+            lambda t: data.grad(weights[2], t), theta, g, hyper.hv_epsilon
+        )
+    return g - alpha * hvp
+
+
 def local_update(
-    model: LossModel,
+    data: DeviceArrays,
     theta0: np.ndarray,
     hyper: MetaHyper,
-    batch_rng: Callable[[int, int], np.random.Generator],
-    batch_size: int | None = None,
-) -> tuple[np.ndarray, float]:
-    """Run tau local meta-gradient steps and accumulate the contribution score.
+    sizes: np.ndarray,
+    step_rng: Callable[[int], np.random.Generator],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run tau local meta-gradient steps on every device at once and score them.
 
-    ``batch_rng(step, role)`` must return an independent RNG stream for each
-    (step, role) pair; roles 0/1/2 are the three batch draws of one step.
-    Returns the updated parameters and
-    u = sum_t ||g_t||^2 - 2*(lambda1 + lambda2/sqrt(D)) * ||g_t||.
+    ``step_rng(step)`` returns the stream of one step; its batches for all
+    devices and roles come from ``draw_batch_weights``.  Returns the updated
+    parameters (n, d) and the contribution scores (n,)
+    u_i = sum_t ||g_t||^2 - 2*(lambda1 + lambda2/sqrt(D_i)) * ||g_t||.
+    Raises NumericalError as soon as a meta-gradient or score is non-finite.
     """
-    if model.n_samples < 1:
-        raise ConfigurationError("device has no samples")
-    if batch_size is not None and batch_size > model.n_samples:
-        raise ConfigurationError(
-            f"batch size {batch_size} exceeds dataset size {model.n_samples}"
-        )
-    size = model.n_samples if batch_size is None else batch_size
-    theta = np.array(theta0, dtype=float, copy=True)
-    u = 0.0
-    penalty = 2.0 * (hyper.lambda1 + hyper.lambda2 / np.sqrt(size))
-    for t in range(hyper.tau):
-        batches = [draw_batch(model, batch_rng(t, role), size) for role in (0, 1, 2)]
-        g = meta_gradient(model, theta, batches[0], batches[1], batches[2], hyper)
-        gn = float(np.linalg.norm(g))
-        u += gn * gn - penalty * gn
-        theta -= hyper.beta * g
+    sizes = np.asarray(sizes)
+    if sizes.shape != data.counts.shape or np.any((sizes < 1) | (sizes > data.counts)):
+        raise ConfigurationError("each batch size must lie between 1 and its dataset size")
+    n, _, d = data.x.shape
+    theta = np.broadcast_to(np.asarray(theta0, dtype=float), (n, d)).copy()
+    u = np.zeros(n)
+    penalty = 2.0 * (hyper.lambda1 + hyper.lambda2 / np.sqrt(sizes))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(hyper.tau):
+            weights = draw_batch_weights(step_rng(t), data.mask, sizes)
+            g = batched_meta_gradient(data, theta, weights, hyper)
+            if not np.all(np.isfinite(g)):
+                raise NumericalError(f"non-finite meta-gradient at local step {t}")
+            gn = np.sqrt(np.einsum("nd,nd->n", g, g))
+            u += gn * gn - penalty * gn
+            theta -= hyper.beta * g
+    if not np.all(np.isfinite(u)):
+        raise NumericalError("non-finite contribution score")
     return theta, u

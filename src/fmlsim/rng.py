@@ -1,19 +1,19 @@
 """Keyed RNG streams.
 
 Every random draw in the simulator comes from a stream derived from an
-integer key tuple (seed, round, device, step, role, ...).  Streams are
-independent of each other and of execution order, which is what makes
-per-device work safe to parallelise without losing bit-reproducibility.
+integer key tuple.  The local updates of round k draw, for each local step,
+every device's three batches from one stream keyed (seed, k, step,
+ROLE_BATCH); selection, allocation and the environment have streams of
+their own.  Streams are independent of each other and of execution order,
+so outputs are a pure function of (config, seed).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# role tags used when deriving per-batch streams
-ROLE_D = 0
-ROLE_D_PRIME = 1
-ROLE_D_DOUBLE = 2
+# role tags that end a stream key
+ROLE_BATCH = 1000
 ROLE_SELECT = 1001
 ROLE_ENV = 1002
 ROLE_ALLOC = 1003

@@ -7,6 +7,8 @@ needed by the matching utility lives here too, isolated from top-k.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from .errors import InvalidInputError
@@ -15,6 +17,9 @@ from .errors import InvalidInputError
 def select_top_k(scores: dict[int, float], n_k: int) -> set[int]:
     """Return the ids of the n_k largest scores, ties broken by ascending id.
 
+    Scores must be finite: a NaN compares false both ways and would leave
+    the result short of n_k ids.
+
     Average-case linear: partition by score, then resolve only the boundary
     ties explicitly.
     """
@@ -22,6 +27,10 @@ def select_top_k(scores: dict[int, float], n_k: int) -> set[int]:
         raise InvalidInputError(f"n_k={n_k} out of range for {len(scores)} scores")
     ids = np.fromiter(scores.keys(), dtype=np.int64, count=len(scores))
     u = np.fromiter(scores.values(), dtype=float, count=len(scores))
+    if not np.all(np.isfinite(u)):
+        raise InvalidInputError(
+            f"non-finite contribution scores for devices {ids[~np.isfinite(u)].tolist()}"
+        )
     if n_k == len(scores):
         return set(ids.tolist())
     part = np.argpartition(-u, n_k - 1)
@@ -44,9 +53,9 @@ def shifted_scores(scores: dict[int, float], shift: float | None = None) -> dict
     return {i: u + c for i, u in scores.items()}
 
 
-def aggregate(models: list[np.ndarray]) -> np.ndarray:
-    """Coordinate-wise mean of the received parameter vectors."""
-    if not models:
+def aggregate(models: Sequence[np.ndarray]) -> np.ndarray:
+    """Coordinate-wise mean of the received parameter vectors (a list or the rows of an array)."""
+    if len(models) == 0:
         raise InvalidInputError("cannot aggregate an empty model list")
     stack = np.stack(models)
     if stack.ndim != 2:

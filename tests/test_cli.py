@@ -1,8 +1,12 @@
+import csv
 import json
+from pathlib import Path
 
 import pytest
 
 from fmlsim.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _write_config(tmp_path, **overrides):
@@ -33,17 +37,39 @@ def test_run_writes_metrics_summary_manifest(tmp_path, capsys):
     assert "wrote 2 rounds" in capsys.readouterr().out
 
 
-def test_run_outputs_identical_across_thread_counts(tmp_path, monkeypatch):
+def test_run_outputs_identical_across_repeats(tmp_path):
     cfg = _write_config(tmp_path)
     outputs = []
-    for threads in ("1", "8"):
-        monkeypatch.setenv("FMLSIM_THREADS", threads)
-        out = tmp_path / f"out{threads}"
+    for repeat in range(2):
+        out = tmp_path / f"out{repeat}"
         assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_OK
         outputs.append(
             ((out / "metrics.csv").read_bytes(), (out / "summary.json").read_bytes())
         )
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("allocation", ["ural", "nufm-greedy"])
+def test_wireless_metrics_csv_numbers_parse_as_float(tmp_path, allocation):
+    cfg = _write_config(tmp_path, mode="wireless", allocation=allocation,
+                        env={"M": 6, "nu_max_range": [0.5, 2.0]})
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    rows = list(csv.DictReader((out / "metrics.csv").open()))
+    assert len(rows) == 2
+    for row in rows:
+        for name, field in row.items():
+            if name != "selected":
+                float(field)
+
+
+def test_divergent_run_fails_fast_with_usage_exit(tmp_path, capsys):
+    code = main(["run", "--config", str(CONFIGS / "nufm.json"),
+                 "--set", "hyper.beta=50", "--set", "rounds=90",
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: round ") and "non-finite" in err
 
 
 def test_seed_flag_changes_results(tmp_path):

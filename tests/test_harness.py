@@ -42,10 +42,9 @@ def test_zero_meta_stepsize_keeps_loss_constant():
     assert ms[0].test_loss == pytest.approx(ms[1].test_loss)
 
 
-def test_run_nufm_is_deterministic(monkeypatch):
+def test_run_nufm_is_deterministic():
     cfg = _base_config()
     a = run_nufm(cfg)
-    monkeypatch.setenv("FMLSIM_THREADS", "8")
     b = run_nufm(cfg)
     for ma, mb in zip(a, b):
         assert ma == mb
@@ -98,10 +97,9 @@ def test_run_wireless_all_modes_feasible():
             assert np.isfinite(m.objective)
 
 
-def test_run_wireless_deterministic(monkeypatch):
+def test_run_wireless_deterministic():
     cfg = _wireless_config(allocation="ural")
     a = run_wireless(cfg)
-    monkeypatch.setenv("FMLSIM_THREADS", "4")
     assert run_wireless(cfg) == a
 
 

@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fmlsim import rng
-from fmlsim.errors import ConfigurationError, InvalidInputError
+from fmlsim.errors import ConfigurationError, InvalidInputError, NumericalError
 from fmlsim.metacore import (
     Batch,
+    DeviceArrays,
     LogisticModel,
     MetaHyper,
     QuadraticModel,
     SmoothnessConstants,
+    batched_meta_gradient,
     draw_batch,
+    draw_batch_weights,
     exact_meta_gradient,
     finite_difference_hvp,
     grad_estimate,
@@ -167,10 +172,14 @@ def test_exact_meta_gradient_matches_full_batch_estimator():
         assert np.linalg.norm(est - ref) <= 1e-10 * max(1.0, np.linalg.norm(ref))
 
 
-def _stream_factory(seed, k, i):
-    def batch_rng(step, role):
-        return rng.stream(seed, k, i, step, role)
-    return batch_rng
+def _step_streams(seed, k):
+    def step_rng(step):
+        return rng.stream(seed, k, step, rng.ROLE_BATCH)
+    return step_rng
+
+
+def _one_device(m):
+    return DeviceArrays([m])
 
 
 def test_local_update_zero_stepsize_keeps_theta():
@@ -178,9 +187,9 @@ def test_local_update_zero_stepsize_keeps_theta():
     m = _quad(g.normal(size=(10, 3)), g.normal(size=10))
     theta0 = g.normal(size=3)
     hyper = MetaHyper(alpha=0.1, beta=0.0, tau=1)
-    theta, u = local_update(m, theta0, hyper, _stream_factory(0, 0, 0), 4)
-    assert np.allclose(theta, theta0)
-    assert np.isfinite(u)
+    theta, u = local_update(_one_device(m), theta0, hyper, np.array([4]), _step_streams(0, 0))
+    assert np.allclose(theta, theta0[None, :])
+    assert np.all(np.isfinite(u))
 
 
 def test_local_update_stationary_point():
@@ -189,31 +198,158 @@ def test_local_update_stationary_point():
     theta_star = g.normal(size=3)
     m = _quad(x, x @ theta_star)  # zero residual at theta_star
     hyper = MetaHyper(alpha=0.1, beta=0.05)
-    theta, u = local_update(m, theta_star, hyper, _stream_factory(0, 0, 0))
-    assert np.allclose(theta, theta_star)
-    assert u == pytest.approx(0.0, abs=1e-20)
+    data = _one_device(m)
+    theta, u = local_update(data, theta_star, hyper, data.counts, _step_streams(0, 0))
+    assert np.allclose(theta, theta_star[None, :])
+    assert u[0] == pytest.approx(0.0, abs=1e-20)
 
 
 def test_local_update_two_steps_equals_chained_single_steps():
     g = np.random.default_rng(10)
-    m = _quad(g.normal(size=(12, 3)), g.normal(size=12))
+    data = DeviceArrays([
+        _quad(g.normal(size=(n, 3)), g.normal(size=n)) for n in (12, 5, 1)
+    ])
+    sizes = data.batch_sizes(4)
     theta0 = g.normal(size=3)
     h2 = MetaHyper(alpha=0.05, beta=0.02, tau=2)
-    theta_two, _ = local_update(m, theta0, h2, _stream_factory(1, 0, 0), 4)
+    theta_two, _ = local_update(data, theta0, h2, sizes, _step_streams(1, 0))
 
     h1 = MetaHyper(alpha=0.05, beta=0.02, tau=1)
-    mid, _ = local_update(m, theta0, h1, _stream_factory(1, 0, 0), 4)
-    # the second chained step replays the tau=2 run's step-1 streams
-    factory = _stream_factory(1, 0, 0)
-    end, _ = local_update(m, mid, h1, lambda t, role: factory(1, role), 4)
+    streams = _step_streams(1, 0)
+    mid, _ = local_update(data, theta0, h1, sizes, streams)
+    # the second chained step replays the tau=2 run's step-1 stream
+    end, _ = local_update(data, mid, h1, sizes, lambda t: streams(1))
     assert np.allclose(theta_two, end)
 
 
 def test_local_update_oversized_batch_rejected():
     m = _quad(np.ones((3, 1)), np.zeros(3))
     with pytest.raises(ConfigurationError):
-        local_update(m, np.zeros(1), MetaHyper(alpha=0.1, beta=0.1),
-                     _stream_factory(0, 0, 0), 10)
+        local_update(_one_device(m), np.zeros(1), MetaHyper(alpha=0.1, beta=0.1),
+                     np.array([10]), _step_streams(0, 0))
+
+
+def test_local_update_non_finite_raises():
+    m = _quad([[1e200]], [0.0])
+    with pytest.raises(NumericalError, match="non-finite"):
+        local_update(_one_device(m), np.ones(1), MetaHyper(alpha=0.1, beta=0.1),
+                     np.array([1]), _step_streams(0, 0))
+
+
+def _reference_local_update(data, models, theta0, hyper, sizes, step_rng):
+    """Per-device loop over the reference meta_gradient on the engine's batches.
+
+    Returns the parameters, the scores and the scores' scale: the sum of the
+    absolute values of the terms added into each score.
+    """
+    thetas = np.tile(theta0, (len(models), 1))
+    u = np.zeros(len(models))
+    scale = np.zeros(len(models))
+    for t in range(hyper.tau):
+        w = draw_batch_weights(step_rng(t), data.mask, sizes)
+        for i, m in enumerate(models):
+            batches = [Batch(data.x[i][w[r, i] > 0], data.y[i][w[r, i] > 0])
+                       for r in range(3)]
+            assert all(b.size == sizes[i] for b in batches)
+            g = meta_gradient(m, thetas[i], *batches, hyper)
+            gn = np.linalg.norm(g)
+            penalty = 2.0 * (hyper.lambda1 + hyper.lambda2 / np.sqrt(sizes[i]))
+            u[i] += gn * gn - penalty * gn
+            scale[i] += gn * gn + penalty * gn
+            thetas[i] -= hyper.beta * g
+    return thetas, u, scale
+
+
+def _mixed_population(g, family, d=3):
+    models = []
+    for n in (1, 2, 4, 7, 13):
+        x = g.normal(size=(n, d))
+        if family is LogisticModel:
+            models.append(LogisticModel(x, np.where(g.uniform(size=n) < 0.5, 1.0, -1.0)))
+        else:
+            models.append(QuadraticModel(x, g.normal(size=n)))
+    return models
+
+
+@pytest.mark.parametrize("family", [QuadraticModel, LogisticModel])
+@pytest.mark.parametrize("mode", ["hessian", "first-order", "hessian-free"])
+@pytest.mark.parametrize("batch_size", [4, None])
+@pytest.mark.parametrize("tau", [1, 2])
+def test_batched_local_update_matches_per_device_reference(family, mode, batch_size, tau):
+    # sizes 1, 2, 4, 7, 13: with batch 4, devices of 1, 2 and 4 samples run
+    # full-batch and the others subsample; with None every device is full
+    g = np.random.default_rng(11)
+    models = _mixed_population(g, family)
+    data = DeviceArrays(models)
+    sizes = data.batch_sizes(batch_size)
+    theta0 = g.normal(size=3)
+    hyper = MetaHyper(alpha=0.1, beta=0.05, tau=tau, lambda1=0.3, lambda2=0.7, mode=mode)
+    theta, u = local_update(data, theta0, hyper, sizes, _step_streams(5, 3))
+    ref_theta, ref_u, ref_scale = _reference_local_update(
+        data, models, theta0, hyper, sizes, _step_streams(5, 3)
+    )
+    # the step moves theta by beta * g; compare the meta-gradient parts
+    step, ref_step = theta0 - theta, theta0 - ref_theta
+    assert np.all(np.linalg.norm(step - ref_step, axis=1)
+                  <= 1e-12 * np.linalg.norm(ref_step, axis=1))
+    # a score is a difference of two terms, so its error is measured against
+    # the terms' size; cancellation alone would inflate |u - ref_u| / |ref_u|
+    assert np.all(np.abs(u - ref_u) <= 1e-12 * ref_scale)
+
+
+@pytest.mark.parametrize("family", [QuadraticModel, LogisticModel])
+@pytest.mark.parametrize("mode", ["hessian", "first-order", "hessian-free"])
+def test_batched_meta_gradient_matches_reference_on_identical_batches(family, mode):
+    g = np.random.default_rng(12)
+    models = _mixed_population(g, family)
+    data = DeviceArrays(models)
+    sizes = data.batch_sizes(3)
+    weights = draw_batch_weights(rng.stream(0, 1, 0, rng.ROLE_BATCH), data.mask, sizes)
+    theta = g.normal(size=(len(models), 3))
+    hyper = MetaHyper(alpha=0.1, beta=0.05, mode=mode)
+    got = batched_meta_gradient(data, theta, weights, hyper)
+    for i, m in enumerate(models):
+        batches = [Batch(data.x[i][weights[r, i] > 0], data.y[i][weights[r, i] > 0])
+                   for r in range(3)]
+        want = meta_gradient(m, theta[i], *batches, hyper)
+        assert np.linalg.norm(got[i] - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_device_arrays_pad_and_mask():
+    a = _quad([[1.0, 2.0]], [3.0])
+    b = _quad([[4.0, 5.0], [6.0, 7.0]], [8.0, 9.0])
+    data = DeviceArrays([a, b])
+    assert data.x.shape == (2, 2, 2) and data.y.shape == (2, 2)
+    assert data.mask.tolist() == [[True, False], [True, True]]
+    assert data.x[0, 1].tolist() == [0.0, 0.0] and data.y[0, 1] == 0.0
+    assert data.counts.tolist() == [1, 2]
+    assert data.batch_sizes(None).tolist() == [1, 2]
+    assert data.batch_sizes(1).tolist() == [1, 1]
+    with pytest.raises(InvalidInputError):
+        DeviceArrays([a, LogisticModel(np.ones((1, 2)), np.ones(1))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    counts=st.lists(st.integers(1, 12), min_size=1, max_size=8),
+    batch=st.one_of(st.none(), st.integers(1, 12)),
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(0, 500),
+    step=st.integers(0, 3),
+)
+def test_batch_draw_properties(counts, batch, seed, k, step):
+    mask = np.arange(max(counts)) < np.array(counts)[:, None]
+    sizes = np.array(counts) if batch is None else np.minimum(batch, counts)
+    w = draw_batch_weights(rng.stream(seed, k, step, rng.ROLE_BATCH), mask, sizes)
+    assert w.shape == (3,) + mask.shape
+    picked = w > 0
+    # exactly min(batch, n_i) distinct real samples per device and role
+    assert np.array_equal(picked.sum(axis=-1), np.broadcast_to(sizes, (3, len(counts))))
+    assert not np.any(picked & ~mask)
+    assert np.allclose(w.sum(axis=-1), 1.0)
+    # a pure function of (seed, round, step)
+    again = draw_batch_weights(rng.stream(seed, k, step, rng.ROLE_BATCH), mask, sizes)
+    assert np.array_equal(w, again)
 
 
 def test_draw_batch_without_replacement():

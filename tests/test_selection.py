@@ -15,6 +15,12 @@ def test_ties_broken_by_ascending_id():
     assert select_top_k({3: 1.0, 1: 1.0, 2: 1.0}, 2) == {1, 2}
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_scores_rejected(bad):
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        select_top_k({0: 1.0, 1: bad, 2: 3.0}, 2)
+
+
 def test_n_k_equal_to_n_returns_all():
     scores = {i: float(i) for i in range(5)}
     assert select_top_k(scores, 5) == set(range(5))
