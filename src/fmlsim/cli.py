@@ -125,6 +125,19 @@ SUMMARY_SCHEMA = {
 }
 
 
+# Built once: jsonschema.validate would check the schema against its
+# meta-schema on every call.  The schemas' own validity is a test.
+CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+SUMMARY_VALIDATOR = jsonschema.validators.validator_for(SUMMARY_SCHEMA)(SUMMARY_SCHEMA)
+
+
+def _validate(validator, instance) -> None:
+    """Raise the error ``jsonschema.validate`` would raise for ``instance``."""
+    error = jsonschema.exceptions.best_match(validator.iter_errors(instance))
+    if error is not None:
+        raise error
+
+
 class CliError(Exception):
     def __init__(self, message: str, code: int = EXIT_USAGE):
         super().__init__(message)
@@ -164,7 +177,7 @@ def load_config(path: str, overrides: list[str], seed: int | None) -> Experiment
     if seed is not None:
         payload["seed"] = seed
     try:
-        jsonschema.validate(payload, CONFIG_SCHEMA)
+        _validate(CONFIG_VALIDATOR, payload)
     except jsonschema.ValidationError as exc:
         anchor = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise CliError(f"{path}: at {anchor}: {exc.message}")
@@ -197,7 +210,7 @@ def cmd_run(args) -> int:
     config = load_config(args.config, args.set or [], args.seed)
     metrics = run(config)
     summary = metrics_summary(metrics)
-    jsonschema.validate(summary, SUMMARY_SCHEMA)
+    _validate(SUMMARY_VALIDATOR, summary)
     files = {
         "metrics.csv": metrics_to_csv(metrics),
         "summary.json": json.dumps(summary, indent=2, sort_keys=True) + "\n",

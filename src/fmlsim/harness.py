@@ -44,6 +44,7 @@ from .tasks import (
 )
 from .ural import ural
 from .wireless import (
+    RANGE_FIELDS,
     Allocation,
     ComputeProfile,
     EnvironmentSpec,
@@ -615,8 +616,7 @@ def config_to_dict(config: ExperimentConfig) -> dict:
         payload["env"]["batch_sizes"] = {
             str(k): v for k, v in payload["env"]["batch_sizes"].items()
         }
-        for key in ("h_range", "interference_range", "p_max_range",
-                    "nu_max_range", "c_range", "iota_range"):
+        for key in RANGE_FIELDS:
             payload["env"][key] = list(payload["env"][key])
     return payload
 
@@ -636,8 +636,7 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
         env_raw["batch_sizes"] = {
             int(k): v for k, v in env_raw.get("batch_sizes", {}).items()
         }
-        for key in ("h_range", "interference_range", "p_max_range",
-                    "nu_max_range", "c_range", "iota_range"):
+        for key in RANGE_FIELDS:
             if key in env_raw:
                 env_raw[key] = tuple(env_raw[key])
         env = EnvironmentSpec(**env_raw)

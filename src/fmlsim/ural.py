@@ -1,17 +1,18 @@
 """Joint CPU-frequency, resource-block and power optimization.
 
 The round objective U - eta1*E - eta2*T separates into a computation part
-(frequency control, solved in closed form by straggler enumeration) and a
-communication part (RB matching plus power control, solved by the
-iterative matching/power/delay loop).  All solvers are deterministic;
-ties are broken by ascending device id.
+(frequency control, solved in closed form) and a communication part (RB
+matching plus power control, solved by the iterative matching/power/delay
+loop).  Each solver turns its device dicts into aligned arrays, rows in
+ascending device id, once per call of ``solve_sp1`` / ``ives``; the inner
+steps work on those arrays.  All solvers are deterministic; ties are broken
+by ascending device id.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -27,7 +28,6 @@ BISECT_TOL = 1e-10
 @dataclass
 class Sp1Solution:
     nu: dict[int, float]
-    straggler: int
     objective: float
 
 
@@ -42,58 +42,44 @@ class Sp2Solution:
 
 
 def g1_objective(
-    compute: dict[int, ComputeProfile], weights: tuple[float, float], nu: dict[int, float]
+    work: np.ndarray, iota: np.ndarray, nu: np.ndarray, weights: tuple[float, float]
 ) -> float:
-    """eta1 * sum (iota/2) c D nu^2 + eta2 * max c D / nu."""
+    """eta1 * sum (iota/2) w nu^2 + eta2 * max w / nu, with work w = c * D per device."""
     eta1, eta2 = weights
-    energy = 0.0
-    worst_time = 0.0
-    for i, cp in compute.items():
-        f = nu[i]
-        if f <= 0:
-            return math.inf
-        work = cp.c * cp.D
-        energy += 0.5 * cp.iota * work * f * f
-        worst_time = max(worst_time, work / f)
-    return eta1 * energy + eta2 * worst_time
-
-
-def sp1_fixed_straggler(
-    j: int, compute: dict[int, ComputeProfile], weights: tuple[float, float]
-) -> Sp1Solution:
-    """Closed-form frequencies when device j is the computation straggler.
-
-    All computation times are equalized to the straggler's; the straggler's
-    frequency balances the quadratic energy term against the 1/nu time term,
-    capped so every device stays within its own frequency limit.
-    """
-    eta1, eta2 = weights
-    if eta1 <= 0 or eta2 <= 0:
-        raise InvalidInputError("sp1 requires strictly positive weights")
-    if j not in compute:
-        raise InvalidInputError(f"unknown straggler candidate {j}")
-    work = {i: cp.c * cp.D for i, cp in compute.items()}
-    wj = work[j]
-    a1 = eta1 * sum(cp.iota * work[i] ** 3 for i, cp in compute.items()) / (2.0 * wj * wj)
-    a2 = eta2 * wj
-    cap = min(wj * compute[i].nu_max / work[i] for i in compute)
-    nu_j = min((a2 / (2.0 * a1)) ** (1.0 / 3.0), cap)
-    nu = {i: work[i] * nu_j / wj for i in compute}
-    return Sp1Solution(nu=nu, straggler=j, objective=g1_objective(compute, weights, nu))
+    if (nu <= 0).any():
+        return math.inf
+    return float(eta1 * (0.5 * iota * work * nu * nu).sum() + eta2 * (work / nu).max())
 
 
 def solve_sp1(
     compute: dict[int, ComputeProfile], weights: tuple[float, float]
 ) -> Sp1Solution:
-    """Enumerate every straggler candidate and keep the best g1."""
+    """Frequencies minimizing g1, in closed form.
+
+    Finishing before the slowest device only costs energy, so at the optimum
+    every device runs at nu_i = s * w_i for one common speed s (the inverse
+    of the common computation time).  g1 is then
+    eta1/2 * s^2 * sum iota w^3 + eta2 / s, minimized at
+    s^3 = eta2 / (eta1 * sum iota w^3), and s is capped by min nu_max / w so
+    no device exceeds its frequency limit.
+    """
     if not compute:
         raise InvalidInputError("sp1 needs at least one device")
-    best: Sp1Solution | None = None
-    for j in sorted(compute):
-        sol = sp1_fixed_straggler(j, compute, weights)
-        if best is None or sol.objective < best.objective:
-            best = sol
-    return best
+    eta1, eta2 = weights
+    if eta1 <= 0 or eta2 <= 0:
+        raise InvalidInputError("sp1 requires strictly positive weights")
+    ids = sorted(compute)
+    work = np.array([compute[i].c * compute[i].D for i in ids], dtype=float)
+    iota = np.array([compute[i].iota for i in ids])
+    nu_max = np.array([compute[i].nu_max for i in ids])
+    speed = min(
+        (eta2 / (eta1 * (iota * work ** 3).sum())) ** (1.0 / 3.0),
+        (nu_max / work).min(),
+    )
+    nu = speed * work
+    return Sp1Solution(
+        nu=dict(zip(ids, nu.tolist())), objective=g1_objective(work, iota, nu, weights)
+    )
 
 
 def min_cost_assignment(weights: np.ndarray) -> list[tuple[int, int]]:
@@ -116,39 +102,62 @@ def min_cost_assignment(weights: np.ndarray) -> list[tuple[int, int]]:
     return [(int(i), int(m)) for i, m in zip(rows, cols) if usable[i, m]]
 
 
-def _mu(radio: RadioProfile, net: NetworkConfig, m: int, delta: float) -> float:
-    """Power needed on RB m to finish the upload in exactly delta."""
-    with np.errstate(over="ignore"):
-        growth = float(np.exp2(net.S / (net.B * delta)) - 1.0)
-    return (net.interference[m] + net.B * net.N0) * growth / radio.h
+@dataclass(frozen=True)
+class Uplinks:
+    """The devices of one ``ives`` call as aligned arrays, rows in ascending id.
+
+    ``noise[m] = I_m + B*N0`` is RB m's interference-plus-noise power.  A
+    matching is a pair of index arrays ``(rows, rbs)``: row ``rows[k]`` sends
+    on RB ``rbs[k]``.
+    """
+
+    ids: np.ndarray
+    u: np.ndarray
+    h: np.ndarray
+    p_max: np.ndarray
+    noise: np.ndarray
+
+    @classmethod
+    def build(
+        cls, u: dict[int, float], radios: dict[int, RadioProfile], net: NetworkConfig
+    ) -> Uplinks:
+        ids = sorted(u)
+        return cls(
+            ids=np.array(ids, dtype=int),
+            u=np.array([u[i] for i in ids], dtype=float),
+            h=np.array([radios[i].h for i in ids]),
+            p_max=np.array([radios[i].p_max for i in ids]),
+            noise=np.asarray(net.interference, dtype=float) + net.B * net.N0,
+        )
+
+
+def _rates(h: np.ndarray, p: np.ndarray, noise: np.ndarray, net: NetworkConfig) -> np.ndarray:
+    """Shannon rates B * log2(1 + h*p / (I_m + B*N0)), broadcast over the arguments."""
+    return net.B * np.log2(1.0 + h * p / noise)
 
 
 def rb_matching(
-    u: dict[int, float],
-    delta: float,
-    radios: dict[int, RadioProfile],
-    net: NetworkConfig,
-) -> dict[int, int]:
-    """Optimal RB assignment for a given transmission delay.
+    links: Uplinks, delta: float, net: NetworkConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal RB assignment ``(rows, rbs)`` for a given transmission delay.
 
-    Pairs whose required power exceeds the device cap are forbidden; among
-    the rest, the matching maximizes sum of (u_i - eta1*delta*mu_{i,m}).
+    mu[i, m] is the power device i needs on RB m to finish the upload in
+    exactly delta.  Pairs whose mu exceeds the device cap are forbidden;
+    among the rest, the matching maximizes sum of (u_i - eta1*delta*mu_{i,m}).
     """
     if delta <= 0:
         raise InvalidInputError("delta must be positive")
-    ids = sorted(u)
-    cost = np.full((len(ids), net.M), np.inf)
-    for row, i in enumerate(ids):
-        for m in range(net.M):
-            mu = _mu(radios[i], net, m, delta)
-            # the relative slack absorbs round-off when delta was realized by
-            # a device transmitting exactly at its power cap
-            if mu <= radios[i].p_max * (1.0 + 1e-9):
-                mu = min(mu, radios[i].p_max)
-                gain = u[i] - net.eta1 * delta * mu
-                if gain > 0:
-                    cost[row, m] = -gain
-    return {ids[row]: m for row, m in min_cost_assignment(cost)}
+    with np.errstate(over="ignore"):
+        growth = np.exp2(net.S / (net.B * delta)) - 1.0
+    mu = links.noise * growth / links.h[:, None]
+    cap = links.p_max[:, None]
+    # the relative slack absorbs round-off when delta was realized by a
+    # device transmitting exactly at its power cap
+    feasible = mu <= cap * (1.0 + 1e-9)
+    gain = links.u[:, None] - net.eta1 * delta * np.minimum(mu, cap)
+    cost = np.where(feasible & (gain > 0), -gain, np.inf)
+    pairs = np.array(min_cost_assignment(cost), dtype=int).reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1]
 
 
 def f4_zero(b1: float, eta2: float, tol: float = BISECT_TOL) -> float:
@@ -179,90 +188,43 @@ def f4_zero(b1: float, eta2: float, tol: float = BISECT_TOL) -> float:
     return mid
 
 
-def _normalized_noise(radio: RadioProfile, net: NetworkConfig, m: int) -> float:
-    return (net.interference[m] + net.B * net.N0) / radio.h
+def solve_sp2_power(
+    links: Uplinks, rows: np.ndarray, rbs: np.ndarray, net: NetworkConfig
+) -> np.ndarray:
+    """Powers of a non-empty matching, equalizing the normalized SNR.
 
-
-def sp2_power_fixed_straggler(
-    j: int,
-    z: dict[int, int],
-    u: dict[int, float],
-    radios: dict[int, RadioProfile],
-    net: NetworkConfig,
-) -> dict[int, float]:
-    """Powers equalizing the normalized SNR across the selected set.
-
-    Works in units p~ = h*p/(I_m + B*N0); the common p~ is the f4 zero
+    Works in units p~ = h*p/(I_m + B*N0): the common p~ is the f4 zero
     capped by the tightest per-device power limit, then converted back to
     watts per device.
     """
-    if j not in z:
-        raise InvalidInputError(f"straggler candidate {j} has no RB assigned")
-    noise = {i: _normalized_noise(radios[i], net, z[i]) for i in z}
-    b1 = net.eta1 * sum(noise.values())
+    noise = links.noise[rbs] / links.h[rows]
     p_tilde = min(
-        f4_zero(b1, net.eta2),
-        min(radios[i].p_max / noise[i] for i in z),
+        f4_zero(net.eta1 * float(noise.sum()), net.eta2),
+        (links.p_max[rows] / noise).min(),
     )
-    return {i: noise[i] * p_tilde for i in z}
+    return noise * p_tilde
 
 
 def g2_objective(
-    z: dict[int, int],
-    p: dict[int, float],
-    u: dict[int, float],
-    radios: dict[int, RadioProfile],
-    net: NetworkConfig,
+    links: Uplinks, rows: np.ndarray, rbs: np.ndarray, p: np.ndarray, net: NetworkConfig
 ) -> float:
     """sum u_i - eta1 * transmission energy - eta2 * max transmission time."""
-    if not z:
+    if not rows.size:
         return 0.0
-    total = 0.0
-    worst_time = 0.0
-    for i, m in z.items():
-        rate = net.B * np.log2(
-            1.0 + radios[i].h * p[i] / (net.interference[m] + net.B * net.N0)
-        )
-        if rate <= 0:
-            return -math.inf
-        t = net.S / rate
-        total += u[i] - net.eta1 * t * p[i]
-        worst_time = max(worst_time, t)
-    return total - net.eta2 * worst_time
+    rates = _rates(links.h[rows], p, links.noise[rbs], net)
+    if (rates <= 0).any():
+        return -math.inf
+    t = net.S / rates
+    return float((links.u[rows] - net.eta1 * t * p).sum() - net.eta2 * t.max())
 
 
-def solve_sp2_power(
-    z: dict[int, int],
-    u: dict[int, float],
-    radios: dict[int, RadioProfile],
-    net: NetworkConfig,
-) -> dict[int, float]:
-    """Enumerate straggler candidates and return the g2-maximizing powers."""
-    if not z:
-        return {}
-    best_p: dict[int, float] | None = None
-    best_g2 = -math.inf
-    for j in sorted(z):
-        p = sp2_power_fixed_straggler(j, z, u, radios, net)
-        g2 = g2_objective(z, p, u, radios, net)
-        if g2 > best_g2:
-            best_g2 = g2
-            best_p = p
-    return best_p
-
-
-def initial_delay(radios: dict[int, RadioProfile], net: NetworkConfig) -> float:
+def initial_delay(links: Uplinks, net: NetworkConfig) -> float:
     """Most conservative start: the slowest full-power upload over all device/RB pairs."""
-    worst = 0.0
-    for i, radio in radios.items():
-        for m in range(net.M):
-            rate = net.B * np.log2(
-                1.0 + radio.h * radio.p_max / (net.interference[m] + net.B * net.N0)
-            )
-            if rate <= 0:
-                raise InvalidInputError(f"device {i} cannot transmit on RB {m}")
-            worst = max(worst, net.S / rate)
-    return worst
+    rates = _rates(links.h[:, None], links.p_max[:, None], links.noise, net)
+    if (rates <= 0).any():
+        row, m = np.argwhere(rates <= 0)[0]
+        raise InvalidInputError(f"device {links.ids[row]} cannot transmit on RB {m}")
+    return float((net.S / rates).max())
 
 
 def ives(
@@ -277,36 +239,35 @@ def ives(
         raise InvalidInputError("ives needs at least one device and one RB")
     if min(u.values()) <= 0:
         raise InvalidInputError("contribution scores must be shifted positive")
-    delta = initial_delay(radios, net)
-    best = Sp2Solution(z={}, p={}, delta=delta, objective=0.0, iterations=0)
+    links = Uplinks.build(u, radios, net)
+    delta = initial_delay(links, net)
+    empty = np.zeros(0, dtype=int)
+    best_g2, best = 0.0, (empty, empty, np.zeros(0), delta)  # rows, rbs, p, delta
     trace: list[float] = []
-    prev_g2: float | None = None
-    for it in range(1, max_iters + 1):
-        z = rb_matching(u, delta, radios, net)
-        if not z:
+    for _ in range(max_iters):
+        rows, rbs = rb_matching(links, delta, net)
+        if not rows.size:
             trace.append(0.0)
-            best.iterations = it
-            best.trace = trace
-            return best
-        p = solve_sp2_power(z, u, radios, net)
-        g2 = g2_objective(z, p, u, radios, net)
-        trace.append(g2)
-        delta_next = max(
-            net.S / (net.B * np.log2(
-                1.0 + radios[i].h * p[i] / (net.interference[m] + net.B * net.N0)
-            ))
-            for i, m in z.items()
-        )
-        if g2 > best.objective:
-            best = Sp2Solution(z=z, p=p, delta=delta_next, objective=g2, iterations=it)
-        if prev_g2 is not None and abs(g2 - prev_g2) <= eps * max(1.0, abs(g2)):
-            best.iterations = it
             break
-        prev_g2 = g2
+        p = solve_sp2_power(links, rows, rbs, net)
+        g2 = g2_objective(links, rows, rbs, p, net)
+        trace.append(g2)
+        delta_next = float((net.S / _rates(links.h[rows], p, links.noise[rbs], net)).max())
+        if g2 > best_g2:
+            best_g2, best = g2, (rows, rbs, p, delta_next)
+        if len(trace) > 1 and abs(g2 - trace[-2]) <= eps * max(1.0, abs(g2)):
+            break
         delta = delta_next
-    best.iterations = max(best.iterations, len(trace))
-    best.trace = trace
-    return best
+    rows, rbs, p, delta = best
+    ids = links.ids[rows].tolist()
+    return Sp2Solution(
+        z=dict(zip(ids, rbs.tolist())),
+        p=dict(zip(ids, p.tolist())),
+        delta=delta,
+        objective=best_g2,
+        iterations=len(trace),
+        trace=trace,
+    )
 
 
 def ural(
@@ -319,24 +280,3 @@ def ural(
     sp1 = solve_sp1(compute, (net.eta1, net.eta2))
     sp2 = ives(u, radios, net)
     return sp1, sp2
-
-
-def sp1_to_json(sol: Sp1Solution) -> str:
-    return json.dumps(asdict(sol), indent=2, sort_keys=True)
-
-
-def sp2_to_json(sol: Sp2Solution) -> str:
-    return json.dumps(asdict(sol), indent=2, sort_keys=True)
-
-
-def sp1_from_json(text: str) -> Sp1Solution:
-    payload = json.loads(text)
-    payload["nu"] = {int(k): v for k, v in payload["nu"].items()}
-    return Sp1Solution(**payload)
-
-
-def sp2_from_json(text: str) -> Sp2Solution:
-    payload = json.loads(text)
-    payload["z"] = {int(k): v for k, v in payload["z"].items()}
-    payload["p"] = {int(k): v for k, v in payload["p"].items()}
-    return Sp2Solution(**payload)

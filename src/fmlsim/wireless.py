@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -19,6 +20,9 @@ from .errors import InfeasibleAllocationError, InvalidInputError
 log = logging.getLogger(__name__)
 
 _P_MAX_FLOOR = 1e-6
+
+RANGE_FIELDS = ("h_range", "interference_range", "p_max_range",
+                "nu_max_range", "c_range", "iota_range")
 
 
 @dataclass(frozen=True)
@@ -168,6 +172,20 @@ class EnvironmentSpec:
     c_range: tuple[float, float] = (0.5, 1.5)
     iota_range: tuple[float, float] = (1.0, 3.0)
     batch_sizes: dict[int, int] = field(default_factory=dict)  # default D = 1
+
+    def __post_init__(self):
+        for name in RANGE_FIELDS:
+            low, high = getattr(self, name)
+            if not (math.isfinite(low) and math.isfinite(high) and low <= high):
+                raise InvalidInputError(
+                    f"{name} must be two finite bounds with low <= high, got {[low, high]}"
+                )
+        # sample_environment redraws p_max and nu_max until they reach the
+        # floor, which never happens if the upper bound lies below it
+        for name in ("p_max_range", "nu_max_range"):
+            high = getattr(self, name)[1]
+            if high <= _P_MAX_FLOOR:
+                raise InvalidInputError(f"{name} upper bound must exceed {_P_MAX_FLOOR}, got {high}")
 
 
 def sample_environment(

@@ -4,7 +4,14 @@ from pathlib import Path
 
 import pytest
 
-from fmlsim.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
+from fmlsim.cli import (
+    CONFIG_VALIDATOR,
+    EXIT_FAILURE,
+    EXIT_OK,
+    EXIT_USAGE,
+    SUMMARY_VALIDATOR,
+    main,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -117,6 +124,27 @@ def test_schema_violation_is_usage_error(tmp_path, capsys):
 def test_unknown_key_rejected_by_schema(tmp_path):
     cfg = _write_config(tmp_path, surprise=1)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("validator", [CONFIG_VALIDATOR, SUMMARY_VALIDATOR],
+                         ids=["config", "summary"])
+def test_schema_is_valid_against_its_meta_schema(validator):
+    validator.check_schema(validator.schema)
+
+
+@pytest.mark.parametrize("override, message", [
+    ("env.p_max_range=[0,0]", "p_max_range upper bound"),
+    ("env.nu_max_range=[0,1e-9]", "nu_max_range upper bound"),
+    ("env.h_range=[1,0.5]", "h_range must be two finite bounds with low <= high"),
+    ("env.c_range=[2,1]", "c_range must be two finite bounds with low <= high"),
+])
+def test_bad_sampling_range_is_usage_error(tmp_path, capsys, override, message):
+    code = main(["run", "--config", str(CONFIGS / "wireless.json"), "--set", override,
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_malformed_override_is_usage_error(tmp_path):
