@@ -1,8 +1,10 @@
 """Command-line front end: run / sweep / oracle / dump-env.
 
-Config files are JSON validated against CONFIG_SCHEMA.  All outputs embed
-the resolved config snapshot so every result directory is self-describing,
-and numeric output uses round-trip precision so reruns are byte-identical.
+Config files are JSON read by ``harness.config_from_dict``: the config
+dataclasses define every key, its type and its bounds.  ``--set`` and sweep
+values are JSON values at a dot path.  All outputs embed the resolved config
+snapshot so every result directory is self-describing, and numeric output
+uses round-trip precision so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -15,97 +17,27 @@ from pathlib import Path
 
 import jsonschema
 
-from . import rng
 from .errors import ConfigurationError, InvalidInputError, NumericalError
 from .harness import (
     ExperimentConfig,
+    build_environment,
+    build_population,
     config_from_dict,
     config_to_dict,
     metrics_summary,
     metrics_to_csv,
     run,
+    set_path,
     sweep,
     sweep_to_csv,
+    value_text,
 )
 from .oracles import SUITES, ives_monotone_suite, run_suite
-from .wireless import EnvironmentSpec, environment_to_json, sample_environment
+from .wireless import environment_to_json
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
-
-_RANGE = {
-    "type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2,
-}
-
-CONFIG_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "mode": {"enum": ["nufm", "wireless"]},
-        "rounds": {"type": "integer", "minimum": 1},
-        "n_k": {"type": "integer", "minimum": 1},
-        "selection": {"enum": ["nufm", "uniform"]},
-        "allocation": {
-            "enum": ["ural", "greedy", "random", "nufm-greedy", "nufm-random"],
-        },
-        "seed": {"type": "integer"},
-        "batch_size": {"type": ["integer", "null"], "minimum": 1},
-        "population": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "n": {"type": "integer", "minimum": 1},
-                "d": {"type": "integer", "minimum": 1},
-                "family": {"enum": ["quadratic-regression", "logistic-regression"]},
-                "clusters": {"type": "integer", "minimum": 1},
-                "classes_per_device": {"type": "integer", "minimum": 1},
-                "size_mu": {"type": "number"},
-                "size_sigma": {"type": "number", "minimum": 0},
-                "size_min": {"type": "integer", "minimum": 1},
-                "param_spread": {"type": "number", "minimum": 0},
-                "cov_spread": {"type": "number", "minimum": 0},
-                "label_noise": {"type": "number", "minimum": 0},
-                "train_fraction": {"type": "number", "minimum": 0, "maximum": 1},
-                "seed": {"type": "integer"},
-            },
-        },
-        "hyper": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "alpha": {"type": "number", "minimum": 0},
-                "beta": {"type": "number", "minimum": 0},
-                "tau": {"type": "integer", "minimum": 1},
-                "lambda1": {"type": "number"},
-                "lambda2": {"type": "number"},
-                "hv_epsilon": {"type": "number", "exclusiveMinimum": 0},
-                "mode": {"enum": ["hessian", "first-order", "hessian-free"]},
-            },
-        },
-        "env": {
-            "type": ["object", "null"],
-            "additionalProperties": False,
-            "properties": {
-                "device_ids": {"type": "array", "items": {"type": "integer"}},
-                "M": {"type": "integer", "minimum": 1},
-                "B": {"type": "number", "exclusiveMinimum": 0},
-                "N0": {"type": "number", "exclusiveMinimum": 0},
-                "S": {"type": "number", "exclusiveMinimum": 0},
-                "eta1": {"type": "number", "minimum": 0},
-                "eta2": {"type": "number", "minimum": 0},
-                "h_range": _RANGE,
-                "interference_range": _RANGE,
-                "p_max_range": _RANGE,
-                "nu_max_range": _RANGE,
-                "c_range": _RANGE,
-                "iota_range": _RANGE,
-                "batch_sizes": {"type": "object"},
-            },
-        },
-    },
-}
 
 SUMMARY_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -126,22 +58,12 @@ SUMMARY_SCHEMA = {
 
 
 # Built once: jsonschema.validate would check the schema against its
-# meta-schema on every call.  The schemas' own validity is a test.
-CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+# meta-schema on every call.  The schema's own validity is a test.
 SUMMARY_VALIDATOR = jsonschema.validators.validator_for(SUMMARY_SCHEMA)(SUMMARY_SCHEMA)
 
 
-def _validate(validator, instance) -> None:
-    """Raise the error ``jsonschema.validate`` would raise for ``instance``."""
-    error = jsonschema.exceptions.best_match(validator.iter_errors(instance))
-    if error is not None:
-        raise error
-
-
 class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_USAGE):
-        super().__init__(message)
-        self.code = code
+    """A usage error in the command line or the config file (exit 2)."""
 
 
 def _parse_value(raw: str):
@@ -155,13 +77,7 @@ def _apply_override(payload: dict, assignment: str) -> None:
     if "=" not in assignment:
         raise CliError(f"override {assignment!r} is not of the form key=value")
     path, raw = assignment.split("=", 1)
-    keys = path.split(".")
-    node = payload
-    for key in keys[:-1]:
-        node = node.setdefault(key, {})
-        if not isinstance(node, dict):
-            raise CliError(f"override path {path!r} crosses a non-object value")
-    node[keys[-1]] = _parse_value(raw)
+    set_path(payload, path, _parse_value(raw))
 
 
 def load_config(path: str, overrides: list[str], seed: int | None) -> ExperimentConfig:
@@ -172,18 +88,13 @@ def load_config(path: str, overrides: list[str], seed: int | None) -> Experiment
         payload = json.loads(config_path.read_text())
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}")
-    for assignment in overrides:
-        _apply_override(payload, assignment)
-    if seed is not None:
-        payload["seed"] = seed
     try:
-        _validate(CONFIG_VALIDATOR, payload)
-    except jsonschema.ValidationError as exc:
-        anchor = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise CliError(f"{path}: at {anchor}: {exc.message}")
-    try:
+        for assignment in overrides:
+            _apply_override(payload, assignment)
+        if seed is not None:
+            set_path(payload, "seed", seed)
         return config_from_dict(payload)
-    except (ConfigurationError, InvalidInputError, TypeError) as exc:
+    except ConfigurationError as exc:
         raise CliError(f"{path}: {exc}")
 
 
@@ -210,7 +121,9 @@ def cmd_run(args) -> int:
     config = load_config(args.config, args.set or [], args.seed)
     metrics = run(config)
     summary = metrics_summary(metrics)
-    _validate(SUMMARY_VALIDATOR, summary)
+    error = jsonschema.exceptions.best_match(SUMMARY_VALIDATOR.iter_errors(summary))
+    if error is not None:
+        raise error     # what jsonschema.validate would raise
     files = {
         "metrics.csv": metrics_to_csv(metrics),
         "summary.json": json.dumps(summary, indent=2, sort_keys=True) + "\n",
@@ -222,18 +135,12 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = load_config(args.config, args.set or [], args.seed)
-    try:
-        values = [float(v) for v in args.values.split(",") if v]
-    except ValueError:
-        raise CliError(f"could not parse sweep values {args.values!r}")
+    values = [_parse_value(v) for v in args.values.split(",") if v]
     seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else None
-    try:
-        cells, runs = sweep(config, args.param, values, seeds)
-    except ConfigurationError as exc:
-        raise CliError(str(exc))
+    cells, runs = sweep(config, args.param, values, seeds)
     files = {"sweep.csv": sweep_to_csv(cells)}
     for (value, s), ms in runs.items():
-        files[f"cell_{args.param}_{value!r}_seed{s}.csv"] = metrics_to_csv(ms)
+        files[f"cell_{args.param}_{value_text(value)}_seed{s}.csv"] = metrics_to_csv(ms)
     _write_outputs(args.out, files, config)
     print(f"wrote {len(cells)} sweep cells to {args.out}")
     return EXIT_OK
@@ -254,16 +161,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_dump_env(args) -> int:
     config = load_config(args.config, args.set or [], args.seed)
-    env_spec = config.env if config.env is not None else EnvironmentSpec(device_ids=())
-    if not env_spec.device_ids:
-        n = config.population.n
-        env_spec = EnvironmentSpec(**{
-            **{k: v for k, v in env_spec.__dict__.items() if k != "device_ids"},
-            "device_ids": tuple(range(n)),
-        })
-    compute, radios, net = sample_environment(
-        rng.stream(config.seed, rng.ROLE_ENV), env_spec
-    )
+    compute, radios, net = build_environment(config, build_population(config))
     text = environment_to_json(compute, radios, net) + "\n"
     if args.out:
         out = Path(args.out)
@@ -282,9 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="JSON config file")
+    def common(p):
+        p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config entry (dot paths allowed)")
         p.add_argument("--seed", type=int, default=None, help="override the run seed")
@@ -296,8 +193,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run a parameter sweep")
     common(p_sweep)
-    p_sweep.add_argument("--param", required=True, help="parameter to sweep")
-    p_sweep.add_argument("--values", required=True, help="comma-separated values")
+    p_sweep.add_argument("--param", required=True,
+                         help="config field to sweep: a dot path or a unique field name")
+    p_sweep.add_argument("--values", required=True,
+                         help="comma-separated values, each parsed as for --set")
     p_sweep.add_argument("--seeds", default=None, help="comma-separated seeds")
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -306,8 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--seed", type=int, default=0)
     p_oracle.set_defaults(func=cmd_oracle)
 
-    p_env = sub.add_parser("dump-env", help="sample and print the wireless environment")
-    common(p_env, needs_config=True)
+    p_env = sub.add_parser("dump-env", help="print the wireless environment a run samples")
+    common(p_env)
     p_env.set_defaults(func=cmd_dump_env)
     return parser
 
@@ -317,10 +216,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (ConfigurationError, InvalidInputError, NumericalError) as exc:
+    except (CliError, ConfigurationError, InvalidInputError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

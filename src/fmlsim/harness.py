@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import logging
 import math
-from dataclasses import asdict, dataclass, field, replace
+import numbers
+import types
+import typing
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -40,11 +42,9 @@ from .tasks import (
     PopulationSpec,
     empirical_gamma_g,
     generate_population,
-    population_constants,
 )
 from .ural import ural
 from .wireless import (
-    RANGE_FIELDS,
     Allocation,
     ComputeProfile,
     EnvironmentSpec,
@@ -75,22 +75,22 @@ class ExperimentConfig:
     seed: int = 0
     batch_size: int | None = None           # None = full local dataset
     population: PopulationSpec = field(default_factory=PopulationSpec)
-    hyper: MetaHyper = field(default_factory=lambda: MetaHyper(alpha=0.05, beta=0.05))
-    env: EnvironmentSpec | None = None
+    hyper: MetaHyper = field(default_factory=MetaHyper)
+    env: EnvironmentSpec = field(default_factory=EnvironmentSpec)
 
     def __post_init__(self):
         if self.rounds < 1:
-            raise ConfigurationError("rounds must be at least 1")
+            raise ConfigurationError(f"rounds must be at least 1, got {self.rounds}")
         if not 1 <= self.n_k <= self.population.n:
             raise ConfigurationError(f"n_k={self.n_k} out of range for n={self.population.n}")
         if self.mode not in ("nufm", "wireless"):
-            raise ConfigurationError(f"unknown mode {self.mode!r}")
+            raise ConfigurationError(f"mode: unknown mode {self.mode!r}")
         if self.selection not in SELECTION_MODES:
-            raise ConfigurationError(f"unknown selection mode {self.selection!r}")
+            raise ConfigurationError(f"selection: unknown selection mode {self.selection!r}")
         if self.allocation not in ALLOCATION_MODES:
-            raise ConfigurationError(f"unknown allocation mode {self.allocation!r}")
+            raise ConfigurationError(f"allocation: unknown allocation mode {self.allocation!r}")
         if self.batch_size is not None and self.batch_size < 1:
-            raise ConfigurationError("batch_size must be positive")
+            raise ConfigurationError(f"batch_size must be positive, got {self.batch_size}")
 
 
 @dataclass
@@ -120,8 +120,9 @@ class _Population:
         return [row_of[i] for i in sorted(ids)]
 
 
-def _population(config: ExperimentConfig) -> _Population:
-    devices = generate_population(replace(config.population, seed=config.seed))
+def build_population(config: ExperimentConfig) -> _Population:
+    """The run's population, generated from the config's spec and seed."""
+    devices = generate_population(config.population, config.seed)
     train = [d for d in devices if d.role == ROLE_TRAIN]
     test = [d for d in devices if d.role == ROLE_TEST] or train
     if len(train) < 1:
@@ -179,7 +180,7 @@ def _select(
 
 def run_nufm(config: ExperimentConfig) -> list[RoundMetrics]:
     """Federated meta-training with contribution-based (or uniform) selection."""
-    pop = _population(config)
+    pop = build_population(config)
     theta = np.zeros(config.population.d)
     alpha = config.hyper.alpha
     metrics: list[RoundMetrics] = []
@@ -269,20 +270,21 @@ def _baseline_allocation(
     return Allocation(z=z, p=p, nu=nu, delta=0.0)
 
 
+def build_environment(
+    config: ExperimentConfig, pop: _Population
+) -> tuple[dict[int, ComputeProfile], dict[int, RadioProfile], NetworkConfig]:
+    """The run's wireless environment: one profile per training device, D its batch size."""
+    batch_sizes = pop.train.batch_sizes(config.batch_size).tolist()
+    return sample_environment(
+        rng.stream(config.seed, rng.ROLE_ENV), config.env,
+        dict(zip(pop.train_ids, batch_sizes)),
+    )
+
+
 def run_wireless(config: ExperimentConfig) -> list[RoundMetrics]:
     """Co-simulate training rounds with per-round resource allocation."""
-    pop = _population(config)
-    env_spec = config.env if config.env is not None else EnvironmentSpec(device_ids=())
-    env_spec = replace(
-        env_spec,
-        device_ids=tuple(pop.train_ids),
-        batch_sizes=dict(zip(
-            pop.train_ids, pop.train.batch_sizes(config.batch_size).tolist()
-        )),
-    )
-    compute, radios, net = sample_environment(
-        rng.stream(config.seed, rng.ROLE_ENV), env_spec
-    )
+    pop = build_population(config)
+    compute, radios, net = build_environment(config, pop)
 
     theta = np.zeros(config.population.d)
     alpha = config.hyper.alpha
@@ -488,28 +490,10 @@ def theorem1_bound(
 # sweeps and serialization
 
 
-_SWEEPABLE = {
-    "eta1", "eta2", "M", "S", "B", "N0",            # environment knobs
-    "rounds", "n_k", "batch_size", "seed",          # experiment knobs
-    "alpha", "beta", "lambda1", "lambda2",          # hyper knobs
-}
-
-
-def _override(config: ExperimentConfig, name: str, value) -> ExperimentConfig:
-    if name in ("rounds", "n_k", "batch_size", "seed"):
-        return replace(config, **{name: value})
-    if name in ("alpha", "beta", "lambda1", "lambda2"):
-        return replace(config, hyper=replace(config.hyper, **{name: value}))
-    if name in ("eta1", "eta2", "M", "S", "B", "N0"):
-        env = config.env if config.env is not None else EnvironmentSpec(device_ids=())
-        return replace(config, env=replace(env, **{name: value}))
-    raise ConfigurationError(f"unknown sweep parameter {name!r}")
-
-
 @dataclass
 class SweepCell:
     parameter: str
-    value: float
+    value: object
     seeds: tuple[int, ...]
     mean_loss: float
     sd_loss: float
@@ -521,23 +505,47 @@ class SweepCell:
     sd_objective: float
 
 
+def _sweep_path(parameter: str) -> str:
+    if parameter == "seed":
+        raise ConfigurationError("seed is not a sweep parameter; sweep seeds with --seeds")
+    hints = typing.get_type_hints(ExperimentConfig)
+    if "." in parameter or parameter in hints:
+        return parameter
+    matches = [
+        f"{section}.{parameter}" for section, hint in hints.items()
+        if is_dataclass(hint) and parameter in {f.name for f in fields(hint)}
+    ]
+    if len(matches) != 1:
+        raise ConfigurationError(f"sweep parameter {parameter!r} matches "
+                                 f"{len(matches)} config fields {matches}")
+    return matches[0]
+
+
 def sweep(
     config: ExperimentConfig,
     parameter: str,
     values: list,
     seeds: list[int] | None = None,
-) -> tuple[list[SweepCell], dict[tuple[float, int], list[RoundMetrics]]]:
-    """Repeat run() over values x seeds; per-cell mean and sd of round means."""
-    if parameter not in _SWEEPABLE:
-        raise ConfigurationError(f"unknown sweep parameter {parameter!r}")
+) -> tuple[list[SweepCell], dict[tuple[object, int], list[RoundMetrics]]]:
+    """Repeat run() over values x seeds; per-cell mean and sd of round means.
+
+    ``parameter`` is a config dot path, a top-level field name, or the name
+    of exactly one section field (``eta1`` is ``env.eta1``).  Every value's
+    config is built and checked before the first run.
+    """
+    path = _sweep_path(parameter)
+    configs = []
+    for value in values:
+        payload = config_to_dict(config)
+        set_path(payload, path, value)
+        configs.append(config_from_dict(payload))
     seeds = [config.seed] if seeds is None else list(seeds)
     cells: list[SweepCell] = []
-    runs: dict[tuple[float, int], list[RoundMetrics]] = {}
-    for value in values:
+    runs: dict[tuple[object, int], list[RoundMetrics]] = {}
+    for value, value_config in zip(values, configs):
         losses, energies, times, objectives = [], [], [], []
         for s in seeds:
-            cfg = replace(_override(config, parameter, value), seed=s)
-            ms = run(cfg)
+            ms = run(replace(value_config, seed=s))
             runs[(value, s)] = ms
             losses.append(np.mean([m.test_loss for m in ms]))
             energies.append(np.mean([m.energy for m in ms]))
@@ -599,7 +607,7 @@ def sweep_to_csv(cells: list[SweepCell]) -> str:
     ])
     for c in cells:
         writer.writerow([
-            c.parameter, repr(float(c.value)),
+            c.parameter, value_text(c.value),
             repr(c.mean_loss), repr(c.sd_loss),
             repr(c.mean_energy), repr(c.sd_energy),
             repr(c.mean_time), repr(c.sd_time),
@@ -609,41 +617,76 @@ def sweep_to_csv(cells: list[SweepCell]) -> str:
     return buf.getvalue()
 
 
+def value_text(value) -> str:
+    """A sweep value as sweep.csv and the cell file names write it."""
+    if isinstance(value, (int, float)):
+        return repr(float(value))
+    return "null" if value is None else str(value)
+
+
+def set_path(payload: dict, path: str, value) -> None:
+    """Set the entry at dot path ``path`` of a config dict, creating missing objects."""
+    *parents, last = path.split(".")
+    node = payload
+    for key in parents:
+        node = node.setdefault(key, {}) if isinstance(node, dict) else None
+    if not isinstance(node, dict):
+        raise ConfigurationError(f"override path {path!r} crosses a non-object value")
+    node[last] = value
+
+
 def config_to_dict(config: ExperimentConfig) -> dict:
-    payload = asdict(config)
-    if payload.get("env") is not None:
-        payload["env"]["device_ids"] = list(payload["env"]["device_ids"])
-        payload["env"]["batch_sizes"] = {
-            str(k): v for k, v in payload["env"]["batch_sizes"].items()
-        }
-        for key in RANGE_FIELDS:
-            payload["env"][key] = list(payload["env"][key])
-    return payload
+    return asdict(config)
 
 
 def config_from_dict(payload: dict) -> ExperimentConfig:
-    payload = dict(payload)
-    pop = PopulationSpec(**payload.pop("population", {}))
-    hyper_raw = payload.pop("hyper", {})
-    hyper_raw.setdefault("alpha", 0.05)
-    hyper_raw.setdefault("beta", 0.05)
-    hyper = MetaHyper(**hyper_raw)
-    env_raw = payload.pop("env", None)
-    env = None
-    if env_raw is not None:
-        env_raw = dict(env_raw)
-        env_raw["device_ids"] = tuple(env_raw.get("device_ids", ()))
-        env_raw["batch_sizes"] = {
-            int(k): v for k, v in env_raw.get("batch_sizes", {}).items()
-        }
-        for key in RANGE_FIELDS:
-            if key in env_raw:
-                env_raw[key] = tuple(env_raw[key])
-        env = EnvironmentSpec(**env_raw)
-    return ExperimentConfig(population=pop, hyper=hyper, env=env, **payload)
+    """Build and check a config from JSON data (unknown keys and wrong types rejected).
+
+    The dataclasses are the definition: each field's type hint sets the JSON
+    type it takes and each ``__post_init__`` its bounds.  Every rejection is
+    a ConfigurationError naming the dotted field.
+    """
+    return _build(ExperimentConfig, payload, "")
 
 
-def population_smoothness(config: ExperimentConfig) -> SmoothnessConstants:
-    """Analytic smoothness constants of the configured population."""
-    devices = generate_population(replace(config.population, seed=config.seed))
-    return population_constants(devices, config.hyper.alpha)
+_TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string"}
+
+
+def _build(cls, payload, prefix: str):
+    if not isinstance(payload, dict):
+        raise ConfigurationError(f"{prefix.rstrip('.') or 'config'} must be an object, "
+                                 f"got {payload!r}")
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(set(payload) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigurationError(f"unknown key {prefix}{unknown[0]}")
+    kwargs = {key: _field_value(hints[key], value, prefix + key)
+              for key, value in payload.items()}
+    try:
+        return cls(**kwargs)
+    except (ConfigurationError, InvalidInputError) as exc:
+        # each config __post_init__ message starts with the field it rejects
+        raise ConfigurationError(f"{prefix}{exc}") from None
+
+
+def _field_value(hint, value, path: str):
+    """``value`` checked against the type hint of the field at ``path``."""
+    if is_dataclass(hint):
+        return _build(hint, value, path + ".")
+    args = typing.get_args(hint)
+    if isinstance(hint, types.UnionType):           # X | None
+        (inner,) = (a for a in args if a is not type(None))
+        return None if value is None else _field_value(inner, value, path)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)) or len(value) != len(args):
+            raise ConfigurationError(f"{path} must be a list of {len(args)} values, got {value!r}")
+        return tuple(_field_value(h, v, path) for h, v in zip(args, value))
+    if hint is float:
+        ok = isinstance(value, numbers.Real) and math.isfinite(value)
+    elif hint is int:
+        ok = isinstance(value, numbers.Integral)
+    else:
+        ok = isinstance(value, hint)
+    if not ok or isinstance(value, bool):
+        raise ConfigurationError(f"{path} must be {_TYPE_NAMES[hint]}, got {value!r}")
+    return hint(value)

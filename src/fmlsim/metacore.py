@@ -54,8 +54,8 @@ class Batch:
 class MetaHyper:
     """Stepsizes and estimator settings for the local-update loop."""
 
-    alpha: float
-    beta: float
+    alpha: float = 0.05
+    beta: float = 0.05
     tau: int = 1
     lambda1: float = 1.0
     lambda2: float = 1.0
@@ -72,7 +72,7 @@ class MetaHyper:
         if self.hv_epsilon <= 0:
             raise InvalidInputError("hv_epsilon must be positive")
         if self.mode not in ESTIMATOR_MODES:
-            raise InvalidInputError(f"unknown estimator mode {self.mode!r}")
+            raise InvalidInputError(f"mode: unknown estimator mode {self.mode!r}")
 
 
 @dataclass
@@ -238,12 +238,6 @@ def _check_dims(model: LossModel, theta: np.ndarray, batch: Batch) -> None:
             f"dimension mismatch: model d={model.dim}, theta {theta.shape}, "
             f"batch inputs {batch.x.shape}"
         )
-
-
-def loss_value(model: LossModel, theta: np.ndarray, batch: Batch) -> float:
-    """Mean per-sample loss over the batch."""
-    _check_dims(model, theta, batch)
-    return float(model.per_sample_loss(theta, batch.x, batch.y).mean())
 
 
 def grad_estimate(model: LossModel, theta: np.ndarray, batch: Batch) -> np.ndarray:

@@ -4,13 +4,12 @@ Each device owns a small regression or classification dataset generated
 from a mixture of two cluster ground truths (the regression analogue of
 "two random classes per device").  Per-class sample counts follow a
 truncated Gaussian with a floor of 1.  Everything is reproducible from the
-population seed alone.
+spec and the seed alone.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,17 +39,18 @@ class PopulationSpec:
     cov_spread: float = 0.5
     label_noise: float = 0.1
     train_fraction: float = 0.5
-    seed: int = 0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InvalidInputError("population needs at least one device")
-        if self.size_min < 1:
-            raise InvalidInputError("minimum dataset size is 1")
+        for name in ("n", "d", "clusters", "classes_per_device", "size_min"):
+            if (value := getattr(self, name)) < 1:
+                raise InvalidInputError(f"{name} must be at least 1, got {value}")
+        for name in ("size_sigma", "param_spread", "cov_spread", "label_noise"):
+            if (value := getattr(self, name)) < 0:
+                raise InvalidInputError(f"{name} must be nonnegative, got {value}")
         if self.family not in ("quadratic-regression", "logistic-regression"):
-            raise InvalidInputError(f"unknown loss family {self.family!r}")
+            raise InvalidInputError(f"family: unknown loss family {self.family!r}")
         if not 0.0 <= self.train_fraction <= 1.0:
-            raise InvalidInputError("train_fraction must be in [0, 1]")
+            raise InvalidInputError(f"train_fraction must be in [0, 1], got {self.train_fraction}")
 
 
 @dataclass
@@ -71,15 +71,15 @@ def _truncated_gaussian_count(g: np.random.Generator, spec: PopulationSpec) -> i
     return max(spec.size_min, raw)
 
 
-def generate_population(spec: PopulationSpec) -> list[Device]:
+def generate_population(spec: PopulationSpec, seed: int) -> list[Device]:
     """Generate the device population; identical output for identical seed."""
-    center_rng = rng.stream(spec.seed, _KEY_CENTERS)
+    center_rng = rng.stream(seed, _KEY_CENTERS)
     base = np.ones(spec.d)
     centers = base + spec.param_spread * center_rng.standard_normal((spec.clusters, spec.d))
 
     devices: list[Device] = []
     for i in range(spec.n):
-        g = rng.stream(spec.seed, _KEY_DEVICE, i)
+        g = rng.stream(seed, _KEY_DEVICE, i)
         picked = g.choice(spec.clusters, size=min(spec.classes_per_device, spec.clusters),
                           replace=False)
         scales = 1.0 + spec.cov_spread * g.uniform(0.0, 1.0, size=spec.d)
@@ -106,7 +106,7 @@ def generate_population(spec: PopulationSpec) -> list[Device]:
             feature_scales=scales,
         ))
 
-    split_rng = rng.stream(spec.seed, _KEY_SPLIT)
+    split_rng = rng.stream(seed, _KEY_SPLIT)
     order = split_rng.permutation(spec.n)
     n_train = int(round(spec.train_fraction * spec.n))
     test_ids = set(order[n_train:].tolist())
@@ -172,40 +172,3 @@ def population_constants(devices: list[Device], alpha: float) -> SmoothnessConst
     return SmoothnessConstants(
         alpha=alpha, L=L, rho=rho, sigma_G=sigma_g, sigma_H=sigma_h, gamma_H=gamma_h,
     )
-
-
-def population_to_json(spec: PopulationSpec, devices: list[Device]) -> str:
-    """Serialize the population (spec + per-device parameters and samples)."""
-    payload = {
-        "spec": asdict(spec),
-        "devices": [
-            {
-                "device_id": d.device_id,
-                "role": d.role,
-                "family": d.model.family,
-                "ground_truths": d.ground_truths.tolist(),
-                "feature_scales": d.feature_scales.tolist(),
-                "x": d.model.x.tolist(),
-                "y": d.model.y.tolist(),
-            }
-            for d in devices
-        ],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def population_from_json(text: str) -> tuple[PopulationSpec, list[Device]]:
-    payload = json.loads(text)
-    spec = PopulationSpec(**payload["spec"])
-    devices = []
-    for entry in payload["devices"]:
-        model_cls = (QuadraticModel if entry["family"] == "quadratic-regression"
-                     else LogisticModel)
-        devices.append(Device(
-            device_id=entry["device_id"],
-            model=model_cls(np.array(entry["x"]), np.array(entry["y"])),
-            role=entry["role"],
-            ground_truths=np.array(entry["ground_truths"]),
-            feature_scales=np.array(entry["feature_scales"]),
-        ))
-    return spec, devices

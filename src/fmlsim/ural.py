@@ -168,7 +168,11 @@ def f4_zero(b1: float, eta2: float, tol: float = BISECT_TOL) -> float:
     def f4(p: float) -> float:
         return b1 * ((1.0 + p) * math.log1p(p) - p) - eta2
 
-    b2 = 2.0 ** ((1.0 + math.sqrt(max(eta2 / b1, 1.0) - 1.0)) / math.log(2.0))
+    log2_b2 = (1.0 + math.sqrt(max(eta2 / b1, 1.0) - 1.0)) / math.log(2.0)
+    # 200 halvings resolve the analytic bracket to tol only while eta2/b1 is
+    # below ~1.3e4 (and it overflows past ~5e5); beyond, p = eta2/b1 brackets
+    # the zero, since f4(eta2/b1) >= 0 once ln(1 + eta2/b1) >= 2
+    b2 = 2.0 ** log2_b2 if log2_b2 <= 200.0 + math.log2(tol) else eta2 / b1
     while f4(b2) < 0.0:  # float-safety; the analytic bracket already suffices
         b2 *= 2.0
     lo, hi = 0.0, b2

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -20,9 +20,6 @@ from .errors import InfeasibleAllocationError, InvalidInputError
 log = logging.getLogger(__name__)
 
 _P_MAX_FLOOR = 1e-6
-
-RANGE_FIELDS = ("h_range", "interference_range", "p_max_range",
-                "nu_max_range", "c_range", "iota_range")
 
 
 @dataclass(frozen=True)
@@ -158,7 +155,6 @@ def round_totals(
 class EnvironmentSpec:
     """Sampling bounds for a random wireless environment."""
 
-    device_ids: tuple[int, ...]
     M: int = 20
     B: float = 1.0
     N0: float = 0.1
@@ -171,10 +167,18 @@ class EnvironmentSpec:
     nu_max_range: tuple[float, float] = (0.0, 2.0)
     c_range: tuple[float, float] = (0.5, 1.5)
     iota_range: tuple[float, float] = (1.0, 3.0)
-    batch_sizes: dict[int, int] = field(default_factory=dict)  # default D = 1
 
     def __post_init__(self):
-        for name in RANGE_FIELDS:
+        if self.M < 1:
+            raise InvalidInputError(f"M must be at least 1, got {self.M}")
+        for name in ("B", "N0", "S"):
+            if (value := getattr(self, name)) <= 0:
+                raise InvalidInputError(f"{name} must be positive, got {value}")
+        for name in ("eta1", "eta2"):
+            if (value := getattr(self, name)) < 0:
+                raise InvalidInputError(f"{name} must be nonnegative, got {value}")
+        for name in ("h_range", "interference_range", "p_max_range",
+                     "nu_max_range", "c_range", "iota_range"):
             low, high = getattr(self, name)
             if not (math.isfinite(low) and math.isfinite(high) and low <= high):
                 raise InvalidInputError(
@@ -189,12 +193,16 @@ class EnvironmentSpec:
 
 
 def sample_environment(
-    g: np.random.Generator, spec: EnvironmentSpec
+    g: np.random.Generator, spec: EnvironmentSpec, batch_sizes: dict[int, int]
 ) -> tuple[dict[int, ComputeProfile], dict[int, RadioProfile], NetworkConfig]:
-    """Sample device compute/radio attributes and the RB interference vector."""
+    """Sample compute/radio attributes per device and the RB interference vector.
+
+    ``batch_sizes`` maps each device id, in sampling order, to its local
+    batch size D.
+    """
     compute: dict[int, ComputeProfile] = {}
     radios: dict[int, RadioProfile] = {}
-    for i in spec.device_ids:
+    for i, batch in batch_sizes.items():
         c = g.uniform(*spec.c_range)
         iota = g.uniform(*spec.iota_range)
         nu_max = g.uniform(*spec.nu_max_range)
@@ -206,7 +214,7 @@ def sample_environment(
             log.info("resampling degenerate p_max for device %d", i)
             p_max = g.uniform(*spec.p_max_range)
         h = g.uniform(*spec.h_range)
-        compute[i] = ComputeProfile(c=c, iota=iota, D=spec.batch_sizes.get(i, 1), nu_max=nu_max)
+        compute[i] = ComputeProfile(c=c, iota=iota, D=batch, nu_max=nu_max)
         radios[i] = RadioProfile(h=h, p_max=p_max)
     interference = tuple(g.uniform(*spec.interference_range) for _ in range(spec.M))
     net = NetworkConfig(M=spec.M, B=spec.B, N0=spec.N0, interference=interference,
@@ -227,17 +235,3 @@ def environment_to_json(
         },
     }
     return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def environment_from_json(
-    text: str,
-) -> tuple[dict[int, ComputeProfile], dict[int, RadioProfile], NetworkConfig]:
-    payload = json.loads(text)
-    netdict = dict(payload["network"])
-    netdict["interference"] = tuple(netdict["interference"])
-    net = NetworkConfig(**netdict)
-    compute = {int(i): ComputeProfile(**entry["compute"])
-               for i, entry in payload["devices"].items()}
-    radios = {int(i): RadioProfile(**entry["radio"])
-              for i, entry in payload["devices"].items()}
-    return compute, radios, net

@@ -192,7 +192,7 @@ def test_descent_bound():
     t0 = time.perf_counter()
     holds = total = 0
     for s in range(25):
-        devices = [d for d in generate_population(PopulationSpec(n=8, d=3, seed=s))
+        devices = [d for d in generate_population(PopulationSpec(n=8, d=3), s)
                    if d.role == "train"]
         # full-batch draws are deterministic, so the sampling-noise constants
         # are zero for this configuration
@@ -246,7 +246,7 @@ def test_energy_weight_sweep():
         mode="wireless", rounds=5, n_k=10,
         population=PopulationSpec(n=20, d=3),
         hyper=MetaHyper(alpha=0.03, beta=0.02), batch_size=4,
-        env=EnvironmentSpec(device_ids=(), M=20,
+        env=EnvironmentSpec(M=20,
                             nu_max_range=(0.5, 2.0), p_max_range=(0.2, 1.0)),
     )
     cells, _ = sweep(cfg, "eta1", [0.5, 1.0, 1.5, 2.0, 2.5], seeds=range(20))
@@ -272,8 +272,9 @@ def test_joint_allocation_beats_random():
     instances = 100
     for t in range(instances):
         g = rng.stream(4242, t)
-        spec = EnvironmentSpec(device_ids=tuple(range(8)), M=6)
-        compute, radios, net = sample_environment(g, spec)
+        compute, radios, net = sample_environment(
+            g, EnvironmentSpec(M=6), dict.fromkeys(range(8), 1)
+        )
         u = {i: float(v) for i, v in
              zip(compute, g.uniform(0.5, 5.0, size=len(compute)))}
         sp1, sp2 = ural(compute, radios, net, u)

@@ -1,4 +1,6 @@
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,8 @@ from fmlsim.harness import (
 from fmlsim.metacore import MetaHyper, QuadraticModel, SmoothnessConstants
 from fmlsim.tasks import Device, PopulationSpec, generate_population, population_constants
 from fmlsim.wireless import ComputeProfile, EnvironmentSpec, NetworkConfig, RadioProfile
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _base_config(**kw):
@@ -82,7 +86,7 @@ def _wireless_config(**kw):
         population=PopulationSpec(n=12, d=3),
         hyper=MetaHyper(alpha=0.03, beta=0.02),
         batch_size=3, seed=0,
-        env=EnvironmentSpec(device_ids=(), M=8,
+        env=EnvironmentSpec(M=8,
                             nu_max_range=(0.5, 2.0), p_max_range=(0.2, 1.0)),
     )
     defaults.update(kw)
@@ -106,15 +110,13 @@ def test_run_wireless_deterministic():
 def test_ural_selects_every_profitable_device_with_generous_resources():
     # plenty of RBs and power: the matching should admit all positive-utility devices
     cfg = _wireless_config(
-        env=EnvironmentSpec(device_ids=(), M=20,
+        env=EnvironmentSpec(M=20,
                             p_max_range=(5.0, 6.0), nu_max_range=(0.5, 2.0),
                             h_range=(0.8, 1.0), interference_range=(0.0, 0.1)),
     )
     ms = run_wireless(cfg)
     n_train = sum(
-        1 for d in generate_population(
-            dataclasses.replace(cfg.population, seed=cfg.seed)
-        ) if d.role == "train"
+        1 for d in generate_population(cfg.population, cfg.seed) if d.role == "train"
     )
     assert all(len(m.selected) == n_train for m in ms)
 
@@ -226,3 +228,36 @@ def test_metrics_csv_shape():
 def test_config_dict_roundtrip():
     cfg = _wireless_config()
     assert config_from_dict(config_to_dict(cfg)) == cfg
+
+
+def _non_default_config():
+    cfg = ExperimentConfig(
+        mode="wireless", rounds=7, n_k=3, selection="uniform", allocation="greedy",
+        seed=11, batch_size=2,
+        population=PopulationSpec(
+            n=9, d=4, family="logistic-regression", clusters=3, classes_per_device=1,
+            size_mu=6.5, size_sigma=2.5, size_min=2, param_spread=0.7,
+            cov_spread=0.2, label_noise=0.3, train_fraction=0.6,
+        ),
+        hyper=MetaHyper(alpha=0.01, beta=0.02, tau=2, lambda1=0.4, lambda2=0.6,
+                        hv_epsilon=1e-3, mode="hessian-free"),
+        env=EnvironmentSpec(
+            M=5, B=2.0, N0=0.2, S=1.5, eta1=0.5, eta2=1.5, h_range=(0.2, 0.9),
+            interference_range=(0.1, 0.7), p_max_range=(0.1, 0.9),
+            nu_max_range=(0.1, 1.9), c_range=(0.6, 1.4), iota_range=(1.1, 2.9),
+        ),
+    )
+    # every field, nested ones included, differs from its default
+    for obj in (cfg, cfg.population, cfg.hyper, cfg.env):
+        for f in dataclasses.fields(obj):
+            assert getattr(obj, f.name) != getattr(type(obj)(), f.name), f.name
+    return cfg
+
+
+@pytest.mark.parametrize("source", ["nufm.json", "wireless.json", "non-default"])
+def test_config_json_roundtrip(source):
+    if source == "non-default":
+        cfg = _non_default_config()
+    else:
+        cfg = config_from_dict(json.loads((CONFIGS / source).read_text()))
+    assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg

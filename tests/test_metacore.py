@@ -20,7 +20,6 @@ from fmlsim.metacore import (
     grad_estimate,
     hessian_estimate,
     local_update,
-    loss_value,
     meta_gradient,
 )
 
@@ -31,17 +30,17 @@ def _quad(x, y):
 
 def test_loss_value_zero_residual():
     m = _quad([[1.0]], [0.0])
-    assert loss_value(m, np.array([0.0]), m.full_batch()) == 0.0
+    assert m.loss(np.array([0.0])) == 0.0
 
 
 def test_loss_value_half_squared_residual():
     m = _quad([[1.0]], [1.0])
-    assert loss_value(m, np.array([0.0]), m.full_batch()) == pytest.approx(0.5)
+    assert m.loss(np.array([0.0])) == pytest.approx(0.5)
 
 
 def test_logistic_loss_at_zero_is_ln2():
     m = LogisticModel(np.array([[1.0], [-1.0]]), np.array([1.0, -1.0]))
-    assert loss_value(m, np.array([0.0]), m.full_batch()) == pytest.approx(np.log(2.0))
+    assert m.loss(np.array([0.0])) == pytest.approx(np.log(2.0))
 
 
 def test_grad_estimate_single_sample():
@@ -102,7 +101,7 @@ def test_logistic_hessian_matches_finite_differences():
 def test_dimension_mismatch_raises():
     m = _quad([[1.0, 0.0]], [0.0])
     with pytest.raises(InvalidInputError):
-        loss_value(m, np.array([0.0]), Batch(np.ones((1, 1)), np.zeros(1)))
+        grad_estimate(m, np.array([0.0]), Batch(np.ones((1, 1)), np.zeros(1)))
 
 
 def test_meta_gradient_alpha_zero_is_fedavg():

@@ -12,15 +12,13 @@ from fmlsim.tasks import (
     gradient_noise_std,
     hessian_noise_std,
     population_constants,
-    population_from_json,
-    population_to_json,
 )
 
 
 def test_population_is_reproducible():
-    spec = PopulationSpec(n=12, d=3, seed=42)
-    a = generate_population(spec)
-    b = generate_population(spec)
+    spec = PopulationSpec(n=12, d=3)
+    a = generate_population(spec, 42)
+    b = generate_population(spec, 42)
     for da, db in zip(a, b):
         assert np.array_equal(da.model.x, db.model.x)
         assert np.array_equal(da.model.y, db.model.y)
@@ -28,28 +26,28 @@ def test_population_is_reproducible():
 
 
 def test_population_changes_with_seed():
-    a = generate_population(PopulationSpec(n=5, d=3, seed=0))
-    b = generate_population(PopulationSpec(n=5, d=3, seed=1))
+    a = generate_population(PopulationSpec(n=5, d=3), 0)
+    b = generate_population(PopulationSpec(n=5, d=3), 1)
     assert not np.array_equal(a[0].model.x, b[0].model.x)
 
 
 def test_train_test_split_fractions():
-    devices = generate_population(PopulationSpec(n=40, d=2, seed=3, train_fraction=0.5))
+    devices = generate_population(PopulationSpec(n=40, d=2, train_fraction=0.5), 3)
     roles = [d.role for d in devices]
     assert roles.count(ROLE_TRAIN) == 20
     assert roles.count(ROLE_TEST) == 20
 
 
 def test_every_device_has_at_least_min_samples():
-    spec = PopulationSpec(n=30, d=2, seed=7, size_mu=1.0, size_sigma=8.0, size_min=1)
-    devices = generate_population(spec)
+    spec = PopulationSpec(n=30, d=2, size_mu=1.0, size_sigma=8.0, size_min=1)
+    devices = generate_population(spec, 7)
     # two classes per device, each floored at size_min
     assert all(d.n_samples >= 2 * spec.size_min for d in devices)
 
 
 def test_logistic_family_produces_sign_labels():
     devices = generate_population(
-        PopulationSpec(n=6, d=3, seed=1, family="logistic-regression")
+        PopulationSpec(n=6, d=3, family="logistic-regression"), 1
     )
     for d in devices:
         assert isinstance(d.model, LogisticModel)
@@ -79,14 +77,14 @@ def test_noise_stds_match_direct_computation():
 
 
 def test_empirical_gamma_g_two_devices():
-    devices = generate_population(PopulationSpec(n=2, d=3, seed=11))
+    devices = generate_population(PopulationSpec(n=2, d=3), 11)
     theta = np.zeros(3)
     gap = np.linalg.norm(devices[0].model.grad(theta) - devices[1].model.grad(theta))
     assert empirical_gamma_g(devices, theta) == pytest.approx(gap)
 
 
 def test_population_constants_bound_device_hessians():
-    devices = generate_population(PopulationSpec(n=8, d=3, seed=2))
+    devices = generate_population(PopulationSpec(n=8, d=3), 2)
     c = population_constants(devices, alpha=0.05)
     assert c.rho == 0.0  # quadratic family
     for d in devices:
@@ -97,17 +95,6 @@ def test_population_constants_bound_device_hessians():
 
 def test_population_constants_logistic_has_positive_rho():
     devices = generate_population(
-        PopulationSpec(n=4, d=3, seed=2, family="logistic-regression")
+        PopulationSpec(n=4, d=3, family="logistic-regression"), 2
     )
     assert population_constants(devices, alpha=0.05).rho > 0
-
-
-def test_population_json_roundtrip():
-    spec = PopulationSpec(n=4, d=2, seed=9)
-    devices = generate_population(spec)
-    spec2, devices2 = population_from_json(population_to_json(spec, devices))
-    assert spec2 == spec
-    for a, b in zip(devices, devices2):
-        assert np.allclose(a.model.x, b.model.x)
-        assert np.allclose(a.model.y, b.model.y)
-        assert a.role == b.role

@@ -433,11 +433,19 @@ def test_rb_matching_total_equals_brute_force(env, delta):
     assert got == pytest.approx(assignment_brute_force(cost), abs=1e-9)
 
 
-@given(b1=_floats(0.01, 100.0), eta2=_floats(0.01, 100.0))
-def test_f4_zero_stays_inside_its_bracket(b1, eta2):
+@given(b1=_floats(0.01, 100.0), log_ratio=st.floats(-4.0, 12.0))
+def test_f4_zero_stays_inside_its_bracket(b1, log_ratio):
+    # eta2/b1 from 1e-4 to 1e12; the analytic bracket overflows past ~5e5
+    eta2 = b1 * 10.0 ** log_ratio
     root = f4_zero(b1, eta2)
-    b2 = 2.0 ** ((1.0 + math.sqrt(max(eta2 / b1, 1.0) - 1.0)) / math.log(2.0))
-    assert 0.0 < root <= b2
+
+    def f4(p):
+        return b1 * ((1 + p) * math.log1p(p) - p) - eta2
+
+    # the zero lies below e^2 - 1 when eta2/b1 < e^2 + 1, else below eta2/b1
+    assert 0.0 < root <= max(eta2 / b1, math.e ** 2)
+    step = 1e-6 * max(1.0, root)
+    assert f4(root - step) < 0 < f4(root + step)
 
 
 @given(env=_uplink_envs(max_n=12, max_m=12))

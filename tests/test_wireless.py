@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,6 @@ from fmlsim.wireless import (
     RadioProfile,
     comm_cost,
     comp_cost,
-    environment_from_json,
     environment_to_json,
     round_totals,
     sample_environment,
@@ -128,10 +130,13 @@ def test_round_totals_rejects_power_above_cap():
 
 
 def test_sample_environment_bounds_and_determinism():
-    spec = EnvironmentSpec(device_ids=tuple(range(30)))
-    compute, radios, net = sample_environment(rng.stream(5), spec)
-    again = sample_environment(rng.stream(5), spec)
+    spec = EnvironmentSpec()
+    batch_sizes = {i: 1 + i % 4 for i in range(30)}
+    compute, radios, net = sample_environment(rng.stream(5), spec, batch_sizes)
+    again = sample_environment(rng.stream(5), spec, batch_sizes)
     assert compute == again[0] and radios == again[1] and net == again[2]
+    assert list(compute) == list(radios) == list(range(30))
+    assert {i: cp.D for i, cp in compute.items()} == batch_sizes
     assert net.M == 20
     assert all(0.1 <= r.h <= 1.0 for r in radios.values())
     assert all(0.0 < r.p_max <= 1.0 for r in radios.values())
@@ -140,11 +145,16 @@ def test_sample_environment_bounds_and_determinism():
 
 
 def test_environment_json_roundtrip():
-    spec = EnvironmentSpec(device_ids=(0, 1, 2), M=4)
-    compute, radios, net = sample_environment(rng.stream(6), spec)
-    text = environment_to_json(compute, radios, net)
-    c2, r2, n2 = environment_from_json(text)
-    assert c2 == compute and r2 == radios and n2 == net
+    compute, radios, net = sample_environment(
+        rng.stream(6), EnvironmentSpec(M=4), {2: 3, 0: 1, 1: 2}
+    )
+    payload = json.loads(environment_to_json(compute, radios, net))
+    assert payload["network"] == {**dataclasses.asdict(net),
+                                  "interference": list(net.interference)}
+    assert list(payload["devices"]) == ["0", "1", "2"]
+    for i, entry in payload["devices"].items():
+        assert ComputeProfile(**entry["compute"]) == compute[int(i)]
+        assert RadioProfile(**entry["radio"]) == radios[int(i)]
 
 
 def test_invalid_profiles_rejected():
