@@ -136,7 +136,10 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     config = load_config(args.config, args.set or [], args.seed)
     values = [_parse_value(v) for v in args.values.split(",") if v]
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else None
+    try:
+        seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else None
+    except ValueError:
+        raise CliError(f"--seeds must be comma-separated integers, got {args.seeds!r}") from None
     cells, runs = sweep(config, args.param, values, seeds)
     files = {"sweep.csv": sweep_to_csv(cells)}
     for (value, s), ms in runs.items():
@@ -161,8 +164,9 @@ def cmd_oracle(args) -> int:
 
 def cmd_dump_env(args) -> int:
     config = load_config(args.config, args.set or [], args.seed)
-    compute, radios, net = build_environment(config, build_population(config))
-    text = environment_to_json(compute, radios, net) + "\n"
+    pop = build_population(config)
+    compute, radios, net = build_environment(config, pop)
+    text = environment_to_json(compute, radios, net, pop.train_ids.tolist()) + "\n"
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -5,7 +5,9 @@ aggregation, no wireless model), ``run_wireless`` co-simulates training
 with per-round resource allocation.  Both hold the train and test devices
 as padded arrays built once per run; each round updates every training
 device in one ``local_update`` call and evaluates each loss in one
-``adapted_loss`` call.  Both are deterministic functions of (config, seed)
+``adapted_loss`` call.  From the scores to the round totals a device is its
+row in the training arrays (rows ascend in device id); ids appear only in
+``RoundMetrics.selected``.  Both are deterministic functions of (config, seed)
 because every random draw comes from a stream keyed by (seed, round, step)
 or a similar tuple.  A round whose meta-gradients, scores or losses are
 non-finite stops the run with NumericalError.
@@ -43,7 +45,7 @@ from .tasks import (
     empirical_gamma_g,
     generate_population,
 )
-from .ural import ural
+from .ural import solve_sp2_power, ural
 from .wireless import (
     Allocation,
     ComputeProfile,
@@ -108,16 +110,11 @@ class RoundMetrics:
 
 @dataclass
 class _Population:
-    """The run's devices: training ids in row order, train and test arrays."""
+    """The run's devices: training ids in row order (ascending), train and test arrays."""
 
-    train_ids: list[int]
+    train_ids: np.ndarray
     train: DeviceArrays
     test: DeviceArrays
-
-    def rows(self, ids) -> list[int]:
-        """Training-array rows of the given device ids, in ascending id order."""
-        row_of = {i: r for r, i in enumerate(self.train_ids)}
-        return [row_of[i] for i in sorted(ids)]
 
 
 def build_population(config: ExperimentConfig) -> _Population:
@@ -128,7 +125,7 @@ def build_population(config: ExperimentConfig) -> _Population:
     if len(train) < 1:
         raise ConfigurationError("population has no training devices")
     return _Population(
-        train_ids=[d.device_id for d in train],
+        train_ids=np.array([d.device_id for d in train]),
         train=DeviceArrays([d.model for d in train]),
         test=DeviceArrays([d.model for d in test]),
     )
@@ -167,14 +164,12 @@ def _round_losses(
     return losses
 
 
-def _select(
-    u: dict[int, float], config: ExperimentConfig, k: int
-) -> set[int]:
-    n_k = min(config.n_k, len(u))
+def _select(u: np.ndarray, config: ExperimentConfig, k: int) -> np.ndarray:
+    """Round k's selected rows, ascending: top-k scores or a uniform draw."""
+    n_k = min(config.n_k, u.size)
     if config.selection == "uniform":
         g = rng.stream(config.seed, k, rng.ROLE_SELECT)
-        ids = np.array(sorted(u))
-        return set(g.choice(ids, size=n_k, replace=False).tolist())
+        return np.sort(g.choice(u.size, size=n_k, replace=False))
     return select_top_k(u, n_k)
 
 
@@ -186,19 +181,18 @@ def run_nufm(config: ExperimentConfig) -> list[RoundMetrics]:
     metrics: list[RoundMetrics] = []
     for k in range(config.rounds):
         thetas, scores = _round_of_updates(pop.train, theta, config, k)
-        u = dict(zip(pop.train_ids, scores.tolist()))
-        selected = _select(u, config, k)
-        theta = aggregate(thetas[pop.rows(selected)])
+        selected = _select(scores, config, k)
+        theta = aggregate(thetas[selected])
         train_loss, test_loss = _round_losses(pop, theta, alpha, k)
         metrics.append(RoundMetrics(
             round=k,
             train_loss=train_loss,
             test_loss=test_loss,
-            contribution_sum=float(sum(u[i] for i in selected)),
+            contribution_sum=float(sum(scores[selected].tolist())),
             energy=0.0,
             time=0.0,
             objective=0.0,
-            selected=tuple(sorted(selected)),
+            selected=tuple(pop.train_ids[selected].tolist()),
         ))
     return metrics
 
@@ -207,77 +201,56 @@ def run_nufm(config: ExperimentConfig) -> list[RoundMetrics]:
 # wireless co-simulation
 
 
-def _golden_section(f, lo: float, hi: float, tol: float = 1e-8) -> float:
-    """Golden-section minimizer of a unimodal f on [lo, hi]."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+def greedy_frequency(compute: ComputeProfile, net: NetworkConfig) -> np.ndarray:
+    """Per-device frequencies, each minimizing its own energy + latency weighted cost."""
+    return np.minimum((net.eta2 / (net.eta1 * compute.iota)) ** (1.0 / 3.0), compute.nu_max)
 
 
-def greedy_frequency(cp: ComputeProfile, net: NetworkConfig) -> float:
-    """Per-device frequency minimizing its own energy + latency weighted cost."""
-    return min((net.eta2 / (net.eta1 * cp.iota)) ** (1.0 / 3.0), cp.nu_max)
+def greedy_power(
+    radios: RadioProfile, net: NetworkConfig, rows: np.ndarray, rbs: np.ndarray
+) -> np.ndarray:
+    """Per-device powers, each minimizing (eta1*p + eta2) * upload time on its own RB.
 
-
-def greedy_power(radio: RadioProfile, net: NetworkConfig, m: int) -> float:
-    """Per-device power minimizing (eta1*p + eta2) * upload time on RB m."""
-    noise = net.interference[m] + net.B * net.N0
-
-    def cost(p: float) -> float:
-        rate = net.B * math.log2(1.0 + radio.h * p / noise)
-        return (net.eta1 * p + net.eta2) * net.S / rate
-
-    return _golden_section(cost, 1e-9 * radio.p_max, radio.p_max)
+    That cost's stationarity condition is f4(h*p/noise) = 0 with
+    b1 = eta1*noise/h, so each power is the one-device ``solve_sp2_power``.
+    """
+    return np.array([solve_sp2_power(radios, rows[k:k + 1], rbs[k:k + 1], net)[0]
+                     for k in range(rows.size)])
 
 
 def _baseline_allocation(
     mode: str,
     k: int,
     config: ExperimentConfig,
-    u_shifted: dict[int, float],
-    compute: dict[int, ComputeProfile],
-    radios: dict[int, RadioProfile],
+    u_shifted: np.ndarray,
+    compute: ComputeProfile,
+    radios: RadioProfile,
     net: NetworkConfig,
 ) -> Allocation:
     """Greedy/random resource decisions, optionally paired with NUFM selection."""
     g = rng.stream(config.seed, k, rng.ROLE_ALLOC)
-    n_sel = min(config.n_k, net.M, len(u_shifted))
+    n_sel = min(config.n_k, net.M, u_shifted.size)
     if mode.startswith("nufm-"):
-        chosen = sorted(select_top_k(u_shifted, n_sel))
+        rows = select_top_k(u_shifted, n_sel)
     else:
-        ids = np.array(sorted(u_shifted))
-        chosen = sorted(g.choice(ids, size=n_sel, replace=False).tolist())
-    rbs = g.choice(net.M, size=n_sel, replace=False).tolist()
-    z = {i: int(m) for i, m in zip(chosen, rbs)}
+        rows = np.sort(g.choice(u_shifted.size, size=n_sel, replace=False))
+    rbs = g.choice(net.M, size=n_sel, replace=False)
     if mode.endswith("greedy"):
-        nu = {i: greedy_frequency(cp, net) for i, cp in compute.items()}
-        p = {i: greedy_power(radios[i], net, m) for i, m in z.items()}
+        nu = greedy_frequency(compute, net)
+        p = greedy_power(radios, net, rows, rbs)
     else:
-        nu = {i: cp.nu_max * g.uniform(1e-6, 1.0) for i, cp in compute.items()}
-        p = {i: radios[i].p_max * g.uniform(1e-6, 1.0) for i in z}
-    return Allocation(z=z, p=p, nu=nu, delta=0.0)
+        nu = compute.nu_max * g.uniform(1e-6, 1.0, size=u_shifted.size)
+        p = radios.p_max[rows] * g.uniform(1e-6, 1.0, size=n_sel)
+    return Allocation(rows=rows, rbs=rbs, p=p, nu=nu)
 
 
 def build_environment(
     config: ExperimentConfig, pop: _Population
-) -> tuple[dict[int, ComputeProfile], dict[int, RadioProfile], NetworkConfig]:
-    """The run's wireless environment: one profile per training device, D its batch size."""
-    batch_sizes = pop.train.batch_sizes(config.batch_size).tolist()
+) -> tuple[ComputeProfile, RadioProfile, NetworkConfig]:
+    """The run's wireless environment: one profile row per training row, D its batch size."""
     return sample_environment(
         rng.stream(config.seed, rng.ROLE_ENV), config.env,
-        dict(zip(pop.train_ids, batch_sizes)),
+        pop.train.batch_sizes(config.batch_size),
     )
 
 
@@ -291,24 +264,23 @@ def run_wireless(config: ExperimentConfig) -> list[RoundMetrics]:
     metrics: list[RoundMetrics] = []
     for k in range(config.rounds):
         thetas, scores = _round_of_updates(pop.train, theta, config, k)
-        su = shifted_scores(dict(zip(pop.train_ids, scores.tolist())))
+        su = shifted_scores(scores)
         ives_iters = 0
         if config.allocation == "ural":
             sp1, sp2 = ural(compute, radios, net, su)
-            alloc = Allocation(z=sp2.z, p=sp2.p, nu=sp1.nu, delta=sp2.delta)
+            alloc = Allocation(rows=sp2.rows, rbs=sp2.z, p=sp2.p, nu=sp1.nu)
             ives_iters = sp2.iterations
         else:
             alloc = _baseline_allocation(
                 config.allocation, k, config, su, compute, radios, net
             )
-        transmitters = sorted(alloc.z)
-        if transmitters:
-            theta = aggregate(thetas[pop.rows(transmitters)])
+        if alloc.rows.size:
+            theta = aggregate(thetas[alloc.rows])
         else:
             log.info("round %d: empty selection, aggregation skipped", k)
-        contribution, energy, time = map(float, round_totals(
+        contribution, energy, time = round_totals(
             compute, radios, net, alloc, su, tau=config.hyper.tau
-        ))
+        )
         train_loss, test_loss = _round_losses(pop, theta, alpha, k)
         metrics.append(RoundMetrics(
             round=k,
@@ -318,7 +290,7 @@ def run_wireless(config: ExperimentConfig) -> list[RoundMetrics]:
             energy=energy,
             time=time,
             objective=contribution - net.eta1 * energy - net.eta2 * time,
-            selected=tuple(transmitters),
+            selected=tuple(pop.train_ids[alloc.rows].tolist()),
             ives_iterations=ives_iters,
         ))
     return metrics

@@ -17,7 +17,7 @@ from .ural import f4_zero, ives, min_cost_assignment, solve_sp1
 from .wireless import ComputeProfile, NetworkConfig, RadioProfile
 
 def g1_grid_minimum(
-    compute: dict[int, ComputeProfile],
+    compute: ComputeProfile,
     weights: tuple[float, float],
     points: int = 100_000,
     refinements: int = 4,
@@ -31,10 +31,9 @@ def g1_grid_minimum(
     times.  Every grid point is evaluated through the original objective.
     """
     eta1, eta2 = weights
-    ids = sorted(compute)
-    work = np.array([compute[i].c * compute[i].D for i in ids])
-    ecoef = eta1 * 0.5 * np.array([compute[i].iota for i in ids]) * work
-    nu_max = np.array([compute[i].nu_max for i in ids])
+    work = compute.c * compute.D
+    ecoef = eta1 * 0.5 * compute.iota * work
+    nu_max = compute.nu_max
 
     def value(t: np.ndarray) -> np.ndarray:
         nus = work[None, :] / t[:, None]
@@ -87,25 +86,18 @@ def assignment_brute_force(weights: np.ndarray) -> float:
 _KEY_ORACLE = 7101
 
 
-def _random_compute(g: np.random.Generator, n: int) -> dict[int, ComputeProfile]:
-    return {
-        i: ComputeProfile(
-            c=g.uniform(0.5, 1.5),
-            iota=g.uniform(1.0, 3.0),
-            D=int(g.integers(1, 10)),
-            nu_max=g.uniform(0.2, 2.0),
-        )
-        for i in range(n)
-    }
+def _random_compute(g: np.random.Generator, n: int) -> ComputeProfile:
+    draws = [(g.uniform(0.5, 1.5), g.uniform(1.0, 3.0), int(g.integers(1, 10)),
+              g.uniform(0.2, 2.0)) for _ in range(n)]
+    c, iota, D, nu_max = zip(*draws)
+    return ComputeProfile(c=c, iota=iota, D=D, nu_max=nu_max)
 
 
 def _random_radio_env(
     g: np.random.Generator, n: int, m: int
-) -> tuple[dict[int, RadioProfile], NetworkConfig]:
-    radios = {
-        i: RadioProfile(h=g.uniform(0.1, 1.0), p_max=g.uniform(0.05, 1.0))
-        for i in range(n)
-    }
+) -> tuple[RadioProfile, NetworkConfig]:
+    h, p_max = zip(*[(g.uniform(0.1, 1.0), g.uniform(0.05, 1.0)) for _ in range(n)])
+    radios = RadioProfile(h=h, p_max=p_max)
     net = NetworkConfig(
         M=m, B=1.0, N0=0.1,
         interference=tuple(g.uniform(0.0, 0.8) for _ in range(m)),
@@ -195,7 +187,7 @@ def ives_monotone_suite(
         n = int(g.integers(2, 15))
         m = int(g.integers(1, 21))
         radios, net = _random_radio_env(g, n, m)
-        u = {i: float(g.uniform(0.1, 5.0)) for i in range(n)}
+        u = np.array([g.uniform(0.1, 5.0) for _ in range(n)])
         sol = ives(u, radios, net)
         iteration_counts.append(len(sol.trace))
         drops = [

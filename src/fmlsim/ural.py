@@ -3,10 +3,11 @@
 The round objective U - eta1*E - eta2*T separates into a computation part
 (frequency control, solved in closed form) and a communication part (RB
 matching plus power control, solved by the iterative matching/power/delay
-loop).  Each solver turns its device dicts into aligned arrays, rows in
-ascending device id, once per call of ``solve_sp1`` / ``ives``; the inner
-steps work on those arrays.  All solvers are deterministic; ties are broken
-by ascending device id.
+loop).  Devices are rows: the scores ``u`` and the fields of
+``ComputeProfile`` / ``RadioProfile`` are aligned arrays, one entry per
+device, and a matching is a pair of index arrays ``(rows, rbs)``: row
+``rows[k]`` sends on RB ``rbs[k]``.  All solvers are deterministic; ties are
+broken by the lower row.
 """
 
 from __future__ import annotations
@@ -27,14 +28,15 @@ BISECT_TOL = 1e-10
 
 @dataclass
 class Sp1Solution:
-    nu: dict[int, float]
+    nu: np.ndarray          # CPU frequency of every row
     objective: float
 
 
 @dataclass
 class Sp2Solution:
-    z: dict[int, int]
-    p: dict[int, float]
+    rows: np.ndarray        # matched rows, ascending
+    z: np.ndarray           # RB of each matched row
+    p: np.ndarray           # power of each matched row
     delta: float
     objective: float
     iterations: int
@@ -51,9 +53,7 @@ def g1_objective(
     return float(eta1 * (0.5 * iota * work * nu * nu).sum() + eta2 * (work / nu).max())
 
 
-def solve_sp1(
-    compute: dict[int, ComputeProfile], weights: tuple[float, float]
-) -> Sp1Solution:
+def solve_sp1(compute: ComputeProfile, weights: tuple[float, float]) -> Sp1Solution:
     """Frequencies minimizing g1, in closed form.
 
     Finishing before the slowest device only costs energy, so at the optimum
@@ -63,23 +63,18 @@ def solve_sp1(
     s^3 = eta2 / (eta1 * sum iota w^3), and s is capped by min nu_max / w so
     no device exceeds its frequency limit.
     """
-    if not compute:
+    if not compute.c.size:
         raise InvalidInputError("sp1 needs at least one device")
     eta1, eta2 = weights
     if eta1 <= 0 or eta2 <= 0:
         raise InvalidInputError("sp1 requires strictly positive weights")
-    ids = sorted(compute)
-    work = np.array([compute[i].c * compute[i].D for i in ids], dtype=float)
-    iota = np.array([compute[i].iota for i in ids])
-    nu_max = np.array([compute[i].nu_max for i in ids])
+    work = compute.work
     speed = min(
-        (eta2 / (eta1 * (iota * work ** 3).sum())) ** (1.0 / 3.0),
-        (nu_max / work).min(),
+        (eta2 / (eta1 * (compute.iota * work ** 3).sum())) ** (1.0 / 3.0),
+        (compute.nu_max / work).min(),
     )
     nu = speed * work
-    return Sp1Solution(
-        nu=dict(zip(ids, nu.tolist())), objective=g1_objective(work, iota, nu, weights)
-    )
+    return Sp1Solution(nu=nu, objective=g1_objective(work, compute.iota, nu, weights))
 
 
 def min_cost_assignment(weights: np.ndarray) -> list[tuple[int, int]]:
@@ -102,42 +97,8 @@ def min_cost_assignment(weights: np.ndarray) -> list[tuple[int, int]]:
     return [(int(i), int(m)) for i, m in zip(rows, cols) if usable[i, m]]
 
 
-@dataclass(frozen=True)
-class Uplinks:
-    """The devices of one ``ives`` call as aligned arrays, rows in ascending id.
-
-    ``noise[m] = I_m + B*N0`` is RB m's interference-plus-noise power.  A
-    matching is a pair of index arrays ``(rows, rbs)``: row ``rows[k]`` sends
-    on RB ``rbs[k]``.
-    """
-
-    ids: np.ndarray
-    u: np.ndarray
-    h: np.ndarray
-    p_max: np.ndarray
-    noise: np.ndarray
-
-    @classmethod
-    def build(
-        cls, u: dict[int, float], radios: dict[int, RadioProfile], net: NetworkConfig
-    ) -> Uplinks:
-        ids = sorted(u)
-        return cls(
-            ids=np.array(ids, dtype=int),
-            u=np.array([u[i] for i in ids], dtype=float),
-            h=np.array([radios[i].h for i in ids]),
-            p_max=np.array([radios[i].p_max for i in ids]),
-            noise=np.asarray(net.interference, dtype=float) + net.B * net.N0,
-        )
-
-
-def _rates(h: np.ndarray, p: np.ndarray, noise: np.ndarray, net: NetworkConfig) -> np.ndarray:
-    """Shannon rates B * log2(1 + h*p / (I_m + B*N0)), broadcast over the arguments."""
-    return net.B * np.log2(1.0 + h * p / noise)
-
-
 def rb_matching(
-    links: Uplinks, delta: float, net: NetworkConfig
+    u: np.ndarray, radios: RadioProfile, delta: float, net: NetworkConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """Optimal RB assignment ``(rows, rbs)`` for a given transmission delay.
 
@@ -149,12 +110,12 @@ def rb_matching(
         raise InvalidInputError("delta must be positive")
     with np.errstate(over="ignore"):
         growth = np.exp2(net.S / (net.B * delta)) - 1.0
-    mu = links.noise * growth / links.h[:, None]
-    cap = links.p_max[:, None]
+    mu = net.noise * growth / radios.h[:, None]
+    cap = radios.p_max[:, None]
     # the relative slack absorbs round-off when delta was realized by a
     # device transmitting exactly at its power cap
     feasible = mu <= cap * (1.0 + 1e-9)
-    gain = links.u[:, None] - net.eta1 * delta * np.minimum(mu, cap)
+    gain = u[:, None] - net.eta1 * delta * np.minimum(mu, cap)
     cost = np.where(feasible & (gain > 0), -gain, np.inf)
     pairs = np.array(min_cost_assignment(cost), dtype=int).reshape(-1, 2)
     return pairs[:, 0], pairs[:, 1]
@@ -193,7 +154,7 @@ def f4_zero(b1: float, eta2: float, tol: float = BISECT_TOL) -> float:
 
 
 def solve_sp2_power(
-    links: Uplinks, rows: np.ndarray, rbs: np.ndarray, net: NetworkConfig
+    radios: RadioProfile, rows: np.ndarray, rbs: np.ndarray, net: NetworkConfig
 ) -> np.ndarray:
     """Powers of a non-empty matching, equalizing the normalized SNR.
 
@@ -201,72 +162,77 @@ def solve_sp2_power(
     capped by the tightest per-device power limit, then converted back to
     watts per device.
     """
-    noise = links.noise[rbs] / links.h[rows]
+    noise = net.noise[rbs] / radios.h[rows]
     p_tilde = min(
         f4_zero(net.eta1 * float(noise.sum()), net.eta2),
-        (links.p_max[rows] / noise).min(),
+        (radios.p_max[rows] / noise).min(),
     )
     return noise * p_tilde
 
 
 def g2_objective(
-    links: Uplinks, rows: np.ndarray, rbs: np.ndarray, p: np.ndarray, net: NetworkConfig
+    u: np.ndarray, radios: RadioProfile, rows: np.ndarray, rbs: np.ndarray,
+    p: np.ndarray, net: NetworkConfig,
 ) -> float:
     """sum u_i - eta1 * transmission energy - eta2 * max transmission time."""
     if not rows.size:
         return 0.0
-    rates = _rates(links.h[rows], p, links.noise[rbs], net)
+    rates = net.rate(radios.h[rows], p, rbs)
     if (rates <= 0).any():
         return -math.inf
     t = net.S / rates
-    return float((links.u[rows] - net.eta1 * t * p).sum() - net.eta2 * t.max())
+    return float((u[rows] - net.eta1 * t * p).sum() - net.eta2 * t.max())
 
 
-def initial_delay(links: Uplinks, net: NetworkConfig) -> float:
+def initial_delay(radios: RadioProfile, net: NetworkConfig) -> float:
     """Most conservative start: the slowest full-power upload over all device/RB pairs."""
-    rates = _rates(links.h[:, None], links.p_max[:, None], links.noise, net)
+    rates = net.rate(radios.h[:, None], radios.p_max[:, None])
     if (rates <= 0).any():
         row, m = np.argwhere(rates <= 0)[0]
-        raise InvalidInputError(f"device {links.ids[row]} cannot transmit on RB {m}")
+        raise InvalidInputError(f"device row {row} cannot transmit on RB {m}")
     return float((net.S / rates).max())
 
 
 def ives(
-    u: dict[int, float],
-    radios: dict[int, RadioProfile],
+    u: np.ndarray,
+    radios: RadioProfile,
     net: NetworkConfig,
     eps: float = IVES_EPS,
     max_iters: int = IVES_MAX_ITERS,
 ) -> Sp2Solution:
-    """Alternate RB matching, power optimization and delay update until g2 settles."""
-    if not u or net.M < 1:
+    """Alternate RB matching, power optimization and delay update until g2 settles.
+
+    ``u`` holds every row's (positively shifted) contribution score.
+    """
+    if not u.size or net.M < 1:
         raise InvalidInputError("ives needs at least one device and one RB")
-    if min(u.values()) <= 0:
+    if u.shape != radios.h.shape:
+        raise InvalidInputError(f"ives needs one score per device row, got {u.shape}")
+    if u.min() <= 0:
         raise InvalidInputError("contribution scores must be shifted positive")
-    links = Uplinks.build(u, radios, net)
-    delta = initial_delay(links, net)
+    delta = initial_delay(radios, net)
     empty = np.zeros(0, dtype=int)
     best_g2, best = 0.0, (empty, empty, np.zeros(0), delta)  # rows, rbs, p, delta
     trace: list[float] = []
     for _ in range(max_iters):
-        rows, rbs = rb_matching(links, delta, net)
+        rows, rbs = rb_matching(u, radios, delta, net)
         if not rows.size:
             trace.append(0.0)
             break
-        p = solve_sp2_power(links, rows, rbs, net)
-        g2 = g2_objective(links, rows, rbs, p, net)
+        p = solve_sp2_power(radios, rows, rbs, net)
+        g2 = g2_objective(u, radios, rows, rbs, p, net)
         trace.append(g2)
-        delta_next = float((net.S / _rates(links.h[rows], p, links.noise[rbs], net)).max())
+        delta_next = float((net.S / net.rate(radios.h[rows], p, rbs)).max())
         if g2 > best_g2:
             best_g2, best = g2, (rows, rbs, p, delta_next)
         if len(trace) > 1 and abs(g2 - trace[-2]) <= eps * max(1.0, abs(g2)):
             break
         delta = delta_next
     rows, rbs, p, delta = best
-    ids = links.ids[rows].tolist()
     return Sp2Solution(
-        z=dict(zip(ids, rbs.tolist())),
-        p=dict(zip(ids, p.tolist())),
+        rows=rows,
+        z=rbs,
+        p=p,
         delta=delta,
         objective=best_g2,
         iterations=len(trace),
@@ -275,10 +241,7 @@ def ives(
 
 
 def ural(
-    compute: dict[int, ComputeProfile],
-    radios: dict[int, RadioProfile],
-    net: NetworkConfig,
-    u: dict[int, float],
+    compute: ComputeProfile, radios: RadioProfile, net: NetworkConfig, u: np.ndarray
 ) -> tuple[Sp1Solution, Sp2Solution]:
     """Solve the frequency sub-problem and the matching/power sub-problem."""
     sp1 = solve_sp1(compute, (net.eta1, net.eta2))

@@ -4,14 +4,20 @@ One uplink resource block (RB) carries at most one device per round; a
 device occupies at most one RB.  Computation cost scales with CPU cycles
 per sample times the local batch size; communication cost follows the
 Shannon rate of the assigned RB.
+
+Devices are rows: ``ComputeProfile`` and ``RadioProfile`` hold one array
+entry per training device, in the row order of the run's training arrays
+(ascending device id), and an ``Allocation`` names its transmitters by row.
+Device ids enter only ``environment_to_json``.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -22,26 +28,45 @@ log = logging.getLogger(__name__)
 _P_MAX_FLOOR = 1e-6
 
 
-@dataclass(frozen=True)
+def _as_rows(profile, **dtypes) -> None:
+    """Store the named fields of a frozen profile as equal-length, positive 1-D arrays."""
+    arrays = {name: np.asarray(getattr(profile, name), dtype=dtype)
+              for name, dtype in dtypes.items()}
+    if len({a.shape for a in arrays.values()}) != 1 or next(iter(arrays.values())).ndim != 1:
+        raise InvalidInputError(f"{type(profile).__name__} fields must be 1-D arrays of one length")
+    for name, a in arrays.items():
+        if not (a > 0).all():
+            raise InvalidInputError(f"{type(profile).__name__}.{name} must be positive")
+        object.__setattr__(profile, name, a)
+
+
+@dataclass(frozen=True, eq=False)
 class ComputeProfile:
-    c: float        # CPU cycles per sample
-    iota: float     # effective capacitance coefficient (energy = iota/2 * work * nu^2)
-    D: int          # local batch size
-    nu_max: float   # max CPU frequency
+    """Computation attributes of every device, one array entry per row."""
+
+    c: np.ndarray       # CPU cycles per sample
+    iota: np.ndarray    # effective capacitance coefficient (energy = iota/2 * work * nu^2)
+    D: np.ndarray       # local batch size
+    nu_max: np.ndarray  # max CPU frequency
 
     def __post_init__(self):
-        if min(self.c, self.iota, self.D, self.nu_max) <= 0:
-            raise InvalidInputError("compute profile fields must be positive")
+        _as_rows(self, c=float, iota=float, D=int, nu_max=float)
+
+    @property
+    def work(self) -> np.ndarray:
+        """CPU cycles of one local step, c * D."""
+        return self.c * self.D
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadioProfile:
-    h: float        # channel gain
-    p_max: float    # max transmission power
+    """Radio attributes of every device, one array entry per row."""
+
+    h: np.ndarray       # channel gain
+    p_max: np.ndarray   # max transmission power
 
     def __post_init__(self):
-        if self.h <= 0 or self.p_max <= 0:
-            raise InvalidInputError("radio profile fields must be positive")
+        _as_rows(self, h=float, p_max=float)
 
 
 @dataclass(frozen=True)
@@ -62,93 +87,79 @@ class NetworkConfig:
         if self.eta1 < 0 or self.eta2 < 0:
             raise InvalidInputError("weights eta1, eta2 must be nonnegative")
 
+    @functools.cached_property
+    def noise(self) -> np.ndarray:
+        """Interference-plus-noise power I_m + B*N0 of every RB."""
+        return np.asarray(self.interference, dtype=float) + self.B * self.N0
+
+    def rate(self, h, p, rbs=slice(None)) -> np.ndarray:
+        """Shannon rates B * log2(1 + h*p / (I_m + B*N0)) on ``rbs`` (default: every RB)."""
+        return self.B * np.log2(1.0 + h * p / self.noise[rbs])
+
 
 @dataclass
 class Allocation:
-    """A round's decision: RB assignment, powers, frequencies, realized delay."""
+    """A round's decision: row ``rows[k]`` sends on RB ``rbs[k]`` at power ``p[k]``.
 
-    z: dict[int, int]        # device id -> RB index (partial)
-    p: dict[int, float]      # device id -> transmission power (0 if unassigned)
-    nu: dict[int, float]     # device id -> CPU frequency
-    delta: float = 0.0       # realized transmission delay
+    ``rows`` ascend; ``nu`` holds every row's CPU frequency.
+    """
 
-
-def transmission_rate(radio: RadioProfile, net: NetworkConfig, m: int, p: float) -> float:
-    """Achievable uplink rate B * log2(1 + h*p / (I_m + B*N0))."""
-    if p < 0:
-        raise InvalidInputError("power must be nonnegative")
-    if not 0 <= m < net.M:
-        raise InvalidInputError(f"RB index {m} out of range")
-    return net.B * np.log2(1.0 + radio.h * p / (net.interference[m] + net.B * net.N0))
-
-
-def comp_cost(cp: ComputeProfile, tau: int, nu: float) -> tuple[float, float]:
-    """(time, energy) of tau local steps at frequency nu."""
-    if tau == 0:
-        return 0.0, 0.0
-    if nu <= 0:
-        raise InfeasibleAllocationError("zero CPU frequency gives infinite computation time")
-    work = tau * cp.c * cp.D
-    return work / nu, 0.5 * cp.iota * work * nu * nu
-
-
-def comm_cost(radio: RadioProfile, net: NetworkConfig, m: int, p: float) -> tuple[float, float]:
-    """(time, energy) of uploading the payload on RB m at power p."""
-    rate = transmission_rate(radio, net, m, p)
-    if rate <= 0:
-        raise InfeasibleAllocationError("zero transmission rate")
-    t = net.S / rate
-    return t, t * p
+    rows: np.ndarray
+    rbs: np.ndarray
+    p: np.ndarray
+    nu: np.ndarray
 
 
 def _validate_allocation(
-    compute: dict[int, ComputeProfile],
-    radios: dict[int, RadioProfile],
-    net: NetworkConfig,
-    alloc: Allocation,
+    compute: ComputeProfile, radios: RadioProfile, net: NetworkConfig, alloc: Allocation,
+    u: np.ndarray,
 ) -> None:
-    used_rbs: set[int] = set()
-    for i, m in alloc.z.items():
-        if not 0 <= m < net.M:
-            raise InfeasibleAllocationError(f"device {i} assigned invalid RB {m}")
-        if m in used_rbs:
-            raise InfeasibleAllocationError(f"RB {m} assigned to more than one device")
-        used_rbs.add(m)
-    for i, p in alloc.p.items():
-        if p < 0 or p > radios[i].p_max * (1 + 1e-12):
-            raise InfeasibleAllocationError(f"power of device {i} outside [0, p_max]")
-        if i not in alloc.z and p != 0.0:
-            raise InfeasibleAllocationError(f"unassigned device {i} has nonzero power")
-    for i, nu in alloc.nu.items():
-        if nu < 0 or nu > compute[i].nu_max * (1 + 1e-12):
-            raise InfeasibleAllocationError(f"frequency of device {i} outside [0, nu_max]")
+    if not (alloc.rows.ndim == 1 and alloc.rows.shape == alloc.rbs.shape == alloc.p.shape
+            and alloc.nu.shape == u.shape == compute.nu_max.shape):
+        raise InfeasibleAllocationError(
+            "rows, rbs and p must align, and nu and u have one entry per device row"
+        )
+    # index checks on lists: at most M transmitters, where numpy calls cost more
+    rows, rbs = alloc.rows.tolist(), alloc.rbs.tolist()
+    if rows != sorted(set(rows)) or rows and (rows[0] < 0 or rows[-1] >= alloc.nu.size):
+        raise InfeasibleAllocationError(
+            f"transmitting rows {rows} must be distinct device rows in ascending order"
+        )
+    if len(set(rbs)) < len(rbs) or rbs and (min(rbs) < 0 or max(rbs) >= net.M):
+        raise InfeasibleAllocationError(f"RBs {rbs} must be distinct RBs of {net.M}")
+    # value / cap lies in (0, 1]: one division and two reductions per quantity
+    for name, ratio in (("p", alloc.p / radios.p_max[alloc.rows]),
+                        ("nu", alloc.nu / compute.nu_max)):
+        if not (ratio.min(initial=1.0) > 0 and ratio.max(initial=1.0) <= 1 + 1e-12):
+            raise InfeasibleAllocationError(f"{name} / {name}_max outside (0, 1]: {ratio.tolist()}")
+
+
+def _running_sum(x: np.ndarray) -> float:
+    """Sum added left to right, independent of numpy's pairwise summation."""
+    return float(np.add.accumulate(x)[-1]) if x.size else 0.0
 
 
 def round_totals(
-    compute: dict[int, ComputeProfile],
-    radios: dict[int, RadioProfile],
+    compute: ComputeProfile,
+    radios: RadioProfile,
     net: NetworkConfig,
     alloc: Allocation,
-    u: dict[int, float],
+    u: np.ndarray,
     tau: int = 1,
 ) -> tuple[float, float, float]:
-    """Round totals (U, E, T) over all computing devices and assigned transmitters."""
-    _validate_allocation(compute, radios, net, alloc)
-    energy = 0.0
-    comp_times = []
-    for i, cp in compute.items():
-        t, e = comp_cost(cp, tau, alloc.nu[i])
-        energy += e
-        comp_times.append(t)
-    comm_times = [0.0]
-    contribution = 0.0
-    for i, m in alloc.z.items():
-        t, e = comm_cost(radios[i], net, m, alloc.p[i])
-        energy += e
-        comm_times.append(t)
-        contribution += u[i]
-    total_time = max(comp_times) + max(comm_times)
-    return contribution, energy, total_time
+    """Round totals (U, E, T): every row runs tau local steps, ``alloc.rows`` upload.
+
+    Computation of tau*c*D cycles at nu takes work/nu and iota/2*work*nu^2
+    energy; an upload takes S/rate and p*S/rate.  U and E add up in row
+    order, computation energy before transmission energy.
+    """
+    _validate_allocation(compute, radios, net, alloc, u)
+    nu = alloc.nu
+    work = tau * compute.c * compute.D
+    comm_time = net.S / net.rate(radios.h[alloc.rows], alloc.p, alloc.rbs)
+    energy = np.concatenate([0.5 * compute.iota * work * nu * nu, comm_time * alloc.p])
+    total_time = (work / nu).max() + comm_time.max(initial=0.0)
+    return _running_sum(u[alloc.rows]), _running_sum(energy), float(total_time)
 
 
 @dataclass
@@ -171,12 +182,9 @@ class EnvironmentSpec:
     def __post_init__(self):
         if self.M < 1:
             raise InvalidInputError(f"M must be at least 1, got {self.M}")
-        for name in ("B", "N0", "S"):
+        for name in ("B", "N0", "S", "eta1", "eta2"):
             if (value := getattr(self, name)) <= 0:
                 raise InvalidInputError(f"{name} must be positive, got {value}")
-        for name in ("eta1", "eta2"):
-            if (value := getattr(self, name)) < 0:
-                raise InvalidInputError(f"{name} must be nonnegative, got {value}")
         for name in ("h_range", "interference_range", "p_max_range",
                      "nu_max_range", "c_range", "iota_range"):
             low, high = getattr(self, name)
@@ -193,45 +201,48 @@ class EnvironmentSpec:
 
 
 def sample_environment(
-    g: np.random.Generator, spec: EnvironmentSpec, batch_sizes: dict[int, int]
-) -> tuple[dict[int, ComputeProfile], dict[int, RadioProfile], NetworkConfig]:
-    """Sample compute/radio attributes per device and the RB interference vector.
+    g: np.random.Generator, spec: EnvironmentSpec, batch_sizes: np.ndarray
+) -> tuple[ComputeProfile, RadioProfile, NetworkConfig]:
+    """Sample compute/radio attributes per device row and the RB interference vector.
 
-    ``batch_sizes`` maps each device id, in sampling order, to its local
-    batch size D.
+    ``batch_sizes[i]`` is row i's local batch size D; rows draw in order.
     """
-    compute: dict[int, ComputeProfile] = {}
-    radios: dict[int, RadioProfile] = {}
-    for i, batch in batch_sizes.items():
+    draws = []
+    for row in range(len(batch_sizes)):
         c = g.uniform(*spec.c_range)
         iota = g.uniform(*spec.iota_range)
         nu_max = g.uniform(*spec.nu_max_range)
         while nu_max < _P_MAX_FLOOR:
-            log.info("resampling degenerate nu_max for device %d", i)
+            log.info("resampling degenerate nu_max for device row %d", row)
             nu_max = g.uniform(*spec.nu_max_range)
         p_max = g.uniform(*spec.p_max_range)
         while p_max < _P_MAX_FLOOR:
-            log.info("resampling degenerate p_max for device %d", i)
+            log.info("resampling degenerate p_max for device row %d", row)
             p_max = g.uniform(*spec.p_max_range)
         h = g.uniform(*spec.h_range)
-        compute[i] = ComputeProfile(c=c, iota=iota, D=batch, nu_max=nu_max)
-        radios[i] = RadioProfile(h=h, p_max=p_max)
+        draws.append((c, iota, nu_max, p_max, h))
+    c, iota, nu_max, p_max, h = np.array(draws, dtype=float).reshape(-1, 5).T
     interference = tuple(g.uniform(*spec.interference_range) for _ in range(spec.M))
     net = NetworkConfig(M=spec.M, B=spec.B, N0=spec.N0, interference=interference,
                         S=spec.S, eta1=spec.eta1, eta2=spec.eta2)
-    return compute, radios, net
+    return (ComputeProfile(c=c, iota=iota, D=batch_sizes, nu_max=nu_max),
+            RadioProfile(h=h, p_max=p_max), net)
 
 
 def environment_to_json(
-    compute: dict[int, ComputeProfile],
-    radios: dict[int, RadioProfile],
-    net: NetworkConfig,
+    compute: ComputeProfile, radios: RadioProfile, net: NetworkConfig, ids
 ) -> str:
+    """The environment as JSON, each device's profiles under its id (``ids[i]`` is row i's)."""
+    columns = {
+        section: {f.name: getattr(profile, f.name).tolist() for f in fields(profile)}
+        for section, profile in (("compute", compute), ("radio", radios))
+    }
     payload = {
         "network": asdict(net),
         "devices": {
-            str(i): {"compute": asdict(compute[i]), "radio": asdict(radios[i])}
-            for i in sorted(compute)
+            str(i): {section: {name: values[row] for name, values in cols.items()}
+                     for section, cols in columns.items()}
+            for row, i in enumerate(ids)
         },
     }
     return json.dumps(payload, indent=2, sort_keys=True)

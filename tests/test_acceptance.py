@@ -273,22 +273,19 @@ def test_joint_allocation_beats_random():
     for t in range(instances):
         g = rng.stream(4242, t)
         compute, radios, net = sample_environment(
-            g, EnvironmentSpec(M=6), dict.fromkeys(range(8), 1)
+            g, EnvironmentSpec(M=6), np.ones(8, dtype=int)
         )
-        u = {i: float(v) for i, v in
-             zip(compute, g.uniform(0.5, 5.0, size=len(compute)))}
+        u = g.uniform(0.5, 5.0, size=8)
         sp1, sp2 = ural(compute, radios, net, u)
-        alloc = Allocation(z=sp2.z, p=sp2.p, nu=sp1.nu, delta=sp2.delta)
+        alloc = Allocation(rows=sp2.rows, rbs=sp2.z, p=sp2.p, nu=sp1.nu)
         c1, e1, t1 = round_totals(compute, radios, net, alloc, u)
         obj_solver = c1 - net.eta1 * e1 - net.eta2 * t1
-        ids = np.array(sorted(u))
-        n_sel = min(net.M, len(ids))
-        chosen = sorted(g.choice(ids, size=n_sel, replace=False).tolist())
-        rbs = g.choice(net.M, size=n_sel, replace=False).tolist()
-        z = {i: int(m) for i, m in zip(chosen, rbs)}
-        p = {i: radios[i].p_max * g.uniform(1e-6, 1.0) for i in z}
-        nu = {i: cp.nu_max * g.uniform(1e-6, 1.0) for i, cp in compute.items()}
-        c2, e2, t2 = round_totals(compute, radios, net, Allocation(z=z, p=p, nu=nu), u)
+        n_sel = min(net.M, u.size)
+        rows = np.sort(g.choice(u.size, size=n_sel, replace=False))
+        rbs = g.choice(net.M, size=n_sel, replace=False)
+        p = radios.p_max[rows] * g.uniform(1e-6, 1.0, size=n_sel)
+        nu = compute.nu_max * g.uniform(1e-6, 1.0, size=u.size)
+        c2, e2, t2 = round_totals(compute, radios, net, Allocation(rows, rbs, p, nu), u)
         if obj_solver >= c2 - net.eta1 * e2 - net.eta2 * t2:
             wins += 1
     elapsed = time.perf_counter() - t0

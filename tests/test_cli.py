@@ -202,6 +202,13 @@ def test_sweep_seed_parameter_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_non_integer_seeds_is_usage_error(tmp_path, capsys):
+    code, out = _sweep(tmp_path, "seeds", "--param", "eta1", "--values", "1", "--seeds", "a")
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: --seeds")
+    assert not out.exists()
+
+
 def test_sweep_unknown_parameter_is_usage_error(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     code = main(["sweep", "--config", cfg, "--param", "nonesuch",
@@ -250,8 +257,9 @@ def test_dump_env_prints_the_run_environment(capsys, monkeypatch):
     sampled = []
 
     def recording_build_environment(config, pop):
-        sampled.append(build_environment(config, pop))
-        return sampled[-1]
+        env = build_environment(config, pop)
+        sampled.append((*env, pop.train_ids.tolist()))
+        return env
 
     monkeypatch.setattr(harness, "build_environment", recording_build_environment)
     run_wireless(config_from_dict(json.loads(path.read_text())))
@@ -272,7 +280,7 @@ def test_huge_energy_price_ratio_runs(tmp_path):
 @pytest.mark.parametrize("override", [
     "population.d=0", "population.d=2.5", "rounds=true", 'rounds="10"',
     "env.h_range=[1]", "hyper.mode=fast", "population.size_sigma=-1", "env.B=0",
-    "surprise=1", "env.device_ids=[1]", "population.seed=7",
+    "surprise=1", "env.device_ids=[1]", "population.seed=7", "env.eta1=0", "env.eta2=0",
 ])
 def test_config_rejection_names_the_field(tmp_path, capsys, override):
     code = main(["run", "--config", str(CONFIGS / "wireless.json"), "--set", override,

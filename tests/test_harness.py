@@ -122,24 +122,36 @@ def test_ural_selects_every_profitable_device_with_generous_resources():
 
 
 def test_greedy_frequency_closed_form_via_grid():
-    cp = ComputeProfile(c=1.0, iota=2.0, D=2, nu_max=5.0)
+    cp = ComputeProfile(c=[1.0, 1.0], iota=[2.0, 0.001], D=[2, 2], nu_max=[5.0, 5.0])
     net = NetworkConfig(M=1, B=1.0, N0=0.1, interference=(0.1,), S=1.0,
                         eta1=1.3, eta2=0.9)
     nu = greedy_frequency(cp, net)
-    grid = np.linspace(1e-3, cp.nu_max, 30000)
-    cost = net.eta1 * 0.5 * cp.iota * cp.c * cp.D * grid ** 2 \
-        + net.eta2 * cp.c * cp.D / grid
-    assert nu == pytest.approx(grid[np.argmin(cost)], abs=1e-3)
+    grid = np.linspace(1e-3, cp.nu_max[0], 30000)
+    cost = net.eta1 * 0.5 * cp.iota[0] * cp.c[0] * cp.D[0] * grid ** 2 \
+        + net.eta2 * cp.c[0] * cp.D[0] / grid
+    assert nu[0] == pytest.approx(grid[np.argmin(cost)], abs=1e-3)
+    assert nu[1] == cp.nu_max[1]    # the unconstrained optimum lies above the cap
 
 
 def test_greedy_power_matches_dense_grid():
-    radio = RadioProfile(h=0.7, p_max=1.0)
-    net = NetworkConfig(M=1, B=1.0, N0=0.1, interference=(0.2,), S=1.0)
-    p = greedy_power(radio, net, 0)
-    grid = np.linspace(1e-6, radio.p_max, 50000)
-    rate = net.B * np.log2(1 + radio.h * grid / (net.interference[0] + net.B * net.N0))
+    radios = RadioProfile(h=[0.3, 0.7], p_max=[0.5, 1.0])
+    net = NetworkConfig(M=2, B=1.0, N0=0.1, interference=(0.4, 0.2), S=1.0)
+    p = greedy_power(radios, net, np.array([1]), np.array([1]))
+    assert p.shape == (1,)
+    grid = np.linspace(1e-6, radios.p_max[1], 50000)
+    rate = net.B * np.log2(1 + radios.h[1] * grid / (net.interference[1] + net.B * net.N0))
     cost = (net.eta1 * grid + net.eta2) * net.S / rate
-    assert p == pytest.approx(grid[np.argmin(cost)], abs=1e-3)
+    assert p[0] == pytest.approx(grid[np.argmin(cost)], abs=1e-3)
+
+
+def test_greedy_power_capped_at_p_max():
+    # a weak channel and a costly delay push the unconstrained optimum above the cap
+    radios = RadioProfile(h=[0.05, 0.9], p_max=[0.2, 1.0])
+    net = NetworkConfig(M=2, B=1.0, N0=0.1, interference=(0.5, 0.0), S=1.0,
+                        eta1=1.0, eta2=50.0)
+    p = greedy_power(radios, net, np.array([0, 1]), np.array([0, 1]))
+    assert p[0] == pytest.approx(radios.p_max[0], rel=1e-12)
+    assert 0 < p[1] <= radios.p_max[1] * (1 + 1e-12)
 
 
 def test_sigma_f_squared_symbolic_reevaluation():

@@ -14,7 +14,6 @@ from fmlsim.oracles import (
     g1_grid_minimum,
 )
 from fmlsim.ural import (
-    Uplinks,
     f4_zero,
     g1_objective,
     g2_objective,
@@ -30,45 +29,36 @@ from fmlsim.wireless import ComputeProfile, NetworkConfig, RadioProfile
 
 
 def _unit_device():
-    return {0: ComputeProfile(c=1.0, iota=2.0, D=1, nu_max=2.0)}
-
-
-def _compute_arrays(compute):
-    """Device ids in ascending order with their work c*D, iota and nu_max."""
-    ids = sorted(compute)
-    work = np.array([compute[i].c * compute[i].D for i in ids], dtype=float)
-    iota = np.array([compute[i].iota for i in ids])
-    nu_max = np.array([compute[i].nu_max for i in ids])
-    return ids, work, iota, nu_max
+    return ComputeProfile(c=[1.0], iota=[2.0], D=[1], nu_max=[2.0])
 
 
 def _g1(compute, weights, nu):
-    """g1 of per-device frequencies given as a dict."""
-    ids, work, iota, _ = _compute_arrays(compute)
-    return g1_objective(work, iota, np.array([nu[i] for i in ids]), weights)
+    """g1 of per-row frequencies."""
+    return g1_objective(compute.work, compute.iota, np.asarray(nu, dtype=float), weights)
 
 
 def test_g1_unit_substitution():
-    assert _g1(_unit_device(), (1.0, 1.0), {0: 1.0}) == pytest.approx(2.0)
+    assert _g1(_unit_device(), (1.0, 1.0), [1.0]) == pytest.approx(2.0)
 
 
 def test_g1_homogeneity_of_terms():
     compute = _unit_device()
-    base_e = _g1(compute, (1.0, 0.0), {0: 1.0})
-    base_t = _g1(compute, (0.0, 1.0), {0: 1.0})
+    base_e = _g1(compute, (1.0, 0.0), [1.0])
+    base_t = _g1(compute, (0.0, 1.0), [1.0])
     t = 1.7
-    assert _g1(compute, (1.0, 0.0), {0: t}) == pytest.approx(base_e * t * t)
-    assert _g1(compute, (0.0, 1.0), {0: t}) == pytest.approx(base_t / t)
+    assert _g1(compute, (1.0, 0.0), [t]) == pytest.approx(base_e * t * t)
+    assert _g1(compute, (0.0, 1.0), [t]) == pytest.approx(base_t / t)
 
 
 def test_g1_matches_direct_recomputation():
     g = rng.stream(99)
     compute = _random_compute(g, 3)
-    nu = {i: float(g.uniform(0.1, compute[i].nu_max)) for i in compute}
+    nu = [float(g.uniform(0.1, cap)) for cap in compute.nu_max]
     eta1, eta2 = 1.3, 0.7
+    rows = range(3)
     expect = eta1 * sum(
-        0.5 * cp.iota * cp.c * cp.D * nu[i] ** 2 for i, cp in compute.items()
-    ) + eta2 * max(cp.c * cp.D / nu[i] for i, cp in compute.items())
+        0.5 * compute.iota[i] * compute.c[i] * compute.D[i] * nu[i] ** 2 for i in rows
+    ) + eta2 * max(compute.c[i] * compute.D[i] / nu[i] for i in rows)
     assert _g1(compute, (eta1, eta2), nu) == pytest.approx(expect)
 
 
@@ -79,18 +69,14 @@ def test_sp1_single_device_closed_form():
 
 
 def test_sp1_homogeneous_devices_get_equal_frequencies():
-    cp = ComputeProfile(c=1.0, iota=2.0, D=2, nu_max=1.5)
-    compute = {i: cp for i in range(4)}
+    compute = ComputeProfile(c=[1.0] * 4, iota=[2.0] * 4, D=[2] * 4, nu_max=[1.5] * 4)
     sol = solve_sp1(compute, (1.0, 1.0))
-    vals = list(sol.nu.values())
-    assert max(vals) - min(vals) < 1e-12
+    assert sol.nu.shape == (4,)
+    assert sol.nu.max() - sol.nu.min() < 1e-12
 
 
 def test_sp1_cap_binds_for_tiny_nu_max():
-    compute = {
-        0: ComputeProfile(c=1.0, iota=2.0, D=1, nu_max=0.05),
-        1: ComputeProfile(c=1.0, iota=2.0, D=1, nu_max=2.0),
-    }
+    compute = ComputeProfile(c=[1.0, 1.0], iota=[2.0, 2.0], D=[1, 1], nu_max=[0.05, 2.0])
     sol = solve_sp1(compute, (1.0, 1.0))
     assert sol.nu[0] == pytest.approx(0.05)
     assert sol.objective == pytest.approx(g1_grid_minimum(compute, (1.0, 1.0)), abs=1e-6)
@@ -100,10 +86,9 @@ def test_sp1_equalizes_computation_times():
     g = rng.stream(100)
     compute = _random_compute(g, 3)
     sol = solve_sp1(compute, (1.0, 1.0))
-    times = [cp.c * cp.D / sol.nu[i] for i, cp in compute.items()]
-    assert max(times) - min(times) < 1e-9
-    for i, cp in compute.items():
-        assert 0 < sol.nu[i] <= cp.nu_max * (1 + 1e-12)
+    times = compute.c * compute.D / sol.nu
+    assert times.max() - times.min() < 1e-9
+    assert ((0 < sol.nu) & (sol.nu <= compute.nu_max * (1 + 1e-12))).all()
 
 
 def test_sp1_matches_grid_oracle():
@@ -137,37 +122,33 @@ def test_assignment_matches_brute_force():
 
 
 def _two_device_env():
-    radios = {0: RadioProfile(h=0.9, p_max=1.0), 1: RadioProfile(h=0.5, p_max=0.8)}
+    radios = RadioProfile(h=[0.9, 0.5], p_max=[1.0, 0.8])
     net = NetworkConfig(M=2, B=1.0, N0=0.1, interference=(0.1, 0.3), S=1.0)
     return radios, net
 
 
 def _matching(u, delta, radios, net):
-    """rb_matching as a dict device id -> RB."""
-    links = Uplinks.build(u, radios, net)
-    rows, rbs = rb_matching(links, delta, net)
-    return dict(zip(links.ids[rows].tolist(), rbs.tolist()))
+    """rb_matching as a dict row -> RB."""
+    rows, rbs = rb_matching(np.asarray(u, dtype=float), radios, delta, net)
+    return dict(zip(rows.tolist(), rbs.tolist()))
 
 
-def _pairs(z, u, radios, net):
-    """An assignment dict as Uplinks plus the (rows, rbs) index arrays."""
-    links = Uplinks.build(u, radios, net)
-    ids = links.ids.tolist()
-    rows = np.array([ids.index(i) for i in z], dtype=int)
-    return links, rows, np.array(list(z.values()), dtype=int)
+def _pairs(z):
+    """An assignment dict row -> RB as the (rows, rbs) index arrays."""
+    return np.array(list(z), dtype=int), np.array(list(z.values()), dtype=int)
 
 
 def test_rb_matching_all_pairs_infeasible():
-    radios = {0: RadioProfile(h=0.9, p_max=1e-5)}
+    radios = RadioProfile(h=[0.9], p_max=[1e-5])
     net = NetworkConfig(M=1, B=1.0, N0=0.1, interference=(0.5,), S=1.0)
-    assert _matching({0: 5.0}, 0.5, radios, net) == {}
+    assert _matching([5.0], 0.5, radios, net) == {}
 
 
 def test_rb_matching_mu_formula():
     # S/(B*delta) = 1 makes the required power (I + B*N0)/h
     radios, net = _two_device_env()
     delta = net.S / net.B
-    z = _matching({0: 100.0, 1: 100.0}, delta, radios, net)
+    z = _matching([100.0, 100.0], delta, radios, net)
     assert set(z) == {0, 1}
 
 
@@ -176,17 +157,16 @@ def test_rb_matching_matches_exhaustive_search():
     for _ in range(30):
         n, m = 4, 3
         radios, net = _random_radio_env(g, n, m)
-        u = {i: float(g.uniform(0.1, 4.0)) for i in range(n)}
+        u = [float(g.uniform(0.1, 4.0)) for _ in range(n)]
         delta = float(g.uniform(0.5, 4.0))
         z = _matching(u, delta, radios, net)
 
         def gain(i, mm):
             noise = net.interference[mm] + net.B * net.N0
-            mu = noise * (2 ** (net.S / (net.B * delta)) - 1) / radios[i].h
-            if mu > radios[i].p_max:
+            mu = noise * (2 ** (net.S / (net.B * delta)) - 1) / radios.h[i]
+            if mu > radios.p_max[i]:
                 return -math.inf
             return u[i] - net.eta1 * delta * mu
-
         # exhaustive: all injective partial maps of devices to RBs
         def best(i, used):
             if i == n:
@@ -234,15 +214,13 @@ def test_f4_invalid_inputs():
 
 
 def test_sp2_power_single_device_composition():
-    radios = {0: RadioProfile(h=0.9, p_max=5.0)}
-    net = NetworkConfig(M=1, B=1.0, N0=0.1, interference=(0.0,), S=1.0,
-                        eta1=1.0, eta2=1.0)
+    radios = RadioProfile(h=[0.9], p_max=[5.0])
     # b1 = eta1 * noise/h; choose eta2 = b1 so the f4 zero is e-1
-    noise = (net.interference[0] + net.B * net.N0) / radios[0].h
+    noise = (0.0 + 1.0 * 0.1) / radios.h[0]
     net = NetworkConfig(M=1, B=1.0, N0=0.1, interference=(0.0,), S=1.0,
                         eta1=1.0, eta2=noise)
-    (p,) = solve_sp2_power(*_pairs({0: 0}, {0: 3.0}, radios, net), net)
-    expect = min(math.e - 1.0, radios[0].p_max / noise) * noise
+    (p,) = solve_sp2_power(radios, *_pairs({0: 0}), net)
+    expect = min(math.e - 1.0, radios.p_max[0] / noise) * noise
     assert p == pytest.approx(expect, abs=1e-7)
 
 
@@ -250,53 +228,52 @@ def test_sp2_powers_equalize_rates():
     g = rng.stream(105)
     radios, net = _random_radio_env(g, 4, 4)
     z = {0: 0, 1: 1, 2: 2, 3: 3}
-    u = {i: 2.0 for i in range(4)}
-    p = solve_sp2_power(*_pairs(z, u, radios, net), net)
+    p = solve_sp2_power(radios, *_pairs(z), net)
     rates = [
-        net.B * np.log2(1 + radios[i].h * p[i] / (net.interference[m] + net.B * net.N0))
+        net.B * np.log2(1 + radios.h[i] * p[i] / (net.interference[m] + net.B * net.N0))
         for i, m in z.items()
     ]
     assert max(rates) - min(rates) < 1e-9
     for i in z:
-        assert 0 < p[i] <= radios[i].p_max * (1 + 1e-12)
+        assert 0 < p[i] <= radios.p_max[i] * (1 + 1e-12)
 
 
 def test_sp2_power_matches_dense_sweep():
     g = rng.stream(106)
     radios, net = _random_radio_env(g, 3, 3)
     z = {0: 0, 1: 1, 2: 2}
-    u = {i: 5.0 for i in range(3)}
-    pairs = _pairs(z, u, radios, net)
-    p = solve_sp2_power(*pairs, net)
-    best = g2_objective(*pairs, p, net)
-    noise = np.array([(net.interference[m] + net.B * net.N0) / radios[i].h
+    u = np.full(3, 5.0)
+    rows, rbs = _pairs(z)
+    p = solve_sp2_power(radios, rows, rbs, net)
+    best = g2_objective(u, radios, rows, rbs, p, net)
+    noise = np.array([(net.interference[m] + net.B * net.N0) / radios.h[i]
                       for i, m in z.items()])
-    cap = min(radios[i].p_max / noise[i] for i in z)
+    cap = min(radios.p_max[i] / noise[i] for i in z)
     for pt in np.linspace(1e-4, cap, 4000):
-        assert g2_objective(*pairs, noise * pt, net) <= best + 1e-6
+        assert g2_objective(u, radios, rows, rbs, noise * pt, net) <= best + 1e-6
 
 
 def test_g2_empty_assignment_is_zero():
     radios, net = _two_device_env()
-    assert g2_objective(*_pairs({}, {0: 1.0, 1: 1.0}, radios, net), np.zeros(0), net) == 0.0
+    rows, rbs = _pairs({})
+    assert g2_objective(np.ones(2), radios, rows, rbs, np.zeros(0), net) == 0.0
 
 
 def test_g2_single_device_reduction():
     radios, net = _two_device_env()
-    pairs = _pairs({0: 1}, {0: 4.0, 1: 1.0}, radios, net)
-    rate = net.B * np.log2(1 + radios[0].h * 0.5 / (net.interference[1] + net.B * net.N0))
+    rows, rbs = _pairs({0: 1})
+    rate = net.B * np.log2(1 + radios.h[0] * 0.5 / (net.interference[1] + net.B * net.N0))
     t = net.S / rate
-    assert g2_objective(*pairs, np.array([0.5]), net) == pytest.approx(
-        4.0 - net.eta1 * t * 0.5 - net.eta2 * t
-    )
+    assert g2_objective(np.array([4.0, 1.0]), radios, rows, rbs, np.array([0.5]), net) \
+        == pytest.approx(4.0 - net.eta1 * t * 0.5 - net.eta2 * t)
 
 
 def test_ives_unprofitable_devices_give_empty_allocation():
-    radios = {0: RadioProfile(h=0.9, p_max=1.0)}
+    radios = RadioProfile(h=[0.9], p_max=[1.0])
     net = NetworkConfig(M=1, B=1.0, N0=0.1, interference=(0.5,), S=1.0,
                         eta1=100.0, eta2=1.0)
-    sol = ives({0: 1e-6}, radios, net)
-    assert sol.z == {} and sol.objective == 0.0
+    sol = ives(np.array([1e-6]), radios, net)
+    assert sol.rows.size == sol.z.size == sol.p.size == 0 and sol.objective == 0.0
     assert sol.iterations == 1
 
 
@@ -306,7 +283,7 @@ def test_ives_trace_non_decreasing():
         n = int(g.integers(2, 10))
         m = int(g.integers(1, 10))
         radios, net = _random_radio_env(g, n, m)
-        u = {i: float(g.uniform(0.1, 5.0)) for i in range(n)}
+        u = np.array([g.uniform(0.1, 5.0) for _ in range(n)])
         sol = ives(u, radios, net)
         for a, b in zip(sol.trace, sol.trace[1:]):
             assert b >= a - 1e-9 * max(1.0, abs(a))
@@ -316,17 +293,19 @@ def test_ives_trace_non_decreasing():
 def test_ives_requires_positive_scores():
     radios, net = _two_device_env()
     with pytest.raises(InvalidInputError):
-        ives({0: -1.0, 1: 2.0}, radios, net)
+        ives(np.array([-1.0, 2.0]), radios, net)
+    with pytest.raises(InvalidInputError, match="one score per device row"):
+        ives(np.array([1.0, 2.0, 3.0]), radios, net)
 
 
 def test_initial_delay_covers_all_pairs():
     g = rng.stream(108)
     radios, net = _random_radio_env(g, 5, 4)
-    d0 = initial_delay(Uplinks.build({i: 1.0 for i in radios}, radios, net), net)
-    for i, radio in radios.items():
+    d0 = initial_delay(radios, net)
+    for i in range(5):
         for m in range(net.M):
             rate = net.B * np.log2(
-                1 + radio.h * radio.p_max / (net.interference[m] + net.B * net.N0)
+                1 + radios.h[i] * radios.p_max[i] / (net.interference[m] + net.B * net.N0)
             )
             assert net.S / rate <= d0 + 1e-12
 
@@ -335,13 +314,12 @@ def test_ural_combines_subproblems():
     g = rng.stream(109)
     compute = _random_compute(g, 5)
     radios, net = _random_radio_env(g, 5, 5)
-    u = {i: float(g.uniform(0.5, 3.0)) for i in range(5)}
+    u = np.array([g.uniform(0.5, 3.0) for _ in range(5)])
     sp1, sp2 = ural(compute, radios, net, u)
     assert sp1.objective == pytest.approx(
         solve_sp1(compute, (net.eta1, net.eta2)).objective
     )
     assert sp2.objective == pytest.approx(ives(u, radios, net).objective)
-
 
 
 # ---------------------------------------------------------------------------
@@ -352,13 +330,17 @@ def _floats(lo, hi):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 
 
+def _rows_of(draw, n, lo, hi):
+    return draw(st.lists(_floats(lo, hi), min_size=n, max_size=n))
+
+
 @st.composite
 def _computes(draw, max_n=8):
-    """Compute profiles keyed by distinct, unordered device ids."""
-    ids = draw(st.lists(st.integers(0, 99), min_size=1, max_size=max_n, unique=True))
-    return {i: ComputeProfile(c=draw(_floats(0.1, 10.0)), iota=draw(_floats(0.1, 10.0)),
-                              D=draw(st.integers(1, 20)), nu_max=draw(_floats(1e-3, 10.0)))
-            for i in ids}
+    """Compute profiles of 1 to max_n device rows."""
+    n = draw(st.integers(1, max_n))
+    return ComputeProfile(c=_rows_of(draw, n, 0.1, 10.0), iota=_rows_of(draw, n, 0.1, 10.0),
+                          D=draw(st.lists(st.integers(1, 20), min_size=n, max_size=n)),
+                          nu_max=_rows_of(draw, n, 1e-3, 10.0))
 
 
 _weights = st.tuples(_floats(0.01, 100.0), _floats(0.01, 100.0))
@@ -366,12 +348,11 @@ _weights = st.tuples(_floats(0.01, 100.0), _floats(0.01, 100.0))
 
 @st.composite
 def _uplink_envs(draw, max_n=8, max_m=8):
-    """Scores, radios and a network for distinct, unordered device ids."""
-    ids = draw(st.lists(st.integers(0, 99), min_size=1, max_size=max_n, unique=True))
+    """Scores, radios and a network for 1 to max_n device rows."""
+    n = draw(st.integers(1, max_n))
     m = draw(st.integers(1, max_m))
-    radios = {i: RadioProfile(h=draw(_floats(0.05, 1.0)), p_max=draw(_floats(0.01, 2.0)))
-              for i in ids}
-    u = {i: draw(_floats(0.01, 5.0)) for i in ids}
+    radios = RadioProfile(h=_rows_of(draw, n, 0.05, 1.0), p_max=_rows_of(draw, n, 0.01, 2.0))
+    u = np.array(_rows_of(draw, n, 0.01, 5.0))
     net = NetworkConfig(
         M=m, B=1.0, N0=0.1, S=1.0,
         interference=tuple(draw(st.lists(_floats(0.0, 0.8), min_size=m, max_size=m))),
@@ -382,34 +363,30 @@ def _uplink_envs(draw, max_n=8, max_m=8):
 
 @given(compute=_computes(), weights=_weights)
 def test_sp1_frequencies_feasible_with_equal_times(compute, weights):
-    sol = solve_sp1(compute, weights)
-    ids, work, _, nu_max = _compute_arrays(compute)
-    nu = np.array([sol.nu[i] for i in ids])
-    assert sorted(sol.nu) == ids
-    assert (nu > 0).all() and (nu <= nu_max * (1 + 1e-12)).all()
-    times = work / nu
+    nu = solve_sp1(compute, weights).nu
+    assert nu.shape == compute.c.shape
+    assert (nu > 0).all() and (nu <= compute.nu_max * (1 + 1e-12)).all()
+    times = compute.work / nu
     assert times.max() - times.min() <= 1e-12 * times.max()
 
 
 @given(compute=_computes(), weights=_weights, stretch=_floats(0.0, 100.0))
 def test_sp1_no_worse_than_any_common_completion_time(compute, weights, stretch):
     sol = solve_sp1(compute, weights)
-    _, work, iota, nu_max = _compute_arrays(compute)
-    t = (work / nu_max).max() * (1.0 + stretch)  # feasible: no device above nu_max
-    assert sol.objective <= g1_objective(work, iota, work / t, weights) * (1 + 1e-12)
+    work = compute.work
+    t = (work / compute.nu_max).max() * (1.0 + stretch)  # feasible: no device above nu_max
+    assert sol.objective <= g1_objective(work, compute.iota, work / t, weights) * (1 + 1e-12)
 
 
 @given(env=_uplink_envs(), data=st.data())
 def test_sp2_powers_within_cap_with_equal_rates(env, data):
     u, radios, net = env
-    links = Uplinks.build(u, radios, net)
-    n = min(len(u), net.M)
-    rows = np.array(data.draw(st.permutations(range(len(u))))[:n], dtype=int)
+    n = min(u.size, net.M)
+    rows = np.array(data.draw(st.permutations(range(u.size)))[:n], dtype=int)
     rbs = np.array(data.draw(st.permutations(range(net.M)))[:n], dtype=int)
-    p = solve_sp2_power(links, rows, rbs, net)
-    assert (p > 0).all() and (p <= links.p_max[rows] * (1 + 1e-12)).all()
-    rates = [net.B * math.log2(1 + radios[int(links.ids[r])].h * pk
-                               / (net.interference[m] + net.B * net.N0))
+    p = solve_sp2_power(radios, rows, rbs, net)
+    assert (p > 0).all() and (p <= radios.p_max[rows] * (1 + 1e-12)).all()
+    rates = [net.B * math.log2(1 + radios.h[r] * pk / (net.interference[m] + net.B * net.N0))
              for r, m, pk in zip(rows, rbs, p)]
     assert max(rates) - min(rates) <= 1e-9 * max(rates)
 
@@ -417,17 +394,16 @@ def test_sp2_powers_within_cap_with_equal_rates(env, data):
 @given(env=_uplink_envs(max_n=6, max_m=6), delta=_floats(0.05, 10.0))
 def test_rb_matching_total_equals_brute_force(env, delta):
     u, radios, net = env
-    ids = sorted(u)
-    cost = np.full((len(ids), net.M), math.inf)
-    for row, i in enumerate(ids):
+    cost = np.full((u.size, net.M), math.inf)
+    for row in range(u.size):
         for m in range(net.M):
             noise = net.interference[m] + net.B * net.N0
-            mu = noise * (2.0 ** (net.S / (net.B * delta)) - 1.0) / radios[i].h
-            if mu <= radios[i].p_max * (1.0 + 1e-9):
-                gain = u[i] - net.eta1 * delta * min(mu, radios[i].p_max)
+            mu = noise * (2.0 ** (net.S / (net.B * delta)) - 1.0) / radios.h[row]
+            if mu <= radios.p_max[row] * (1.0 + 1e-9):
+                gain = u[row] - net.eta1 * delta * min(mu, radios.p_max[row])
                 if gain > 0:
                     cost[row, m] = -gain
-    rows, rbs = rb_matching(Uplinks.build(u, radios, net), delta, net)
+    rows, rbs = rb_matching(u, radios, delta, net)
     assert len(set(rbs.tolist())) == len(rbs)
     got = sum(cost[r, m] for r, m in zip(rows, rbs))
     assert got == pytest.approx(assignment_brute_force(cost), abs=1e-9)
@@ -455,6 +431,7 @@ def test_ives_trace_never_decreases(env):
     for a, b in zip(sol.trace, sol.trace[1:]):
         assert b >= a - 1e-9 * max(1.0, abs(a))
     assert sol.iterations == len(sol.trace) <= 50
-    assert set(sol.z) <= set(u) and len(set(sol.z.values())) == len(sol.z)
-    for i, p in sol.p.items():
-        assert 0 < p <= radios[i].p_max * (1 + 1e-12)
+    assert sol.rows.shape == sol.z.shape == sol.p.shape
+    assert (np.diff(sol.rows) > 0).all() and set(sol.rows.tolist()) <= set(range(u.size))
+    assert len(set(sol.z.tolist())) == sol.z.size
+    assert ((0 < sol.p) & (sol.p <= radios.p_max[sol.rows] * (1 + 1e-12))).all()
