@@ -17,14 +17,12 @@ from .harness import (
     theorem1_bound,
 )
 from .metacore import (
-    Batch,
     LogisticModel,
     LossModel,
     MetaHyper,
     QuadraticModel,
     SmoothnessConstants,
     exact_meta_gradient,
-    meta_gradient,
 )
 from .selection import aggregate, select_top_k, shifted_scores
 from .tasks import Device, PopulationSpec, generate_population, population_constants
@@ -43,7 +41,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Allocation",
-    "Batch",
     "BoundReport",
     "ComputeProfile",
     "ConfigurationError",
@@ -68,7 +65,6 @@ __all__ = [
     "exact_meta_gradient",
     "generate_population",
     "ives",
-    "meta_gradient",
     "population_constants",
     "round_totals",
     "run",

@@ -32,15 +32,14 @@ from .metacore import (
     DeviceArrays,
     MetaHyper,
     SmoothnessConstants,
-    draw_batch,
+    batched_meta_gradient,
+    draw_batch_weights,
     local_update,
-    meta_gradient,
 )
 from .selection import aggregate, select_top_k, shifted_scores
 from .tasks import (
     ROLE_TEST,
     ROLE_TRAIN,
-    Device,
     PopulationSpec,
     empirical_gamma_g,
     generate_population,
@@ -313,7 +312,7 @@ class BoundReport:
     rhs: float                      # analytic lower bound
     lambda1_floor: float
     lambda2_floor: float
-    sigma_F: dict[int, float]
+    sigma_F: np.ndarray             # one entry per selected row
     sigma_tilde_first_order: float
     sigma_tilde_hessian_free: float
     # bound symbols without an analytic value for these loss families are
@@ -379,72 +378,59 @@ def sigma_tilde_variants(
 
 
 def theorem1_bound(
-    devices: list[Device],
+    data: DeviceArrays,
     theta: np.ndarray,
     hyper: MetaHyper,
     constants: SmoothnessConstants,
-    selected: set[int],
+    rows: np.ndarray,
     batch_size: int | None = None,
     mc: int = 256,
     seed: int = 0,
 ) -> BoundReport:
     """Monte-Carlo one-round loss decrease versus the analytic lower bound.
 
+    ``rows`` are the selected rows of ``data``, ascending.  The mc resamples
+    of every selected row are one ``batched_meta_gradient`` pass, their
+    batches drawn by ``draw_batch_weights`` from the stream ``(seed,)``.
     Restricted to tau=1 (the single-step form of the bound).  zeta and
     gamma_G are filled with empirical values at theta when not supplied.
     """
     if hyper.tau != 1:
         raise InvalidInputError("the one-round bound requires tau=1")
-    by_id = {d.device_id: d for d in devices}
-    sel = sorted(selected)
-    if not sel or any(i not in by_id for i in sel):
-        raise InvalidInputError("selected set must be nonempty and known")
+    rows = np.asarray(rows)
+    if not rows.size or np.any(np.diff(rows) <= 0) or rows[0] < 0 or rows[-1] >= data.counts.size:
+        raise InvalidInputError("selected rows must be nonempty, ascending and in range")
 
     c = constants
     if math.isnan(c.zeta):
-        c = replace(c, zeta=max(
-            float(np.linalg.norm(d.model.grad(theta))) for d in devices
-        ))
+        grads = data.grad(data.full_weights, theta)
+        c = replace(c, zeta=float(np.linalg.norm(grads, axis=1).max()))
     if math.isnan(c.gamma_G):
-        c = replace(c, gamma_G=empirical_gamma_g(devices, theta))
+        c = replace(c, gamma_G=empirical_gamma_g(data, theta))
 
-    arrays = DeviceArrays([d.model for d in devices])
-    all_sizes = dict(zip(
-        (d.device_id for d in devices), arrays.batch_sizes(batch_size).tolist()
-    ))
-    sizes = {i: all_sizes[i] for i in sel}
-    sigma_f = {i: math.sqrt(sigma_f_squared(c, s, s, s)) for i, s in sizes.items()}
+    sizes = data.batch_sizes(batch_size)[rows]
+    sigma_f = np.sqrt(sigma_f_squared(c, sizes, sizes, sizes))
 
-    # per-device meta-gradient second moments over resampled batches
-    sq_norm = {i: np.empty(mc) for i in sel}
-    decreases = np.empty(mc)
-    f_now = adapted_loss(arrays, theta, c.alpha)
-    for r in range(mc):
-        updated = []
-        for i in sel:
-            model = by_id[i].model
-            g = rng.stream(seed, r, i)
-            batches = [draw_batch(model, g, sizes[i]) for _ in range(3)]
-            grad = meta_gradient(model, theta, batches[0], batches[1], batches[2], hyper)
-            sq_norm[i][r] = float(grad @ grad)
-            updated.append(theta - hyper.beta * grad)
-        theta_next = aggregate(updated)
-        decreases[r] = f_now - adapted_loss(arrays, theta_next, c.alpha)
+    # resample r of selected row k is row r*len(rows) + k of the tiled arrays
+    tiled = data.take(np.tile(rows, mc))
+    weights = draw_batch_weights(rng.stream(seed), tiled.mask, np.tile(sizes, mc))
+    grads = batched_meta_gradient(tiled, theta, weights, hyper).reshape(mc, rows.size, -1)
+    if not np.all(np.isfinite(grads)):
+        raise NumericalError("meta-gradient produced non-finite values")
+    f_now = adapted_loss(data, theta, c.alpha)
+    decreases = np.array([f_now - adapted_loss(data, aggregate(theta - hyper.beta * g), c.alpha)
+                          for g in grads])
 
     dissimilarity = math.sqrt(
         (1.0 + c.alpha * c.L) ** 2 * c.gamma_G + c.alpha * c.zeta * c.gamma_H
     )
-    rhs_terms = []
-    for i in sel:
-        second_moment = float(sq_norm[i].mean())
-        rhs_terms.append(
-            (1.0 - c.L_F * hyper.beta / 2.0) * second_moment
-            - (dissimilarity + sigma_f[i]) * math.sqrt(second_moment)
-        )
-    rhs = hyper.beta * float(np.mean(rhs_terms))
+    second_moment = np.einsum("rkd,rkd->rk", grads, grads).mean(axis=0)
+    rhs_terms = ((1.0 - c.L_F * hyper.beta / 2.0) * second_moment
+                 - (dissimilarity + sigma_f) * np.sqrt(second_moment))
+    rhs = hyper.beta * float(rhs_terms.mean())
 
-    l1, l2 = lambda_floors(c, hyper, max(sigma_f.values()))
-    size_ref = min(sizes.values())
+    l1, l2 = lambda_floors(c, hyper, float(sigma_f.max()))
+    size_ref = int(sizes.min())
     st_first, st_hfree = sigma_tilde_variants(c, hyper, size_ref, size_ref, size_ref)
     return BoundReport(
         lhs=float(decreases.mean()),

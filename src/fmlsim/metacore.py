@@ -11,14 +11,16 @@ For both families a device's expected loss is identified with the mean
 loss over its full local dataset, so full-batch estimates are exact and
 serve as analytic oracles for the stochastic estimators.
 
-``meta_gradient`` and ``draw_batch`` work on one device and one batch;
-they are the reference.  The training loop runs ``local_update``, which
-holds the population as padded arrays (``DeviceArrays``) and takes each
-local step for every device in one array pass.
+The library runs ``batched_meta_gradient`` on a population held as padded
+arrays (``DeviceArrays``): ``local_update`` takes each local step of every
+device in one array pass, the descent bound every (resample, device) pair.
+The per-device ``Batch``, ``draw_batch``, ``grad_estimate``,
+``hessian_estimate`` and ``meta_gradient`` are the tests' reference for it.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -342,8 +344,18 @@ class DeviceArrays:
         x[mask] = np.concatenate([m.x for m in models])
         y[mask] = np.concatenate([m.y for m in models])
         self.model_class = model_class
+        self._set_rows(x, y, mask, counts)
+
+    def _set_rows(self, x, y, mask, counts) -> None:
+        # every per-row attribute is set here, so ``take`` keeps them aligned
         self.x, self.y, self.mask, self.counts = x, y, mask, counts
         self.full_weights = mask / counts[:, None]
+
+    def take(self, rows: np.ndarray) -> DeviceArrays:
+        """The population of the given rows in that order; a row may repeat."""
+        sub = copy.copy(self)
+        sub._set_rows(self.x[rows], self.y[rows], self.mask[rows], self.counts[rows])
+        return sub
 
     def batch_sizes(self, batch_size: int | None) -> np.ndarray:
         """Per-device batch size: the full dataset, or batch_size clamped to it."""

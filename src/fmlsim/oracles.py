@@ -3,18 +3,25 @@
 These deliberately avoid the solver code paths: the frequency oracle is a
 refined grid search, the assignment oracle a bitmask dynamic program, the
 matching/power/delay loop is checked only through its objective trace.
-Used by both the test suite and the ``oracle`` CLI subcommand.
+The descent-bound suite checks the paper's one-round bound (Theorem 1)
+against Monte-Carlo loss decreases of the batched estimator.  Used by both
+the test suite and the ``oracle`` CLI subcommand.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+
 from . import rng
+from .harness import ExperimentConfig, build_population, theorem1_bound
+from .metacore import MetaHyper
+from .tasks import PopulationSpec, population_constants
 from .ural import f4_zero, ives, min_cost_assignment, solve_sp1
 from .wireless import ComputeProfile, NetworkConfig, RadioProfile
+
 
 def g1_grid_minimum(
     compute: ComputeProfile,
@@ -114,6 +121,7 @@ class SuiteResult:
     instances: int
     failures: int
     max_deviation: float
+    note: str = ""                  # an extra report line
 
     @property
     def ok(self) -> bool:
@@ -198,19 +206,40 @@ def ives_monotone_suite(
         worst = max(worst, max(drops, default=0.0))
         if drops or len(sol.trace) > 50:
             failures += 1
-    return SuiteResult("ives-monotone", instances, failures, worst), iteration_counts
+    fast = sum(1 for c in iteration_counts if c <= 3)
+    note = f"ives-monotone: {fast}/{instances} instances converged within 3 iterations"
+    return SuiteResult("ives-monotone", instances, failures, worst, note), iteration_counts
 
 
-SUITES = ("sp1", "assignment", "bisection", "ives-monotone")
+def descent_bound_suite(populations: int = 25, thetas: int = 40, seed: int = 0) -> SuiteResult:
+    """Theorem 1 on full-batch quadratic populations, every training device selected.
+
+    An instance holds only when lhs + 3 standard errors is at least rhs, so a
+    NaN fails; ``max_deviation`` is the largest ``rhs - (lhs + 3 se)``,
+    negative if none fell short and infinite if any was not finite.
+    """
+    failures = 0
+    worst = -math.inf
+    for s in range(seed * populations, (seed + 1) * populations):
+        data = build_population(ExperimentConfig(population=PopulationSpec(n=8, d=3), seed=s)).train
+        # full-batch draws are deterministic, so the sampling-noise
+        # constants are zero for this configuration
+        c = replace(population_constants(data, 0.05), sigma_G=0.0, sigma_H=0.0)
+        hyper = MetaHyper(alpha=0.05, beta=1.0 / (2.0 * c.L_F))
+        g = rng.stream(777, s)
+        for r in range(thetas):
+            theta = g.normal(scale=1.5, size=3)
+            rep = theorem1_bound(data, theta, hyper, c, np.arange(data.counts.size), mc=2, seed=r)
+            shortfall = rep.rhs - (rep.lhs + 3.0 * rep.lhs_se)
+            worst = max(worst, shortfall) if math.isfinite(shortfall) else math.inf
+            failures += not rep.lhs + 3.0 * rep.lhs_se >= rep.rhs
+    return SuiteResult("descent-bound", populations * thetas, failures, worst)
 
 
-def run_suite(name: str, seed: int = 0) -> SuiteResult:
-    if name == "sp1":
-        return sp1_suite(seed=seed)
-    if name == "assignment":
-        return assignment_suite(seed=seed)
-    if name == "bisection":
-        return bisection_suite(seed=seed)
-    if name == "ives-monotone":
-        return ives_monotone_suite(seed=seed)[0]
-    raise ValueError(f"unknown oracle suite {name!r}")
+SUITES = {
+    "sp1": sp1_suite,
+    "assignment": assignment_suite,
+    "bisection": bisection_suite,
+    "ives-monotone": lambda seed: ives_monotone_suite(seed=seed)[0],
+    "descent-bound": descent_bound_suite,
+}

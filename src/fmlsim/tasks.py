@@ -15,7 +15,7 @@ import numpy as np
 
 from . import rng
 from .errors import InvalidInputError
-from .metacore import LogisticModel, LossModel, QuadraticModel, SmoothnessConstants
+from .metacore import DeviceArrays, LogisticModel, LossModel, QuadraticModel, SmoothnessConstants
 
 _KEY_CENTERS = 9001
 _KEY_DEVICE = 9002
@@ -58,8 +58,6 @@ class Device:
     device_id: int
     model: LossModel
     role: str
-    ground_truths: np.ndarray  # (classes_per_device, d)
-    feature_scales: np.ndarray  # (d,)
 
     @property
     def n_samples(self) -> int:
@@ -98,13 +96,7 @@ def generate_population(spec: PopulationSpec, seed: int) -> list[Device]:
         x_all = np.concatenate(xs)
         y_all = np.concatenate(ys)
         model_cls = QuadraticModel if spec.family == "quadratic-regression" else LogisticModel
-        devices.append(Device(
-            device_id=i,
-            model=model_cls(x_all, y_all),
-            role=ROLE_TRAIN,
-            ground_truths=centers[picked],
-            feature_scales=scales,
-        ))
+        devices.append(Device(device_id=i, model=model_cls(x_all, y_all), role=ROLE_TRAIN))
 
     split_rng = rng.stream(seed, _KEY_SPLIT)
     order = split_rng.permutation(spec.n)
@@ -115,60 +107,54 @@ def generate_population(spec: PopulationSpec, seed: int) -> list[Device]:
     return devices
 
 
-def _spectral_norm(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m, 2))
+def _spectral_norm(m: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix in the trailing two axes."""
+    return np.linalg.norm(m, 2, axis=(-2, -1))
 
 
-def gradient_noise_std(model: LossModel, theta: np.ndarray) -> float:
-    """sqrt of the per-sample gradient variance around the full-data gradient."""
-    grads = model.per_sample_grad(theta, model.x, model.y)
-    mean = grads.mean(axis=0)
-    return float(np.sqrt(np.mean(np.sum((grads - mean) ** 2, axis=1))))
+def _sample_mean(data: DeviceArrays, per_sample: np.ndarray) -> np.ndarray:
+    """Each row's mean of a per-sample quantity (n, S_max, ...) over its real samples."""
+    trailing = (1,) * (per_sample.ndim - 2)
+    total = np.where(data.mask.reshape(data.mask.shape + trailing), per_sample, 0.0).sum(axis=1)
+    return total / data.counts.reshape((-1,) + trailing)
 
 
-def hessian_noise_std(model: LossModel, theta: np.ndarray) -> float:
-    """sqrt of the per-sample Hessian variance (spectral norm) around the mean."""
-    hs = model.per_sample_hessian(theta, model.x, model.y)
-    mean = hs.mean(axis=0)
-    devs = hs - mean
-    return float(np.sqrt(np.mean([_spectral_norm(m) ** 2 for m in devs])))
+def gradient_noise_std(data: DeviceArrays, theta: np.ndarray) -> np.ndarray:
+    """Per row, sqrt of the per-sample gradient variance at theta, (d,) or one per row."""
+    grads = data.model_class.per_sample_grad(theta, data.x, data.y)
+    devs = grads - _sample_mean(data, grads)[:, None]
+    return np.sqrt(_sample_mean(data, np.sum(devs ** 2, axis=-1)))
 
 
-def empirical_gamma_g(devices: list[Device], theta: np.ndarray) -> float:
+def hessian_noise_std(data: DeviceArrays, theta: np.ndarray) -> np.ndarray:
+    """Per row, sqrt of the per-sample Hessian variance (spectral norm) around the mean."""
+    hs = data.model_class.per_sample_hessian(theta, data.x, data.y)
+    devs = hs - _sample_mean(data, hs)[:, None]
+    return np.sqrt(_sample_mean(data, _spectral_norm(devs) ** 2))
+
+
+def empirical_gamma_g(data: DeviceArrays, theta: np.ndarray) -> float:
     """Max pairwise gradient gap at theta (trajectory-empirical similarity constant)."""
-    grads = np.stack([d.model.grad(theta) for d in devices])
-    worst = 0.0
-    for i in range(len(devices)):
-        diffs = grads[i + 1:] - grads[i]
-        if diffs.size:
-            worst = max(worst, float(np.max(np.linalg.norm(diffs, axis=1))))
-    return worst
+    grads = data.grad(data.full_weights, theta)
+    return float(np.linalg.norm(grads[:, None] - grads[None], axis=-1).max())
 
 
-def population_constants(devices: list[Device], alpha: float) -> SmoothnessConstants:
+def population_constants(data: DeviceArrays, alpha: float) -> SmoothnessConstants:
     """Analytic smoothness constants for the generated population.
 
     zeta and gamma_G depend on the visited iterates and are returned as NaN;
     callers fill them with empirical suprema during a run.
     """
-    quadratic = all(isinstance(d.model, QuadraticModel) for d in devices)
-    hessians = [d.model.hessian(np.zeros(d.model.dim)) for d in devices]
-    L = max(_spectral_norm(h) for h in hessians)
-    if quadratic:
-        rho = 0.0
-    else:
-        # per-sample |sigma''| <= 1/(6*sqrt(3)); Hessian-Lipschitz via mean ||x||^3
-        rho = max(
-            float(np.mean(np.linalg.norm(d.model.x, axis=1) ** 3)) / (6.0 * np.sqrt(3.0))
-            for d in devices
-        )
-    gamma_h = 0.0
-    for i in range(len(hessians)):
-        for j in range(i + 1, len(hessians)):
-            gamma_h = max(gamma_h, _spectral_norm(hessians[i] - hessians[j]))
-    theta0 = np.zeros(devices[0].model.dim)
-    sigma_g = max(gradient_noise_std(d.model, theta0) for d in devices)
-    sigma_h = max(hessian_noise_std(d.model, theta0) for d in devices)
+    theta0 = np.zeros(data.x.shape[-1])
+    hessians = _sample_mean(data, data.model_class.per_sample_hessian(theta0, data.x, data.y))
+    # per-sample |sigma''| <= 1/(6*sqrt(3)); Hessian-Lipschitz via mean ||x||^3
+    cubes = _sample_mean(data, np.linalg.norm(data.x, axis=-1) ** 3)
+    rho = 0.0 if data.model_class is QuadraticModel else float(cubes.max()) / (6.0 * np.sqrt(3.0))
     return SmoothnessConstants(
-        alpha=alpha, L=L, rho=rho, sigma_G=sigma_g, sigma_H=sigma_h, gamma_H=gamma_h,
+        alpha=alpha,
+        L=float(_spectral_norm(hessians).max()),
+        rho=rho,
+        sigma_G=float(gradient_noise_std(data, theta0).max()),
+        sigma_H=float(hessian_noise_std(data, theta0).max()),
+        gamma_H=float(_spectral_norm(hessians[:, None] - hessians[None]).max()),
     )

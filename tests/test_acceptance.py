@@ -5,7 +5,6 @@ exhaustive search, Monte-Carlo resampling, or a paired statistical test),
 with the tolerance and runtime budget stated inline.
 """
 
-import dataclasses
 import json
 import time
 
@@ -20,29 +19,23 @@ from fmlsim.harness import (
     run_nufm,
     sigma_f_squared,
     sweep,
-    theorem1_bound,
 )
 from fmlsim.metacore import (
-    Batch,
+    DeviceArrays,
     MetaHyper,
     QuadraticModel,
     SmoothnessConstants,
+    batched_meta_gradient,
     exact_meta_gradient,
-    meta_gradient,
 )
 from fmlsim.oracles import (
     assignment_suite,
     bisection_suite,
+    descent_bound_suite,
     ives_monotone_suite,
     sp1_suite,
 )
-from fmlsim.tasks import (
-    PopulationSpec,
-    generate_population,
-    gradient_noise_std,
-    hessian_noise_std,
-    population_constants,
-)
+from fmlsim.tasks import PopulationSpec, gradient_noise_std, hessian_noise_std
 from fmlsim.ural import ural
 from fmlsim.wireless import (
     Allocation,
@@ -73,8 +66,9 @@ def test_meta_gradient_exactness():
         theta = g.normal(size=3)
         alpha = float(g.uniform(0.01, 0.2))
         hyper = MetaHyper(alpha=alpha, beta=0.0, mode="hessian")
-        full = model.full_batch()
-        got = meta_gradient(model, theta, full, full, full, hyper)
+        data = DeviceArrays([model])
+        full = np.broadcast_to(data.full_weights, (3,) + data.mask.shape)
+        got = batched_meta_gradient(data, theta, full, hyper)[0]
         want = exact_meta_gradient(model, theta, alpha)
         rel = float(np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-300))
         worst = max(worst, rel)
@@ -99,22 +93,24 @@ def test_estimator_moments():
         hyper = MetaHyper(alpha=alpha, beta=0.0, mode="hessian")
         exact = exact_meta_gradient(model, theta, alpha)
         L = float(np.linalg.norm(model.hessian(theta), 2))
-        sigma_h = hessian_noise_std(model, theta)
+        one = DeviceArrays([model])
+        sigma_h = float(hessian_noise_std(one, theta)[0])
+        # the exact index draws of one resample per row, stacked into the
+        # batch weights (role, resample, sample) of the batched estimator
+        idx = np.array([[g.choice(model.n_samples, size=batch, replace=False)
+                         for _ in range(3)] for _ in range(resamples)])
+        weights = np.zeros((resamples, 3, model.n_samples))
+        np.put_along_axis(weights, idx, 1.0 / batch, axis=2)
+        weights = weights.transpose(1, 0, 2)
+        data = one.take(np.zeros(resamples, dtype=int))
+        grads = batched_meta_gradient(data, theta, weights, hyper)
+        adapted = theta - alpha * data.grad(weights[0], theta)
         # the noise and gradient-norm constants must cover every iterate the
-        # estimator visits, so track their suprema over the adapted points
-        sigma_g = gradient_noise_std(model, theta)
-        zeta = float(np.linalg.norm(model.grad(theta)))
-        grads = np.empty((resamples, 3))
-        for r in range(resamples):
-            batches = []
-            for _ in range(3):
-                idx = g.choice(model.n_samples, size=batch, replace=False)
-                batches.append(Batch(model.x[idx], model.y[idx]))
-            grads[r] = meta_gradient(model, theta, *batches, hyper)
-            inner = model.per_sample_grad(theta, batches[0].x, batches[0].y).mean(0)
-            adapted = theta - alpha * inner
-            sigma_g = max(sigma_g, gradient_noise_std(model, adapted))
-            zeta = max(zeta, float(np.linalg.norm(model.grad(adapted))))
+        # estimator visits, so take their suprema over the adapted points
+        sigma_g = max(float(gradient_noise_std(one, theta)[0]),
+                      float(gradient_noise_std(data, adapted).max()))
+        zeta = max(float(np.linalg.norm(model.grad(theta))),
+                   float(np.linalg.norm(data.grad(data.full_weights, adapted), axis=1).max()))
         c = SmoothnessConstants(alpha=alpha, L=L, rho=0.0, zeta=zeta,
                                 sigma_G=sigma_g, sigma_H=sigma_h)
         bias = float(np.linalg.norm(grads.mean(0) - exact))
@@ -190,23 +186,8 @@ def test_descent_bound():
     """One-round loss decrease dominates its analytic lower bound in >=99%
     of 1000 evaluations (noise-free full-batch quadratic populations)."""
     t0 = time.perf_counter()
-    holds = total = 0
-    for s in range(25):
-        devices = [d for d in generate_population(PopulationSpec(n=8, d=3), s)
-                   if d.role == "train"]
-        # full-batch draws are deterministic, so the sampling-noise constants
-        # are zero for this configuration
-        c = dataclasses.replace(population_constants(devices, 0.05),
-                                sigma_G=0.0, sigma_H=0.0)
-        hyper = MetaHyper(alpha=0.05, beta=1.0 / (2.0 * c.L_F))
-        selected = {d.device_id for d in devices}
-        g = rng.stream(777, s)
-        for r in range(40):
-            theta = g.normal(scale=1.5, size=3)
-            rep = theorem1_bound(devices, theta, hyper, c, selected, mc=2, seed=r)
-            total += 1
-            if rep.lhs + 3.0 * rep.lhs_se >= rep.rhs:
-                holds += 1
+    result = descent_bound_suite()
+    holds, total = result.instances - result.failures, result.instances
     elapsed = time.perf_counter() - t0
     ok = holds >= 0.99 * total and elapsed < 120.0
     _report("descent-bound", ok,

@@ -1,15 +1,22 @@
 import csv
+import dataclasses
+import functools
 import json
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import jsonschema
 import pytest
 
-from fmlsim import harness
+from fmlsim import harness, oracles
 from fmlsim.cli import (
     EXIT_FAILURE,
     EXIT_OK,
     EXIT_USAGE,
-    SUMMARY_VALIDATOR,
+    SUMMARY_SCHEMA,
     main,
 )
 from fmlsim.harness import build_environment, config_from_dict, run_wireless
@@ -39,6 +46,7 @@ def test_run_writes_metrics_summary_manifest(tmp_path, capsys):
     assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_OK
     assert (out / "metrics.csv").exists()
     summary = json.loads((out / "summary.json").read_text())
+    jsonschema.validate(summary, SUMMARY_SCHEMA)
     assert summary["rounds"] == 2
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest["files"]) == {"metrics.csv", "summary.json"}
@@ -128,9 +136,19 @@ def test_unknown_key_rejected_by_schema(tmp_path):
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_USAGE
 
 
-@pytest.mark.parametrize("validator", [SUMMARY_VALIDATOR], ids=["summary"])
-def test_schema_is_valid_against_its_meta_schema(validator):
-    validator.check_schema(validator.schema)
+@pytest.mark.parametrize("schema", [SUMMARY_SCHEMA], ids=["summary"])
+def test_schema_is_valid_against_its_meta_schema(schema):
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+def test_cli_import_leaves_jsonschema_unloaded():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, fmlsim.cli; print('jsonschema' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("override, message", [
@@ -235,6 +253,24 @@ def test_oracle_ives_prints_fast_convergence(capsys):
     assert "converged within 3 iterations" in out
 
 
+def test_oracle_descent_bound_exit_codes(capsys, monkeypatch):
+    # the full suite is the acceptance gate; here 4 instances, then violated
+    monkeypatch.setitem(oracles.SUITES, "descent-bound",
+                        functools.partial(oracles.descent_bound_suite, populations=1, thetas=4))
+    assert main(["oracle", "descent-bound"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("descent-bound: 4 instances, 0 failures")
+    bound = oracles.theorem1_bound
+    monkeypatch.setattr(oracles, "theorem1_bound",
+                        lambda *a, **kw: dataclasses.replace(bound(*a, **kw), rhs=math.inf))
+    assert main(["oracle", "descent-bound"]) == EXIT_FAILURE
+    assert "4 failures" in capsys.readouterr().out
+    # a bound that is not a number is not held
+    monkeypatch.setattr(oracles, "theorem1_bound",
+                        lambda *a, **kw: dataclasses.replace(bound(*a, **kw), rhs=math.nan))
+    assert main(["oracle", "descent-bound"]) == EXIT_FAILURE
+    assert "4 failures" in capsys.readouterr().out
+
+
 def test_oracle_unknown_suite(capsys):
     assert main(["oracle", "nonesuch"]) == EXIT_USAGE
     assert "unknown oracle suite" in capsys.readouterr().err
@@ -247,6 +283,13 @@ def test_dump_env_deterministic(tmp_path, capsys):
     assert main(["dump-env", "--config", cfg, "--out", ""]) == EXIT_OK
     assert capsys.readouterr().out == first
     assert json.loads(first)["network"]["M"] == 5
+
+
+def test_dump_env_prints_without_out(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["dump-env", "--config", str(CONFIGS / "wireless.json")]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["network"]["M"] == 20
+    assert not (tmp_path / "out").exists()
 
 
 def test_dump_env_prints_the_run_environment(capsys, monkeypatch):

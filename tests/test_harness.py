@@ -1,11 +1,12 @@
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fmlsim.errors import ConfigurationError
+from fmlsim.errors import ConfigurationError, InvalidInputError
 from fmlsim.harness import (
     ExperimentConfig,
     config_from_dict,
@@ -21,8 +22,8 @@ from fmlsim.harness import (
     sweep,
     theorem1_bound,
 )
-from fmlsim.metacore import MetaHyper, QuadraticModel, SmoothnessConstants
-from fmlsim.tasks import Device, PopulationSpec, generate_population, population_constants
+from fmlsim.metacore import DeviceArrays, MetaHyper, QuadraticModel, SmoothnessConstants
+from fmlsim.tasks import PopulationSpec, generate_population, population_constants
 from fmlsim.wireless import ComputeProfile, EnvironmentSpec, NetworkConfig, RadioProfile
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -176,11 +177,7 @@ def _identical_population(seed=0, n=4):
     g = np.random.default_rng(seed)
     x = g.normal(size=(12, 3))
     y = x @ np.ones(3)
-    return [
-        Device(device_id=i, model=QuadraticModel(x, y), role="train",
-               ground_truths=np.ones((1, 3)), feature_scales=np.ones(3))
-        for i in range(n)
-    ]
+    return DeviceArrays([QuadraticModel(x, y) for _ in range(n)])
 
 
 def test_theorem1_bound_tight_regime():
@@ -192,7 +189,7 @@ def test_theorem1_bound_tight_regime():
     )
     beta = 1.0 / (2.0 * c.L_F)
     rep = theorem1_bound(devices, np.full(3, 2.0), MetaHyper(alpha=0.05, beta=beta),
-                         c, {0, 1, 2, 3}, mc=2)
+                         c, np.arange(4), mc=2)
     assert rep.rhs >= 0.0
     assert rep.lhs >= rep.rhs
 
@@ -204,7 +201,7 @@ def test_theorem1_bound_vanishes_at_critical_stepsize():
     )
     beta = 2.0 / c.L_F
     rep = theorem1_bound(devices, np.full(3, 2.0), MetaHyper(alpha=0.05, beta=beta),
-                         c, {0, 1, 2, 3}, mc=2)
+                         c, np.arange(4), mc=2)
     assert rep.rhs <= 1e-12
 
 
@@ -213,7 +210,28 @@ def test_theorem1_bound_rejects_multi_step():
     c = population_constants(devices, 0.05)
     with pytest.raises(Exception):
         theorem1_bound(devices, np.zeros(3),
-                       MetaHyper(alpha=0.05, beta=0.01, tau=2), c, {0}, mc=2)
+                       MetaHyper(alpha=0.05, beta=0.01, tau=2), c, np.array([0]), mc=2)
+
+
+def test_theorem1_bound_subsampled_rows():
+    # rows of 2..13 samples, batches of 3 on a non-contiguous selection:
+    # one sigma_F per selected row, resamples that differ, a pure function of seed
+    g = np.random.default_rng(3)
+    data = DeviceArrays([QuadraticModel(g.normal(size=(n, 3)), g.normal(size=n))
+                         for n in (2, 5, 13, 4)])
+    c = dataclasses.replace(population_constants(data, 0.05), zeta=1.0, gamma_G=0.5)
+    hyper = MetaHyper(alpha=0.05, beta=0.01, mode="hessian-free")
+    rows = np.array([0, 2, 3])
+    rep = theorem1_bound(data, np.ones(3), hyper, c, rows, batch_size=3, mc=8, seed=5)
+    sizes = [2, 3, 3]
+    assert rep.sigma_F.tolist() == [math.sqrt(sigma_f_squared(c, s, s, s)) for s in sizes]
+    assert rep.lhs_se > 0
+    again = theorem1_bound(data, np.ones(3), hyper, c, rows, batch_size=3, mc=8, seed=5)
+    assert (again.lhs, again.rhs) == (rep.lhs, rep.rhs)
+    other = theorem1_bound(data, np.ones(3), hyper, c, rows, batch_size=3, mc=8, seed=6)
+    assert other.lhs != rep.lhs
+    with pytest.raises(InvalidInputError):
+        theorem1_bound(data, np.ones(3), hyper, c, np.array([2, 0]), mc=2)
 
 
 def test_sweep_degenerate_single_cell():

@@ -328,6 +328,16 @@ def test_device_arrays_pad_and_mask():
         DeviceArrays([a, LogisticModel(np.ones((1, 2)), np.ones(1))])
 
 
+def test_device_arrays_take_keeps_every_row_array_aligned():
+    data = DeviceArrays([_quad([[1.0, 2.0]], [3.0]), _quad([[4.0, 5.0], [6.0, 7.0]], [8.0, 9.0])])
+    rows = np.array([1, 0, 1])
+    sub = data.take(rows)
+    arrays = {k: v for k, v in vars(data).items() if isinstance(v, np.ndarray)}
+    assert arrays
+    for name, full in arrays.items():
+        assert np.array_equal(getattr(sub, name), full[rows]), name
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     counts=st.lists(st.integers(1, 12), min_size=1, max_size=8),

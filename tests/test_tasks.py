@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fmlsim.errors import InvalidInputError
-from fmlsim.metacore import LogisticModel, QuadraticModel
+from fmlsim.metacore import DeviceArrays, LogisticModel, QuadraticModel
 from fmlsim.tasks import (
     ROLE_TEST,
     ROLE_TRAIN,
@@ -62,9 +62,9 @@ def test_unknown_family_rejected():
 def test_gradient_noise_std_zero_for_identical_samples():
     x = np.ones((5, 2))
     y = np.ones(5)
-    m = QuadraticModel(x, y)
-    assert gradient_noise_std(m, np.zeros(2)) == 0.0
-    assert hessian_noise_std(m, np.zeros(2)) == 0.0
+    data = DeviceArrays([QuadraticModel(x, y)])
+    assert gradient_noise_std(data, np.zeros(2)).tolist() == [0.0]
+    assert hessian_noise_std(data, np.zeros(2)).tolist() == [0.0]
 
 
 def test_noise_stds_match_direct_computation():
@@ -73,19 +73,20 @@ def test_noise_stds_match_direct_computation():
     theta = g.normal(size=3)
     grads = m.per_sample_grad(theta, m.x, m.y)
     expect = np.sqrt(np.mean(np.sum((grads - grads.mean(0)) ** 2, axis=1)))
-    assert gradient_noise_std(m, theta) == pytest.approx(expect)
+    assert gradient_noise_std(DeviceArrays([m]), theta) == pytest.approx([expect])
 
 
 def test_empirical_gamma_g_two_devices():
     devices = generate_population(PopulationSpec(n=2, d=3), 11)
     theta = np.zeros(3)
     gap = np.linalg.norm(devices[0].model.grad(theta) - devices[1].model.grad(theta))
-    assert empirical_gamma_g(devices, theta) == pytest.approx(gap)
+    data = DeviceArrays([d.model for d in devices])
+    assert empirical_gamma_g(data, theta) == pytest.approx(gap)
 
 
 def test_population_constants_bound_device_hessians():
     devices = generate_population(PopulationSpec(n=8, d=3), 2)
-    c = population_constants(devices, alpha=0.05)
+    c = population_constants(DeviceArrays([d.model for d in devices]), alpha=0.05)
     assert c.rho == 0.0  # quadratic family
     for d in devices:
         h = d.model.hessian(np.zeros(3))
@@ -97,4 +98,5 @@ def test_population_constants_logistic_has_positive_rho():
     devices = generate_population(
         PopulationSpec(n=4, d=3, family="logistic-regression"), 2
     )
-    assert population_constants(devices, alpha=0.05).rho > 0
+    data = DeviceArrays([d.model for d in devices])
+    assert population_constants(data, alpha=0.05).rho > 0
