@@ -92,6 +92,17 @@ def load_config(path: str, overrides: list[str], seed: int | None) -> Experiment
         raise CliError(f"{path}: {exc}")
 
 
+def _seed(text: str) -> int:
+    """A seed argument: a non-negative integer (the random streams take no other)."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return seed
+
+
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -126,10 +137,13 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     config = load_config(args.config, args.set or [], args.seed)
     values = [_parse_value(v) for v in args.values.split(",") if v]
+    if not values:
+        raise CliError(f"--values must name at least one value, got {args.values!r}")
     try:
-        seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else None
-    except ValueError:
-        raise CliError(f"--seeds must be comma-separated integers, got {args.seeds!r}") from None
+        seeds = [_seed(s) for s in args.seeds.split(",")] if args.seeds else None
+    except argparse.ArgumentTypeError:
+        raise CliError("--seeds must be comma-separated non-negative integers, "
+                       f"got {args.seeds!r}") from None
     cells, runs = sweep(config, args.param, values, seeds)
     files = {"sweep.csv": sweep_to_csv(cells)}
     for (value, s), ms in runs.items():
@@ -176,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config entry (dot paths allowed)")
-        p.add_argument("--seed", type=int, default=None, help="override the run seed")
+        p.add_argument("--seed", type=_seed, default=None, help="override the run seed")
         p.add_argument("--out", default="out", help="output directory")
 
     p_run = sub.add_parser("run", help="execute one experiment")
@@ -194,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="run a solver-vs-oracle comparison suite")
     p_oracle.add_argument("suite", help=f"one of: {', '.join(SUITES)}")
-    p_oracle.add_argument("--seed", type=int, default=0)
+    p_oracle.add_argument("--seed", type=_seed, default=0)
     p_oracle.set_defaults(func=cmd_oracle)
 
     p_env = sub.add_parser("dump-env", help="print the wireless environment a run samples")

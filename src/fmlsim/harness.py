@@ -44,7 +44,7 @@ from .tasks import (
     empirical_gamma_g,
     generate_population,
 )
-from .ural import solve_sp2_power, ural
+from .ural import load_matcher, solve_sp2_power, ural
 from .wireless import (
     Allocation,
     ComputeProfile,
@@ -92,6 +92,8 @@ class ExperimentConfig:
             raise ConfigurationError(f"allocation: unknown allocation mode {self.allocation!r}")
         if self.batch_size is not None and self.batch_size < 1:
             raise ConfigurationError(f"batch_size must be positive, got {self.batch_size}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass
@@ -257,6 +259,8 @@ def run_wireless(config: ExperimentConfig) -> list[RoundMetrics]:
     """Co-simulate training rounds with per-round resource allocation."""
     pop = build_population(config)
     compute, radios, net = build_environment(config, pop)
+    if config.allocation == "ural":
+        load_matcher()      # scipy's import belongs to set-up, not to round 0
 
     theta = np.zeros(config.population.d)
     alpha = config.hyper.alpha
@@ -432,9 +436,13 @@ def theorem1_bound(
     l1, l2 = lambda_floors(c, hyper, float(sigma_f.max()))
     size_ref = int(sizes.min())
     st_first, st_hfree = sigma_tilde_variants(c, hyper, size_ref, size_ref, size_ref)
+    lhs = float(decreases.mean())
+    lhs_se = float(decreases.std(ddof=1) / math.sqrt(mc)) if mc > 1 else 0.0
+    if not np.isfinite([lhs, lhs_se, rhs, l1, l2, st_first, st_hfree, *sigma_f]).all():
+        raise NumericalError(f"descent bound is not finite: lhs={lhs}, rhs={rhs}")
     return BoundReport(
-        lhs=float(decreases.mean()),
-        lhs_se=float(decreases.std(ddof=1) / math.sqrt(mc)) if mc > 1 else 0.0,
+        lhs=lhs,
+        lhs_se=lhs_se,
         rhs=rhs,
         lambda1_floor=l1,
         lambda2_floor=l2,

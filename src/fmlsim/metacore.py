@@ -21,6 +21,7 @@ The per-device ``Batch``, ``draw_batch``, ``grad_estimate``,
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -65,6 +66,9 @@ class MetaHyper:
     mode: str = MODE_HESSIAN
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "lambda1", "lambda2", "hv_epsilon"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidInputError(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha < 0:
             raise InvalidInputError("alpha must be nonnegative")
         if self.beta < 0:

@@ -8,15 +8,19 @@ loop).  Devices are rows: the scores ``u`` and the fields of
 device, and a matching is a pair of index arrays ``(rows, rbs)``: row
 ``rows[k]`` sends on RB ``rbs[k]``.  All solvers are deterministic; ties are
 broken by the lower row.
+
+scipy serves only the Hungarian step of the RB matching: ``load_matcher``
+imports it on first call, and ``harness.run_wireless`` calls it during the
+set-up of a ``ural`` run, so no other run, command or import loads scipy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import InvalidInputError
 from .wireless import ComputeProfile, NetworkConfig, RadioProfile
@@ -77,6 +81,14 @@ def solve_sp1(compute: ComputeProfile, weights: tuple[float, float]) -> Sp1Solut
     return Sp1Solution(nu=nu, objective=g1_objective(work, compute.iota, nu, weights))
 
 
+@functools.cache
+def load_matcher():
+    """scipy's ``linear_sum_assignment``, imported on the first call."""
+    from scipy.optimize import linear_sum_assignment
+
+    return linear_sum_assignment
+
+
 def min_cost_assignment(weights: np.ndarray) -> list[tuple[int, int]]:
     """Minimum-weight partial matching using only negative-weight edges.
 
@@ -93,7 +105,7 @@ def min_cost_assignment(weights: np.ndarray) -> list[tuple[int, int]]:
     # zero-padding: dropping a non-negative edge is free, so the optimal
     # assignment over clipped weights equals the optimal partial matching
     clipped = np.where(usable, weights, 0.0)
-    rows, cols = linear_sum_assignment(clipped)
+    rows, cols = load_matcher()(clipped)
     return [(int(i), int(m)) for i, m in zip(rows, cols) if usable[i, m]]
 
 

@@ -141,14 +141,56 @@ def test_schema_is_valid_against_its_meta_schema(schema):
     jsonschema.validators.validator_for(schema).check_schema(schema)
 
 
-def test_cli_import_leaves_jsonschema_unloaded():
+def _fresh_python(code: str, cwd: Path) -> str:
+    """The last line printed by ``code`` in a new interpreter that imports this checkout's src."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, fmlsim.cli; print('jsonschema' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", code], env=env,
+    result = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
                             capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_leaves_jsonschema_unloaded(tmp_path):
+    code = "import sys, fmlsim.cli; print('jsonschema' in sys.modules)"
+    assert _fresh_python(code, tmp_path) == "False"
+
+
+def test_imports_leave_scipy_unloaded(tmp_path):
+    code = "import sys, fmlsim.cli, fmlsim.ural, fmlsim.oracles; print('scipy' in sys.modules)"
+    assert _fresh_python(code, tmp_path) == "False"
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--config", str(CONFIGS / "nufm.json"), "--set", "rounds=2"],
+    ["dump-env", "--config", str(CONFIGS / "wireless.json")],
+    ["run", "--config", str(CONFIGS / "wireless.json"), "--set", "rounds=2",
+     "--set", "allocation=greedy"],
+], ids=["nufm-run", "dump-env", "greedy-run"])
+def test_commands_without_rb_matching_leave_scipy_unloaded(tmp_path, argv):
+    code = ("import sys; from fmlsim.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "print('scipy' in sys.modules)")
+    assert _fresh_python(code, tmp_path) == "False"
+
+
+def test_ural_run_loads_scipy_before_round_zero(tmp_path):
+    # the import belongs to the run's set-up: it is done at round 0's entry
+    argv = ["run", "--config", str(CONFIGS / "wireless.json"), "--set", "rounds=2"]
+    code = f"""
+import sys
+from fmlsim import cli, harness
+seen = []
+round_entry = harness._round_of_updates
+def recording(*args):
+    seen.append('scipy.optimize' in sys.modules)
+    return round_entry(*args)
+harness._round_of_updates = recording
+before = 'scipy' in sys.modules
+assert cli.main({argv!r}) == 0
+print(before, seen)
+"""
+    assert _fresh_python(code, tmp_path) == "False [True, True]"
 
 
 @pytest.mark.parametrize("override, message", [
@@ -225,6 +267,41 @@ def test_sweep_non_integer_seeds_is_usage_error(tmp_path, capsys):
     assert code == EXIT_USAGE
     assert capsys.readouterr().err.startswith("error: --seeds")
     assert not out.exists()
+
+
+def test_sweep_negative_seeds_is_usage_error(tmp_path, capsys):
+    code, out = _sweep(tmp_path, "seeds", "--param", "eta1", "--values", "1", "--seeds", "0,-2")
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: --seeds must be comma-separated "
+                                              "non-negative integers")
+    assert not out.exists()
+
+
+def test_empty_sweep_is_usage_error(tmp_path, capsys):
+    code, out = _sweep(tmp_path, "empty", "--param", "eta1", "--values", ",")
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: --values must name at least one value")
+    assert not out.exists()
+
+
+def test_negative_seed_override_is_usage_error(tmp_path, capsys):
+    code = main(["run", "--config", str(CONFIGS / "nufm.json"), "--set", "seed=-1",
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    assert "seed must be non-negative, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--config", str(CONFIGS / "nufm.json"), "--seed", "-1"],
+    ["dump-env", "--config", str(CONFIGS / "wireless.json"), "--seed", "-3"],
+    ["oracle", "sp1", "--seed", "-1"],
+], ids=["run", "dump-env", "oracle"])
+def test_negative_seed_argument_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    assert "argument --seed: must be a non-negative integer" in capsys.readouterr().err
 
 
 def test_sweep_unknown_parameter_is_usage_error(tmp_path, capsys):

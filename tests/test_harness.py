@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fmlsim.errors import ConfigurationError, InvalidInputError
+from fmlsim.errors import ConfigurationError, InvalidInputError, NumericalError
 from fmlsim.harness import (
     ExperimentConfig,
     config_from_dict,
@@ -73,6 +73,11 @@ def test_invalid_config_rejected_before_round_zero():
         _base_config(n_k=100)
     with pytest.raises(ConfigurationError):
         _base_config(selection="topk")
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(ConfigurationError, match="^seed must be non-negative, got -1$"):
+        _base_config(seed=-1)
 
 
 def test_training_reduces_loss():
@@ -232,6 +237,24 @@ def test_theorem1_bound_subsampled_rows():
     assert other.lhs != rep.lhs
     with pytest.raises(InvalidInputError):
         theorem1_bound(data, np.ones(3), hyper, c, np.array([2, 0]), mc=2)
+
+
+def test_theorem1_bound_non_finite_report_raises():
+    # a logistic population's zeta is NaN and rho > 0, so its L_F is NaN: a
+    # beta taken from it is rejected, and a constant that makes the report
+    # non-finite is a NumericalError, not a NaN or infinite bound
+    devices = generate_population(PopulationSpec(n=6, d=3, family="logistic-regression"), 0)
+    data = DeviceArrays([d.model for d in devices])
+    c = population_constants(data, 0.05)
+    assert math.isnan(c.L_F)
+    with pytest.raises(InvalidInputError, match="beta must be finite"):
+        MetaHyper(alpha=0.05, beta=1.0 / (2.0 * c.L_F))
+    hyper = MetaHyper(alpha=0.05, beta=0.1)
+    rows = np.arange(data.counts.size)
+    rep = theorem1_bound(data, np.ones(3), hyper, c, rows, mc=4)
+    assert math.isfinite(rep.lhs) and math.isfinite(rep.rhs)
+    with pytest.raises(NumericalError, match="descent bound is not finite"):
+        theorem1_bound(data, np.ones(3), hyper, dataclasses.replace(c, L=math.inf), rows, mc=4)
 
 
 def test_sweep_degenerate_single_cell():

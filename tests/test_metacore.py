@@ -104,6 +104,13 @@ def test_dimension_mismatch_raises():
         grad_estimate(m, np.array([0.0]), Batch(np.ones((1, 1)), np.zeros(1)))
 
 
+@pytest.mark.parametrize("name", ["alpha", "beta", "lambda1", "lambda2", "hv_epsilon"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_meta_hyper_rejects_non_finite(name, value):
+    with pytest.raises(InvalidInputError, match=f"^{name} must be finite"):
+        MetaHyper(**{name: value})
+
+
 def test_meta_gradient_alpha_zero_is_fedavg():
     g = np.random.default_rng(3)
     m = _quad(g.normal(size=(12, 3)), g.normal(size=12))
