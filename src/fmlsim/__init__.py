@@ -11,8 +11,6 @@ from .harness import (
     ExperimentConfig,
     RoundMetrics,
     run,
-    run_nufm,
-    run_wireless,
     sweep,
     theorem1_bound,
 )
@@ -68,8 +66,6 @@ __all__ = [
     "population_constants",
     "round_totals",
     "run",
-    "run_nufm",
-    "run_wireless",
     "sample_environment",
     "select_top_k",
     "shifted_scores",

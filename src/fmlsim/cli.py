@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .errors import ConfigurationError, InvalidInputError, NumericalError
@@ -21,7 +22,6 @@ from .harness import (
     build_environment,
     build_population,
     config_from_dict,
-    config_to_dict,
     metrics_summary,
     metrics_to_csv,
     run,
@@ -112,7 +112,7 @@ def _write_outputs(out_dir: str, files: dict[str, str], config: ExperimentConfig
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = {
-        "config": config_to_dict(config),
+        "config": asdict(config),
         "seed": config.seed,
         "files": {name: _sha256(body) for name, body in sorted(files.items())},
     }

@@ -1,13 +1,13 @@
-"""Experiment driver: federated training loops, baselines and bound checks.
+"""Experiment driver: the federated training loop, baselines and bound checks.
 
-Two entry points: ``run_nufm`` runs the pure learning loop (selection +
-aggregation, no wireless model), ``run_wireless`` co-simulates training
-with per-round resource allocation.  Both hold the train and test devices
-as padded arrays built once per run; each round updates every training
+``run`` is the one training loop.  In nufm mode it is the pure learning
+loop (selection + aggregation, no wireless model); in wireless mode each
+round adds the per-round resource allocation.  A run holds the train and
+test devices as padded arrays built once; each round updates every training
 device in one ``local_update`` call and evaluates each loss in one
 ``adapted_loss`` call.  From the scores to the round totals a device is its
 row in the training arrays (rows ascend in device id); ids appear only in
-``RoundMetrics.selected``.  Both are deterministic functions of (config, seed)
+``RoundMetrics.selected``.  A run is a deterministic function of (config, seed)
 because every random draw comes from a stream keyed by (seed, round, step)
 or a similar tuple.  A round whose meta-gradients, scores or losses are
 non-finite stops the run with NumericalError.
@@ -174,32 +174,8 @@ def _select(u: np.ndarray, config: ExperimentConfig, k: int) -> np.ndarray:
     return select_top_k(u, n_k)
 
 
-def run_nufm(config: ExperimentConfig) -> list[RoundMetrics]:
-    """Federated meta-training with contribution-based (or uniform) selection."""
-    pop = build_population(config)
-    theta = np.zeros(config.population.d)
-    alpha = config.hyper.alpha
-    metrics: list[RoundMetrics] = []
-    for k in range(config.rounds):
-        thetas, scores = _round_of_updates(pop.train, theta, config, k)
-        selected = _select(scores, config, k)
-        theta = aggregate(thetas[selected])
-        train_loss, test_loss = _round_losses(pop, theta, alpha, k)
-        metrics.append(RoundMetrics(
-            round=k,
-            train_loss=train_loss,
-            test_loss=test_loss,
-            contribution_sum=float(sum(scores[selected].tolist())),
-            energy=0.0,
-            time=0.0,
-            objective=0.0,
-            selected=tuple(pop.train_ids[selected].tolist()),
-        ))
-    return metrics
-
-
 # ---------------------------------------------------------------------------
-# wireless co-simulation
+# wireless allocation
 
 
 def greedy_frequency(compute: ComputeProfile, net: NetworkConfig) -> np.ndarray:
@@ -219,16 +195,25 @@ def greedy_power(
                      for k in range(rows.size)])
 
 
-def _baseline_allocation(
-    mode: str,
-    k: int,
+def _allocate(
     config: ExperimentConfig,
+    k: int,
     u_shifted: np.ndarray,
     compute: ComputeProfile,
     radios: RadioProfile,
     net: NetworkConfig,
-) -> Allocation:
-    """Greedy/random resource decisions, optionally paired with NUFM selection."""
+) -> tuple[Allocation, int]:
+    """Round k's resource decisions and their IVES iteration count (0 for the baselines).
+
+    ``ural`` solves selection and resources jointly.  The baselines pick
+    ``min(n_k, M)`` rows (top shifted scores for ``nufm-*``, a uniform draw
+    otherwise) on distinct random RBs, with greedy or random frequencies
+    and powers.
+    """
+    mode = config.allocation
+    if mode == "ural":
+        sp1, sp2 = ural(compute, radios, net, u_shifted)
+        return Allocation(rows=sp2.rows, rbs=sp2.z, p=sp2.p, nu=sp1.nu), sp2.iterations
     g = rng.stream(config.seed, k, rng.ROLE_ALLOC)
     n_sel = min(config.n_k, net.M, u_shifted.size)
     if mode.startswith("nufm-"):
@@ -242,7 +227,7 @@ def _baseline_allocation(
     else:
         nu = compute.nu_max * g.uniform(1e-6, 1.0, size=u_shifted.size)
         p = radios.p_max[rows] * g.uniform(1e-6, 1.0, size=n_sel)
-    return Allocation(rows=rows, rbs=rbs, p=p, nu=nu)
+    return Allocation(rows=rows, rbs=rbs, p=p, nu=nu), 0
 
 
 def build_environment(
@@ -255,36 +240,49 @@ def build_environment(
     )
 
 
-def run_wireless(config: ExperimentConfig) -> list[RoundMetrics]:
-    """Co-simulate training rounds with per-round resource allocation."""
+# ---------------------------------------------------------------------------
+# the round loop
+
+
+def run(config: ExperimentConfig) -> list[RoundMetrics]:
+    """Federated meta-training, one ``RoundMetrics`` per round.
+
+    Every round updates all training devices and scores them.  In nufm mode
+    ``_select`` picks the uploads from the raw scores and no energy or time
+    is charged; in wireless mode ``_allocate`` decides uploads, frequencies,
+    RBs and powers from the shifted scores and ``round_totals`` charges them.
+    The uploads are aggregated into the next model (an empty selection keeps
+    it) and the adapted losses are evaluated.
+    """
     pop = build_population(config)
-    compute, radios, net = build_environment(config, pop)
-    if config.allocation == "ural":
-        load_matcher()      # scipy's import belongs to set-up, not to round 0
+    wireless = config.mode == "wireless"
+    if wireless:
+        compute, radios, net = build_environment(config, pop)
+        if config.allocation == "ural":
+            load_matcher()      # scipy's import belongs to set-up, not to round 0
 
     theta = np.zeros(config.population.d)
-    alpha = config.hyper.alpha
     metrics: list[RoundMetrics] = []
     for k in range(config.rounds):
         thetas, scores = _round_of_updates(pop.train, theta, config, k)
-        su = shifted_scores(scores)
-        ives_iters = 0
-        if config.allocation == "ural":
-            sp1, sp2 = ural(compute, radios, net, su)
-            alloc = Allocation(rows=sp2.rows, rbs=sp2.z, p=sp2.p, nu=sp1.nu)
-            ives_iters = sp2.iterations
-        else:
-            alloc = _baseline_allocation(
-                config.allocation, k, config, su, compute, radios, net
+        if wireless:
+            su = shifted_scores(scores)
+            alloc, ives_iters = _allocate(config, k, su, compute, radios, net)
+            rows = alloc.rows
+            contribution, energy, time = round_totals(
+                compute, radios, net, alloc, su, tau=config.hyper.tau
             )
-        if alloc.rows.size:
-            theta = aggregate(thetas[alloc.rows])
+            objective = contribution - net.eta1 * energy - net.eta2 * time
+        else:
+            rows = _select(scores, config, k)
+            contribution = float(sum(scores[rows].tolist()))
+            energy = time = objective = 0.0
+            ives_iters = 0
+        if rows.size:
+            theta = aggregate(thetas[rows])
         else:
             log.info("round %d: empty selection, aggregation skipped", k)
-        contribution, energy, time = round_totals(
-            compute, radios, net, alloc, su, tau=config.hyper.tau
-        )
-        train_loss, test_loss = _round_losses(pop, theta, alpha, k)
+        train_loss, test_loss = _round_losses(pop, theta, config.hyper.alpha, k)
         metrics.append(RoundMetrics(
             round=k,
             train_loss=train_loss,
@@ -292,15 +290,11 @@ def run_wireless(config: ExperimentConfig) -> list[RoundMetrics]:
             contribution_sum=contribution,
             energy=energy,
             time=time,
-            objective=contribution - net.eta1 * energy - net.eta2 * time,
-            selected=tuple(pop.train_ids[alloc.rows].tolist()),
+            objective=objective,
+            selected=tuple(pop.train_ids[rows].tolist()),
             ives_iterations=ives_iters,
         ))
     return metrics
-
-
-def run(config: ExperimentConfig) -> list[RoundMetrics]:
-    return run_wireless(config) if config.mode == "wireless" else run_nufm(config)
 
 
 # ---------------------------------------------------------------------------
@@ -314,18 +308,7 @@ class BoundReport:
     lhs: float                      # Monte-Carlo E[F(theta_k) - F(theta_{k+1})]
     lhs_se: float                   # Monte-Carlo standard error of lhs
     rhs: float                      # analytic lower bound
-    lambda1_floor: float
-    lambda2_floor: float
     sigma_F: np.ndarray             # one entry per selected row
-    sigma_tilde_first_order: float
-    sigma_tilde_hessian_free: float
-    # bound symbols without an analytic value for these loss families are
-    # replaced as noted; consumers should treat the affected outputs as
-    # conservative diagnostics
-    substitutions: tuple[str, ...] = (
-        "first-order variant: undefined gradient bound replaced by zeta",
-        "hessian-free variant: smoothness/perturbation symbols read as rho/epsilon",
-    )
 
 
 def sigma_f_squared(c: SmoothnessConstants, d: int, d_prime: int, d_double: int) -> float:
@@ -341,44 +324,6 @@ def sigma_f_squared(c: SmoothnessConstants, d: int, d_prime: int, d_double: int)
 def meta_gradient_bias_bound(c: SmoothnessConstants, d: int) -> float:
     """Bias bound alpha * sigma_G * L * (1 + alpha*L) / sqrt(D)."""
     return c.alpha * c.sigma_G * c.L * (1.0 + c.alpha * c.L) / math.sqrt(d)
-
-
-def lambda_floors(
-    c: SmoothnessConstants, hyper: MetaHyper, sigma_f_max: float
-) -> tuple[float, float]:
-    """Smallest selection constants for which the multi-step bound applies."""
-    dissimilarity = math.sqrt(
-        (1.0 + c.alpha * c.L) ** 2 * c.gamma_G + c.alpha * c.zeta * c.gamma_H
-    )
-    l1 = dissimilarity + hyper.beta * hyper.tau * math.sqrt(
-        35.0 * (c.gamma_G ** 2 + 2.0 * sigma_f_max ** 2)
-    )
-    l2_sq = (
-        6.0 * c.sigma_G ** 2
-        * (1.0 + (c.alpha * c.L) ** 2)
-        * ((c.alpha * c.sigma_H) ** 2 + (1.0 + c.alpha * c.L) ** 2)
-        + 3.0 * (c.alpha * c.zeta * c.sigma_H) ** 2
-    )
-    return l1, math.sqrt(l2_sq)
-
-
-def sigma_tilde_variants(
-    c: SmoothnessConstants, hyper: MetaHyper, d: int, d_prime: int, d_double: int
-) -> tuple[float, float]:
-    """Estimator second-moment bounds for the two Hessian-avoiding modes."""
-    al = c.alpha * c.L
-    first_sq = (
-        2.0 * c.sigma_G ** 2 * (1.0 / d_prime + al ** 2 / d)
-        + 2.0 * (al * c.zeta) ** 2
-    )
-    eps = hyper.hv_epsilon
-    hfree_sq = (
-        6.0 * c.sigma_G ** 2 * (
-            2.0 * al ** 2 / d + 2.0 / d_prime + c.alpha ** 2 / (2.0 * eps ** 2 * d_double)
-        )
-        + 2.0 * (c.alpha * c.rho * eps) ** 2 * c.zeta ** 4
-    )
-    return math.sqrt(first_sq), math.sqrt(hfree_sq)
 
 
 def theorem1_bound(
@@ -433,23 +378,11 @@ def theorem1_bound(
                  - (dissimilarity + sigma_f) * np.sqrt(second_moment))
     rhs = hyper.beta * float(rhs_terms.mean())
 
-    l1, l2 = lambda_floors(c, hyper, float(sigma_f.max()))
-    size_ref = int(sizes.min())
-    st_first, st_hfree = sigma_tilde_variants(c, hyper, size_ref, size_ref, size_ref)
     lhs = float(decreases.mean())
     lhs_se = float(decreases.std(ddof=1) / math.sqrt(mc)) if mc > 1 else 0.0
-    if not np.isfinite([lhs, lhs_se, rhs, l1, l2, st_first, st_hfree, *sigma_f]).all():
+    if not np.isfinite([lhs, lhs_se, rhs, *sigma_f]).all():
         raise NumericalError(f"descent bound is not finite: lhs={lhs}, rhs={rhs}")
-    return BoundReport(
-        lhs=lhs,
-        lhs_se=lhs_se,
-        rhs=rhs,
-        lambda1_floor=l1,
-        lambda2_floor=l2,
-        sigma_F=sigma_f,
-        sigma_tilde_first_order=st_first,
-        sigma_tilde_hessian_free=st_hfree,
-    )
+    return BoundReport(lhs=lhs, lhs_se=lhs_se, rhs=rhs, sigma_F=sigma_f)
 
 
 # ---------------------------------------------------------------------------
@@ -496,23 +429,24 @@ def sweep(
     """Repeat run() over values x seeds; per-cell mean and sd of round means.
 
     ``parameter`` is a config dot path, a top-level field name, or the name
-    of exactly one section field (``eta1`` is ``env.eta1``).  Every value's
-    config is built and checked before the first run.
+    of exactly one section field (``eta1`` is ``env.eta1``).  Every
+    (value, seed) config is built and checked before the first run.
     """
     path = _sweep_path(parameter)
-    configs = []
-    for value in values:
-        payload = config_to_dict(config)
-        set_path(payload, path, value)
-        configs.append(config_from_dict(payload))
     seeds = [config.seed] if seeds is None else list(seeds)
+    grid = []
+    for value in values:
+        payload = asdict(config)
+        set_path(payload, path, value)
+        value_config = config_from_dict(payload)
+        grid.append((value, [replace(value_config, seed=s) for s in seeds]))
     cells: list[SweepCell] = []
     runs: dict[tuple[object, int], list[RoundMetrics]] = {}
-    for value, value_config in zip(values, configs):
+    for value, seed_configs in grid:
         losses, energies, times, objectives = [], [], [], []
-        for s in seeds:
-            ms = run(replace(value_config, seed=s))
-            runs[(value, s)] = ms
+        for cell_config in seed_configs:
+            ms = run(cell_config)
+            runs[(value, cell_config.seed)] = ms
             losses.append(np.mean([m.test_loss for m in ms]))
             energies.append(np.mean([m.energy for m in ms]))
             times.append(np.mean([m.time for m in ms]))
@@ -599,10 +533,6 @@ def set_path(payload: dict, path: str, value) -> None:
     if not isinstance(node, dict):
         raise ConfigurationError(f"override path {path!r} crosses a non-object value")
     node[last] = value
-
-
-def config_to_dict(config: ExperimentConfig) -> dict:
-    return asdict(config)
 
 
 def config_from_dict(payload: dict) -> ExperimentConfig:

@@ -10,8 +10,8 @@ device, and a matching is a pair of index arrays ``(rows, rbs)``: row
 broken by the lower row.
 
 scipy serves only the Hungarian step of the RB matching: ``load_matcher``
-imports it on first call, and ``harness.run_wireless`` calls it during the
-set-up of a ``ural`` run, so no other run, command or import loads scipy.
+imports it on first call, and ``harness.run`` calls it during the set-up
+of a ``ural`` run, so no other run, command or import loads scipy.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from fmlsim.cli import EXIT_OK, main
 from fmlsim.harness import (
     ExperimentConfig,
     meta_gradient_bias_bound,
-    run_nufm,
+    run,
     sigma_f_squared,
     sweep,
 )
@@ -205,8 +205,8 @@ def test_contribution_selection_trend():
                     population=PopulationSpec(n=100, d=5),
                     hyper=MetaHyper(alpha=0.03, beta=0.02),
                     batch_size=4, seed=seed)
-        nufm = run_nufm(ExperimentConfig(selection="nufm", **base))
-        unif = run_nufm(ExperimentConfig(selection="uniform", **base))
+        nufm = run(ExperimentConfig(selection="nufm", **base))
+        unif = run(ExperimentConfig(selection="uniform", **base))
         diffs.append(unif[19].train_loss - nufm[19].train_loss)
     diffs = np.asarray(diffs)
     t_stat = float(diffs.mean() / (diffs.std(ddof=1) / np.sqrt(len(diffs))))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from fmlsim import harness
-from fmlsim.harness import ExperimentConfig, run_wireless
+from fmlsim.harness import ExperimentConfig, run
 from fmlsim.metacore import MetaHyper
 from fmlsim.tasks import PopulationSpec
 from fmlsim.wireless import EnvironmentSpec
@@ -48,7 +48,7 @@ def test_wireless_round_hooks_see_devices_and_matches(layers, monkeypatch):
 
     ural = harness.ural
     monkeypatch.setattr(harness, "ural", recording_ural)
-    metrics = run_wireless(config)
+    metrics = run(config)
     n_train = harness.build_population(config).train_ids.size
     assert len(calls) == len(metrics) == 2
     assert any(m.selected for m in metrics)

@@ -19,7 +19,7 @@ from fmlsim.cli import (
     SUMMARY_SCHEMA,
     main,
 )
-from fmlsim.harness import build_environment, config_from_dict, run_wireless
+from fmlsim.harness import build_environment, config_from_dict, run
 from fmlsim.wireless import environment_to_json
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -382,7 +382,7 @@ def test_dump_env_prints_the_run_environment(capsys, monkeypatch):
         return env
 
     monkeypatch.setattr(harness, "build_environment", recording_build_environment)
-    run_wireless(config_from_dict(json.loads(path.read_text())))
+    run(config_from_dict(json.loads(path.read_text())))
     (env,) = sampled
     assert dumped == json.loads(environment_to_json(*env))
     # the run samples its 10 training devices with D = batch_size = 4

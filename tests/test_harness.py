@@ -1,23 +1,23 @@
 import dataclasses
 import json
+import logging
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fmlsim import harness
 from fmlsim.errors import ConfigurationError, InvalidInputError, NumericalError
 from fmlsim.harness import (
     ExperimentConfig,
     config_from_dict,
-    config_to_dict,
     greedy_frequency,
     greedy_power,
-    lambda_floors,
     metrics_summary,
     metrics_to_csv,
-    run_nufm,
-    run_wireless,
+    run,
+    set_path,
     sigma_f_squared,
     sweep,
     theorem1_bound,
@@ -42,27 +42,27 @@ def _base_config(**kw):
 
 def test_zero_meta_stepsize_keeps_loss_constant():
     cfg = _base_config(rounds=2, hyper=MetaHyper(alpha=0.03, beta=0.0))
-    ms = run_nufm(cfg)
+    ms = run(cfg)
     assert ms[0].train_loss == pytest.approx(ms[1].train_loss)
     assert ms[0].test_loss == pytest.approx(ms[1].test_loss)
 
 
 def test_run_nufm_is_deterministic():
     cfg = _base_config()
-    a = run_nufm(cfg)
-    b = run_nufm(cfg)
+    a = run(cfg)
+    b = run(cfg)
     for ma, mb in zip(a, b):
         assert ma == mb
 
 
 def test_selection_modes_differ_but_share_updates():
-    nufm = run_nufm(_base_config(selection="nufm"))
-    unif = run_nufm(_base_config(selection="uniform"))
+    nufm = run(_base_config(selection="nufm"))
+    unif = run(_base_config(selection="uniform"))
     assert nufm[0].selected != unif[0].selected or nufm != unif
 
 
 def test_selected_sets_have_requested_size():
-    ms = run_nufm(_base_config(n_k=4))
+    ms = run(_base_config(n_k=4))
     assert all(len(m.selected) == 4 for m in ms)
 
 
@@ -82,7 +82,7 @@ def test_negative_seed_rejected():
 
 def test_training_reduces_loss():
     cfg = _base_config(rounds=15, population=PopulationSpec(n=20, d=3))
-    ms = run_nufm(cfg)
+    ms = run(cfg)
     assert ms[-1].train_loss < ms[0].train_loss
 
 
@@ -101,7 +101,7 @@ def _wireless_config(**kw):
 
 def test_run_wireless_all_modes_feasible():
     for alloc in ("ural", "greedy", "random", "nufm-greedy", "nufm-random"):
-        ms = run_wireless(_wireless_config(allocation=alloc))
+        ms = run(_wireless_config(allocation=alloc))
         for m in ms:
             assert m.energy >= 0 and m.time >= 0
             assert np.isfinite(m.objective)
@@ -109,8 +109,8 @@ def test_run_wireless_all_modes_feasible():
 
 def test_run_wireless_deterministic():
     cfg = _wireless_config(allocation="ural")
-    a = run_wireless(cfg)
-    assert run_wireless(cfg) == a
+    a = run(cfg)
+    assert run(cfg) == a
 
 
 def test_ural_selects_every_profitable_device_with_generous_resources():
@@ -120,7 +120,7 @@ def test_ural_selects_every_profitable_device_with_generous_resources():
                             p_max_range=(5.0, 6.0), nu_max_range=(0.5, 2.0),
                             h_range=(0.8, 1.0), interference_range=(0.0, 0.1)),
     )
-    ms = run_wireless(cfg)
+    ms = run(cfg)
     n_train = sum(
         1 for d in generate_population(cfg.population, cfg.seed) if d.role == "train"
     )
@@ -169,13 +169,6 @@ def test_sigma_f_squared_symbolic_reevaluation():
               + 3 * (0.1 * 1.5 * 0.4) ** 2 / dd
               + 6 * (0.1 * 0.7 * 0.4) ** 2 / dd * a)
     assert sigma_f_squared(c, d, dp, dd) == pytest.approx(expect)
-
-
-def test_lambda_floors_positive():
-    c = SmoothnessConstants(alpha=0.1, L=2.0, rho=0.0, zeta=1.5,
-                            sigma_G=0.7, sigma_H=0.4, gamma_G=0.3, gamma_H=0.2)
-    l1, l2 = lambda_floors(c, MetaHyper(alpha=0.1, beta=0.05), 1.0)
-    assert l1 > 0 and l2 > 0
 
 
 def _identical_population(seed=0, n=4):
@@ -261,7 +254,7 @@ def test_sweep_degenerate_single_cell():
     cfg = _wireless_config(rounds=2)
     cells, runs = sweep(cfg, "eta1", [1.0])
     assert len(cells) == 1 and len(runs) == 1
-    assert runs[(1.0, cfg.seed)] == run_wireless(cfg)
+    assert runs[(1.0, cfg.seed)] == run(cfg)
 
 
 def test_sweep_unknown_parameter():
@@ -269,8 +262,31 @@ def test_sweep_unknown_parameter():
         sweep(_wireless_config(), "bandwidth_hz", [1.0])
 
 
+def test_sweep_checks_every_seed_before_the_first_run(monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "run", lambda config: calls.append(config) or [])
+    with pytest.raises(ConfigurationError, match="seed must be non-negative, got -2"):
+        sweep(_base_config(), "rounds", [1, 2], seeds=[1, -2])
+    assert calls == []
+
+
+def test_empty_selection_keeps_the_model(caplog):
+    payload = json.loads((CONFIGS / "wireless.json").read_text())
+    set_path(payload, "env.eta1", 1e4)
+    set_path(payload, "rounds", 3)
+    with caplog.at_level(logging.INFO, logger="fmlsim.harness"):
+        ms = run(config_from_dict(payload))
+    assert len(ms) == 3
+    assert all(m.selected == () and m.contribution_sum == 0.0 for m in ms)
+    # theta never moves, so every round evaluates the same model
+    assert len({m.train_loss for m in ms}) == 1
+    skipped = [r.getMessage() for r in caplog.records
+               if "empty selection, aggregation skipped" in r.getMessage()]
+    assert skipped == [f"round {k}: empty selection, aggregation skipped" for k in range(3)]
+
+
 def test_metrics_csv_shape():
-    ms = run_nufm(_base_config(rounds=2))
+    ms = run(_base_config(rounds=2))
     lines = metrics_to_csv(ms).splitlines()
     assert len(lines) == 3
     assert lines[0].startswith("round,train_loss,test_loss")
@@ -280,7 +296,7 @@ def test_metrics_csv_shape():
 
 def test_config_dict_roundtrip():
     cfg = _wireless_config()
-    assert config_from_dict(config_to_dict(cfg)) == cfg
+    assert config_from_dict(dataclasses.asdict(cfg)) == cfg
 
 
 def _non_default_config():
@@ -313,4 +329,4 @@ def test_config_json_roundtrip(source):
         cfg = _non_default_config()
     else:
         cfg = config_from_dict(json.loads((CONFIGS / source).read_text()))
-    assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
+    assert config_from_dict(json.loads(json.dumps(dataclasses.asdict(cfg)))) == cfg
