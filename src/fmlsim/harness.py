@@ -44,7 +44,7 @@ from .tasks import (
     empirical_gamma_g,
     generate_population,
 )
-from .ural import load_matcher, solve_sp2_power, ural
+from .ural import solve_sp2_power, ural
 from .wireless import (
     Allocation,
     ComputeProfile,
@@ -258,8 +258,6 @@ def run(config: ExperimentConfig) -> list[RoundMetrics]:
     wireless = config.mode == "wireless"
     if wireless:
         compute, radios, net = build_environment(config, pop)
-        if config.allocation == "ural":
-            load_matcher()      # scipy's import belongs to set-up, not to round 0
 
     theta = np.zeros(config.population.d)
     metrics: list[RoundMetrics] = []

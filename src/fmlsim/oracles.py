@@ -1,7 +1,8 @@
 """Independent reference implementations for the closed-form solvers.
 
 These deliberately avoid the solver code paths: the frequency oracle is a
-refined grid search, the assignment oracle a bitmask dynamic program, the
+refined grid search, the assignment oracle a bitmask dynamic program (for
+both the general assignment solver and the RB matching), the
 matching/power/delay loop is checked only through its objective trace.
 The descent-bound suite checks the paper's one-round bound (Theorem 1)
 against Monte-Carlo loss decreases of the batched estimator.  Used by both
@@ -19,7 +20,7 @@ from . import rng
 from .harness import ExperimentConfig, build_population, theorem1_bound
 from .metacore import MetaHyper
 from .tasks import PopulationSpec, population_constants
-from .ural import f4_zero, ives, min_cost_assignment, solve_sp1
+from .ural import _rb_matching, f4_zero, ives, min_cost_assignment, solve_sp1
 from .wireless import ComputeProfile, NetworkConfig, RadioProfile
 
 
@@ -148,7 +149,7 @@ def sp1_suite(instances: int = 50, seed: int = 0, tol: float = 1e-6) -> SuiteRes
 
 
 def assignment_suite(instances: int = 500, seed: int = 0, tol: float = 1e-9) -> SuiteResult:
-    """Hungarian-based partial matching versus the bitmask DP optimum."""
+    """Shortest-augmenting-path partial matching versus the bitmask DP optimum."""
     worst = 0.0
     failures = 0
     for r in range(instances):
@@ -164,6 +165,45 @@ def assignment_suite(instances: int = 500, seed: int = 0, tol: float = 1e-9) -> 
         if dev > tol:
             failures += 1
     return SuiteResult("assignment", instances, failures, worst)
+
+
+def rb_matching_suite(instances: int = 500, seed: int = 0, tol: float = 1e-9) -> SuiteResult:
+    """RB matching totals versus the bitmask DP optimum on the same gains.
+
+    Random radio environments and scores with n, M <= 7.  Half the delays
+    are drawn at random, half are a random device's full-power upload time
+    on a random RB, as in the matching/power/delay loop, which puts a pair
+    at its power cap.  The note counts how the matcher settled each
+    instance: in-order without a certificate, certified, or solved by the
+    general assignment solver.
+    """
+    worst = 0.0
+    failures = 0
+    settled = {"in-order": 0, "certified": 0, "solved": 0}
+    for r in range(instances):
+        g = rng.stream(seed, _KEY_ORACLE, 5, r)
+        n = int(g.integers(1, 8))
+        m = int(g.integers(1, 8))
+        radios, net = _random_radio_env(g, n, m)
+        u = g.uniform(0.1, 4.0, size=n)
+        noise = np.asarray(net.interference) + net.B * net.N0
+        if r % 2:
+            delta = float(g.uniform(0.5, 4.0))
+        else:
+            i, j = int(g.integers(n)), int(g.integers(m))
+            delta = net.S / (net.B * math.log2(1.0 + radios.h[i] * radios.p_max[i] / noise[j]))
+        rows, rbs, how = _rb_matching(u, radios, delta, net)
+        settled[how] += 1
+        mu = noise * (2.0 ** (net.S / (net.B * delta)) - 1.0) / radios.h[:, None]
+        cap = radios.p_max[:, None]
+        gain = u[:, None] - net.eta1 * delta * np.minimum(mu, cap)
+        cost = np.where((mu <= cap * (1.0 + 1e-9)) & (gain > 0), -gain, np.inf)
+        dev = abs(float(cost[rows, rbs].sum()) - assignment_brute_force(cost))
+        worst = max(worst, dev) if math.isfinite(dev) else math.inf
+        failures += not (dev <= tol and len(set(rbs.tolist())) == rbs.size)
+    note = ("rb-matching: {in-order} in-order, {certified} certified, "
+            "{solved} solved by the assignment solver").format(**settled)
+    return SuiteResult("rb-matching", instances, failures, worst, note)
 
 
 def bisection_suite(instances: int = 1000, seed: int = 0, tol: float = 1e-8) -> SuiteResult:
@@ -239,6 +279,7 @@ def descent_bound_suite(populations: int = 25, thetas: int = 40, seed: int = 0) 
 SUITES = {
     "sp1": sp1_suite,
     "assignment": assignment_suite,
+    "rb-matching": rb_matching_suite,
     "bisection": bisection_suite,
     "ives-monotone": lambda seed: ives_monotone_suite(seed=seed)[0],
     "descent-bound": descent_bound_suite,

@@ -9,14 +9,16 @@ device, and a matching is a pair of index arrays ``(rows, rbs)``: row
 ``rows[k]`` sends on RB ``rbs[k]``.  All solvers are deterministic; ties are
 broken by the lower row.
 
-scipy serves only the Hungarian step of the RB matching: ``load_matcher``
-imports it on first call, and ``harness.run`` calls it during the set-up
-of a ``ural`` run, so no other run, command or import loads scipy.
+The RB matching needs no general assignment solver on its hot path: every
+device ranks the RBs alike (by ascending noise), so a dynamic program over
+rows sorted by channel gain proposes the matching, and an exchange argument
+or an LP-duality certificate proves it optimal.  ``min_cost_assignment``, a
+shortest-augmenting-path solver, runs only when the certificate fails.
 """
 
 from __future__ import annotations
 
-import functools
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -81,32 +83,177 @@ def solve_sp1(compute: ComputeProfile, weights: tuple[float, float]) -> Sp1Solut
     return Sp1Solution(nu=nu, objective=g1_objective(work, compute.iota, nu, weights))
 
 
-@functools.cache
-def load_matcher():
-    """scipy's ``linear_sum_assignment``, imported on the first call."""
-    from scipy.optimize import linear_sum_assignment
-
-    return linear_sum_assignment
-
-
 def min_cost_assignment(weights: np.ndarray) -> list[tuple[int, int]]:
     """Minimum-weight partial matching using only negative-weight edges.
 
     ``weights`` is an n-by-M matrix; entries that are +inf (or NaN) are
     forbidden.  Rows and columns may stay unmatched: an edge is only worth
-    taking if its weight is negative.
+    taking if its weight is negative.  Pairs come back by ascending row.
+
+    Solved as a full assignment of the rows to the M columns plus one
+    private zero-weight "unmatched" column per row, by shortest augmenting
+    paths with row and column duals (Crouse's form of Jonker-Volgenant):
+    each row in turn grows a Dijkstra tree over reduced costs until it
+    reaches a free column, then flips the path.
     """
     weights = np.asarray(weights, dtype=float)
     if weights.ndim != 2:
         raise InvalidInputError("weight matrix must be 2-D")
+    n, m = weights.shape
     usable = np.isfinite(weights) & (weights < 0)
     if not usable.any():
         return []
-    # zero-padding: dropping a non-negative edge is free, so the optimal
-    # assignment over clipped weights equals the optimal partial matching
-    clipped = np.where(usable, weights, 0.0)
-    rows, cols = load_matcher()(clipped)
-    return [(int(i), int(m)) for i, m in zip(rows, cols) if usable[i, m]]
+    cost = np.full((n, m + n), np.inf)
+    cost[:, :m] = np.where(usable, weights, np.inf)
+    cost[np.arange(n), m + np.arange(n)] = 0.0
+    cols = m + n
+    u, v = np.zeros(n), np.zeros(cols)
+    col4row = np.full(n, -1)
+    row4col = np.full(cols, -1)
+    for cur in range(n):
+        shortest = np.full(cols, np.inf)
+        path = np.full(cols, -1)
+        seen_rows = np.zeros(n, dtype=bool)
+        seen_cols = np.zeros(cols, dtype=bool)
+        low, i, sink = 0.0, cur, -1
+        while sink < 0:
+            seen_rows[i] = True
+            reduced = low + cost[i] - u[i] - v
+            closer = ~seen_cols & (reduced < shortest)
+            shortest[closer] = reduced[closer]
+            path[closer] = i
+            # the nearest unseen column; among equals, a free one ends the path
+            left = np.where(seen_cols, np.inf, shortest)
+            low = left.min()
+            ties = np.flatnonzero(left == low)
+            free = ties[row4col[ties] < 0]
+            j = int(free[0] if free.size else ties[0])
+            seen_cols[j] = True
+            if row4col[j] < 0:
+                sink = j
+            else:
+                i = int(row4col[j])
+        u[cur] += low
+        others = seen_rows.copy()
+        others[cur] = False
+        u[others] += low - shortest[col4row[others]]
+        v[seen_cols] -= low - shortest[seen_cols]
+        j = sink
+        while True:
+            i = int(path[j])
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return [(i, int(j)) for i, j in enumerate(col4row.tolist()) if j < m]
+
+
+def _in_order_matching(
+    cost: list[list[float]], mu: list[list[float]], caps: list[float], order: list[int],
+    cols: int,
+) -> tuple[list[int], list[int], bool]:
+    """Best matching that gives RB ranks 0, 1, 2, ... to rows taken in ``order``.
+
+    ``cost[i][m]`` is row i's negated gain on the RB of noise rank m,
+    ``mu[i][m]`` its required power there and ``caps[i]`` its power cap;
+    both rise with m, so row i's usable ranks (feasible, gain > 0) are a
+    prefix.  A dynamic program over the rows: ``best[j]`` is the largest
+    total that gives ranks 0..j-1 to the rows seen so far, the k-th matched
+    row on rank k.  Returns the matched rows (the k-th on rank k), every
+    row's count of usable ranks, and whether this in-order optimum is
+    optimal over all matchings (see ``rb_matching``).  That needs, of the
+    rows with a usable rank, each one's feasible count to exceed its
+    position among them, or cover all ``cols`` ranks, or reach that of each
+    such row before it; and at most one usable pair (b, m) in the cap-slack
+    band, where b pays for its cap, less than 1e-9 * mu[b][m] below the
+    power it needs.  Such a pair is harmless when m = 0, or when the first
+    such row a after b that fits on rank m, if any, gives
+    ``(mu[b][m] - mu[b][m-1]) - (mu[a][m] - mu[a][m-1]) > 2e-9 * mu[b][m]``.
+    In a matching on the lowest ranks that puts b on m above its in-order
+    position, the feasible counts above leave some row after b that fits
+    on m below it, and swapping the two gains at least that much, more
+    than the band can give; so an optimal matching has b in order.
+    """
+    best = [0.0] + [-math.inf] * cols
+    took = []                           # (row, its feasible count, bitmask of the ranks it improved)
+    counts = [0] * len(cost)
+    exact, reach, band = True, 0, None
+    for i in order:
+        row, mu_row, cap = cost[i], mu[i], caps[i]
+        # the relative slack absorbs round-off when delta was realized by a
+        # device transmitting exactly at its power cap
+        fits = bisect.bisect_right(mu_row, cap * (1.0 + 1e-9))
+        usable = bisect.bisect_left(row, 0.0, 0, fits)
+        if not usable:
+            continue
+        counts[i] = usable
+        t = len(took)
+        exact = exact and (fits > t or fits == cols or fits >= reach)
+        if fits > reach:
+            reach = fits
+        if mu_row[usable - 1] > cap:       # a usable pair in the cap-slack band
+            exact = exact and band is None and (usable == 1 or mu_row[usable - 2] <= cap)
+            band = (i, usable - 1, t)
+        # descending j reads each best[j] before this row can change it
+        hi = usable if usable <= t else t + 1
+        above, mask = best[hi], 0
+        for j in range(hi - 1, -1, -1):
+            here = best[j]
+            c = here - row[j]
+            if c > above:
+                best[j + 1] = c
+                mask |= 1 << j
+            above = here
+        took.append((i, fits, mask))
+    if exact and band and band[1]:
+        b, m, t = band
+        # of the rows after b that fit on m, the first (least h) gains least by a swap
+        a = next((i for i, fits, _ in took[t + 1:] if fits > m), None)
+        exact = a is None or (mu[b][m] - mu[b][m - 1]) - (mu[a][m] - mu[a][m - 1]) > 2e-9 * mu[b][m]
+    j = best.index(max(best))
+    matched = []
+    for i, _, mask in reversed(took):
+        if j and mask >> (j - 1) & 1:
+            matched.append(i)
+            j -= 1
+    return matched[::-1], counts, exact
+
+
+def _certified(value: np.ndarray, matched: list[int]) -> bool:
+    """Whether giving column q to row ``matched[q]`` (q < s) maximizes the total ``value``.
+
+    ``value[i, m]`` is row i's gain on column m, -inf where the pair is
+    forbidden; the columns past s are free.  LP duality for the assignment
+    problem: the matching is optimal iff column prices z >= 0 exist, zero
+    on the free columns, with ``z_m >= value[i, m]`` for every unmatched row
+    i, ``z_m >= z_q + value[i, m] - value[i, q]`` for row i matched on q,
+    and ``z_q <= value[i, q]``.  The least such z is a longest-path
+    fixpoint from the unmatched rows' bids; a positive cycle means there is
+    none, and the matching is not optimal.
+    """
+    s = len(matched)
+    taken = value[matched]
+    own = taken.diagonal()
+    step = taken - own[:, None]
+    unmatched = np.ones(len(value), dtype=bool)
+    unmatched[matched] = False
+    z = value[unmatched].max(axis=0, initial=0.0)
+    down = step.diagonal(-1).tolist()           # column q to q-1
+    up = step.diagonal(1).tolist()              # column q to q+1
+    for _ in range(z.size + 1):
+        # the longest paths mostly run along adjacent matched columns:
+        # relax those in order, down then up, before each full pass
+        zl = z.tolist()
+        for q in range(s - 1, 0, -1):
+            zl[q - 1] = max(zl[q - 1], zl[q] + down[q - 1])
+        for q in range(len(up)):
+            zl[q + 1] = max(zl[q + 1], zl[q] + up[q])
+        z = np.array(zl)
+        offers = z[:s, None] + step
+        if (offers <= z).all():
+            return not z[s:].any() and bool((z[:s] <= own).all())
+        z = np.maximum(z, offers.max(axis=0))
+    return False
 
 
 def rb_matching(
@@ -117,20 +264,59 @@ def rb_matching(
     mu[i, m] is the power device i needs on RB m to finish the upload in
     exactly delta.  Pairs whose mu exceeds the device cap are forbidden;
     among the rest, the matching maximizes sum of (u_i - eta1*delta*mu_{i,m}).
+
+    mu is a product noise_m * growth / h_i, so every row ranks the RBs by
+    ascending noise and its usable RBs form a prefix of that order.  Moving
+    a row to a free lower-noise RB keeps it usable and raises its gain, so
+    an optimal matching of s rows uses the s lowest-noise RBs, and only the
+    n + 1 lowest are built (one past the most that can be matched, for the
+    certificate).  A dynamic program (``_in_order_matching``) finds the best
+    matching that gives those RBs, in noise order, to rows in ascending h.
+    Away from the cap-slack band the cost is a product, so by the
+    rearrangement inequality the in-order assignment of a row set is its
+    cheapest; the optimum is then in-order whenever the in-order assignment
+    of every matchable row set is feasible, which the feasible counts
+    checked there guarantee, and a usable pair in the band needs one more
+    check.  Otherwise the LP-duality certificate (``_certified``) proves the
+    proposal optimal, and if it fails ``min_cost_assignment`` solves the
+    built pairs.
+    """
+    rows, rbs, _ = _rb_matching(u, radios, delta, net)
+    return rows, rbs
+
+
+def _rb_matching(
+    u: np.ndarray, radios: RadioProfile, delta: float, net: NetworkConfig
+) -> tuple[np.ndarray, np.ndarray, str]:
+    """``rb_matching``, and how its optimum was settled.
+
+    The last item is ``"in-order"`` (exact without a certificate),
+    ``"certified"`` or ``"solved"`` (by ``min_cost_assignment``).
     """
     if delta <= 0:
         raise InvalidInputError("delta must be positive")
-    with np.errstate(over="ignore"):
-        growth = np.exp2(net.S / (net.B * delta)) - 1.0
-    mu = net.noise * growth / radios.h[:, None]
+    exponent = net.S / (net.B * delta)
+    # exp2 overflows from 1024 on; checking here costs less than np.errstate
+    growth = np.exp2(exponent) - 1.0 if exponent < 1024.0 else math.inf
+    rbs = net.rb_order[:u.size + 1]
+    mu = net.noise[rbs] * growth / radios.h[:, None]
     cap = radios.p_max[:, None]
-    # the relative slack absorbs round-off when delta was realized by a
-    # device transmitting exactly at its power cap
-    feasible = mu <= cap * (1.0 + 1e-9)
-    gain = u[:, None] - net.eta1 * delta * np.minimum(mu, cap)
-    cost = np.where(feasible & (gain > 0), -gain, np.inf)
-    pairs = np.array(min_cost_assignment(cost), dtype=int).reshape(-1, 2)
-    return pairs[:, 0], pairs[:, 1]
+    cost = net.eta1 * delta * np.minimum(mu, cap) - u[:, None]     # -gain
+    picked, counts, exact = _in_order_matching(
+        cost.tolist(), mu.tolist(), radios.p_max.tolist(), radios.h_order.tolist(), rbs.size)
+    s = len(picked)
+    how = "in-order"
+    if not exact:
+        weights = np.where(np.arange(rbs.size) < np.array(counts)[:, None], cost, np.inf)
+        how = "certified" if _certified(-weights[:, :s + 1], picked) else "solved"
+    if how == "solved":
+        pairs = min_cost_assignment(weights)
+        pairs = np.array(pairs, dtype=int).reshape(-1, 2)
+        rows, ranks = pairs[:, 0], rbs[pairs[:, 1]]
+    else:
+        rows, ranks = np.array(picked, dtype=int), rbs[:s]
+    by_row = rows.argsort()
+    return rows[by_row], ranks[by_row], how
 
 
 def f4_zero(b1: float, eta2: float, tol: float = BISECT_TOL) -> float:

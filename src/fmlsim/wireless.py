@@ -68,6 +68,11 @@ class RadioProfile:
     def __post_init__(self):
         _as_rows(self, h=float, p_max=float)
 
+    @functools.cached_property
+    def h_order(self) -> np.ndarray:
+        """Rows by ascending channel gain (stable)."""
+        return np.argsort(self.h, kind="stable")
+
 
 @dataclass(frozen=True)
 class NetworkConfig:
@@ -91,6 +96,11 @@ class NetworkConfig:
     def noise(self) -> np.ndarray:
         """Interference-plus-noise power I_m + B*N0 of every RB."""
         return np.asarray(self.interference, dtype=float) + self.B * self.N0
+
+    @functools.cached_property
+    def rb_order(self) -> np.ndarray:
+        """RBs by ascending noise (stable): every device ranks the RBs in this order."""
+        return np.argsort(self.noise, kind="stable")
 
     def rate(self, h, p, rbs=slice(None)) -> np.ndarray:
         """Shannon rates B * log2(1 + h*p / (I_m + B*N0)) on ``rbs`` (default: every RB)."""

@@ -174,23 +174,19 @@ def test_commands_without_rb_matching_leave_scipy_unloaded(tmp_path, argv):
     assert _fresh_python(code, tmp_path) == "False"
 
 
-def test_ural_run_loads_scipy_before_round_zero(tmp_path):
-    # the import belongs to the run's set-up: it is done at round 0's entry
-    argv = ["run", "--config", str(CONFIGS / "wireless.json"), "--set", "rounds=2"]
-    code = f"""
-import sys
-from fmlsim import cli, harness
-seen = []
-round_entry = harness._round_of_updates
-def recording(*args):
-    seen.append('scipy.optimize' in sys.modules)
-    return round_entry(*args)
-harness._round_of_updates = recording
-before = 'scipy' in sys.modules
-assert cli.main({argv!r}) == 0
-print(before, seen)
-"""
-    assert _fresh_python(code, tmp_path) == "False [True, True]"
+@pytest.mark.parametrize("argv", [
+    ["run", "--config", str(CONFIGS / "wireless.json"), "--set", "rounds=2"],
+    ["sweep", "--config", str(CONFIGS / "wireless.json"),
+     "--set", "population.family=logistic-regression", "--set", "hyper.mode=hessian-free",
+     "--set", "batch_size=null", "--param", "eta1", "--values", "0.5,1.0,1.5,2.0,2.5",
+     "--seeds", "1,2,3"],
+], ids=["ural-run", "ural-sweep"])
+def test_ural_runs_leave_scipy_unloaded(tmp_path, argv):
+    # the RB matching solves its assignments in-repo
+    code = ("import sys; from fmlsim.cli import main\n"
+            f"assert main({argv + ['--out', str(tmp_path / 'out')]!r}) == 0\n"
+            "print('scipy' in sys.modules)")
+    assert _fresh_python(code, tmp_path) == "False"
 
 
 @pytest.mark.parametrize("override, message", [

@@ -1,9 +1,11 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment   # test-only reference
 
 from fmlsim import rng
 from fmlsim.errors import InvalidInputError
@@ -14,6 +16,7 @@ from fmlsim.oracles import (
     g1_grid_minimum,
 )
 from fmlsim.ural import (
+    _certified,
     f4_zero,
     g1_objective,
     g2_objective,
@@ -26,6 +29,8 @@ from fmlsim.ural import (
     ural,
 )
 from fmlsim.wireless import ComputeProfile, NetworkConfig, RadioProfile
+
+ural_module = importlib.import_module("fmlsim.ural")   # ``fmlsim.ural`` is also a function
 
 
 def _unit_device():
@@ -407,6 +412,142 @@ def test_rb_matching_total_equals_brute_force(env, delta):
     assert len(set(rbs.tolist())) == len(rbs)
     got = sum(cost[r, m] for r, m in zip(rows, rbs))
     assert got == pytest.approx(assignment_brute_force(cost), abs=1e-9)
+
+
+def _gains(u, radios, delta, net):
+    """The RB matching's gain matrix, as the library defines it, and its usable pairs."""
+    mu = net.noise * (np.exp2(net.S / (net.B * delta)) - 1.0) / radios.h[:, None]
+    cap = radios.p_max[:, None]
+    gain = u[:, None] - net.eta1 * delta * np.minimum(mu, cap)
+    return gain, (mu <= cap * (1.0 + 1e-9)) & (gain > 0)
+
+
+def _upload_time(radios, net, row, rb):
+    """Row ``row``'s full-power upload time on RB ``rb``: that pair is then at its cap."""
+    return net.S / float(net.rate(radios.h[row], radios.p_max[row], rb))
+
+
+def _distinct_interference(draw, m):
+    """m interference levels in [0, 0.8] whose noise levels I + B*N0 all differ."""
+    return tuple(k / 100.0 for k in draw(st.lists(st.integers(0, 80), min_size=m, max_size=m,
+                                                  unique=True)))
+
+
+@st.composite
+def _distinct_uplinks(draw, max_n=30, max_m=30):
+    """Scores, radios, a network and a delay; no two rows share h, no two RBs their noise.
+
+    Distinct gains and noises keep exact ties between matchings out (with a
+    tie, any optimal matching is right, and the solvers may pick different
+    ones).  Half the delays are a full-power upload time, which puts one
+    pair at its power cap, in the cap-slack band.
+    """
+    n = draw(st.integers(1, max_n))
+    m = draw(st.integers(1, max_m))
+    h = draw(st.lists(_floats(0.05, 1.0), min_size=n, max_size=n, unique=True))
+    radios = RadioProfile(h=h, p_max=_rows_of(draw, n, 0.01, 2.0))
+    u = np.array(_rows_of(draw, n, 0.01, 5.0))
+    net = NetworkConfig(
+        M=m, B=1.0, N0=0.1, S=1.0,
+        interference=_distinct_interference(draw, m),
+        eta1=draw(_floats(0.1, 3.0)), eta2=1.0,
+    )
+    if draw(st.booleans()):
+        delta = _upload_time(radios, net, draw(st.integers(0, n - 1)), draw(st.integers(0, m - 1)))
+    else:
+        delta = draw(_floats(0.05, 10.0))
+    return u, radios, delta, net
+
+
+@given(env=_distinct_uplinks())
+def test_rb_matching_pairs_equal_linear_sum_assignment(env):
+    u, radios, delta, net = env
+    gain, usable = _gains(u, radios, delta, net)
+    rows, rbs = linear_sum_assignment(np.where(usable, -gain, 0.0))
+    keep = usable[rows, rbs]
+    got = rb_matching(u, radios, delta, net)
+    assert got[0].tolist() == rows[keep].tolist()
+    assert got[1].tolist() == rbs[keep].tolist()
+
+
+@st.composite
+def _planted_uplinks(draw):
+    """Rows that fit every RB, plus the highest-h row, whose cap admits only the quietest RB.
+
+    With no more rows than RBs every row is matched in the optimum, the
+    planted row on the quietest RB; a matching that gives the RBs to rows
+    in ascending h cannot do that, so the dynamic program alone is wrong.
+    """
+    n = draw(st.integers(2, 7))
+    m = draw(st.integers(n, 7))
+    # h >= 0.3 keeps every other row's power below its cap of 2 on every RB
+    h = draw(st.lists(_floats(0.3, 0.5), min_size=n - 1, max_size=n - 1, unique=True)) + [1.0]
+    net = NetworkConfig(
+        M=m, B=1.0, N0=0.1, S=1.0,
+        interference=_distinct_interference(draw, m),
+        eta1=0.1, eta2=1.0,
+    )
+    delta = 2.0
+    quiet, next_quiet = np.sort(net.noise)[:2] * (np.exp2(net.S / (net.B * delta)) - 1.0)
+    u = np.array(_rows_of(draw, n - 1, 2.0, 5.0) + [10.0])
+    radios = RadioProfile(h=h, p_max=[2.0] * (n - 1) + [0.5 * (quiet + next_quiet)])
+    return u, radios, delta, net
+
+
+@given(env=_planted_uplinks())
+def test_rb_matching_falls_back_when_the_dynamic_program_is_wrong(env):
+    u, radios, delta, net = env
+    calls = []
+    solve = ural_module.min_cost_assignment
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ural_module, "min_cost_assignment",
+                      lambda weights: calls.append(weights) or solve(weights))
+        rows, rbs = rb_matching(u, radios, delta, net)
+    assert calls
+    gain, usable = _gains(u, radios, delta, net)
+    cost = np.where(usable, -gain, np.inf)
+    assert rows.size == u.size and net.noise[rbs[-1]] == net.noise.min()
+    assert cost[rows, rbs].sum() == pytest.approx(assignment_brute_force(cost), abs=1e-9)
+
+
+@given(h=_floats(0.3, 1.0), cap=_floats(0.2, 1.0), quiet=st.integers(0, 30),
+       louder=st.integers(1, 50), score=_floats(2.0, 5.0))
+def test_rb_matching_takes_the_cap_slack_band_bonus_out_of_order(h, cap, quiet, louder, score):
+    # Two rows of equal h on two RBs; the delay puts row 0's pair on the
+    # louder RB 5e-10 into the cap-slack band, where it pays only its cap.
+    # The in-order matching (row 0 on the quieter RB) and the crossed one
+    # cost the same but for that bonus, so the crossed one is the optimum.
+    net = NetworkConfig(M=2, B=1.0, N0=0.1, S=1.0, eta1=1.0, eta2=1.0,
+                        interference=(quiet / 100.0, (quiet + louder) / 100.0))
+    radios = RadioProfile(h=[h, h], p_max=[cap, 10.0])
+    growth = cap * (1.0 + 5e-10) * h / net.noise[1]
+    delta = net.S / (net.B * math.log2(1.0 + growth))
+    u = np.array([score, score])
+    gain, usable = _gains(u, radios, delta, net)
+    assert usable.all() and gain[0, 1] + gain[1, 0] > gain[0, 0] + gain[1, 1]
+    rows, rbs = rb_matching(u, radios, delta, net)
+    assert rows.tolist() == [0, 1] and rbs.tolist() == [1, 0]
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+def test_certificate_accepts_the_optimum_and_rejects_worse(seed):
+    # continuous draws from the seed: ties between matchings have probability 0
+    g = rng.stream(seed)
+    n, cols = int(g.integers(2, 8)), int(g.integers(2, 8))
+    value = g.uniform(0.1, 5.0, size=(n, cols))
+    value[g.uniform(size=(n, cols)) < 0.3] = -np.inf
+    assume(np.isfinite(value).any())
+    rows, columns = linear_sum_assignment(np.where(np.isfinite(value), -value, 0.0))
+    pairs = [(i, m) for i, m in zip(rows, columns) if np.isfinite(value[i, m])]
+    # matched columns first, in matching order, so row matched[q] is on column q
+    used = [m for _, m in pairs]
+    order = used + [m for m in range(cols) if m not in used]
+    value, matched = value[:, order], [i for i, _ in pairs]
+    assert _certified(value, matched)
+    assert not _certified(value, matched[:-1])           # one row dropped
+    if len(matched) >= 2 and np.isfinite(value[matched[1], 0]) and np.isfinite(value[matched[0], 1]):
+        swapped = [matched[1], matched[0]] + matched[2:]
+        assert not _certified(value, swapped)
 
 
 @given(b1=_floats(0.01, 100.0), log_ratio=st.floats(-4.0, 12.0))
