@@ -23,7 +23,7 @@ from .metacore import (
     exact_meta_gradient,
 )
 from .selection import aggregate, select_top_k, shifted_scores
-from .tasks import Device, PopulationSpec, generate_population, population_constants
+from .tasks import Population, PopulationSpec, generate_population, population_constants
 from .ural import Sp1Solution, Sp2Solution, ives, solve_sp1, ural
 from .wireless import (
     Allocation,
@@ -42,7 +42,6 @@ __all__ = [
     "BoundReport",
     "ComputeProfile",
     "ConfigurationError",
-    "Device",
     "EnvironmentSpec",
     "ExperimentConfig",
     "InfeasibleAllocationError",
@@ -52,6 +51,7 @@ __all__ = [
     "MetaHyper",
     "NetworkConfig",
     "NumericalError",
+    "Population",
     "PopulationSpec",
     "QuadraticModel",
     "RadioProfile",

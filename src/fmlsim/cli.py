@@ -20,7 +20,6 @@ from .errors import ConfigurationError, InvalidInputError, NumericalError
 from .harness import (
     ExperimentConfig,
     build_environment,
-    build_population,
     config_from_dict,
     metrics_summary,
     metrics_to_csv,
@@ -31,6 +30,7 @@ from .harness import (
     value_text,
 )
 from .oracles import SUITES
+from .tasks import generate_population
 from .wireless import environment_to_json
 
 EXIT_OK = 0
@@ -166,7 +166,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_dump_env(args) -> int:
     config = load_config(args.config, args.set or [], args.seed)
-    pop = build_population(config)
+    pop = generate_population(config.population, config.seed)
     compute, radios, net = build_environment(config, pop)
     text = environment_to_json(compute, radios, net, pop.train_ids.tolist()) + "\n"
     if args.out:

@@ -37,13 +37,7 @@ from .metacore import (
     local_update,
 )
 from .selection import aggregate, select_top_k, shifted_scores
-from .tasks import (
-    ROLE_TEST,
-    ROLE_TRAIN,
-    PopulationSpec,
-    empirical_gamma_g,
-    generate_population,
-)
+from .tasks import Population, PopulationSpec, empirical_gamma_g, generate_population
 from .ural import solve_sp2_power, ural
 from .wireless import (
     Allocation,
@@ -109,29 +103,6 @@ class RoundMetrics:
     ives_iterations: int = 0
 
 
-@dataclass
-class _Population:
-    """The run's devices: training ids in row order (ascending), train and test arrays."""
-
-    train_ids: np.ndarray
-    train: DeviceArrays
-    test: DeviceArrays
-
-
-def build_population(config: ExperimentConfig) -> _Population:
-    """The run's population, generated from the config's spec and seed."""
-    devices = generate_population(config.population, config.seed)
-    train = [d for d in devices if d.role == ROLE_TRAIN]
-    test = [d for d in devices if d.role == ROLE_TEST] or train
-    if len(train) < 1:
-        raise ConfigurationError("population has no training devices")
-    return _Population(
-        train_ids=np.array([d.device_id for d in train]),
-        train=DeviceArrays([d.model for d in train]),
-        test=DeviceArrays([d.model for d in test]),
-    )
-
-
 def _round_of_updates(
     train: DeviceArrays,
     theta: np.ndarray,
@@ -156,7 +127,7 @@ def adapted_loss(data: DeviceArrays, theta: np.ndarray, alpha: float) -> float:
 
 
 def _round_losses(
-    pop: _Population, theta: np.ndarray, alpha: float, k: int
+    pop: Population, theta: np.ndarray, alpha: float, k: int
 ) -> tuple[float, float]:
     """Round k's train and test adapted losses; NumericalError if either is non-finite."""
     losses = adapted_loss(pop.train, theta, alpha), adapted_loss(pop.test, theta, alpha)
@@ -231,7 +202,7 @@ def _allocate(
 
 
 def build_environment(
-    config: ExperimentConfig, pop: _Population
+    config: ExperimentConfig, pop: Population
 ) -> tuple[ComputeProfile, RadioProfile, NetworkConfig]:
     """The run's wireless environment: one profile row per training row, D its batch size."""
     return sample_environment(
@@ -254,7 +225,7 @@ def run(config: ExperimentConfig) -> list[RoundMetrics]:
     The uploads are aggregated into the next model (an empty selection keeps
     it) and the adapted losses are evaluated.
     """
-    pop = build_population(config)
+    pop = generate_population(config.population, config.seed)
     wireless = config.mode == "wireless"
     if wireless:
         compute, radios, net = build_environment(config, pop)

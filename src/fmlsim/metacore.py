@@ -85,9 +85,8 @@ class MetaHyper:
 class SmoothnessConstants:
     """Smoothness, variance and similarity constants of a device population.
 
-    ``zeta`` and ``gamma_G`` are only meaningful along visited iterates for
-    the quadratic family; they start as NaN and are filled with empirical
-    suprema during a run.
+    ``zeta`` and ``gamma_G`` depend on the iterate; they start as NaN and
+    ``theorem1_bound`` fills them with their empirical values at its theta.
     """
 
     alpha: float
@@ -124,8 +123,6 @@ class LossModel:
     ``theta (d,)`` and the padded population shapes ``x (n, S, d)``,
     ``theta (d,)`` or ``(n, d)`` of ``DeviceArrays``.
     """
-
-    family = "abstract"
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
         x = np.asarray(x, dtype=float)
@@ -230,12 +227,9 @@ class LogisticModel(LossModel):
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + e^-z), from e^-|z| <= 1 so that neither branch overflows."""
+    ez = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
 
 
 def _check_dims(model: LossModel, theta: np.ndarray, batch: Batch) -> None:

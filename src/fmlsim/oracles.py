@@ -17,9 +17,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import rng
-from .harness import ExperimentConfig, build_population, theorem1_bound
+from .harness import theorem1_bound
 from .metacore import MetaHyper
-from .tasks import PopulationSpec, population_constants
+from .tasks import PopulationSpec, generate_population, population_constants
 from .ural import _rb_matching, f4_zero, ives, min_cost_assignment, solve_sp1
 from .wireless import ComputeProfile, NetworkConfig, RadioProfile
 
@@ -261,7 +261,7 @@ def descent_bound_suite(populations: int = 25, thetas: int = 40, seed: int = 0) 
     failures = 0
     worst = -math.inf
     for s in range(seed * populations, (seed + 1) * populations):
-        data = build_population(ExperimentConfig(population=PopulationSpec(n=8, d=3), seed=s)).train
+        data = generate_population(PopulationSpec(n=8, d=3), s).train
         # full-batch draws are deterministic, so the sampling-noise
         # constants are zero for this configuration
         c = replace(population_constants(data, 0.05), sigma_G=0.0, sigma_H=0.0)

@@ -21,8 +21,8 @@ _KEY_CENTERS = 9001
 _KEY_DEVICE = 9002
 _KEY_SPLIT = 9003
 
-ROLE_TRAIN = "train"
-ROLE_TEST = "test"
+# the loss families a population can be drawn from, by name
+FAMILIES = {m.family: m for m in (QuadraticModel, LogisticModel)}
 
 
 @dataclass
@@ -47,21 +47,29 @@ class PopulationSpec:
         for name in ("size_sigma", "param_spread", "cov_spread", "label_noise"):
             if (value := getattr(self, name)) < 0:
                 raise InvalidInputError(f"{name} must be nonnegative, got {value}")
-        if self.family not in ("quadratic-regression", "logistic-regression"):
+        if self.family not in FAMILIES:
             raise InvalidInputError(f"family: unknown loss family {self.family!r}")
         if not 0.0 <= self.train_fraction <= 1.0:
             raise InvalidInputError(f"train_fraction must be in [0, 1], got {self.train_fraction}")
+        if self.n_train < 1:
+            raise InvalidInputError(f"train_fraction {self.train_fraction} leaves no training "
+                                    f"device among n={self.n}")
+
+    @property
+    def n_train(self) -> int:
+        return int(round(self.train_fraction * self.n))
 
 
 @dataclass
-class Device:
-    device_id: int
-    model: LossModel
-    role: str
+class Population:
+    """A run's devices: training ids (ascending, one per training row), train and test arrays.
 
-    @property
-    def n_samples(self) -> int:
-        return self.model.n_samples
+    ``test`` is ``train`` when the split leaves no test device.
+    """
+
+    train_ids: np.ndarray
+    train: DeviceArrays
+    test: DeviceArrays
 
 
 def _truncated_gaussian_count(g: np.random.Generator, spec: PopulationSpec) -> int:
@@ -69,42 +77,42 @@ def _truncated_gaussian_count(g: np.random.Generator, spec: PopulationSpec) -> i
     return max(spec.size_min, raw)
 
 
-def generate_population(spec: PopulationSpec, seed: int) -> list[Device]:
-    """Generate the device population; identical output for identical seed."""
+def generate_population(spec: PopulationSpec, seed: int) -> Population:
+    """The devices and their train/test split; identical output for identical seed.
+
+    The data of device i come from its own stream ``(seed, _KEY_DEVICE, i)``
+    and the split from ``(seed, _KEY_SPLIT)``, so no device depends on
+    ``train_fraction``.
+    """
     center_rng = rng.stream(seed, _KEY_CENTERS)
     base = np.ones(spec.d)
     centers = base + spec.param_spread * center_rng.standard_normal((spec.clusters, spec.d))
+    model_cls = FAMILIES[spec.family]
 
-    devices: list[Device] = []
+    models: list[LossModel] = []
     for i in range(spec.n):
         g = rng.stream(seed, _KEY_DEVICE, i)
         picked = g.choice(spec.clusters, size=min(spec.classes_per_device, spec.clusters),
                           replace=False)
         scales = 1.0 + spec.cov_spread * g.uniform(0.0, 1.0, size=spec.d)
-        xs, ys = [], []
+        xs, signals = [], []
         for c in picked:
             count = _truncated_gaussian_count(g, spec)
             x = g.standard_normal((count, spec.d)) * np.sqrt(scales)
             noise = spec.label_noise * g.standard_normal(count)
-            signal = x @ centers[c] + noise
-            if spec.family == "quadratic-regression":
-                y = signal
-            else:
-                y = np.where(signal >= 0.0, 1.0, -1.0)
             xs.append(x)
-            ys.append(y)
-        x_all = np.concatenate(xs)
-        y_all = np.concatenate(ys)
-        model_cls = QuadraticModel if spec.family == "quadratic-regression" else LogisticModel
-        devices.append(Device(device_id=i, model=model_cls(x_all, y_all), role=ROLE_TRAIN))
+            signals.append(x @ centers[c] + noise)
+        y = np.concatenate(signals)
+        if model_cls is LogisticModel:
+            y = np.where(y >= 0.0, 1.0, -1.0)
+        models.append(model_cls(np.concatenate(xs), y))
 
-    split_rng = rng.stream(seed, _KEY_SPLIT)
-    order = split_rng.permutation(spec.n)
-    n_train = int(round(spec.train_fraction * spec.n))
-    test_ids = set(order[n_train:].tolist())
-    for dev in devices:
-        dev.role = ROLE_TEST if dev.device_id in test_ids else ROLE_TRAIN
-    return devices
+    order = rng.stream(seed, _KEY_SPLIT).permutation(spec.n)
+    train_ids = np.sort(order[:spec.n_train])
+    test_ids = np.sort(order[spec.n_train:])
+    train = DeviceArrays([models[i] for i in train_ids])
+    test = DeviceArrays([models[i] for i in test_ids]) if test_ids.size else train
+    return Population(train_ids=train_ids, train=train, test=test)
 
 
 def _spectral_norm(m: np.ndarray) -> np.ndarray:
@@ -140,10 +148,10 @@ def empirical_gamma_g(data: DeviceArrays, theta: np.ndarray) -> float:
 
 
 def population_constants(data: DeviceArrays, alpha: float) -> SmoothnessConstants:
-    """Analytic smoothness constants for the generated population.
+    """Analytic smoothness constants of a population, at theta = 0.
 
-    zeta and gamma_G depend on the visited iterates and are returned as NaN;
-    callers fill them with empirical suprema during a run.
+    zeta and gamma_G depend on the iterate and are returned as NaN;
+    ``theorem1_bound`` fills them with their empirical values at its theta.
     """
     theta0 = np.zeros(data.x.shape[-1])
     hessians = _sample_mean(data, data.model_class.per_sample_hessian(theta0, data.x, data.y))

@@ -319,23 +319,23 @@ def _rb_matching(
     return rows[by_row], ranks[by_row], how
 
 
-def f4_zero(b1: float, eta2: float, tol: float = BISECT_TOL) -> float:
+def f4_zero(b1: float, eta2: float) -> float:
     """Unique zero of f4(p) = b1*((1+p)*ln(1+p) - p) - eta2 on (0, b2] by bisection."""
-    if b1 <= 0 or eta2 <= 0 or tol <= 0:
-        raise InvalidInputError("f4_zero requires positive b1, eta2 and tol")
+    if b1 <= 0 or eta2 <= 0:
+        raise InvalidInputError("f4_zero requires positive b1 and eta2")
 
     def f4(p: float) -> float:
         return b1 * ((1.0 + p) * math.log1p(p) - p) - eta2
 
     log2_b2 = (1.0 + math.sqrt(max(eta2 / b1, 1.0) - 1.0)) / math.log(2.0)
-    # 200 halvings resolve the analytic bracket to tol only while eta2/b1 is
-    # below ~1.3e4 (and it overflows past ~5e5); beyond, p = eta2/b1 brackets
-    # the zero, since f4(eta2/b1) >= 0 once ln(1 + eta2/b1) >= 2
-    b2 = 2.0 ** log2_b2 if log2_b2 <= 200.0 + math.log2(tol) else eta2 / b1
+    # 200 halvings resolve the analytic bracket to BISECT_TOL only while
+    # eta2/b1 is below ~1.3e4 (and it overflows past ~5e5); beyond, p = eta2/b1
+    # brackets the zero, since f4(eta2/b1) >= 0 once ln(1 + eta2/b1) >= 2
+    b2 = 2.0 ** log2_b2 if log2_b2 <= 200.0 + math.log2(BISECT_TOL) else eta2 / b1
     while f4(b2) < 0.0:  # float-safety; the analytic bracket already suffices
         b2 *= 2.0
     lo, hi = 0.0, b2
-    f_tol = tol * max(1.0, b1, eta2)
+    f_tol = BISECT_TOL * max(1.0, b1, eta2)
     mid = 0.5 * (lo + hi)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -346,7 +346,7 @@ def f4_zero(b1: float, eta2: float, tol: float = BISECT_TOL) -> float:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= tol and abs(fm) <= f_tol:
+        if hi - lo <= BISECT_TOL and abs(fm) <= f_tol:
             break
     return mid
 
@@ -391,13 +391,7 @@ def initial_delay(radios: RadioProfile, net: NetworkConfig) -> float:
     return float((net.S / rates).max())
 
 
-def ives(
-    u: np.ndarray,
-    radios: RadioProfile,
-    net: NetworkConfig,
-    eps: float = IVES_EPS,
-    max_iters: int = IVES_MAX_ITERS,
-) -> Sp2Solution:
+def ives(u: np.ndarray, radios: RadioProfile, net: NetworkConfig) -> Sp2Solution:
     """Alternate RB matching, power optimization and delay update until g2 settles.
 
     ``u`` holds every row's (positively shifted) contribution score.
@@ -412,7 +406,7 @@ def ives(
     empty = np.zeros(0, dtype=int)
     best_g2, best = 0.0, (empty, empty, np.zeros(0), delta)  # rows, rbs, p, delta
     trace: list[float] = []
-    for _ in range(max_iters):
+    for _ in range(IVES_MAX_ITERS):
         rows, rbs = rb_matching(u, radios, delta, net)
         if not rows.size:
             trace.append(0.0)
@@ -423,7 +417,7 @@ def ives(
         delta_next = float((net.S / net.rate(radios.h[rows], p, rbs)).max())
         if g2 > best_g2:
             best_g2, best = g2, (rows, rbs, p, delta_next)
-        if len(trace) > 1 and abs(g2 - trace[-2]) <= eps * max(1.0, abs(g2)):
+        if len(trace) > 1 and abs(g2 - trace[-2]) <= IVES_EPS * max(1.0, abs(g2)):
             break
         delta = delta_next
     rows, rbs, p, delta = best

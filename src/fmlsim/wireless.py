@@ -8,7 +8,7 @@ Shannon rate of the assigned RB.
 Devices are rows: ``ComputeProfile`` and ``RadioProfile`` hold one array
 entry per training device, in the row order of the run's training arrays
 (ascending device id), and an ``Allocation`` names its transmitters by row.
-Device ids enter only ``environment_to_json``.
+The ids themselves enter only ``environment_to_json``.
 """
 
 from __future__ import annotations

@@ -49,7 +49,7 @@ def test_wireless_round_hooks_see_devices_and_matches(layers, monkeypatch):
     ural = harness.ural
     monkeypatch.setattr(harness, "ural", recording_ural)
     metrics = run(config)
-    n_train = harness.build_population(config).train_ids.size
+    n_train = harness.generate_population(config.population, config.seed).train_ids.size
     assert len(calls) == len(metrics) == 2
     assert any(m.selected for m in metrics)
     for (args, (_, sp2)), m in zip(calls, metrics):

@@ -386,6 +386,15 @@ def test_dump_env_prints_the_run_environment(capsys, monkeypatch):
     assert {entry["compute"]["D"] for entry in dumped["devices"].values()} == {4}
 
 
+def test_empty_training_split_rejected_at_load(tmp_path, capsys):
+    path = str(CONFIGS / "wireless.json")
+    code = main(["run", "--config", path, "--set", "population.train_fraction=0",
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: {path}: population.train_fraction ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_huge_energy_price_ratio_runs(tmp_path):
     # eta2/b1 far above 5e5, where the power bisection's analytic bracket overflows
     code = main(["run", "--config", str(CONFIGS / "wireless.json"),

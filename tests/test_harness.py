@@ -121,9 +121,7 @@ def test_ural_selects_every_profitable_device_with_generous_resources():
                             h_range=(0.8, 1.0), interference_range=(0.0, 0.1)),
     )
     ms = run(cfg)
-    n_train = sum(
-        1 for d in generate_population(cfg.population, cfg.seed) if d.role == "train"
-    )
+    n_train = generate_population(cfg.population, cfg.seed).train_ids.size
     assert all(len(m.selected) == n_train for m in ms)
 
 
@@ -236,8 +234,8 @@ def test_theorem1_bound_non_finite_report_raises():
     # a logistic population's zeta is NaN and rho > 0, so its L_F is NaN: a
     # beta taken from it is rejected, and a constant that makes the report
     # non-finite is a NumericalError, not a NaN or infinite bound
-    devices = generate_population(PopulationSpec(n=6, d=3, family="logistic-regression"), 0)
-    data = DeviceArrays([d.model for d in devices])
+    spec = PopulationSpec(n=6, d=3, family="logistic-regression", train_fraction=1.0)
+    data = generate_population(spec, 0).train
     c = population_constants(data, 0.05)
     assert math.isnan(c.L_F)
     with pytest.raises(InvalidInputError, match="beta must be finite"):

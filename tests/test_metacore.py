@@ -12,6 +12,7 @@ from fmlsim.metacore import (
     MetaHyper,
     QuadraticModel,
     SmoothnessConstants,
+    _sigmoid,
     batched_meta_gradient,
     draw_batch,
     draw_batch_weights,
@@ -366,6 +367,21 @@ def test_batch_draw_properties(counts, batch, seed, k, step):
     # a pure function of (seed, round, step)
     again = draw_batch_weights(rng.stream(seed, k, step, rng.ROLE_BATCH), mask, sizes)
     assert np.array_equal(w, again)
+
+
+@given(st.lists(st.floats(), max_size=40))
+def test_sigmoid_is_the_two_branch_formula_bit_for_bit(values):
+    # 1/(1 + e^-z) for z >= 0 and e^z/(1 + e^z) below, each branch on its own entries
+    z = np.array(values, dtype=float)
+    pos = z >= 0
+    want = np.empty_like(z)
+    want[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    want[~pos] = ez / (1.0 + ez)
+    got = _sigmoid(z)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
 
 
 def test_draw_batch_without_replacement():

@@ -4,8 +4,6 @@ import pytest
 from fmlsim.errors import InvalidInputError
 from fmlsim.metacore import DeviceArrays, LogisticModel, QuadraticModel
 from fmlsim.tasks import (
-    ROLE_TEST,
-    ROLE_TRAIN,
     PopulationSpec,
     empirical_gamma_g,
     generate_population,
@@ -15,48 +13,82 @@ from fmlsim.tasks import (
 )
 
 
+def _device_model(data: DeviceArrays, row: int):
+    """Row ``row`` of a population as a single-device model on its real samples."""
+    mask = data.mask[row]
+    return data.model_class(data.x[row][mask], data.y[row][mask])
+
+
 def test_population_is_reproducible():
     spec = PopulationSpec(n=12, d=3)
     a = generate_population(spec, 42)
     b = generate_population(spec, 42)
-    for da, db in zip(a, b):
-        assert np.array_equal(da.model.x, db.model.x)
-        assert np.array_equal(da.model.y, db.model.y)
-        assert da.role == db.role
+    assert np.array_equal(a.train_ids, b.train_ids)
+    for da, db in ((a.train, b.train), (a.test, b.test)):
+        assert np.array_equal(da.x, db.x)
+        assert np.array_equal(da.y, db.y)
+        assert np.array_equal(da.counts, db.counts)
 
 
 def test_population_changes_with_seed():
-    a = generate_population(PopulationSpec(n=5, d=3), 0)
-    b = generate_population(PopulationSpec(n=5, d=3), 1)
-    assert not np.array_equal(a[0].model.x, b[0].model.x)
+    a = generate_population(PopulationSpec(n=5, d=3, train_fraction=1.0), 0)
+    b = generate_population(PopulationSpec(n=5, d=3, train_fraction=1.0), 1)
+    assert not np.array_equal(_device_model(a.train, 0).x, _device_model(b.train, 0).x)
 
 
 def test_train_test_split_fractions():
-    devices = generate_population(PopulationSpec(n=40, d=2, train_fraction=0.5), 3)
-    roles = [d.role for d in devices]
-    assert roles.count(ROLE_TRAIN) == 20
-    assert roles.count(ROLE_TEST) == 20
+    pop = generate_population(PopulationSpec(n=40, d=2, train_fraction=0.5), 3)
+    assert pop.train.counts.size == pop.train_ids.size == 20
+    assert pop.test.counts.size == 20
+    assert np.all(np.diff(pop.train_ids) > 0)
+
+
+def test_devices_do_not_depend_on_the_split():
+    # the split is drawn from its own stream, so each training row at 0.5
+    # is that device's row of the full population
+    half = generate_population(PopulationSpec(n=20, d=3, train_fraction=0.5), 4)
+    full = generate_population(PopulationSpec(n=20, d=3, train_fraction=1.0), 4)
+    assert np.array_equal(full.train_ids, np.arange(20))
+    s_max = half.train.x.shape[1]
+    rows = full.train.take(half.train_ids)
+    assert np.array_equal(half.train.counts, rows.counts)
+    assert np.array_equal(half.train.x, rows.x[:, :s_max])
+    assert np.array_equal(half.train.y, rows.y[:, :s_max])
+    assert not rows.mask[:, s_max:].any()
+
+
+def test_no_test_device_means_test_is_train():
+    pop = generate_population(PopulationSpec(n=6, d=2, train_fraction=1.0), 0)
+    assert pop.test is pop.train
 
 
 def test_every_device_has_at_least_min_samples():
-    spec = PopulationSpec(n=30, d=2, size_mu=1.0, size_sigma=8.0, size_min=1)
-    devices = generate_population(spec, 7)
+    spec = PopulationSpec(n=30, d=2, size_mu=1.0, size_sigma=8.0, size_min=1,
+                          train_fraction=1.0)
+    pop = generate_population(spec, 7)
     # two classes per device, each floored at size_min
-    assert all(d.n_samples >= 2 * spec.size_min for d in devices)
+    assert np.all(pop.train.counts >= 2 * spec.size_min)
 
 
 def test_logistic_family_produces_sign_labels():
-    devices = generate_population(
-        PopulationSpec(n=6, d=3, family="logistic-regression"), 1
+    pop = generate_population(
+        PopulationSpec(n=6, d=3, family="logistic-regression", train_fraction=1.0), 1
     )
-    for d in devices:
-        assert isinstance(d.model, LogisticModel)
-        assert set(np.unique(d.model.y)) <= {-1.0, 1.0}
+    assert pop.train.model_class is LogisticModel
+    assert set(np.unique(pop.train.y[pop.train.mask])) <= {-1.0, 1.0}
 
 
 def test_unknown_family_rejected():
     with pytest.raises(InvalidInputError):
         PopulationSpec(family="deep-cnn")
+
+
+def test_empty_training_split_rejected():
+    with pytest.raises(InvalidInputError, match="^train_fraction"):
+        PopulationSpec(n=20, train_fraction=0.0)
+    with pytest.raises(InvalidInputError, match="^train_fraction"):
+        PopulationSpec(n=3, train_fraction=0.1)
+    assert PopulationSpec(n=20, train_fraction=0.05).n_train == 1
 
 
 def test_gradient_noise_std_zero_for_identical_samples():
@@ -77,26 +109,24 @@ def test_noise_stds_match_direct_computation():
 
 
 def test_empirical_gamma_g_two_devices():
-    devices = generate_population(PopulationSpec(n=2, d=3), 11)
+    data = generate_population(PopulationSpec(n=2, d=3, train_fraction=1.0), 11).train
     theta = np.zeros(3)
-    gap = np.linalg.norm(devices[0].model.grad(theta) - devices[1].model.grad(theta))
-    data = DeviceArrays([d.model for d in devices])
+    gap = np.linalg.norm(_device_model(data, 0).grad(theta) - _device_model(data, 1).grad(theta))
     assert empirical_gamma_g(data, theta) == pytest.approx(gap)
 
 
 def test_population_constants_bound_device_hessians():
-    devices = generate_population(PopulationSpec(n=8, d=3), 2)
-    c = population_constants(DeviceArrays([d.model for d in devices]), alpha=0.05)
+    data = generate_population(PopulationSpec(n=8, d=3, train_fraction=1.0), 2).train
+    c = population_constants(data, alpha=0.05)
     assert c.rho == 0.0  # quadratic family
-    for d in devices:
-        h = d.model.hessian(np.zeros(3))
+    for row in range(data.counts.size):
+        h = _device_model(data, row).hessian(np.zeros(3))
         assert np.linalg.norm(h, 2) <= c.L + 1e-12
     assert c.sigma_G >= 0 and c.sigma_H >= 0 and c.gamma_H >= 0
 
 
 def test_population_constants_logistic_has_positive_rho():
-    devices = generate_population(
-        PopulationSpec(n=4, d=3, family="logistic-regression"), 2
-    )
-    data = DeviceArrays([d.model for d in devices])
+    data = generate_population(
+        PopulationSpec(n=4, d=3, family="logistic-regression", train_fraction=1.0), 2
+    ).train
     assert population_constants(data, alpha=0.05).rho > 0
