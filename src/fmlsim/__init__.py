@@ -24,7 +24,7 @@ from .metacore import (
 )
 from .selection import aggregate, select_top_k, shifted_scores
 from .tasks import Population, PopulationSpec, generate_population, population_constants
-from .ural import Sp1Solution, Sp2Solution, ives, solve_sp1, ural
+from .ural import Sp1Solution, Sp2Solution, ives, solve_sp1
 from .wireless import (
     Allocation,
     ComputeProfile,
@@ -72,5 +72,4 @@ __all__ = [
     "solve_sp1",
     "sweep",
     "theorem1_bound",
-    "ural",
 ]

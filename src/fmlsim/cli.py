@@ -29,7 +29,6 @@ from .harness import (
     sweep_to_csv,
     value_text,
 )
-from .oracles import SUITES
 from .tasks import generate_population
 from .wireless import environment_to_json
 
@@ -154,6 +153,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .oracles import SUITES     # only this command needs the suites
+
     if args.suite not in SUITES:
         raise CliError(f"unknown oracle suite {args.suite!r} (known: {', '.join(SUITES)})")
     result = SUITES[args.suite](seed=args.seed)
@@ -207,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_oracle = sub.add_parser("oracle", help="run a solver-vs-oracle comparison suite")
-    p_oracle.add_argument("suite", help=f"one of: {', '.join(SUITES)}")
+    p_oracle.add_argument("suite", help="suite name; an unknown name lists the known ones")
     p_oracle.add_argument("--seed", type=_seed, default=0)
     p_oracle.set_defaults(func=cmd_oracle)
 

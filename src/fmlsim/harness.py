@@ -9,12 +9,18 @@ device in one ``local_update`` call and evaluates each loss in one
 row in the training arrays (rows ascend in device id); ids appear only in
 ``RoundMetrics.selected``.  A run is a deterministic function of (config, seed)
 because every random draw comes from a stream keyed by (seed, round, step)
-or a similar tuple.  A round whose meta-gradients, scores or losses are
-non-finite stops the run with NumericalError.
+or a similar tuple; a local step whose batches are all full datasets draws
+nothing.  A round does only the work that changes between rounds: ``ural``
+solves the run-constant SP1 and starting delay once per run, and a sweep
+builds each distinct (population spec, seed) once for all its cells.  A
+round whose meta-gradients, scores or losses are non-finite stops the run
+with NumericalError.
 """
 
 from __future__ import annotations
 
+import collections
+import contextvars
 import csv
 import io
 import logging
@@ -22,7 +28,7 @@ import math
 import numbers
 import types
 import typing
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -214,6 +220,42 @@ def build_environment(
 # ---------------------------------------------------------------------------
 # the round loop
 
+class _SharedPopulations:
+    """A sweep's populations, one per distinct (population spec, seed).
+
+    Each is built at the first run that needs it and dropped after the last;
+    sharing is safe because a population's arrays are read-only.
+    """
+
+    def __init__(self, configs: list[ExperimentConfig]):
+        self._uses = collections.Counter(map(self._key, configs))
+        self._built: dict = {}
+
+    @staticmethod
+    def _key(config: ExperimentConfig) -> tuple:
+        return astuple(config.population), config.seed
+
+    def take(self, config: ExperimentConfig) -> Population:
+        key = self._key(config)
+        pop = self._built.pop(key, None) or generate_population(config.population, config.seed)
+        self._uses[key] -= 1
+        if self._uses[key] > 0:
+            self._built[key] = pop
+        return pop
+
+
+# the running sweep's populations; ``run`` takes only a config, as each cell calls it
+_sweep_populations: contextvars.ContextVar[_SharedPopulations | None] = contextvars.ContextVar(
+    "_sweep_populations", default=None)
+
+
+def _population(config: ExperimentConfig) -> Population:
+    """The run's population: the sweep's shared one inside ``sweep``, else a new build."""
+    shared = _sweep_populations.get()
+    if shared is None:
+        return generate_population(config.population, config.seed)
+    return shared.take(config)
+
 
 def run(config: ExperimentConfig) -> list[RoundMetrics]:
     """Federated meta-training, one ``RoundMetrics`` per round.
@@ -225,7 +267,7 @@ def run(config: ExperimentConfig) -> list[RoundMetrics]:
     The uploads are aggregated into the next model (an empty selection keeps
     it) and the adapted losses are evaluated.
     """
-    pop = generate_population(config.population, config.seed)
+    pop = _population(config)
     wireless = config.mode == "wireless"
     if wireless:
         compute, radios, net = build_environment(config, pop)
@@ -411,29 +453,34 @@ def sweep(
         grid.append((value, [replace(value_config, seed=s) for s in seeds]))
     cells: list[SweepCell] = []
     runs: dict[tuple[object, int], list[RoundMetrics]] = {}
-    for value, seed_configs in grid:
-        losses, energies, times, objectives = [], [], [], []
-        for cell_config in seed_configs:
-            ms = run(cell_config)
-            runs[(value, cell_config.seed)] = ms
-            losses.append(np.mean([m.test_loss for m in ms]))
-            energies.append(np.mean([m.energy for m in ms]))
-            times.append(np.mean([m.time for m in ms]))
-            objectives.append(np.mean([m.objective for m in ms]))
+    token = _sweep_populations.set(
+        _SharedPopulations([c for _, seed_configs in grid for c in seed_configs]))
+    try:
+        for value, seed_configs in grid:
+            losses, energies, times, objectives = [], [], [], []
+            for cell_config in seed_configs:
+                ms = run(cell_config)
+                runs[(value, cell_config.seed)] = ms
+                losses.append(np.mean([m.test_loss for m in ms]))
+                energies.append(np.mean([m.energy for m in ms]))
+                times.append(np.mean([m.time for m in ms]))
+                objectives.append(np.mean([m.objective for m in ms]))
 
-        def stats(xs):
-            arr = np.asarray(xs, dtype=float)
-            return float(arr.mean()), float(arr.std(ddof=1)) if len(xs) > 1 else 0.0
+            def stats(xs):
+                arr = np.asarray(xs, dtype=float)
+                return float(arr.mean()), float(arr.std(ddof=1)) if len(xs) > 1 else 0.0
 
-        ml, sl = stats(losses)
-        me, se = stats(energies)
-        mt, st = stats(times)
-        mo, so = stats(objectives)
-        cells.append(SweepCell(
-            parameter=parameter, value=value, seeds=tuple(seeds),
-            mean_loss=ml, sd_loss=sl, mean_energy=me, sd_energy=se,
-            mean_time=mt, sd_time=st, mean_objective=mo, sd_objective=so,
-        ))
+            ml, sl = stats(losses)
+            me, se = stats(energies)
+            mt, st = stats(times)
+            mo, so = stats(objectives)
+            cells.append(SweepCell(
+                parameter=parameter, value=value, seeds=tuple(seeds),
+                mean_loss=ml, sd_loss=sl, mean_energy=me, sd_energy=se,
+                mean_time=mt, sd_time=st, mean_objective=mo, sd_objective=so,
+            ))
+    finally:
+        _sweep_populations.reset(token)
     return cells, runs
 
 

@@ -345,9 +345,12 @@ class DeviceArrays:
         self._set_rows(x, y, mask, counts)
 
     def _set_rows(self, x, y, mask, counts) -> None:
-        # every per-row attribute is set here, so ``take`` keeps them aligned
+        # every per-row attribute is set here, so ``take`` keeps them aligned;
+        # read-only, so that a sweep can share one population between its runs
         self.x, self.y, self.mask, self.counts = x, y, mask, counts
         self.full_weights = mask / counts[:, None]
+        for a in (x, y, mask, counts, self.full_weights):
+            a.flags.writeable = False
 
     def take(self, rows: np.ndarray) -> DeviceArrays:
         """The population of the given rows in that order; a row may repeat."""
@@ -420,8 +423,10 @@ def local_update(
     """Run tau local meta-gradient steps on every device at once and score them.
 
     ``step_rng(step)`` returns the stream of one step; its batches for all
-    devices and roles come from ``draw_batch_weights``.  Returns the updated
-    parameters (n, d) and the contribution scores (n,)
+    devices and roles come from ``draw_batch_weights``.  When every batch is
+    its device's whole dataset, each role's weights are ``data.full_weights``
+    (what the draw would give, bit for bit) and ``step_rng`` is never called.
+    Returns the updated parameters (n, d) and the contribution scores (n,)
     u_i = sum_t ||g_t||^2 - 2*(lambda1 + lambda2/sqrt(D_i)) * ||g_t||.
     Raises NumericalError as soon as a meta-gradient or score is non-finite.
     """
@@ -432,9 +437,13 @@ def local_update(
     theta = np.broadcast_to(np.asarray(theta0, dtype=float), (n, d)).copy()
     u = np.zeros(n)
     penalty = 2.0 * (hyper.lambda1 + hyper.lambda2 / np.sqrt(sizes))
+    full = (data.full_weights,) * 3 if np.array_equal(sizes, data.counts) else None
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(hyper.tau):
-            weights = draw_batch_weights(step_rng(t), data.mask, sizes)
+            if full is None:
+                weights = draw_batch_weights(step_rng(t), data.mask, sizes)
+            else:
+                weights = full
             g = batched_meta_gradient(data, theta, weights, hyper)
             if not np.all(np.isfinite(g)):
                 raise NumericalError(f"non-finite meta-gradient at local step {t}")

@@ -3,9 +3,11 @@
 Every random draw in the simulator comes from a stream derived from an
 integer key tuple.  The local updates of round k draw, for each local step,
 every device's three batches from one stream keyed (seed, k, step,
-ROLE_BATCH); selection, allocation and the environment have streams of
-their own.  Streams are independent of each other and of execution order,
-so outputs are a pure function of (config, seed).
+ROLE_BATCH), unless every batch is its device's full dataset: that step
+draws nothing, and its stream is never created.  Selection, allocation and
+the environment have streams of their own.  Streams are independent of each
+other and of execution order, so outputs are a pure function of (config,
+seed).
 """
 
 from __future__ import annotations

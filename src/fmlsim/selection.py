@@ -41,7 +41,7 @@ def aggregate(models: Sequence[np.ndarray]) -> np.ndarray:
     """Coordinate-wise mean of the received parameter vectors (a list or the rows of an array)."""
     if len(models) == 0:
         raise InvalidInputError("cannot aggregate an empty model list")
-    stack = np.stack(models)
+    stack = np.asarray(models)
     if stack.ndim != 2:
         raise InvalidInputError("parameter vectors must share one dimension")
     return stack.mean(axis=0)

@@ -19,6 +19,7 @@ shortest-augmenting-path solver, runs only when the certificate fails.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -32,7 +33,7 @@ IVES_MAX_ITERS = 50
 BISECT_TOL = 1e-10
 
 
-@dataclass
+@dataclass(frozen=True)
 class Sp1Solution:
     nu: np.ndarray          # CPU frequency of every row
     objective: float
@@ -391,6 +392,12 @@ def initial_delay(radios: RadioProfile, net: NetworkConfig) -> float:
     return float((net.S / rates).max())
 
 
+@functools.lru_cache(maxsize=1)
+def _run_initial_delay(radios: RadioProfile, net: NetworkConfig) -> float:
+    """``initial_delay``, computed once per run: it reads only the run's fixed environment."""
+    return initial_delay(radios, net)
+
+
 def ives(u: np.ndarray, radios: RadioProfile, net: NetworkConfig) -> Sp2Solution:
     """Alternate RB matching, power optimization and delay update until g2 settles.
 
@@ -402,7 +409,7 @@ def ives(u: np.ndarray, radios: RadioProfile, net: NetworkConfig) -> Sp2Solution
         raise InvalidInputError(f"ives needs one score per device row, got {u.shape}")
     if u.min() <= 0:
         raise InvalidInputError("contribution scores must be shifted positive")
-    delta = initial_delay(radios, net)
+    delta = _run_initial_delay(radios, net)
     empty = np.zeros(0, dtype=int)
     best_g2, best = 0.0, (empty, empty, np.zeros(0), delta)  # rows, rbs, p, delta
     trace: list[float] = []
@@ -432,10 +439,23 @@ def ives(u: np.ndarray, radios: RadioProfile, net: NetworkConfig) -> Sp2Solution
     )
 
 
+@functools.lru_cache(maxsize=1)
+def _run_sp1(compute: ComputeProfile, net: NetworkConfig) -> Sp1Solution:
+    """``solve_sp1`` at the network's weights, computed once per run (its ``nu`` read-only).
+
+    SP1 reads no score, only the run's fixed compute profiles and weights.
+    """
+    sp1 = solve_sp1(compute, (net.eta1, net.eta2))
+    sp1.nu.flags.writeable = False
+    return sp1
+
+
 def ural(
     compute: ComputeProfile, radios: RadioProfile, net: NetworkConfig, u: np.ndarray
 ) -> tuple[Sp1Solution, Sp2Solution]:
-    """Solve the frequency sub-problem and the matching/power sub-problem."""
-    sp1 = solve_sp1(compute, (net.eta1, net.eta2))
-    sp2 = ives(u, radios, net)
-    return sp1, sp2
+    """Solve the frequency sub-problem and the matching/power sub-problem.
+
+    Profiles are immutable and compared by identity, so a run, which keeps
+    one environment, solves SP1 and IVES's starting delay once.
+    """
+    return _run_sp1(compute, net), ives(u, radios, net)

@@ -29,14 +29,19 @@ _P_MAX_FLOOR = 1e-6
 
 
 def _as_rows(profile, **dtypes) -> None:
-    """Store the named fields of a frozen profile as equal-length, positive 1-D arrays."""
-    arrays = {name: np.asarray(getattr(profile, name), dtype=dtype)
+    """Store the named fields of a frozen profile as equal-length, positive 1-D arrays.
+
+    The arrays are read-only copies: a profile is fixed for a run, and the
+    solvers keep results computed from it (``ural`` solves SP1 once per run).
+    """
+    arrays = {name: np.array(getattr(profile, name), dtype=dtype)
               for name, dtype in dtypes.items()}
     if len({a.shape for a in arrays.values()}) != 1 or next(iter(arrays.values())).ndim != 1:
         raise InvalidInputError(f"{type(profile).__name__} fields must be 1-D arrays of one length")
     for name, a in arrays.items():
         if not (a > 0).all():
             raise InvalidInputError(f"{type(profile).__name__}.{name} must be positive")
+        a.flags.writeable = False
         object.__setattr__(profile, name, a)
 
 

@@ -156,6 +156,11 @@ def test_cli_import_leaves_jsonschema_unloaded(tmp_path):
     assert _fresh_python(code, tmp_path) == "False"
 
 
+def test_cli_import_leaves_oracles_unloaded(tmp_path):
+    code = "import sys, fmlsim.cli; print('fmlsim.oracles' in sys.modules)"
+    assert _fresh_python(code, tmp_path) == "False"
+
+
 def test_imports_leave_scipy_unloaded(tmp_path):
     code = "import sys, fmlsim.cli, fmlsim.ural, fmlsim.oracles; print('scipy' in sys.modules)"
     assert _fresh_python(code, tmp_path) == "False"
@@ -249,6 +254,27 @@ def test_sweep_dot_path_equals_bare_name(tmp_path):
         tables.append([row[1:] for row in rows])
         assert (out / f"cell_{param}_0.5_seed0.csv").exists()
     assert tables[0] == tables[1]
+
+
+@pytest.mark.parametrize("param, values, path", [
+    ("eta1", ["0.5", "2.0"], "env.eta1"),
+    ("n", ["12", "20"], "population.n"),
+])
+def test_sweep_cells_equal_standalone_runs(tmp_path, param, values, path):
+    # the sweep-small shape: full batches, so no step draws a batch
+    shape = ["--set", "population.family=logistic-regression", "--set", "hyper.mode=hessian-free",
+             "--set", "batch_size=null", "--set", "rounds=3"]
+    code, out = _sweep(tmp_path, "sweep", *shape, "--param", param,
+                       "--values", ",".join(values), "--seeds", "1,2")
+    assert code == EXIT_OK
+    for value in values:
+        for seed in ("1", "2"):
+            alone = tmp_path / f"run_{value}_{seed}"
+            code = main(["run", "--config", str(CONFIGS / "wireless.json"), *shape,
+                         "--set", f"{path}={value}", "--seed", seed, "--out", str(alone)])
+            assert code == EXIT_OK
+            cell = out / f"cell_{param}_{float(value)!r}_seed{seed}.csv"
+            assert cell.read_bytes() == (alone / "metrics.csv").read_bytes()
 
 
 def test_sweep_seed_parameter_is_usage_error(tmp_path, capsys):

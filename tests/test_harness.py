@@ -268,6 +268,41 @@ def test_sweep_checks_every_seed_before_the_first_run(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("parameter, values, builds", [
+    ("eta1", [0.5, 1.0, 2.0], 2),       # every value shares each seed's population
+    ("n", [12, 20], 4),                 # every (value, seed) has its own
+])
+def test_sweep_builds_each_population_once(monkeypatch, parameter, values, builds):
+    built = []
+
+    def recording_generate(spec, seed):
+        built.append((spec.n, seed))
+        return generate_population(spec, seed)
+
+    monkeypatch.setattr(harness, "generate_population", recording_generate)
+    cfg = _wireless_config(rounds=2, batch_size=None)
+    _, runs = sweep(cfg, parameter, values, seeds=[0, 1])
+    assert len(built) == len(set(built)) == builds and len(runs) == len(values) * 2
+    run(cfg)                            # a run outside a sweep builds its own
+    assert len(built) == builds + 1
+
+
+def test_shared_population_and_run_constants_are_read_only():
+    cfg = _wireless_config(rounds=1)
+    pop = generate_population(cfg.population, cfg.seed)
+    arrays = [getattr(data, name) for data in (pop.train, pop.test)
+              for name in ("x", "y", "mask", "counts", "full_weights")]
+    compute, radios, net = harness.build_environment(cfg, pop)
+    arrays += [compute.c, compute.D, radios.h, radios.p_max]
+    u = np.ones(pop.train_ids.size)
+    sp1, _ = harness.ural(compute, radios, net, u)
+    assert harness.ural(compute, radios, net, u)[0] is sp1      # solved once per environment
+    arrays.append(sp1.nu)
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+
+
 def test_empty_selection_keeps_the_model(caplog):
     payload = json.loads((CONFIGS / "wireless.json").read_text())
     set_path(payload, "env.eta1", 1e4)

@@ -369,6 +369,42 @@ def test_batch_draw_properties(counts, batch, seed, k, step):
     assert np.array_equal(w, again)
 
 
+def _no_stream(step):
+    raise AssertionError(f"step {step} drew a stream, but every batch is full")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    counts=st.lists(st.integers(1, 12), min_size=1, max_size=8),
+    family=st.sampled_from([QuadraticModel, LogisticModel]),
+    mode=st.sampled_from(["hessian", "first-order", "hessian-free"]),
+    tau=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_full_batches_skip_the_draw_bit_for_bit(counts, family, mode, tau, seed):
+    g = np.random.default_rng(seed)
+    models = [family(g.normal(size=(n, 3)), np.where(g.uniform(size=n) < 0.5, 1.0, -1.0))
+              for n in counts]
+    data = DeviceArrays(models)
+    streams = _step_streams(seed, 7)
+    for t in range(tau):
+        drawn = draw_batch_weights(streams(t), data.mask, data.counts)
+        assert all(np.array_equal(w, data.full_weights) for w in drawn)
+    theta0 = g.normal(size=3)
+    hyper = MetaHyper(alpha=0.1, beta=0.05, tau=tau, lambda1=0.3, lambda2=0.7, mode=mode)
+    theta, u = local_update(data, theta0, hyper, data.counts, _no_stream)
+    # the loop of local_update with every step's batches drawn
+    ref_theta, ref_u = np.tile(theta0, (len(counts), 1)), np.zeros(len(counts))
+    penalty = 2.0 * (hyper.lambda1 + hyper.lambda2 / np.sqrt(data.counts))
+    for t in range(tau):
+        weights = draw_batch_weights(streams(t), data.mask, data.counts)
+        grad = batched_meta_gradient(data, ref_theta, weights, hyper)
+        gn = np.sqrt(np.einsum("nd,nd->n", grad, grad))
+        ref_u += gn * gn - penalty * gn
+        ref_theta -= hyper.beta * grad
+    assert np.array_equal(theta, ref_theta) and np.array_equal(u, ref_u)
+
+
 @given(st.lists(st.floats(), max_size=40))
 def test_sigmoid_is_the_two_branch_formula_bit_for_bit(values):
     # 1/(1 + e^-z) for z >= 0 and e^z/(1 + e^z) below, each branch on its own entries

@@ -1,4 +1,3 @@
-import importlib
 import math
 
 import numpy as np
@@ -7,6 +6,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment   # test-only reference
 
+import fmlsim.ural as ural_module
 from fmlsim import rng
 from fmlsim.errors import InvalidInputError
 from fmlsim.oracles import (
@@ -29,8 +29,6 @@ from fmlsim.ural import (
     ural,
 )
 from fmlsim.wireless import ComputeProfile, NetworkConfig, RadioProfile
-
-ural_module = importlib.import_module("fmlsim.ural")   # ``fmlsim.ural`` is also a function
 
 
 def _unit_device():
