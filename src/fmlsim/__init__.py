@@ -6,24 +6,10 @@ from .errors import (
     InvalidInputError,
     NumericalError,
 )
-from .harness import (
-    BoundReport,
-    ExperimentConfig,
-    RoundMetrics,
-    run,
-    sweep,
-    theorem1_bound,
-)
-from .metacore import (
-    LogisticModel,
-    LossModel,
-    MetaHyper,
-    QuadraticModel,
-    SmoothnessConstants,
-    exact_meta_gradient,
-)
+from .harness import ExperimentConfig, RoundMetrics, run, sweep
+from .metacore import LogisticModel, LossModel, MetaHyper, QuadraticModel
 from .selection import aggregate, select_top_k, shifted_scores
-from .tasks import Population, PopulationSpec, generate_population, population_constants
+from .tasks import Population, PopulationSpec, generate_population
 from .ural import Sp1Solution, Sp2Solution, ives, solve_sp1
 from .wireless import (
     Allocation,
@@ -39,7 +25,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Allocation",
-    "BoundReport",
     "ComputeProfile",
     "ConfigurationError",
     "EnvironmentSpec",
@@ -56,14 +41,11 @@ __all__ = [
     "QuadraticModel",
     "RadioProfile",
     "RoundMetrics",
-    "SmoothnessConstants",
     "Sp1Solution",
     "Sp2Solution",
     "aggregate",
-    "exact_meta_gradient",
     "generate_population",
     "ives",
-    "population_constants",
     "round_totals",
     "run",
     "sample_environment",
@@ -71,5 +53,4 @@ __all__ = [
     "shifted_scores",
     "solve_sp1",
     "sweep",
-    "theorem1_bound",
 ]

@@ -226,6 +226,11 @@ def main(argv: list[str] | None = None) -> int:
     except (CliError, ConfigurationError, InvalidInputError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory: the run's padded device arrays grow with population.n, "
+              "population.size_mu, population.size_sigma and population.d; lower one of them",
+              file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

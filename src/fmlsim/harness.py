@@ -1,4 +1,4 @@
-"""Experiment driver: the federated training loop, baselines and bound checks.
+"""Experiment driver: config, the federated round loop, baselines, sweeps and CSV.
 
 ``run`` is the one training loop.  In nufm mode it is the pure learning
 loop (selection + aggregation, no wireless model); in wireless mode each
@@ -34,16 +34,9 @@ import numpy as np
 
 from . import rng
 from .errors import ConfigurationError, InvalidInputError, NumericalError
-from .metacore import (
-    DeviceArrays,
-    MetaHyper,
-    SmoothnessConstants,
-    batched_meta_gradient,
-    draw_batch_weights,
-    local_update,
-)
+from .metacore import DeviceArrays, MetaHyper, adapted_loss, local_update
 from .selection import aggregate, select_top_k, shifted_scores
-from .tasks import Population, PopulationSpec, empirical_gamma_g, generate_population
+from .tasks import Population, PopulationSpec, generate_population
 from .ural import solve_sp2_power, ural
 from .wireless import (
     Allocation,
@@ -123,13 +116,6 @@ def _round_of_updates(
         )
     except NumericalError as exc:
         raise NumericalError(f"round {k}: {exc}") from None
-
-
-def adapted_loss(data: DeviceArrays, theta: np.ndarray, alpha: float) -> float:
-    """Mean over devices of the full-data loss after one personalization step."""
-    w = data.full_weights
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(data.loss(w, theta - alpha * data.grad(w, theta)).mean())
 
 
 def _round_losses(
@@ -309,94 +295,6 @@ def run(config: ExperimentConfig) -> list[RoundMetrics]:
 
 
 # ---------------------------------------------------------------------------
-# descent-bound evaluation
-
-
-@dataclass
-class BoundReport:
-    """One-round loss-decrease estimate against its analytic lower bound."""
-
-    lhs: float                      # Monte-Carlo E[F(theta_k) - F(theta_{k+1})]
-    lhs_se: float                   # Monte-Carlo standard error of lhs
-    rhs: float                      # analytic lower bound
-    sigma_F: np.ndarray             # one entry per selected row
-
-
-def sigma_f_squared(c: SmoothnessConstants, d: int, d_prime: int, d_double: int) -> float:
-    """Second-moment bound of the meta-gradient estimator for given batch sizes."""
-    a = 1.0 / d_prime + (c.alpha * c.L) ** 2 / d
-    return (
-        6.0 * c.sigma_G ** 2 * (1.0 + c.alpha * c.L) ** 2 * a
-        + 3.0 * (c.alpha * c.zeta * c.sigma_H) ** 2 / d_double
-        + 6.0 * (c.alpha * c.sigma_G * c.sigma_H) ** 2 / d_double * a
-    )
-
-
-def meta_gradient_bias_bound(c: SmoothnessConstants, d: int) -> float:
-    """Bias bound alpha * sigma_G * L * (1 + alpha*L) / sqrt(D)."""
-    return c.alpha * c.sigma_G * c.L * (1.0 + c.alpha * c.L) / math.sqrt(d)
-
-
-def theorem1_bound(
-    data: DeviceArrays,
-    theta: np.ndarray,
-    hyper: MetaHyper,
-    constants: SmoothnessConstants,
-    rows: np.ndarray,
-    batch_size: int | None = None,
-    mc: int = 256,
-    seed: int = 0,
-) -> BoundReport:
-    """Monte-Carlo one-round loss decrease versus the analytic lower bound.
-
-    ``rows`` are the selected rows of ``data``, ascending.  The mc resamples
-    of every selected row are one ``batched_meta_gradient`` pass, their
-    batches drawn by ``draw_batch_weights`` from the stream ``(seed,)``.
-    Restricted to tau=1 (the single-step form of the bound).  zeta and
-    gamma_G are filled with empirical values at theta when not supplied.
-    """
-    if hyper.tau != 1:
-        raise InvalidInputError("the one-round bound requires tau=1")
-    rows = np.asarray(rows)
-    if not rows.size or np.any(np.diff(rows) <= 0) or rows[0] < 0 or rows[-1] >= data.counts.size:
-        raise InvalidInputError("selected rows must be nonempty, ascending and in range")
-
-    c = constants
-    if math.isnan(c.zeta):
-        grads = data.grad(data.full_weights, theta)
-        c = replace(c, zeta=float(np.linalg.norm(grads, axis=1).max()))
-    if math.isnan(c.gamma_G):
-        c = replace(c, gamma_G=empirical_gamma_g(data, theta))
-
-    sizes = data.batch_sizes(batch_size)[rows]
-    sigma_f = np.sqrt(sigma_f_squared(c, sizes, sizes, sizes))
-
-    # resample r of selected row k is row r*len(rows) + k of the tiled arrays
-    tiled = data.take(np.tile(rows, mc))
-    weights = draw_batch_weights(rng.stream(seed), tiled.mask, np.tile(sizes, mc))
-    grads = batched_meta_gradient(tiled, theta, weights, hyper).reshape(mc, rows.size, -1)
-    if not np.all(np.isfinite(grads)):
-        raise NumericalError("meta-gradient produced non-finite values")
-    f_now = adapted_loss(data, theta, c.alpha)
-    decreases = np.array([f_now - adapted_loss(data, aggregate(theta - hyper.beta * g), c.alpha)
-                          for g in grads])
-
-    dissimilarity = math.sqrt(
-        (1.0 + c.alpha * c.L) ** 2 * c.gamma_G + c.alpha * c.zeta * c.gamma_H
-    )
-    second_moment = np.einsum("rkd,rkd->rk", grads, grads).mean(axis=0)
-    rhs_terms = ((1.0 - c.L_F * hyper.beta / 2.0) * second_moment
-                 - (dissimilarity + sigma_f) * np.sqrt(second_moment))
-    rhs = hyper.beta * float(rhs_terms.mean())
-
-    lhs = float(decreases.mean())
-    lhs_se = float(decreases.std(ddof=1) / math.sqrt(mc)) if mc > 1 else 0.0
-    if not np.isfinite([lhs, lhs_se, rhs, *sigma_f]).all():
-        raise NumericalError(f"descent bound is not finite: lhs={lhs}, rhs={rhs}")
-    return BoundReport(lhs=lhs, lhs_se=lhs_se, rhs=rhs, sigma_F=sigma_f)
-
-
-# ---------------------------------------------------------------------------
 # sweeps and serialization
 
 
@@ -441,10 +339,16 @@ def sweep(
 
     ``parameter`` is a config dot path, a top-level field name, or the name
     of exactly one section field (``eta1`` is ``env.eta1``).  Every
-    (value, seed) config is built and checked before the first run.
+    (value, seed) config is built and checked before the first run.  A
+    repeated seed, or two values written as the same ``value_text``, would
+    give two cells one name, so either is a ConfigurationError.
     """
     path = _sweep_path(parameter)
     seeds = [config.seed] if seeds is None else list(seeds)
+    for name, keys in (("seed", seeds), ("value", [value_text(v) for v in values])):
+        repeated = [key for key, count in collections.Counter(keys).items() if count > 1]
+        if repeated:
+            raise ConfigurationError(f"sweep {name} {repeated[0]} is given more than once")
     grid = []
     for value in values:
         payload = asdict(config)

@@ -11,11 +11,15 @@ For both families a device's expected loss is identified with the mean
 loss over its full local dataset, so full-batch estimates are exact and
 serve as analytic oracles for the stochastic estimators.
 
-The library runs ``batched_meta_gradient`` on a population held as padded
-arrays (``DeviceArrays``): ``local_update`` takes each local step of every
-device in one array pass, the descent bound every (resample, device) pair.
-The per-device ``Batch``, ``draw_batch``, ``grad_estimate``,
-``hessian_estimate`` and ``meta_gradient`` are the tests' reference for it.
+A family is stateless: a class of margin formulas, never instantiated.  A
+device's dataset is a ``Batch``, and a population is the family plus its
+datasets held as padded arrays (``DeviceArrays``).  The library runs
+``batched_meta_gradient`` on those arrays: ``local_update`` takes each
+local step of every device in one array pass, the descent bound in
+``oracles`` every (resample, device) pair.  The per-device ``draw_batch``,
+``grad_estimate``, ``hessian_estimate``, ``meta_gradient`` and
+``exact_meta_gradient`` take ``(family, Batch)`` and are the tests'
+reference for it.
 """
 
 from __future__ import annotations
@@ -81,29 +85,6 @@ class MetaHyper:
             raise InvalidInputError(f"mode: unknown estimator mode {self.mode!r}")
 
 
-@dataclass
-class SmoothnessConstants:
-    """Smoothness, variance and similarity constants of a device population.
-
-    ``zeta`` and ``gamma_G`` depend on the iterate; they start as NaN and
-    ``theorem1_bound`` fills them with their empirical values at its theta.
-    """
-
-    alpha: float
-    L: float
-    rho: float = 0.0
-    zeta: float = float("nan")
-    sigma_G: float = 0.0
-    sigma_H: float = 0.0
-    gamma_G: float = float("nan")
-    gamma_H: float = 0.0
-
-    @property
-    def L_F(self) -> float:
-        rho_term = self.alpha * self.rho * self.zeta if self.rho > 0 else 0.0
-        return (1.0 + self.alpha * self.L) ** 2 * self.L + rho_term
-
-
 def _margin(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Per-sample ``x @ theta``; broadcasts over leading (device) axes of both.
 
@@ -113,7 +94,7 @@ def _margin(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 class LossModel:
-    """Base class: an analytic loss family bound to a device's full dataset.
+    """Base class of the analytic loss families; a family is used as a class.
 
     A family is fixed by its per-sample loss ``margin_loss(a, y)`` as a
     function of the margin ``a = x @ theta`` and the label: the per-sample
@@ -123,25 +104,6 @@ class LossModel:
     ``theta (d,)`` and the padded population shapes ``x (n, S, d)``,
     ``theta (d,)`` or ``(n, d)`` of ``DeviceArrays``.
     """
-
-    def __init__(self, x: np.ndarray, y: np.ndarray):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
-            raise InvalidInputError("dataset inputs and labels have inconsistent shapes")
-        self.x = x
-        self.y = y
-
-    @property
-    def dim(self) -> int:
-        return self.x.shape[1]
-
-    @property
-    def n_samples(self) -> int:
-        return self.x.shape[0]
-
-    def full_batch(self) -> Batch:
-        return Batch(self.x, self.y)
 
     # the family: loss, slope and curvature as functions of the margin
     @staticmethod
@@ -175,16 +137,6 @@ class LossModel:
     def per_sample_hessian(cls, theta, x, y) -> np.ndarray:
         c = cls.margin_curvature(_margin(theta, x), y)
         return c[..., None, None] * (x[..., :, None] * x[..., None, :])
-
-    # exact (full-dataset) quantities
-    def grad(self, theta: np.ndarray) -> np.ndarray:
-        return self.per_sample_grad(theta, self.x, self.y).mean(axis=0)
-
-    def hessian(self, theta: np.ndarray) -> np.ndarray:
-        return self.per_sample_hessian(theta, self.x, self.y).mean(axis=0)
-
-    def loss(self, theta: np.ndarray) -> float:
-        return float(self.per_sample_loss(theta, self.x, self.y).mean())
 
 
 class QuadraticModel(LossModel):
@@ -232,24 +184,23 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
 
 
-def _check_dims(model: LossModel, theta: np.ndarray, batch: Batch) -> None:
-    if theta.shape != (model.dim,) or batch.x.shape[1] != model.dim:
+def _check_dims(theta: np.ndarray, batch: Batch) -> None:
+    if theta.shape != batch.x.shape[1:]:
         raise InvalidInputError(
-            f"dimension mismatch: model d={model.dim}, theta {theta.shape}, "
-            f"batch inputs {batch.x.shape}"
+            f"dimension mismatch: theta {theta.shape}, batch inputs {batch.x.shape}"
         )
 
 
-def grad_estimate(model: LossModel, theta: np.ndarray, batch: Batch) -> np.ndarray:
+def grad_estimate(family: type[LossModel], theta: np.ndarray, batch: Batch) -> np.ndarray:
     """Batch-mean per-sample gradient (unbiased for the full-data loss)."""
-    _check_dims(model, theta, batch)
-    return model.per_sample_grad(theta, batch.x, batch.y).mean(axis=0)
+    _check_dims(theta, batch)
+    return family.per_sample_grad(theta, batch.x, batch.y).mean(axis=0)
 
 
-def hessian_estimate(model: LossModel, theta: np.ndarray, batch: Batch) -> np.ndarray:
+def hessian_estimate(family: type[LossModel], theta: np.ndarray, batch: Batch) -> np.ndarray:
     """Batch-mean per-sample Hessian; symmetric by construction."""
-    _check_dims(model, theta, batch)
-    return model.per_sample_hessian(theta, batch.x, batch.y).mean(axis=0)
+    _check_dims(theta, batch)
+    return family.per_sample_hessian(theta, batch.x, batch.y).mean(axis=0)
 
 
 def finite_difference_hvp(
@@ -265,7 +216,7 @@ def finite_difference_hvp(
 
 
 def meta_gradient(
-    model: LossModel,
+    family: type[LossModel],
     theta: np.ndarray,
     d_batch: Batch,
     d_prime_batch: Batch,
@@ -280,18 +231,18 @@ def meta_gradient(
     where g = grad(theta - a * grad(theta, D), D').
     """
     alpha = hyper.alpha
-    inner = grad_estimate(model, theta, d_batch)
+    inner = grad_estimate(family, theta, d_batch)
     adapted = theta - alpha * inner
-    g = grad_estimate(model, adapted, d_prime_batch)
+    g = grad_estimate(family, adapted, d_prime_batch)
 
     if hyper.mode == MODE_FIRST_ORDER:
         out = g
     elif hyper.mode == MODE_HESSIAN:
-        h = hessian_estimate(model, theta, d_double_batch)
+        h = hessian_estimate(family, theta, d_double_batch)
         out = g - alpha * (h @ g)
     else:
         hvp = finite_difference_hvp(
-            lambda t: grad_estimate(model, t, d_double_batch), theta, g, hyper.hv_epsilon
+            lambda t: grad_estimate(family, t, d_double_batch), theta, g, hyper.hv_epsilon
         )
         out = g - alpha * hvp
     if not np.all(np.isfinite(out)):
@@ -299,23 +250,20 @@ def meta_gradient(
     return out
 
 
-def exact_meta_gradient(model: LossModel, theta: np.ndarray, alpha: float) -> np.ndarray:
-    """Population meta-gradient (I - a*H(theta)) @ grad(theta - a*grad(theta)), no sampling noise."""
-    _check_dims(model, theta, model.full_batch())
-    g0 = model.grad(theta)
-    g = model.grad(theta - alpha * g0)
-    h = model.hessian(theta)
-    return g - alpha * (h @ g)
+def exact_meta_gradient(
+    family: type[LossModel], data: Batch, theta: np.ndarray, alpha: float
+) -> np.ndarray:
+    """Meta-gradient (I - a*H(theta)) @ grad(theta - a*grad(theta)) on all of ``data``."""
+    g = grad_estimate(family, theta - alpha * grad_estimate(family, theta, data), data)
+    return g - alpha * (hessian_estimate(family, theta, data) @ g)
 
 
-def draw_batch(model: LossModel, rng: np.random.Generator, size: int) -> Batch:
+def draw_batch(data: Batch, rng: np.random.Generator, size: int) -> Batch:
     """Draw `size` samples from the device's dataset without replacement."""
-    if size > model.n_samples:
-        raise ConfigurationError(
-            f"batch size {size} exceeds dataset size {model.n_samples}"
-        )
-    idx = rng.choice(model.n_samples, size=size, replace=False)
-    return Batch(model.x[idx], model.y[idx])
+    if size > data.size:
+        raise ConfigurationError(f"batch size {size} exceeds dataset size {data.size}")
+    idx = rng.choice(data.size, size=size, replace=False)
+    return Batch(data.x[idx], data.y[idx])
 
 
 class DeviceArrays:
@@ -323,25 +271,23 @@ class DeviceArrays:
 
     ``x (n, S_max, d)`` and ``y (n, S_max)`` hold each device's samples in
     its first ``counts[i]`` slots and zeros after them; ``mask`` marks the
-    real samples.  Every device must share one loss family and dimension.
+    real samples.  ``model_class`` is the one loss family of every device;
+    the datasets must share a dimension.
     """
 
-    def __init__(self, models: Sequence[LossModel]):
-        if not models:
+    def __init__(self, family: type[LossModel], datasets: Sequence[Batch]):
+        if not datasets:
             raise InvalidInputError("a device population needs at least one device")
-        model_class = type(models[0])
-        if any(type(m) is not model_class for m in models):
-            raise InvalidInputError("devices of one population must share a loss family")
-        d = models[0].dim
-        if any(m.dim != d for m in models):
+        d = datasets[0].x.shape[1]
+        if any(b.x.shape[1] != d for b in datasets):
             raise InvalidInputError("devices of one population must share a dimension")
-        counts = np.array([m.n_samples for m in models])
+        counts = np.array([b.size for b in datasets])
         mask = np.arange(counts.max()) < counts[:, None]
         x = np.zeros(mask.shape + (d,))
         y = np.zeros(mask.shape)
-        x[mask] = np.concatenate([m.x for m in models])
-        y[mask] = np.concatenate([m.y for m in models])
-        self.model_class = model_class
+        x[mask] = np.concatenate([b.x for b in datasets])
+        y[mask] = np.concatenate([b.y for b in datasets])
+        self.model_class = family
         self._set_rows(x, y, mask, counts)
 
     def _set_rows(self, x, y, mask, counts) -> None:
@@ -376,6 +322,13 @@ class DeviceArrays:
         """Per-device weighted sum of per-sample losses, (n,)."""
         per_sample = self.model_class.per_sample_loss(theta, self.x, self.y)
         return np.einsum("ns,ns->n", weights, per_sample)
+
+
+def adapted_loss(data: DeviceArrays, theta: np.ndarray, alpha: float) -> float:
+    """Mean over devices of the full-data loss after one personalization step."""
+    w = data.full_weights
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(data.loss(w, theta - alpha * data.grad(w, theta)).mean())
 
 
 def draw_batch_weights(

@@ -4,9 +4,11 @@ These deliberately avoid the solver code paths: the frequency oracle is a
 refined grid search, the assignment oracle a bitmask dynamic program (for
 both the general assignment solver and the RB matching), the
 matching/power/delay loop is checked only through its objective trace.
-The descent-bound suite checks the paper's one-round bound (Theorem 1)
-against Monte-Carlo loss decreases of the batched estimator.  Used by both
-the test suite and the ``oracle`` CLI subcommand.
+The paper's one-round descent bound (Theorem 1) lives here with its
+constants: ``population_constants`` estimates them from a population and
+``theorem1_bound`` sets the bound against Monte-Carlo loss decreases of the
+batched estimator, which the descent-bound suite checks.  Used by both the
+test suite and the ``oracle`` CLI subcommand.
 """
 
 from __future__ import annotations
@@ -17,9 +19,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import rng
-from .harness import theorem1_bound
-from .metacore import MetaHyper
-from .tasks import PopulationSpec, generate_population, population_constants
+from .errors import InvalidInputError, NumericalError
+from .metacore import (
+    DeviceArrays,
+    MetaHyper,
+    QuadraticModel,
+    adapted_loss,
+    batched_meta_gradient,
+    draw_batch_weights,
+)
+from .selection import aggregate
+from .tasks import PopulationSpec, generate_population
 from .ural import _rb_matching, f4_zero, ives, min_cost_assignment, solve_sp1
 from .wireless import ComputeProfile, NetworkConfig, RadioProfile
 
@@ -85,6 +95,170 @@ def assignment_brute_force(weights: np.ndarray) -> float:
                     nxt[mask | bit] = cand
         dp = nxt
     return float(dp.min())
+
+
+# ---------------------------------------------------------------------------
+# the one-round descent bound (Theorem 1) and its constants
+
+
+@dataclass
+class SmoothnessConstants:
+    """Smoothness, variance and similarity constants of a device population.
+
+    ``zeta`` and ``gamma_G`` depend on the iterate; they start as NaN and
+    ``theorem1_bound`` fills them with their empirical values at its theta.
+    """
+
+    alpha: float
+    L: float
+    rho: float = 0.0
+    zeta: float = float("nan")
+    sigma_G: float = 0.0
+    sigma_H: float = 0.0
+    gamma_G: float = float("nan")
+    gamma_H: float = 0.0
+
+    @property
+    def L_F(self) -> float:
+        rho_term = self.alpha * self.rho * self.zeta if self.rho > 0 else 0.0
+        return (1.0 + self.alpha * self.L) ** 2 * self.L + rho_term
+
+
+def _spectral_norm(m: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix in the trailing two axes."""
+    return np.linalg.norm(m, 2, axis=(-2, -1))
+
+
+def _sample_mean(data: DeviceArrays, per_sample: np.ndarray) -> np.ndarray:
+    """Each row's mean of a per-sample quantity (n, S_max, ...) over its real samples."""
+    trailing = (1,) * (per_sample.ndim - 2)
+    total = np.where(data.mask.reshape(data.mask.shape + trailing), per_sample, 0.0).sum(axis=1)
+    return total / data.counts.reshape((-1,) + trailing)
+
+
+def gradient_noise_std(data: DeviceArrays, theta: np.ndarray) -> np.ndarray:
+    """Per row, sqrt of the per-sample gradient variance at theta, (d,) or one per row."""
+    grads = data.model_class.per_sample_grad(theta, data.x, data.y)
+    devs = grads - _sample_mean(data, grads)[:, None]
+    return np.sqrt(_sample_mean(data, np.sum(devs ** 2, axis=-1)))
+
+
+def hessian_noise_std(data: DeviceArrays, theta: np.ndarray) -> np.ndarray:
+    """Per row, sqrt of the per-sample Hessian variance (spectral norm) around the mean."""
+    hs = data.model_class.per_sample_hessian(theta, data.x, data.y)
+    devs = hs - _sample_mean(data, hs)[:, None]
+    return np.sqrt(_sample_mean(data, _spectral_norm(devs) ** 2))
+
+
+def empirical_gamma_g(data: DeviceArrays, theta: np.ndarray) -> float:
+    """Max pairwise gradient gap at theta (trajectory-empirical similarity constant)."""
+    grads = data.grad(data.full_weights, theta)
+    return float(np.linalg.norm(grads[:, None] - grads[None], axis=-1).max())
+
+
+def population_constants(data: DeviceArrays, alpha: float) -> SmoothnessConstants:
+    """Analytic smoothness constants of a population, at theta = 0.
+
+    zeta and gamma_G depend on the iterate and are returned as NaN;
+    ``theorem1_bound`` fills them with their empirical values at its theta.
+    """
+    theta0 = np.zeros(data.x.shape[-1])
+    hessians = _sample_mean(data, data.model_class.per_sample_hessian(theta0, data.x, data.y))
+    # per-sample |sigma''| <= 1/(6*sqrt(3)); Hessian-Lipschitz via mean ||x||^3
+    cubes = _sample_mean(data, np.linalg.norm(data.x, axis=-1) ** 3)
+    rho = 0.0 if data.model_class is QuadraticModel else float(cubes.max()) / (6.0 * np.sqrt(3.0))
+    return SmoothnessConstants(
+        alpha=alpha,
+        L=float(_spectral_norm(hessians).max()),
+        rho=rho,
+        sigma_G=float(gradient_noise_std(data, theta0).max()),
+        sigma_H=float(hessian_noise_std(data, theta0).max()),
+        gamma_H=float(_spectral_norm(hessians[:, None] - hessians[None]).max()),
+    )
+
+
+@dataclass
+class BoundReport:
+    """One-round loss-decrease estimate against its analytic lower bound."""
+
+    lhs: float                      # Monte-Carlo E[F(theta_k) - F(theta_{k+1})]
+    lhs_se: float                   # Monte-Carlo standard error of lhs
+    rhs: float                      # analytic lower bound
+    sigma_F: np.ndarray             # one entry per selected row
+
+
+def sigma_f_squared(c: SmoothnessConstants, d: int, d_prime: int, d_double: int) -> float:
+    """Second-moment bound of the meta-gradient estimator for given batch sizes."""
+    a = 1.0 / d_prime + (c.alpha * c.L) ** 2 / d
+    return (
+        6.0 * c.sigma_G ** 2 * (1.0 + c.alpha * c.L) ** 2 * a
+        + 3.0 * (c.alpha * c.zeta * c.sigma_H) ** 2 / d_double
+        + 6.0 * (c.alpha * c.sigma_G * c.sigma_H) ** 2 / d_double * a
+    )
+
+
+def meta_gradient_bias_bound(c: SmoothnessConstants, d: int) -> float:
+    """Bias bound alpha * sigma_G * L * (1 + alpha*L) / sqrt(D)."""
+    return c.alpha * c.sigma_G * c.L * (1.0 + c.alpha * c.L) / math.sqrt(d)
+
+
+def theorem1_bound(
+    data: DeviceArrays,
+    theta: np.ndarray,
+    hyper: MetaHyper,
+    constants: SmoothnessConstants,
+    rows: np.ndarray,
+    batch_size: int | None = None,
+    mc: int = 256,
+    seed: int = 0,
+) -> BoundReport:
+    """Monte-Carlo one-round loss decrease versus the analytic lower bound.
+
+    ``rows`` are the selected rows of ``data``, ascending.  The mc resamples
+    of every selected row are one ``batched_meta_gradient`` pass, their
+    batches drawn by ``draw_batch_weights`` from the stream ``(seed,)``.
+    Restricted to tau=1 (the single-step form of the bound).  zeta and
+    gamma_G are filled with empirical values at theta when not supplied.
+    """
+    if hyper.tau != 1:
+        raise InvalidInputError("the one-round bound requires tau=1")
+    rows = np.asarray(rows)
+    if not rows.size or np.any(np.diff(rows) <= 0) or rows[0] < 0 or rows[-1] >= data.counts.size:
+        raise InvalidInputError("selected rows must be nonempty, ascending and in range")
+
+    c = constants
+    if math.isnan(c.zeta):
+        grads = data.grad(data.full_weights, theta)
+        c = replace(c, zeta=float(np.linalg.norm(grads, axis=1).max()))
+    if math.isnan(c.gamma_G):
+        c = replace(c, gamma_G=empirical_gamma_g(data, theta))
+
+    sizes = data.batch_sizes(batch_size)[rows]
+    sigma_f = np.sqrt(sigma_f_squared(c, sizes, sizes, sizes))
+
+    # resample r of selected row k is row r*len(rows) + k of the tiled arrays
+    tiled = data.take(np.tile(rows, mc))
+    weights = draw_batch_weights(rng.stream(seed), tiled.mask, np.tile(sizes, mc))
+    grads = batched_meta_gradient(tiled, theta, weights, hyper).reshape(mc, rows.size, -1)
+    if not np.all(np.isfinite(grads)):
+        raise NumericalError("meta-gradient produced non-finite values")
+    f_now = adapted_loss(data, theta, c.alpha)
+    decreases = np.array([f_now - adapted_loss(data, aggregate(theta - hyper.beta * g), c.alpha)
+                          for g in grads])
+
+    dissimilarity = math.sqrt(
+        (1.0 + c.alpha * c.L) ** 2 * c.gamma_G + c.alpha * c.zeta * c.gamma_H
+    )
+    second_moment = np.einsum("rkd,rkd->rk", grads, grads).mean(axis=0)
+    rhs_terms = ((1.0 - c.L_F * hyper.beta / 2.0) * second_moment
+                 - (dissimilarity + sigma_f) * np.sqrt(second_moment))
+    rhs = hyper.beta * float(rhs_terms.mean())
+
+    lhs = float(decreases.mean())
+    lhs_se = float(decreases.std(ddof=1) / math.sqrt(mc)) if mc > 1 else 0.0
+    if not np.isfinite([lhs, lhs_se, rhs, *sigma_f]).all():
+        raise NumericalError(f"descent bound is not finite: lhs={lhs}, rhs={rhs}")
+    return BoundReport(lhs=lhs, lhs_se=lhs_se, rhs=rhs, sigma_F=sigma_f)
 
 
 # ---------------------------------------------------------------------------

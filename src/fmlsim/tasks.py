@@ -15,7 +15,7 @@ import numpy as np
 
 from . import rng
 from .errors import InvalidInputError
-from .metacore import DeviceArrays, LogisticModel, LossModel, QuadraticModel, SmoothnessConstants
+from .metacore import Batch, DeviceArrays, LogisticModel, QuadraticModel
 
 _KEY_CENTERS = 9001
 _KEY_DEVICE = 9002
@@ -87,9 +87,9 @@ def generate_population(spec: PopulationSpec, seed: int) -> Population:
     center_rng = rng.stream(seed, _KEY_CENTERS)
     base = np.ones(spec.d)
     centers = base + spec.param_spread * center_rng.standard_normal((spec.clusters, spec.d))
-    model_cls = FAMILIES[spec.family]
+    family = FAMILIES[spec.family]
 
-    models: list[LossModel] = []
+    datasets: list[Batch] = []
     for i in range(spec.n):
         g = rng.stream(seed, _KEY_DEVICE, i)
         picked = g.choice(spec.clusters, size=min(spec.classes_per_device, spec.clusters),
@@ -103,66 +103,13 @@ def generate_population(spec: PopulationSpec, seed: int) -> Population:
             xs.append(x)
             signals.append(x @ centers[c] + noise)
         y = np.concatenate(signals)
-        if model_cls is LogisticModel:
+        if family is LogisticModel:
             y = np.where(y >= 0.0, 1.0, -1.0)
-        models.append(model_cls(np.concatenate(xs), y))
+        datasets.append(Batch(np.concatenate(xs), y))
 
     order = rng.stream(seed, _KEY_SPLIT).permutation(spec.n)
     train_ids = np.sort(order[:spec.n_train])
     test_ids = np.sort(order[spec.n_train:])
-    train = DeviceArrays([models[i] for i in train_ids])
-    test = DeviceArrays([models[i] for i in test_ids]) if test_ids.size else train
+    train = DeviceArrays(family, [datasets[i] for i in train_ids])
+    test = DeviceArrays(family, [datasets[i] for i in test_ids]) if test_ids.size else train
     return Population(train_ids=train_ids, train=train, test=test)
-
-
-def _spectral_norm(m: np.ndarray) -> np.ndarray:
-    """Largest singular value of each matrix in the trailing two axes."""
-    return np.linalg.norm(m, 2, axis=(-2, -1))
-
-
-def _sample_mean(data: DeviceArrays, per_sample: np.ndarray) -> np.ndarray:
-    """Each row's mean of a per-sample quantity (n, S_max, ...) over its real samples."""
-    trailing = (1,) * (per_sample.ndim - 2)
-    total = np.where(data.mask.reshape(data.mask.shape + trailing), per_sample, 0.0).sum(axis=1)
-    return total / data.counts.reshape((-1,) + trailing)
-
-
-def gradient_noise_std(data: DeviceArrays, theta: np.ndarray) -> np.ndarray:
-    """Per row, sqrt of the per-sample gradient variance at theta, (d,) or one per row."""
-    grads = data.model_class.per_sample_grad(theta, data.x, data.y)
-    devs = grads - _sample_mean(data, grads)[:, None]
-    return np.sqrt(_sample_mean(data, np.sum(devs ** 2, axis=-1)))
-
-
-def hessian_noise_std(data: DeviceArrays, theta: np.ndarray) -> np.ndarray:
-    """Per row, sqrt of the per-sample Hessian variance (spectral norm) around the mean."""
-    hs = data.model_class.per_sample_hessian(theta, data.x, data.y)
-    devs = hs - _sample_mean(data, hs)[:, None]
-    return np.sqrt(_sample_mean(data, _spectral_norm(devs) ** 2))
-
-
-def empirical_gamma_g(data: DeviceArrays, theta: np.ndarray) -> float:
-    """Max pairwise gradient gap at theta (trajectory-empirical similarity constant)."""
-    grads = data.grad(data.full_weights, theta)
-    return float(np.linalg.norm(grads[:, None] - grads[None], axis=-1).max())
-
-
-def population_constants(data: DeviceArrays, alpha: float) -> SmoothnessConstants:
-    """Analytic smoothness constants of a population, at theta = 0.
-
-    zeta and gamma_G depend on the iterate and are returned as NaN;
-    ``theorem1_bound`` fills them with their empirical values at its theta.
-    """
-    theta0 = np.zeros(data.x.shape[-1])
-    hessians = _sample_mean(data, data.model_class.per_sample_hessian(theta0, data.x, data.y))
-    # per-sample |sigma''| <= 1/(6*sqrt(3)); Hessian-Lipschitz via mean ||x||^3
-    cubes = _sample_mean(data, np.linalg.norm(data.x, axis=-1) ** 3)
-    rho = 0.0 if data.model_class is QuadraticModel else float(cubes.max()) / (6.0 * np.sqrt(3.0))
-    return SmoothnessConstants(
-        alpha=alpha,
-        L=float(_spectral_norm(hessians).max()),
-        rho=rho,
-        sigma_G=float(gradient_noise_std(data, theta0).max()),
-        sigma_H=float(hessian_noise_std(data, theta0).max()),
-        gamma_H=float(_spectral_norm(hessians[:, None] - hessians[None]).max()),
-    )

@@ -13,29 +13,30 @@ import scipy.stats
 
 from fmlsim import rng
 from fmlsim.cli import EXIT_OK, main
-from fmlsim.harness import (
-    ExperimentConfig,
-    meta_gradient_bias_bound,
-    run,
-    sigma_f_squared,
-    sweep,
-)
+from fmlsim.harness import ExperimentConfig, run, sweep
 from fmlsim.metacore import (
+    Batch,
     DeviceArrays,
     MetaHyper,
     QuadraticModel,
-    SmoothnessConstants,
     batched_meta_gradient,
     exact_meta_gradient,
+    grad_estimate,
+    hessian_estimate,
 )
 from fmlsim.oracles import (
+    SmoothnessConstants,
     assignment_suite,
     bisection_suite,
     descent_bound_suite,
+    gradient_noise_std,
+    hessian_noise_std,
     ives_monotone_suite,
+    meta_gradient_bias_bound,
+    sigma_f_squared,
     sp1_suite,
 )
-from fmlsim.tasks import PopulationSpec, gradient_noise_std, hessian_noise_std
+from fmlsim.tasks import PopulationSpec
 from fmlsim.ural import ural
 from fmlsim.wireless import (
     Allocation,
@@ -50,10 +51,11 @@ def _report(name: str, ok: bool, detail: str) -> None:
     assert ok, f"{name}: {detail}"
 
 
-def _random_quadratic(g: np.random.Generator, n: int = 40, d: int = 3) -> QuadraticModel:
+def _random_quadratic(g: np.random.Generator, n: int = 40, d: int = 3) -> Batch:
+    """A quadratic-regression dataset (family ``QuadraticModel``)."""
     x = g.normal(size=(n, d))
     y = x @ g.normal(size=d) + 0.3 * g.normal(size=n)
-    return QuadraticModel(x, y)
+    return Batch(x, y)
 
 
 def test_meta_gradient_exactness():
@@ -66,10 +68,10 @@ def test_meta_gradient_exactness():
         theta = g.normal(size=3)
         alpha = float(g.uniform(0.01, 0.2))
         hyper = MetaHyper(alpha=alpha, beta=0.0, mode="hessian")
-        data = DeviceArrays([model])
+        data = DeviceArrays(QuadraticModel, [model])
         full = np.broadcast_to(data.full_weights, (3,) + data.mask.shape)
         got = batched_meta_gradient(data, theta, full, hyper)[0]
-        want = exact_meta_gradient(model, theta, alpha)
+        want = exact_meta_gradient(QuadraticModel, model, theta, alpha)
         rel = float(np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-300))
         worst = max(worst, rel)
     elapsed = time.perf_counter() - t0
@@ -91,15 +93,15 @@ def test_estimator_moments():
         theta = g.normal(size=3)
         alpha = 0.05
         hyper = MetaHyper(alpha=alpha, beta=0.0, mode="hessian")
-        exact = exact_meta_gradient(model, theta, alpha)
-        L = float(np.linalg.norm(model.hessian(theta), 2))
-        one = DeviceArrays([model])
+        exact = exact_meta_gradient(QuadraticModel, model, theta, alpha)
+        L = float(np.linalg.norm(hessian_estimate(QuadraticModel, theta, model), 2))
+        one = DeviceArrays(QuadraticModel, [model])
         sigma_h = float(hessian_noise_std(one, theta)[0])
         # the exact index draws of one resample per row, stacked into the
         # batch weights (role, resample, sample) of the batched estimator
-        idx = np.array([[g.choice(model.n_samples, size=batch, replace=False)
+        idx = np.array([[g.choice(model.size, size=batch, replace=False)
                          for _ in range(3)] for _ in range(resamples)])
-        weights = np.zeros((resamples, 3, model.n_samples))
+        weights = np.zeros((resamples, 3, model.size))
         np.put_along_axis(weights, idx, 1.0 / batch, axis=2)
         weights = weights.transpose(1, 0, 2)
         data = one.take(np.zeros(resamples, dtype=int))
@@ -109,7 +111,7 @@ def test_estimator_moments():
         # estimator visits, so take their suprema over the adapted points
         sigma_g = max(float(gradient_noise_std(one, theta)[0]),
                       float(gradient_noise_std(data, adapted).max()))
-        zeta = max(float(np.linalg.norm(model.grad(theta))),
+        zeta = max(float(np.linalg.norm(grad_estimate(QuadraticModel, theta, model))),
                    float(np.linalg.norm(data.grad(data.full_weights, adapted), axis=1).max()))
         c = SmoothnessConstants(alpha=alpha, L=L, rho=0.0, zeta=zeta,
                                 sigma_G=sigma_g, sigma_H=sigma_h)

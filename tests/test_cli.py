@@ -326,6 +326,37 @@ def test_negative_seed_argument_is_usage_error(capsys, argv):
     assert "argument --seed: must be a non-negative integer" in capsys.readouterr().err
 
 
+def test_sweep_repeated_seed_is_usage_error(tmp_path, capsys):
+    code, out = _sweep(tmp_path, "seeds", "--param", "eta1", "--values", "1",
+                       "--seeds", "1,1", "--set", "rounds=2")
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: sweep seed 1 is given more than once")
+    assert not out.exists()
+
+
+def test_sweep_values_with_one_cell_name_are_usage_error(tmp_path, capsys):
+    code, out = _sweep(tmp_path, "values", "--param", "eta1", "--values", "1,1.0",
+                       "--set", "rounds=2")
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: sweep value 1.0 is given more than once")
+    assert not out.exists()
+
+
+def test_out_of_memory_is_usage_error(tmp_path, capsys, monkeypatch):
+    def exhausted(spec, seed):
+        raise MemoryError
+
+    monkeypatch.setattr(harness, "generate_population", exhausted)
+    code = main(["run", "--config", str(CONFIGS / "wireless.json"),
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory")
+    for field in ("population.n", "size_mu", "size_sigma", "population.d"):
+        assert field in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_unknown_parameter_is_usage_error(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     code = main(["sweep", "--config", cfg, "--param", "nonesuch",

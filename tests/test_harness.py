@@ -18,12 +18,16 @@ from fmlsim.harness import (
     metrics_to_csv,
     run,
     set_path,
-    sigma_f_squared,
     sweep,
+)
+from fmlsim.metacore import Batch, DeviceArrays, MetaHyper, QuadraticModel
+from fmlsim.oracles import (
+    SmoothnessConstants,
+    population_constants,
+    sigma_f_squared,
     theorem1_bound,
 )
-from fmlsim.metacore import DeviceArrays, MetaHyper, QuadraticModel, SmoothnessConstants
-from fmlsim.tasks import PopulationSpec, generate_population, population_constants
+from fmlsim.tasks import PopulationSpec, generate_population
 from fmlsim.wireless import ComputeProfile, EnvironmentSpec, NetworkConfig, RadioProfile
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -173,7 +177,7 @@ def _identical_population(seed=0, n=4):
     g = np.random.default_rng(seed)
     x = g.normal(size=(12, 3))
     y = x @ np.ones(3)
-    return DeviceArrays([QuadraticModel(x, y) for _ in range(n)])
+    return DeviceArrays(QuadraticModel, [Batch(x, y) for _ in range(n)])
 
 
 def test_theorem1_bound_tight_regime():
@@ -213,8 +217,8 @@ def test_theorem1_bound_subsampled_rows():
     # rows of 2..13 samples, batches of 3 on a non-contiguous selection:
     # one sigma_F per selected row, resamples that differ, a pure function of seed
     g = np.random.default_rng(3)
-    data = DeviceArrays([QuadraticModel(g.normal(size=(n, 3)), g.normal(size=n))
-                         for n in (2, 5, 13, 4)])
+    data = DeviceArrays(QuadraticModel, [Batch(g.normal(size=(n, 3)), g.normal(size=n))
+                                         for n in (2, 5, 13, 4)])
     c = dataclasses.replace(population_constants(data, 0.05), zeta=1.0, gamma_G=0.5)
     hyper = MetaHyper(alpha=0.05, beta=0.01, mode="hessian-free")
     rows = np.array([0, 2, 3])

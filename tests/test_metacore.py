@@ -11,7 +11,6 @@ from fmlsim.metacore import (
     LogisticModel,
     MetaHyper,
     QuadraticModel,
-    SmoothnessConstants,
     _sigmoid,
     batched_meta_gradient,
     draw_batch,
@@ -23,30 +22,36 @@ from fmlsim.metacore import (
     local_update,
     meta_gradient,
 )
+from fmlsim.oracles import SmoothnessConstants
 
 
 def _quad(x, y):
-    return QuadraticModel(np.asarray(x, float), np.asarray(y, float))
+    """A quadratic-regression dataset (use with the family ``QuadraticModel``)."""
+    return Batch(np.asarray(x, float), np.asarray(y, float))
+
+
+def _loss(family, theta, b):
+    return float(family.per_sample_loss(theta, b.x, b.y).mean())
 
 
 def test_loss_value_zero_residual():
     m = _quad([[1.0]], [0.0])
-    assert m.loss(np.array([0.0])) == 0.0
+    assert _loss(QuadraticModel, np.array([0.0]), m) == 0.0
 
 
 def test_loss_value_half_squared_residual():
     m = _quad([[1.0]], [1.0])
-    assert m.loss(np.array([0.0])) == pytest.approx(0.5)
+    assert _loss(QuadraticModel, np.array([0.0]), m) == pytest.approx(0.5)
 
 
 def test_logistic_loss_at_zero_is_ln2():
-    m = LogisticModel(np.array([[1.0], [-1.0]]), np.array([1.0, -1.0]))
-    assert m.loss(np.array([0.0])) == pytest.approx(np.log(2.0))
+    m = Batch(np.array([[1.0], [-1.0]]), np.array([1.0, -1.0]))
+    assert _loss(LogisticModel, np.array([0.0]), m) == pytest.approx(np.log(2.0))
 
 
 def test_grad_estimate_single_sample():
     m = _quad([[1.0]], [1.0])
-    g = grad_estimate(m, np.array([0.0]), m.full_batch())
+    g = grad_estimate(QuadraticModel, np.array([0.0]), m)
     assert g == pytest.approx([-1.0])
 
 
@@ -57,29 +62,29 @@ def test_grad_estimate_matches_analytic_full_dataset():
     m = _quad(x, y)
     theta = g.normal(size=4)
     analytic = x.T @ (x @ theta - y) / 30
-    assert np.allclose(grad_estimate(m, theta, m.full_batch()), analytic, atol=1e-12)
+    assert np.allclose(grad_estimate(QuadraticModel, theta, m), analytic, atol=1e-12)
 
 
 def test_logistic_grad_zero_by_symmetry():
     x = np.array([[1.0, 2.0], [-1.0, -2.0]])
     y = np.array([1.0, -1.0])
-    m = LogisticModel(x, y)
+    m = Batch(x, y)
     # both samples contribute identical gradients of opposite sign at theta=0
-    g = grad_estimate(m, np.zeros(2), m.full_batch())
+    g = grad_estimate(LogisticModel, np.zeros(2), m)
     assert np.allclose(g, [-0.5, -1.0])  # y*x identical for both samples
 
 
 def test_hessian_is_x_squared():
     m = _quad([[2.0]], [0.0])
-    h = hessian_estimate(m, np.array([0.0]), m.full_batch())
+    h = hessian_estimate(QuadraticModel, np.array([0.0]), m)
     assert np.allclose(h, [[4.0]])
 
 
 def test_quadratic_hessian_independent_of_theta():
     g = np.random.default_rng(1)
     m = _quad(g.normal(size=(10, 3)), g.normal(size=10))
-    h1 = hessian_estimate(m, g.normal(size=3), m.full_batch())
-    h2 = hessian_estimate(m, g.normal(size=3), m.full_batch())
+    h1 = hessian_estimate(QuadraticModel, g.normal(size=3), m)
+    h2 = hessian_estimate(QuadraticModel, g.normal(size=3), m)
     assert np.allclose(h1, h2)
     assert np.allclose(h1, h1.T)
 
@@ -88,21 +93,22 @@ def test_logistic_hessian_matches_finite_differences():
     g = np.random.default_rng(2)
     x = g.normal(size=(20, 3))
     y = np.where(g.uniform(size=20) < 0.5, 1.0, -1.0)
-    m = LogisticModel(x, y)
+    m = Batch(x, y)
     theta = g.normal(size=3)
-    h = hessian_estimate(m, theta, m.full_batch())
+    h = hessian_estimate(LogisticModel, theta, m)
     eps = 1e-6
     for k in range(3):
         e = np.zeros(3)
         e[k] = 1.0
-        col = (m.grad(theta + eps * e) - m.grad(theta - eps * e)) / (2 * eps)
+        col = (grad_estimate(LogisticModel, theta + eps * e, m)
+               - grad_estimate(LogisticModel, theta - eps * e, m)) / (2 * eps)
         assert np.allclose(h[:, k], col, atol=1e-6)
 
 
 def test_dimension_mismatch_raises():
     m = _quad([[1.0, 0.0]], [0.0])
     with pytest.raises(InvalidInputError):
-        grad_estimate(m, np.array([0.0]), Batch(np.ones((1, 1)), np.zeros(1)))
+        grad_estimate(QuadraticModel, np.array([0.0]), m)
 
 
 @pytest.mark.parametrize("name", ["alpha", "beta", "lambda1", "lambda2", "hv_epsilon"])
@@ -114,20 +120,18 @@ def test_meta_hyper_rejects_non_finite(name, value):
 
 def test_meta_gradient_alpha_zero_is_fedavg():
     g = np.random.default_rng(3)
-    m = _quad(g.normal(size=(12, 3)), g.normal(size=12))
+    b = _quad(g.normal(size=(12, 3)), g.normal(size=12))
     theta = g.normal(size=3)
-    b = m.full_batch()
     hyper = MetaHyper(alpha=0.0, beta=0.1)
-    out = meta_gradient(m, theta, b, b, b, hyper)
-    assert np.allclose(out, m.grad(theta))
+    out = meta_gradient(QuadraticModel, theta, b, b, b, hyper)
+    assert np.allclose(out, grad_estimate(QuadraticModel, theta, b))
 
 
 def test_meta_gradient_scalar_closed_form():
     # f(theta) = theta^2 from the single sample (x=sqrt(2), y=0): A=2, b=0
-    m = _quad([[np.sqrt(2.0)]], [0.0])
-    b = m.full_batch()
+    b = _quad([[np.sqrt(2.0)]], [0.0])
     hyper = MetaHyper(alpha=0.25, beta=0.1)
-    out = meta_gradient(m, np.array([1.0]), b, b, b, hyper)
+    out = meta_gradient(QuadraticModel, np.array([1.0]), b, b, b, hyper)
     # (1 - alpha*A) * A * (theta - alpha*A*theta) = 0.5 * 2 * 0.5 = 0.5
     assert out == pytest.approx([0.5], rel=1e-12)
 
@@ -136,14 +140,13 @@ def test_hessian_free_mode_converges_to_hessian_mode():
     g = np.random.default_rng(4)
     x = g.normal(size=(25, 3))
     y = np.where(g.uniform(size=25) < 0.5, 1.0, -1.0)
-    m = LogisticModel(x, y)
+    b = Batch(x, y)
     theta = g.normal(size=3)
-    b = m.full_batch()
-    exact = meta_gradient(m, theta, b, b, b, MetaHyper(alpha=0.1, beta=0.1))
+    exact = meta_gradient(LogisticModel, theta, b, b, b, MetaHyper(alpha=0.1, beta=0.1))
     errs = []
     for eps in (1e-2, 5e-3):
         approx = meta_gradient(
-            m, theta, b, b, b, MetaHyper(alpha=0.1, beta=0.1,
+            LogisticModel, theta, b, b, b, MetaHyper(alpha=0.1, beta=0.1,
                                          mode="hessian-free", hv_epsilon=eps)
         )
         errs.append(np.linalg.norm(approx - exact))
@@ -156,26 +159,26 @@ def test_finite_difference_hvp_exact_on_quadratic():
     m = _quad(g.normal(size=(10, 3)), g.normal(size=10))
     theta = g.normal(size=3)
     v = g.normal(size=3)
-    hvp = finite_difference_hvp(m.grad, theta, v, 1e-4)
-    assert np.allclose(hvp, m.hessian(theta) @ v, atol=1e-9)
+    hvp = finite_difference_hvp(lambda t: grad_estimate(QuadraticModel, t, m), theta, v, 1e-4)
+    assert np.allclose(hvp, hessian_estimate(QuadraticModel, theta, m) @ v, atol=1e-9)
 
 
 def test_exact_meta_gradient_alpha_zero():
     g = np.random.default_rng(6)
     m = _quad(g.normal(size=(10, 2)), g.normal(size=10))
     theta = g.normal(size=2)
-    assert np.allclose(exact_meta_gradient(m, theta, 0.0), m.grad(theta))
+    assert np.allclose(exact_meta_gradient(QuadraticModel, m, theta, 0.0),
+                       grad_estimate(QuadraticModel, theta, m))
 
 
 def test_exact_meta_gradient_matches_full_batch_estimator():
     g = np.random.default_rng(7)
     for _ in range(10):
-        m = _quad(g.normal(size=(15, 3)), g.normal(size=15))
+        b = _quad(g.normal(size=(15, 3)), g.normal(size=15))
         theta = g.normal(size=3)
         alpha = float(g.uniform(0.0, 0.3))
-        b = m.full_batch()
-        est = meta_gradient(m, theta, b, b, b, MetaHyper(alpha=alpha, beta=0.1))
-        ref = exact_meta_gradient(m, theta, alpha)
+        est = meta_gradient(QuadraticModel, theta, b, b, b, MetaHyper(alpha=alpha, beta=0.1))
+        ref = exact_meta_gradient(QuadraticModel, b, theta, alpha)
         assert np.linalg.norm(est - ref) <= 1e-10 * max(1.0, np.linalg.norm(ref))
 
 
@@ -186,7 +189,7 @@ def _step_streams(seed, k):
 
 
 def _one_device(m):
-    return DeviceArrays([m])
+    return DeviceArrays(QuadraticModel, [m])
 
 
 def test_local_update_zero_stepsize_keeps_theta():
@@ -213,7 +216,7 @@ def test_local_update_stationary_point():
 
 def test_local_update_two_steps_equals_chained_single_steps():
     g = np.random.default_rng(10)
-    data = DeviceArrays([
+    data = DeviceArrays(QuadraticModel, [
         _quad(g.normal(size=(n, 3)), g.normal(size=n)) for n in (12, 5, 1)
     ])
     sizes = data.batch_sizes(4)
@@ -243,22 +246,23 @@ def test_local_update_non_finite_raises():
                      np.array([1]), _step_streams(0, 0))
 
 
-def _reference_local_update(data, models, theta0, hyper, sizes, step_rng):
+def _reference_local_update(data, family, theta0, hyper, sizes, step_rng):
     """Per-device loop over the reference meta_gradient on the engine's batches.
 
     Returns the parameters, the scores and the scores' scale: the sum of the
     absolute values of the terms added into each score.
     """
-    thetas = np.tile(theta0, (len(models), 1))
-    u = np.zeros(len(models))
-    scale = np.zeros(len(models))
+    n = data.counts.size
+    thetas = np.tile(theta0, (n, 1))
+    u = np.zeros(n)
+    scale = np.zeros(n)
     for t in range(hyper.tau):
         w = draw_batch_weights(step_rng(t), data.mask, sizes)
-        for i, m in enumerate(models):
+        for i in range(n):
             batches = [Batch(data.x[i][w[r, i] > 0], data.y[i][w[r, i] > 0])
                        for r in range(3)]
             assert all(b.size == sizes[i] for b in batches)
-            g = meta_gradient(m, thetas[i], *batches, hyper)
+            g = meta_gradient(family, thetas[i], *batches, hyper)
             gn = np.linalg.norm(g)
             penalty = 2.0 * (hyper.lambda1 + hyper.lambda2 / np.sqrt(sizes[i]))
             u[i] += gn * gn - penalty * gn
@@ -268,14 +272,14 @@ def _reference_local_update(data, models, theta0, hyper, sizes, step_rng):
 
 
 def _mixed_population(g, family, d=3):
-    models = []
+    datasets = []
     for n in (1, 2, 4, 7, 13):
         x = g.normal(size=(n, d))
         if family is LogisticModel:
-            models.append(LogisticModel(x, np.where(g.uniform(size=n) < 0.5, 1.0, -1.0)))
+            datasets.append(Batch(x, np.where(g.uniform(size=n) < 0.5, 1.0, -1.0)))
         else:
-            models.append(QuadraticModel(x, g.normal(size=n)))
-    return models
+            datasets.append(Batch(x, g.normal(size=n)))
+    return DeviceArrays(family, datasets)
 
 
 @pytest.mark.parametrize("family", [QuadraticModel, LogisticModel])
@@ -286,14 +290,13 @@ def test_batched_local_update_matches_per_device_reference(family, mode, batch_s
     # sizes 1, 2, 4, 7, 13: with batch 4, devices of 1, 2 and 4 samples run
     # full-batch and the others subsample; with None every device is full
     g = np.random.default_rng(11)
-    models = _mixed_population(g, family)
-    data = DeviceArrays(models)
+    data = _mixed_population(g, family)
     sizes = data.batch_sizes(batch_size)
     theta0 = g.normal(size=3)
     hyper = MetaHyper(alpha=0.1, beta=0.05, tau=tau, lambda1=0.3, lambda2=0.7, mode=mode)
     theta, u = local_update(data, theta0, hyper, sizes, _step_streams(5, 3))
     ref_theta, ref_u, ref_scale = _reference_local_update(
-        data, models, theta0, hyper, sizes, _step_streams(5, 3)
+        data, family, theta0, hyper, sizes, _step_streams(5, 3)
     )
     # the step moves theta by beta * g; compare the meta-gradient parts
     step, ref_step = theta0 - theta, theta0 - ref_theta
@@ -308,36 +311,36 @@ def test_batched_local_update_matches_per_device_reference(family, mode, batch_s
 @pytest.mark.parametrize("mode", ["hessian", "first-order", "hessian-free"])
 def test_batched_meta_gradient_matches_reference_on_identical_batches(family, mode):
     g = np.random.default_rng(12)
-    models = _mixed_population(g, family)
-    data = DeviceArrays(models)
+    data = _mixed_population(g, family)
     sizes = data.batch_sizes(3)
     weights = draw_batch_weights(rng.stream(0, 1, 0, rng.ROLE_BATCH), data.mask, sizes)
-    theta = g.normal(size=(len(models), 3))
+    theta = g.normal(size=(data.counts.size, 3))
     hyper = MetaHyper(alpha=0.1, beta=0.05, mode=mode)
     got = batched_meta_gradient(data, theta, weights, hyper)
-    for i, m in enumerate(models):
+    for i in range(data.counts.size):
         batches = [Batch(data.x[i][weights[r, i] > 0], data.y[i][weights[r, i] > 0])
                    for r in range(3)]
-        want = meta_gradient(m, theta[i], *batches, hyper)
+        want = meta_gradient(family, theta[i], *batches, hyper)
         assert np.linalg.norm(got[i] - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_device_arrays_pad_and_mask():
     a = _quad([[1.0, 2.0]], [3.0])
     b = _quad([[4.0, 5.0], [6.0, 7.0]], [8.0, 9.0])
-    data = DeviceArrays([a, b])
+    data = DeviceArrays(QuadraticModel, [a, b])
     assert data.x.shape == (2, 2, 2) and data.y.shape == (2, 2)
     assert data.mask.tolist() == [[True, False], [True, True]]
     assert data.x[0, 1].tolist() == [0.0, 0.0] and data.y[0, 1] == 0.0
     assert data.counts.tolist() == [1, 2]
     assert data.batch_sizes(None).tolist() == [1, 2]
     assert data.batch_sizes(1).tolist() == [1, 1]
-    with pytest.raises(InvalidInputError):
-        DeviceArrays([a, LogisticModel(np.ones((1, 2)), np.ones(1))])
+    with pytest.raises(InvalidInputError, match="share a dimension"):
+        DeviceArrays(QuadraticModel, [a, _quad([[1.0, 2.0, 3.0]], [4.0])])
 
 
 def test_device_arrays_take_keeps_every_row_array_aligned():
-    data = DeviceArrays([_quad([[1.0, 2.0]], [3.0]), _quad([[4.0, 5.0], [6.0, 7.0]], [8.0, 9.0])])
+    data = DeviceArrays(QuadraticModel,
+                        [_quad([[1.0, 2.0]], [3.0]), _quad([[4.0, 5.0], [6.0, 7.0]], [8.0, 9.0])])
     rows = np.array([1, 0, 1])
     sub = data.take(rows)
     arrays = {k: v for k, v in vars(data).items() if isinstance(v, np.ndarray)}
@@ -383,9 +386,9 @@ def _no_stream(step):
 )
 def test_full_batches_skip_the_draw_bit_for_bit(counts, family, mode, tau, seed):
     g = np.random.default_rng(seed)
-    models = [family(g.normal(size=(n, 3)), np.where(g.uniform(size=n) < 0.5, 1.0, -1.0))
-              for n in counts]
-    data = DeviceArrays(models)
+    data = DeviceArrays(family, [
+        Batch(g.normal(size=(n, 3)), np.where(g.uniform(size=n) < 0.5, 1.0, -1.0))
+        for n in counts])
     streams = _step_streams(seed, 7)
     for t in range(tau):
         drawn = draw_batch_weights(streams(t), data.mask, data.counts)

@@ -2,21 +2,27 @@ import numpy as np
 import pytest
 
 from fmlsim.errors import InvalidInputError
-from fmlsim.metacore import DeviceArrays, LogisticModel, QuadraticModel
-from fmlsim.tasks import (
-    PopulationSpec,
+from fmlsim.metacore import (
+    Batch,
+    DeviceArrays,
+    LogisticModel,
+    QuadraticModel,
+    grad_estimate,
+    hessian_estimate,
+)
+from fmlsim.oracles import (
     empirical_gamma_g,
-    generate_population,
     gradient_noise_std,
     hessian_noise_std,
     population_constants,
 )
+from fmlsim.tasks import PopulationSpec, generate_population
 
 
-def _device_model(data: DeviceArrays, row: int):
-    """Row ``row`` of a population as a single-device model on its real samples."""
+def _device_data(data: DeviceArrays, row: int) -> Batch:
+    """Row ``row`` of a population as a single-device dataset of its real samples."""
     mask = data.mask[row]
-    return data.model_class(data.x[row][mask], data.y[row][mask])
+    return Batch(data.x[row][mask], data.y[row][mask])
 
 
 def test_population_is_reproducible():
@@ -33,7 +39,7 @@ def test_population_is_reproducible():
 def test_population_changes_with_seed():
     a = generate_population(PopulationSpec(n=5, d=3, train_fraction=1.0), 0)
     b = generate_population(PopulationSpec(n=5, d=3, train_fraction=1.0), 1)
-    assert not np.array_equal(_device_model(a.train, 0).x, _device_model(b.train, 0).x)
+    assert not np.array_equal(_device_data(a.train, 0).x, _device_data(b.train, 0).x)
 
 
 def test_train_test_split_fractions():
@@ -94,24 +100,25 @@ def test_empty_training_split_rejected():
 def test_gradient_noise_std_zero_for_identical_samples():
     x = np.ones((5, 2))
     y = np.ones(5)
-    data = DeviceArrays([QuadraticModel(x, y)])
+    data = DeviceArrays(QuadraticModel, [Batch(x, y)])
     assert gradient_noise_std(data, np.zeros(2)).tolist() == [0.0]
     assert hessian_noise_std(data, np.zeros(2)).tolist() == [0.0]
 
 
 def test_noise_stds_match_direct_computation():
     g = np.random.default_rng(5)
-    m = QuadraticModel(g.normal(size=(20, 3)), g.normal(size=20))
+    m = Batch(g.normal(size=(20, 3)), g.normal(size=20))
     theta = g.normal(size=3)
-    grads = m.per_sample_grad(theta, m.x, m.y)
+    grads = QuadraticModel.per_sample_grad(theta, m.x, m.y)
     expect = np.sqrt(np.mean(np.sum((grads - grads.mean(0)) ** 2, axis=1)))
-    assert gradient_noise_std(DeviceArrays([m]), theta) == pytest.approx([expect])
+    assert gradient_noise_std(DeviceArrays(QuadraticModel, [m]), theta) == pytest.approx([expect])
 
 
 def test_empirical_gamma_g_two_devices():
     data = generate_population(PopulationSpec(n=2, d=3, train_fraction=1.0), 11).train
     theta = np.zeros(3)
-    gap = np.linalg.norm(_device_model(data, 0).grad(theta) - _device_model(data, 1).grad(theta))
+    grads = [grad_estimate(data.model_class, theta, _device_data(data, row)) for row in (0, 1)]
+    gap = np.linalg.norm(grads[0] - grads[1])
     assert empirical_gamma_g(data, theta) == pytest.approx(gap)
 
 
@@ -120,7 +127,7 @@ def test_population_constants_bound_device_hessians():
     c = population_constants(data, alpha=0.05)
     assert c.rho == 0.0  # quadratic family
     for row in range(data.counts.size):
-        h = _device_model(data, row).hessian(np.zeros(3))
+        h = hessian_estimate(data.model_class, np.zeros(3), _device_data(data, row))
         assert np.linalg.norm(h, 2) <= c.L + 1e-12
     assert c.sigma_G >= 0 and c.sigma_H >= 0 and c.gamma_H >= 0
 
