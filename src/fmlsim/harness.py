@@ -10,7 +10,9 @@ row in the training arrays (rows ascend in device id); ids appear only in
 ``RoundMetrics.selected``.  A run is a deterministic function of (config, seed)
 because every random draw comes from a stream keyed by (seed, round, step)
 or a similar tuple; a local step whose batches are all full datasets draws
-nothing.  A round does only the work that changes between rounds: ``ural``
+nothing.  A round does only the work that changes between rounds: ``run``
+builds the run's ``StepPlan`` (batch-size checks, score penalties,
+full-batch weights and the draw's constants) once before round 0, ``ural``
 solves the run-constant SP1 and starting delay once per run, and a sweep
 builds each distinct (population spec, seed) once for all its cells.  A
 round whose meta-gradients, scores or losses are non-finite stops the run
@@ -34,7 +36,7 @@ import numpy as np
 
 from . import rng
 from .errors import ConfigurationError, InvalidInputError, NumericalError
-from .metacore import DeviceArrays, MetaHyper, adapted_loss, local_update
+from .metacore import MetaHyper, StepPlan, adapted_loss, local_update
 from .selection import aggregate, select_top_k, shifted_scores
 from .tasks import Population, PopulationSpec, generate_population
 from .ural import solve_sp2_power, ural
@@ -61,6 +63,8 @@ CSV_HEADER = (
 
 @dataclass
 class ExperimentConfig:
+    """One experiment: mode, rounds, selection, allocation, seed and the config sections."""
+
     mode: str = "nufm"                      # nufm | wireless
     rounds: int = 10
     n_k: int = 5
@@ -91,6 +95,8 @@ class ExperimentConfig:
 
 @dataclass
 class RoundMetrics:
+    """One round's losses, contribution, energy, time, objective and uploading devices."""
+
     round: int
     train_loss: float
     test_loss: float
@@ -103,7 +109,7 @@ class RoundMetrics:
 
 
 def _round_of_updates(
-    train: DeviceArrays,
+    plan: StepPlan,
     theta: np.ndarray,
     config: ExperimentConfig,
     k: int,
@@ -111,9 +117,7 @@ def _round_of_updates(
     """Every training device's local update for round k: parameters (n, d), scores (n,)."""
     try:
         return local_update(
-            train, theta, config.hyper, train.batch_sizes(config.batch_size),
-            lambda step: rng.stream(config.seed, k, step, rng.ROLE_BATCH),
-        )
+            plan, theta, lambda step: rng.stream(config.seed, k, step, rng.ROLE_BATCH))
     except NumericalError as exc:
         raise NumericalError(f"round {k}: {exc}") from None
 
@@ -254,6 +258,7 @@ def run(config: ExperimentConfig) -> list[RoundMetrics]:
     it) and the adapted losses are evaluated.
     """
     pop = _population(config)
+    plan = StepPlan(pop.train, pop.train.batch_sizes(config.batch_size), config.hyper)
     wireless = config.mode == "wireless"
     if wireless:
         compute, radios, net = build_environment(config, pop)
@@ -261,7 +266,7 @@ def run(config: ExperimentConfig) -> list[RoundMetrics]:
     theta = np.zeros(config.population.d)
     metrics: list[RoundMetrics] = []
     for k in range(config.rounds):
-        thetas, scores = _round_of_updates(pop.train, theta, config, k)
+        thetas, scores = _round_of_updates(plan, theta, config, k)
         if wireless:
             su = shifted_scores(scores)
             alloc, ives_iters = _allocate(config, k, su, compute, radios, net)
@@ -300,6 +305,8 @@ def run(config: ExperimentConfig) -> list[RoundMetrics]:
 
 @dataclass
 class SweepCell:
+    """One swept value's mean and sd, over its seeds, of the per-run round means."""
+
     parameter: str
     value: object
     seeds: tuple[int, ...]

@@ -15,11 +15,11 @@ A family is stateless: a class of margin formulas, never instantiated.  A
 device's dataset is a ``Batch``, and a population is the family plus its
 datasets held as padded arrays (``DeviceArrays``).  The library runs
 ``batched_meta_gradient`` on those arrays: ``local_update`` takes each
-local step of every device in one array pass, the descent bound in
-``oracles`` every (resample, device) pair.  The per-device ``draw_batch``,
-``grad_estimate``, ``hessian_estimate``, ``meta_gradient`` and
-``exact_meta_gradient`` take ``(family, Batch)`` and are the tests'
-reference for it.
+local step of every device in one array pass, on a run's ``StepPlan`` of
+constants built once, the descent bound in ``oracles`` every (resample,
+device) pair.  The per-device ``draw_batch``, ``grad_estimate``,
+``hessian_estimate``, ``meta_gradient`` and ``exact_meta_gradient`` take
+``(family, Batch)`` and are the tests' reference for it.
 """
 
 from __future__ import annotations
@@ -331,18 +331,57 @@ def adapted_loss(data: DeviceArrays, theta: np.ndarray, alpha: float) -> float:
         return float(data.loss(w, theta - alpha * data.grad(w, theta)).mean())
 
 
-def draw_batch_weights(
-    g: np.random.Generator, mask: np.ndarray, sizes: np.ndarray
-) -> np.ndarray:
+class StepPlan:
+    """A run's local-step constants, built once before its first round.
+
+    ``sizes[i]`` is row i's batch size: its whole dataset, or one size ``b``
+    common to every row that subsamples (``data.batch_sizes`` gives these),
+    so that one selection at ``b - 1`` draws every row's batch; both are
+    checked here.  The plan holds the devices, the hyper-parameters, the
+    score penalties ``2*(lambda1 + lambda2/sqrt(D_i))``, the full-batch
+    weights when every batch is its whole dataset (else None), and what the
+    draw needs: the selection index, the padding, the weight ``1/sizes[i]``
+    of each real sample slot (0 on padding) and each (role, row)'s offset in
+    the flattened keys.  It is per run, not kept on ``data``, because a
+    sweep shares one population between cells of different batch sizes.
+    """
+
+    def __init__(self, data: DeviceArrays, sizes: np.ndarray, hyper: MetaHyper):
+        sizes = np.asarray(sizes)
+        if sizes.shape != data.counts.shape or np.any((sizes < 1) | (sizes > data.counts)):
+            raise ConfigurationError("each batch size must lie between 1 and its dataset size")
+        b = int(sizes.max())
+        if np.any((sizes != data.counts) & (sizes != b)):
+            raise ConfigurationError(
+                "each batch size must be its dataset size or one size common to the others")
+        self.data, self.hyper = data, hyper
+        self.penalty = 2.0 * (hyper.lambda1 + hyper.lambda2 / np.sqrt(sizes))
+        self.full_weights = (data.full_weights,) * 3 if np.array_equal(sizes, data.counts) else None
+        self.kth = b - 1
+        self.padding = ~data.mask
+        self.slot_weight = data.mask * (1.0 / sizes[:, None])
+        n, s_max = data.mask.shape
+        self.row_offsets = np.arange(0, 3 * n * s_max, s_max).reshape(3, n, 1)
+
+
+def draw_batch_weights(g: np.random.Generator, plan: StepPlan) -> np.ndarray:
     """Batch weights of the three roles of one step for every device, (3, n, S_max).
 
     One uniform key per (role, device, sample slot), with +inf on padding;
     each device's ``sizes[i]`` smallest keys of a role form its batch, each
-    sample weighted ``1/sizes[i]``.  A full-batch device takes every sample.
+    sample weighted ``1/sizes[i]``.  One selection at ``b - 1`` (introselect,
+    ``argpartition``) puts each row's b smallest keys first: those are the
+    batch of a row that subsamples, and of a full-batch row (at most b
+    samples) they hold every real sample, the rest being padding, which the
+    slot weights zero.  A full-batch device thus takes every sample.
     """
-    keys = np.where(mask, g.random((3,) + mask.shape), np.inf)
-    rank = keys.argsort(axis=-1).argsort(axis=-1)
-    return (rank < sizes[:, None]) / sizes[:, None]
+    keys = g.random((3,) + plan.padding.shape)
+    np.copyto(keys, np.inf, where=plan.padding)
+    first = np.argpartition(keys, plan.kth, axis=-1)[..., :plan.kth + 1]
+    weights = np.zeros(keys.shape)
+    weights.reshape(-1)[first + plan.row_offsets] = 1.0
+    weights *= plan.slot_weight
+    return weights
 
 
 def batched_meta_gradient(
@@ -367,42 +406,36 @@ def batched_meta_gradient(
 
 
 def local_update(
-    data: DeviceArrays,
+    plan: StepPlan,
     theta0: np.ndarray,
-    hyper: MetaHyper,
-    sizes: np.ndarray,
     step_rng: Callable[[int], np.random.Generator],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run tau local meta-gradient steps on every device at once and score them.
 
-    ``step_rng(step)`` returns the stream of one step; its batches for all
-    devices and roles come from ``draw_batch_weights``.  When every batch is
-    its device's whole dataset, each role's weights are ``data.full_weights``
-    (what the draw would give, bit for bit) and ``step_rng`` is never called.
+    ``plan`` is the run's ``StepPlan``: the devices, hyper-parameters,
+    checked batch sizes and score penalties.  ``step_rng(step)`` returns the stream of one
+    step; its batches for all devices and roles come from
+    ``draw_batch_weights``.  When every batch is its device's whole dataset,
+    each role's weights are the plan's full-batch weights (what the draw
+    would give, bit for bit) and ``step_rng`` is never called.
     Returns the updated parameters (n, d) and the contribution scores (n,)
     u_i = sum_t ||g_t||^2 - 2*(lambda1 + lambda2/sqrt(D_i)) * ||g_t||.
     Raises NumericalError as soon as a meta-gradient or score is non-finite.
     """
-    sizes = np.asarray(sizes)
-    if sizes.shape != data.counts.shape or np.any((sizes < 1) | (sizes > data.counts)):
-        raise ConfigurationError("each batch size must lie between 1 and its dataset size")
+    data, hyper, penalty, full = plan.data, plan.hyper, plan.penalty, plan.full_weights
     n, _, d = data.x.shape
-    theta = np.broadcast_to(np.asarray(theta0, dtype=float), (n, d)).copy()
+    theta = np.empty((n, d))
+    theta[:] = theta0
     u = np.zeros(n)
-    penalty = 2.0 * (hyper.lambda1 + hyper.lambda2 / np.sqrt(sizes))
-    full = (data.full_weights,) * 3 if np.array_equal(sizes, data.counts) else None
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(hyper.tau):
-            if full is None:
-                weights = draw_batch_weights(step_rng(t), data.mask, sizes)
-            else:
-                weights = full
+            weights = draw_batch_weights(step_rng(t), plan) if full is None else full
             g = batched_meta_gradient(data, theta, weights, hyper)
-            if not np.all(np.isfinite(g)):
+            if not np.isfinite(g).all():
                 raise NumericalError(f"non-finite meta-gradient at local step {t}")
             gn = np.sqrt(np.einsum("nd,nd->n", g, g))
             u += gn * gn - penalty * gn
             theta -= hyper.beta * g
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         raise NumericalError("non-finite contribution score")
     return theta, u

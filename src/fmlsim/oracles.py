@@ -24,6 +24,7 @@ from .metacore import (
     DeviceArrays,
     MetaHyper,
     QuadraticModel,
+    StepPlan,
     adapted_loss,
     batched_meta_gradient,
     draw_batch_weights,
@@ -238,7 +239,7 @@ def theorem1_bound(
 
     # resample r of selected row k is row r*len(rows) + k of the tiled arrays
     tiled = data.take(np.tile(rows, mc))
-    weights = draw_batch_weights(rng.stream(seed), tiled.mask, np.tile(sizes, mc))
+    weights = draw_batch_weights(rng.stream(seed), StepPlan(tiled, np.tile(sizes, mc), hyper))
     grads = batched_meta_gradient(tiled, theta, weights, hyper).reshape(mc, rows.size, -1)
     if not np.all(np.isfinite(grads)):
         raise NumericalError("meta-gradient produced non-finite values")

@@ -27,6 +27,8 @@ FAMILIES = {m.family: m for m in (QuadraticModel, LogisticModel)}
 
 @dataclass
 class PopulationSpec:
+    """Sampling settings of a device population: size, dimension, family and spreads."""
+
     n: int = 100
     d: int = 5
     family: str = "quadratic-regression"

@@ -35,12 +35,16 @@ BISECT_TOL = 1e-10
 
 @dataclass(frozen=True)
 class Sp1Solution:
+    """The frequency sub-problem's solution: every row's CPU frequency and its cost."""
+
     nu: np.ndarray          # CPU frequency of every row
     objective: float
 
 
 @dataclass
 class Sp2Solution:
+    """IVES's best matching, powers and delay, its g2 value and its iteration trace."""
+
     rows: np.ndarray        # matched rows, ascending
     z: np.ndarray           # RB of each matched row
     p: np.ndarray           # power of each matched row
@@ -371,12 +375,16 @@ def solve_sp2_power(
 
 def g2_objective(
     u: np.ndarray, radios: RadioProfile, rows: np.ndarray, rbs: np.ndarray,
-    p: np.ndarray, net: NetworkConfig,
+    p: np.ndarray, net: NetworkConfig, rates: np.ndarray | None = None,
 ) -> float:
-    """sum u_i - eta1 * transmission energy - eta2 * max transmission time."""
+    """sum u_i - eta1 * transmission energy - eta2 * max transmission time.
+
+    ``rates`` are the matched rows' upload rates when the caller has them.
+    """
     if not rows.size:
         return 0.0
-    rates = net.rate(radios.h[rows], p, rbs)
+    if rates is None:
+        rates = net.rate(radios.h[rows], p, rbs)
     if (rates <= 0).any():
         return -math.inf
     t = net.S / rates
@@ -419,9 +427,10 @@ def ives(u: np.ndarray, radios: RadioProfile, net: NetworkConfig) -> Sp2Solution
             trace.append(0.0)
             break
         p = solve_sp2_power(radios, rows, rbs, net)
-        g2 = g2_objective(u, radios, rows, rbs, p, net)
+        rates = net.rate(radios.h[rows], p, rbs)
+        g2 = g2_objective(u, radios, rows, rbs, p, net, rates)
         trace.append(g2)
-        delta_next = float((net.S / net.rate(radios.h[rows], p, rbs)).max())
+        delta_next = float((net.S / rates).max())
         if g2 > best_g2:
             best_g2, best = g2, (rows, rbs, p, delta_next)
         if len(trace) > 1 and abs(g2 - trace[-2]) <= IVES_EPS * max(1.0, abs(g2)):

@@ -81,6 +81,8 @@ class RadioProfile:
 
 @dataclass(frozen=True)
 class NetworkConfig:
+    """The uplink: RB count, bandwidth, noise, interference, payload and cost weights."""
+
     M: int                      # RB count
     B: float                    # per-RB bandwidth
     N0: float                   # noise power spectral density

@@ -259,9 +259,12 @@ def test_sweep_dot_path_equals_bare_name(tmp_path):
 @pytest.mark.parametrize("param, values, path", [
     ("eta1", ["0.5", "2.0"], "env.eta1"),
     ("n", ["12", "20"], "population.n"),
+    # two cells share one population under two batch sizes: the step plan is per run
+    ("batch_size", ["2", "4"], "batch_size"),
 ])
 def test_sweep_cells_equal_standalone_runs(tmp_path, param, values, path):
-    # the sweep-small shape: full batches, so no step draws a batch
+    # the sweep-small shape: full batches, so no step draws a batch unless
+    # the sweep sets batch_size
     shape = ["--set", "population.family=logistic-regression", "--set", "hyper.mode=hessian-free",
              "--set", "batch_size=null", "--set", "rounds=3"]
     code, out = _sweep(tmp_path, "sweep", *shape, "--param", param,

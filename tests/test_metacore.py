@@ -11,6 +11,7 @@ from fmlsim.metacore import (
     LogisticModel,
     MetaHyper,
     QuadraticModel,
+    StepPlan,
     _sigmoid,
     batched_meta_gradient,
     draw_batch,
@@ -197,7 +198,8 @@ def test_local_update_zero_stepsize_keeps_theta():
     m = _quad(g.normal(size=(10, 3)), g.normal(size=10))
     theta0 = g.normal(size=3)
     hyper = MetaHyper(alpha=0.1, beta=0.0, tau=1)
-    theta, u = local_update(_one_device(m), theta0, hyper, np.array([4]), _step_streams(0, 0))
+    plan = StepPlan(_one_device(m), np.array([4]), hyper)
+    theta, u = local_update(plan, theta0, _step_streams(0, 0))
     assert np.allclose(theta, theta0[None, :])
     assert np.all(np.isfinite(u))
 
@@ -209,7 +211,7 @@ def test_local_update_stationary_point():
     m = _quad(x, x @ theta_star)  # zero residual at theta_star
     hyper = MetaHyper(alpha=0.1, beta=0.05)
     data = _one_device(m)
-    theta, u = local_update(data, theta_star, hyper, data.counts, _step_streams(0, 0))
+    theta, u = local_update(StepPlan(data, data.counts, hyper), theta_star, _step_streams(0, 0))
     assert np.allclose(theta, theta_star[None, :])
     assert u[0] == pytest.approx(0.0, abs=1e-20)
 
@@ -222,28 +224,35 @@ def test_local_update_two_steps_equals_chained_single_steps():
     sizes = data.batch_sizes(4)
     theta0 = g.normal(size=3)
     h2 = MetaHyper(alpha=0.05, beta=0.02, tau=2)
-    theta_two, _ = local_update(data, theta0, h2, sizes, _step_streams(1, 0))
+    theta_two, _ = local_update(StepPlan(data, sizes, h2), theta0, _step_streams(1, 0))
 
-    h1 = MetaHyper(alpha=0.05, beta=0.02, tau=1)
+    plan = StepPlan(data, sizes, MetaHyper(alpha=0.05, beta=0.02, tau=1))
     streams = _step_streams(1, 0)
-    mid, _ = local_update(data, theta0, h1, sizes, streams)
+    mid, _ = local_update(plan, theta0, streams)
     # the second chained step replays the tau=2 run's step-1 stream
-    end, _ = local_update(data, mid, h1, sizes, lambda t: streams(1))
+    end, _ = local_update(plan, mid, lambda t: streams(1))
     assert np.allclose(theta_two, end)
 
 
 def test_local_update_oversized_batch_rejected():
+    # the plan checks the sizes once per run, before any local step
     m = _quad(np.ones((3, 1)), np.zeros(3))
-    with pytest.raises(ConfigurationError):
-        local_update(_one_device(m), np.zeros(1), MetaHyper(alpha=0.1, beta=0.1),
-                     np.array([10]), _step_streams(0, 0))
+    with pytest.raises(ConfigurationError, match="between 1 and its dataset size"):
+        StepPlan(_one_device(m), np.array([10]), MetaHyper(alpha=0.1, beta=0.1))
+
+
+def test_step_plan_rejects_sizes_one_selection_cannot_draw():
+    # two subsampling rows of different sizes: no one selection index fits both
+    data = DeviceArrays(QuadraticModel, [_quad(np.ones((5, 1)), np.zeros(5))] * 2)
+    with pytest.raises(ConfigurationError, match="one size common"):
+        StepPlan(data, np.array([2, 3]), MetaHyper())
 
 
 def test_local_update_non_finite_raises():
     m = _quad([[1e200]], [0.0])
+    plan = StepPlan(_one_device(m), np.array([1]), MetaHyper(alpha=0.1, beta=0.1))
     with pytest.raises(NumericalError, match="non-finite"):
-        local_update(_one_device(m), np.ones(1), MetaHyper(alpha=0.1, beta=0.1),
-                     np.array([1]), _step_streams(0, 0))
+        local_update(plan, np.ones(1), _step_streams(0, 0))
 
 
 def _reference_local_update(data, family, theta0, hyper, sizes, step_rng):
@@ -256,8 +265,9 @@ def _reference_local_update(data, family, theta0, hyper, sizes, step_rng):
     thetas = np.tile(theta0, (n, 1))
     u = np.zeros(n)
     scale = np.zeros(n)
+    plan = StepPlan(data, sizes, hyper)
     for t in range(hyper.tau):
-        w = draw_batch_weights(step_rng(t), data.mask, sizes)
+        w = draw_batch_weights(step_rng(t), plan)
         for i in range(n):
             batches = [Batch(data.x[i][w[r, i] > 0], data.y[i][w[r, i] > 0])
                        for r in range(3)]
@@ -294,7 +304,7 @@ def test_batched_local_update_matches_per_device_reference(family, mode, batch_s
     sizes = data.batch_sizes(batch_size)
     theta0 = g.normal(size=3)
     hyper = MetaHyper(alpha=0.1, beta=0.05, tau=tau, lambda1=0.3, lambda2=0.7, mode=mode)
-    theta, u = local_update(data, theta0, hyper, sizes, _step_streams(5, 3))
+    theta, u = local_update(StepPlan(data, sizes, hyper), theta0, _step_streams(5, 3))
     ref_theta, ref_u, ref_scale = _reference_local_update(
         data, family, theta0, hyper, sizes, _step_streams(5, 3)
     )
@@ -313,9 +323,9 @@ def test_batched_meta_gradient_matches_reference_on_identical_batches(family, mo
     g = np.random.default_rng(12)
     data = _mixed_population(g, family)
     sizes = data.batch_sizes(3)
-    weights = draw_batch_weights(rng.stream(0, 1, 0, rng.ROLE_BATCH), data.mask, sizes)
-    theta = g.normal(size=(data.counts.size, 3))
     hyper = MetaHyper(alpha=0.1, beta=0.05, mode=mode)
+    weights = draw_batch_weights(rng.stream(0, 1, 0, rng.ROLE_BATCH), StepPlan(data, sizes, hyper))
+    theta = g.normal(size=(data.counts.size, 3))
     got = batched_meta_gradient(data, theta, weights, hyper)
     for i in range(data.counts.size):
         batches = [Batch(data.x[i][weights[r, i] > 0], data.y[i][weights[r, i] > 0])
@@ -349,6 +359,11 @@ def test_device_arrays_take_keeps_every_row_array_aligned():
         assert np.array_equal(getattr(sub, name), full[rows]), name
 
 
+def _padded(counts):
+    """A population of the given dataset sizes, for drawing batch weights."""
+    return DeviceArrays(QuadraticModel, [_quad(np.zeros((c, 1)), np.zeros(c)) for c in counts])
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     counts=st.lists(st.integers(1, 12), min_size=1, max_size=8),
@@ -358,9 +373,11 @@ def test_device_arrays_take_keeps_every_row_array_aligned():
     step=st.integers(0, 3),
 )
 def test_batch_draw_properties(counts, batch, seed, k, step):
-    mask = np.arange(max(counts)) < np.array(counts)[:, None]
+    data = _padded(counts)
+    mask = data.mask
     sizes = np.array(counts) if batch is None else np.minimum(batch, counts)
-    w = draw_batch_weights(rng.stream(seed, k, step, rng.ROLE_BATCH), mask, sizes)
+    plan = StepPlan(data, sizes, MetaHyper())
+    w = draw_batch_weights(rng.stream(seed, k, step, rng.ROLE_BATCH), plan)
     assert w.shape == (3,) + mask.shape
     picked = w > 0
     # exactly min(batch, n_i) distinct real samples per device and role
@@ -368,8 +385,38 @@ def test_batch_draw_properties(counts, batch, seed, k, step):
     assert not np.any(picked & ~mask)
     assert np.allclose(w.sum(axis=-1), 1.0)
     # a pure function of (seed, round, step)
-    again = draw_batch_weights(rng.stream(seed, k, step, rng.ROLE_BATCH), mask, sizes)
+    again = draw_batch_weights(rng.stream(seed, k, step, rng.ROLE_BATCH), plan)
     assert np.array_equal(w, again)
+
+
+def _rank_rule_weights(g, mask, sizes):
+    """The draw as a full sort: each row's ``sizes[i]`` smallest keys by rank."""
+    keys = np.where(mask, g.random((3,) + mask.shape), np.inf)
+    rank = keys.argsort(axis=-1).argsort(axis=-1)
+    return (rank < sizes[:, None]) / sizes[:, None]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    counts=st.lists(st.integers(1, 12), min_size=1, max_size=8),
+    batch=st.sampled_from(["below", "equal", "above", "none"]),
+    offset=st.integers(1, 11),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_selection_draw_is_the_rank_rule_bit_for_bit(counts, batch, offset, seed):
+    # random dataset sizes give random padding masks; b below, at and above S_max
+    data = _padded(counts)
+    s_max = data.mask.shape[1]
+    b = {"below": max(1, s_max - offset), "equal": s_max, "above": s_max + offset,
+         "none": None}[batch]
+    sizes = data.batch_sizes(b)
+    w = draw_batch_weights(rng.stream(seed, rng.ROLE_BATCH), StepPlan(data, sizes, MetaHyper()))
+    want = _rank_rule_weights(rng.stream(seed, rng.ROLE_BATCH), data.mask, sizes)
+    assert np.array_equal(w.view(np.uint64), want.view(np.uint64))
+    picked = w > 0
+    assert np.array_equal((picked & data.mask).sum(axis=-1),
+                          np.broadcast_to(sizes, picked.shape[:2]))
+    assert not np.any(picked & ~data.mask)
 
 
 def _no_stream(step):
@@ -390,17 +437,18 @@ def test_full_batches_skip_the_draw_bit_for_bit(counts, family, mode, tau, seed)
         Batch(g.normal(size=(n, 3)), np.where(g.uniform(size=n) < 0.5, 1.0, -1.0))
         for n in counts])
     streams = _step_streams(seed, 7)
-    for t in range(tau):
-        drawn = draw_batch_weights(streams(t), data.mask, data.counts)
-        assert all(np.array_equal(w, data.full_weights) for w in drawn)
     theta0 = g.normal(size=3)
     hyper = MetaHyper(alpha=0.1, beta=0.05, tau=tau, lambda1=0.3, lambda2=0.7, mode=mode)
-    theta, u = local_update(data, theta0, hyper, data.counts, _no_stream)
+    plan = StepPlan(data, data.counts, hyper)
+    for t in range(tau):
+        drawn = draw_batch_weights(streams(t), plan)
+        assert all(np.array_equal(w, data.full_weights) for w in drawn)
+    theta, u = local_update(plan, theta0, _no_stream)
     # the loop of local_update with every step's batches drawn
     ref_theta, ref_u = np.tile(theta0, (len(counts), 1)), np.zeros(len(counts))
     penalty = 2.0 * (hyper.lambda1 + hyper.lambda2 / np.sqrt(data.counts))
     for t in range(tau):
-        weights = draw_batch_weights(streams(t), data.mask, data.counts)
+        weights = draw_batch_weights(streams(t), plan)
         grad = batched_meta_gradient(data, ref_theta, weights, hyper)
         gn = np.sqrt(np.einsum("nd,nd->n", grad, grad))
         ref_u += gn * gn - penalty * gn
