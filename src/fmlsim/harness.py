@@ -210,41 +210,23 @@ def build_environment(
 # ---------------------------------------------------------------------------
 # the round loop
 
-class _SharedPopulations:
-    """A sweep's populations, one per distinct (population spec, seed).
-
-    Each is built at the first run that needs it and dropped after the last;
-    sharing is safe because a population's arrays are read-only.
-    """
-
-    def __init__(self, configs: list[ExperimentConfig]):
-        self._uses = collections.Counter(map(self._key, configs))
-        self._built: dict = {}
-
-    @staticmethod
-    def _key(config: ExperimentConfig) -> tuple:
-        return astuple(config.population), config.seed
-
-    def take(self, config: ExperimentConfig) -> Population:
-        key = self._key(config)
-        pop = self._built.pop(key, None) or generate_population(config.population, config.seed)
-        self._uses[key] -= 1
-        if self._uses[key] > 0:
-            self._built[key] = pop
-        return pop
-
-
-# the running sweep's populations; ``run`` takes only a config, as each cell calls it
-_sweep_populations: contextvars.ContextVar[_SharedPopulations | None] = contextvars.ContextVar(
+# inside ``sweep``: (population spec, seed) -> (its population, built at the first
+# run that needs it, and its runs left); sharing is safe as its arrays are read-only.
+# ``run`` takes only a config: bench/child.py's round clock wraps it with that signature
+_sweep_populations: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
     "_sweep_populations", default=None)
 
 
 def _population(config: ExperimentConfig) -> Population:
     """The run's population: the sweep's shared one inside ``sweep``, else a new build."""
     shared = _sweep_populations.get()
-    if shared is None:
-        return generate_population(config.population, config.seed)
-    return shared.take(config)
+    key = astuple(config.population), config.seed
+    pop, uses = shared.pop(key) if shared is not None else (None, 1)
+    if pop is None:
+        pop = generate_population(config.population, config.seed)
+    if uses > 1:
+        shared[key] = pop, uses - 1
+    return pop
 
 
 def run(config: ExperimentConfig) -> list[RoundMetrics]:
@@ -364,8 +346,9 @@ def sweep(
         grid.append((value, [replace(value_config, seed=s) for s in seeds]))
     cells: list[SweepCell] = []
     runs: dict[tuple[object, int], list[RoundMetrics]] = {}
-    token = _sweep_populations.set(
-        _SharedPopulations([c for _, seed_configs in grid for c in seed_configs]))
+    uses = collections.Counter((astuple(c.population), c.seed)
+                               for _, seed_configs in grid for c in seed_configs)
+    token = _sweep_populations.set({key: (None, n) for key, n in uses.items()})
     try:
         for value, seed_configs in grid:
             losses, energies, times, objectives = [], [], [], []

@@ -30,7 +30,7 @@ from .wireless import ComputeProfile, NetworkConfig, RadioProfile
 
 IVES_EPS = 1e-9
 IVES_MAX_ITERS = 50
-BISECT_TOL = 1e-10
+F4_NEWTON_STEPS = 12                # pinned by the f4_zero accuracy property test
 
 
 @dataclass(frozen=True)
@@ -325,35 +325,25 @@ def _rb_matching(
 
 
 def f4_zero(b1: float, eta2: float) -> float:
-    """Unique zero of f4(p) = b1*((1+p)*ln(1+p) - p) - eta2 on (0, b2] by bisection."""
+    """Unique zero of f4(p) = b1*((1+p)*ln(1+p) - p) - eta2 on p > 0, in closed form.
+
+    In y = ln(1+p) the condition is g(y) = y*e^y - expm1(y) - r = 0 with
+    r = eta2/b1, whose root is y = 1 + W0((r - 1)/e), W0 the principal
+    branch of the Lambert W function.  On y > 0, g is increasing and convex
+    with g(0) = -r, and g >= 0 both at sqrt(2r) (as g + r >= y^2/2) and at
+    1 + log1p(r), so Newton's method from the smaller of the two descends
+    monotonically onto the root; its step is written in e^-y so that it
+    cannot overflow.  An r that overflows gives +inf, one that underflows 0.
+    """
     if b1 <= 0 or eta2 <= 0:
         raise InvalidInputError("f4_zero requires positive b1 and eta2")
-
-    def f4(p: float) -> float:
-        return b1 * ((1.0 + p) * math.log1p(p) - p) - eta2
-
-    log2_b2 = (1.0 + math.sqrt(max(eta2 / b1, 1.0) - 1.0)) / math.log(2.0)
-    # 200 halvings resolve the analytic bracket to BISECT_TOL only while
-    # eta2/b1 is below ~1.3e4 (and it overflows past ~5e5); beyond, p = eta2/b1
-    # brackets the zero, since f4(eta2/b1) >= 0 once ln(1 + eta2/b1) >= 2
-    b2 = 2.0 ** log2_b2 if log2_b2 <= 200.0 + math.log2(BISECT_TOL) else eta2 / b1
-    while f4(b2) < 0.0:  # float-safety; the analytic bracket already suffices
-        b2 *= 2.0
-    lo, hi = 0.0, b2
-    f_tol = BISECT_TOL * max(1.0, b1, eta2)
-    mid = 0.5 * (lo + hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = f4(mid)
-        if fm == 0.0:
-            return mid
-        if fm < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= BISECT_TOL and abs(fm) <= f_tol:
-            break
-    return mid
+    r = eta2 / b1
+    if not 0.0 < r < math.inf:
+        return r
+    y = min(math.sqrt(2.0 * r), 1.0 + math.log1p(r))
+    for _ in range(F4_NEWTON_STEPS):
+        y -= 1.0 + (math.expm1(-y) - r * math.exp(-y)) / y
+    return math.expm1(y)
 
 
 def solve_sp2_power(

@@ -157,8 +157,8 @@ def test_assignment_oracle():
 
 
 def test_power_bisection():
-    """Power-level root finder: |f(root)| <= 1e-8, root inside its bracket,
-    and the equal-coefficient case returns e-1."""
+    """Power-level root finder: |f(root)| <= 1e-8 and the root within
+    1e-12 relative of the reference bisection."""
     t0 = time.perf_counter()
     result = bisection_suite()
     elapsed = time.perf_counter() - t0

@@ -380,6 +380,15 @@ def test_oracle_suites_pass(capsys):
     assert "bisection" in out and "0 failures" in out
 
 
+def test_oracle_bisection_exit_codes(capsys, monkeypatch):
+    # a root 1e-9 relative off the reference fails every instance, though
+    # most of them keep their residual within the 1e-8 tolerance
+    root = oracles.f4_zero
+    monkeypatch.setattr(oracles, "f4_zero", lambda b1, eta2: root(b1, eta2) * (1 + 1e-9))
+    assert main(["oracle", "bisection"]) == EXIT_FAILURE
+    assert "1000 instances, 1000 failures" in capsys.readouterr().out
+
+
 def test_oracle_ives_prints_fast_convergence(capsys):
     assert main(["oracle", "ives-monotone"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -456,10 +465,23 @@ def test_empty_training_split_rejected_at_load(tmp_path, capsys):
 
 
 def test_huge_energy_price_ratio_runs(tmp_path):
-    # eta2/b1 far above 5e5, where the power bisection's analytic bracket overflows
+    # eta2/b1 far above 5e5
     code = main(["run", "--config", str(CONFIGS / "wireless.json"),
                  "--set", "env.eta1=1e-7", "--out", str(tmp_path / "out")])
     assert code == EXIT_OK
+
+
+def test_extreme_energy_price_ratio_still_selects(tmp_path):
+    # eta2/b1 near 1e307 and beyond: a NaN power would pass the cap's min()
+    # and leave every round without a device
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(CONFIGS / "wireless.json"),
+                 "--set", "env.eta1=1e-308", "--set", "rounds=2", "--out", str(out)])
+    assert code == EXIT_OK
+    rows = list(csv.DictReader((out / "metrics.csv").open()))
+    assert len(rows) == 2
+    for row in rows:
+        assert row["selected"] and math.isfinite(float(row["energy"]))
 
 
 @pytest.mark.parametrize("override", [

@@ -13,6 +13,7 @@ from fmlsim.oracles import (
     _random_compute,
     _random_radio_env,
     assignment_brute_force,
+    f4_bisection,
     g1_grid_minimum,
 )
 from fmlsim.ural import (
@@ -548,10 +549,11 @@ def test_certificate_accepts_the_optimum_and_rejects_worse(seed):
         assert not _certified(value, swapped)
 
 
-@given(b1=_floats(0.01, 100.0), log_ratio=st.floats(-4.0, 12.0))
+@given(b1=_floats(0.01, 100.0), log_ratio=st.floats(-12.0, 307.0))
 def test_f4_zero_stays_inside_its_bracket(b1, log_ratio):
-    # eta2/b1 from 1e-4 to 1e12; the analytic bracket overflows past ~5e5
+    # eta2/b1 from 1e-12 to 1e307, as far as eta2 stays finite
     eta2 = b1 * 10.0 ** log_ratio
+    assume(math.isfinite(eta2))
     root = f4_zero(b1, eta2)
 
     def f4(p):
@@ -561,6 +563,20 @@ def test_f4_zero_stays_inside_its_bracket(b1, log_ratio):
     assert 0.0 < root <= max(eta2 / b1, math.e ** 2)
     step = 1e-6 * max(1.0, root)
     assert f4(root - step) < 0 < f4(root + step)
+    # below eta2/b1 = 1e-4 the reference's own f4 evaluation limits its accuracy
+    reference = f4_bisection(b1, eta2)
+    assert abs(root - reference) <= (1e-12 if eta2 / b1 >= 1e-4 else 1e-9) * reference
+
+
+def test_f4_zero_at_extreme_ratios():
+    # eta2/b1 overflows: the root is +inf, and solve_sp2_power's cap sets the power
+    assert f4_zero(5e-324, 1.0) == math.inf
+    # eta2/b1 = 1e307: a Newton step written in e^y would overflow to NaN here
+    root = f4_zero(1e-307, 1.0)
+    assert math.isfinite(root)
+    assert abs(root - f4_bisection(1e-307, 1.0)) <= 1e-12 * root
+    # eta2/b1 underflows to 0, where the Newton start would be 0
+    assert f4_zero(1e300, 1e-300) == 0.0
 
 
 @given(env=_uplink_envs(max_n=12, max_m=12))

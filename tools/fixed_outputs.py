@@ -1,21 +1,30 @@
 """Digest the outputs of fmlsim's fixed invocations, for byte-identity checks.
 
     python3 tools/fixed_outputs.py OUT
+    python3 tools/fixed_outputs.py --compare PARENT_OUT CHANGE_OUT
 
-runs each fixed invocation through ``fmlsim.cli.main`` (importing fmlsim
-from the ``src/`` beside this script), writes its files under
-``OUT/<invocation>/`` and records the sha256 of every output file, with the
-exit code, in ``OUT/digests.json``.  Run it on two checkouts and compare
-the two ``digests.json`` files (``cmp`` or ``diff``): a change that keeps
-every output byte-identical leaves them equal.
+The first form runs each fixed invocation through ``fmlsim.cli.main``
+(importing fmlsim from the ``src/`` beside this script), writes its files
+under ``OUT/<invocation>/`` and records the sha256 of every output file,
+with the exit code, in ``OUT/digests.json``.  Run it on two checkouts and
+compare the two ``digests.json`` files (``cmp`` or ``diff``): a change that
+keeps every output byte-identical leaves them equal.
+
+The second form measures a change that does not.  For each invocation it
+prints the changed files, the largest relative change in each numeric CSV
+column, and every changed value in a text or integer CSV column (those in
+``EXACT_COLUMNS`` and any that does not read as numbers).  It exits 1 if
+such a value, an exit code, or the set of files differs, else 0.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -57,7 +66,78 @@ def digest(out: Path) -> dict:
     return digests
 
 
+# CSV columns compared exactly: the selections, counts and sweep labels
+EXACT_COLUMNS = {"round", "selected", "ives_iterations", "parameter", "value", "seeds"}
+
+
+def _number(text: str) -> float | None:
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def _relative(a: float, b: float) -> float:
+    if a == b:
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def compare_csv(old: Path, new: Path, moved: dict[str, float], changed: list[str]) -> None:
+    """Fold one CSV pair into ``moved`` (column -> largest relative change) and ``changed``."""
+    with old.open() as fa, new.open() as fb:
+        a, b = list(csv.DictReader(fa)), list(csv.DictReader(fb))
+    if len(a) != len(b) or (a and b and list(a[0]) != list(b[0])):
+        changed.append(f"{old.name}: {len(a)} -> {len(b)} rows or a different header")
+    for i, (ra, rb) in enumerate(zip(a, b)):
+        for col, x in ra.items():
+            y = rb.get(col)
+            fx, fy = _number(x), _number(y or "")
+            if col in EXACT_COLUMNS or fx is None or fy is None:
+                if x != y:
+                    changed.append(f"{old.name} row {i} {col}: {x!r} -> {y!r}")
+            else:
+                moved[col] = max(moved.get(col, 0.0), _relative(fx, fy))
+
+
+def compare(parent: Path, change: Path) -> int:
+    """Print how the change's outputs differ from the parent's; 1 if beyond numeric drift."""
+    old = json.loads((parent / "digests.json").read_text())
+    new = json.loads((change / "digests.json").read_text())
+    status = 0
+    for name in sorted(old.keys() | new.keys()):
+        a = old.get(name, {"exit": None, "files": {}})
+        b = new.get(name, {"exit": None, "files": {}})
+        files = sorted(a["files"].keys() | b["files"].keys())
+        diff = [f for f in files if a["files"].get(f) != b["files"].get(f)]
+        head = f"{name}: {len(diff)} of {len(files)} files changed"
+        if a["exit"] != b["exit"]:
+            head += f", exit {a['exit']} -> {b['exit']}"
+            status = 1
+        print(head)
+        if not diff:
+            continue
+        print("  files: " + " ".join(diff))
+        moved: dict[str, float] = {}
+        changed: list[str] = []
+        for f in diff:
+            if f not in a["files"] or f not in b["files"]:
+                changed.append(f"{f}: only in {'change' if f in b['files'] else 'parent'}")
+            elif f.endswith(".csv"):
+                compare_csv(parent / name / f, change / name / f, moved, changed)
+        for col, rel in moved.items():
+            print(f"  {col}: largest relative change {rel:.3e}")
+        for line in changed:
+            print(f"  changed {line}")
+        status = status or bool(changed)
+    return status
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(Path(argv[1]), Path(argv[2]))
     if len(argv) != 1:
         print(__doc__.strip(), file=sys.stderr)
         return 2
