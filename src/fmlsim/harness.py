@@ -13,10 +13,12 @@ or a similar tuple; a local step whose batches are all full datasets draws
 nothing.  A round does only the work that changes between rounds: ``run``
 builds the run's ``StepPlan`` (batch-size checks, score penalties,
 full-batch weights and the draw's constants) once before round 0, ``ural``
-solves the run-constant SP1 and starting delay once per run, and a sweep
-builds each distinct (population spec, seed) once for all its cells.  A
-round whose meta-gradients, scores or losses are non-finite stops the run
-with NumericalError.
+solves the run-constant SP1, starting delay and matching constants once per
+run (``round_totals`` likewise charges SP1's fixed computation), and a sweep
+builds each distinct (population spec, seed) once for all its cells.  Weights
+that leave the CPU frequencies at 0 fail at set-up.  A round whose
+meta-gradients, scores or losses are non-finite stops the run with
+NumericalError.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .errors import ConfigurationError, InvalidInputError, NumericalError
 from .metacore import MetaHyper, StepPlan, adapted_loss, local_update
 from .selection import aggregate, select_top_k, shifted_scores
 from .tasks import Population, PopulationSpec, generate_population
-from .ural import solve_sp2_power, ural
+from .ural import run_sp1, solve_sp2_power, ural
 from .wireless import (
     Allocation,
     ComputeProfile,
@@ -207,6 +209,29 @@ def build_environment(
     )
 
 
+def _check_frequencies(
+    config: ExperimentConfig, compute: ComputeProfile, net: NetworkConfig
+) -> None:
+    """ConfigurationError, naming the weights, if they leave the run's CPU frequencies at 0.
+
+    SP1's common speed and the greedy frequencies are cube roots of
+    eta2 / (eta1 * ...), which underflows when the weights lie too far
+    apart, and no device runs at frequency 0.  The random baselines draw
+    positive fractions of ``nu_max``.
+    """
+    if config.allocation == "ural":
+        nu = run_sp1(compute, net).nu
+    elif config.allocation.endswith("greedy"):
+        with np.errstate(over="ignore"):        # eta1 * iota = inf makes a 0 below
+            nu = greedy_frequency(compute, net)
+    else:
+        return
+    if not nu.min() > 0:
+        raise ConfigurationError(
+            f"env.eta1={net.eta1!r} and env.eta2={net.eta2!r} lie too far apart: "
+            f"eta2 / eta1 underflows the {config.allocation} CPU frequencies to 0")
+
+
 # ---------------------------------------------------------------------------
 # the round loop
 
@@ -244,6 +269,7 @@ def run(config: ExperimentConfig) -> list[RoundMetrics]:
     wireless = config.mode == "wireless"
     if wireless:
         compute, radios, net = build_environment(config, pop)
+        _check_frequencies(config, compute, net)
 
     theta = np.zeros(config.population.d)
     metrics: list[RoundMetrics] = []

@@ -157,6 +157,11 @@ class QuadraticModel(LossModel):
     def margin_curvature(a, y):
         return np.ones_like(a)
 
+    @classmethod
+    def per_sample_hvp(cls, theta, x, y, v) -> np.ndarray:
+        # the curvature is 1 at every theta, so the margin at theta is not needed
+        return _margin(v, x)[..., None] * x
+
 
 class LogisticModel(LossModel):
     """Binary logistic regression with labels in {-1, +1}."""

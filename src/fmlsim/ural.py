@@ -14,6 +14,15 @@ device ranks the RBs alike (by ascending noise), so a dynamic program over
 rows sorted by channel gain proposes the matching, and an exchange argument
 or an LP-duality certificate proves it optimal.  ``min_cost_assignment``, a
 shortest-augmenting-path solver, runs only when the certificate fails.
+
+A run keeps one environment, so what no round changes is built once per
+run (``wireless.per_run``): SP1, IVES's starting delay, and the matching's
+fixed pieces (``_Uplink``: the n + 1 quietest RBs and their noise, the
+rows' gains and caps, the rows in h order, and the RBs priced at the
+starting delay, where every round's first matching is made).  IVES stops
+as soon as a matching repeats the previous iteration's with a finite g2:
+the powers, rates and g2 would come out the same, and the loop would stop
+on their zero change.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError
-from .wireless import ComputeProfile, NetworkConfig, RadioProfile
+from .wireless import ComputeProfile, NetworkConfig, RadioProfile, per_run
 
 IVES_EPS = 1e-9
 IVES_MAX_ITERS = 50
@@ -80,10 +89,10 @@ def solve_sp1(compute: ComputeProfile, weights: tuple[float, float]) -> Sp1Solut
     if eta1 <= 0 or eta2 <= 0:
         raise InvalidInputError("sp1 requires strictly positive weights")
     work = compute.work
-    speed = min(
-        (eta2 / (eta1 * (compute.iota * work ** 3).sum())) ** (1.0 / 3.0),
-        (compute.nu_max / work).min(),
-    )
+    # weights far apart overflow the quotient to +inf, and the cap then binds
+    with np.errstate(over="ignore"):
+        unbounded = (eta2 / (eta1 * (compute.iota * work ** 3).sum())) ** (1.0 / 3.0)
+    speed = min(unbounded, (compute.nu_max / work).min())
     nu = speed * work
     return Sp1Solution(nu=nu, objective=g1_objective(work, compute.iota, nu, weights))
 
@@ -300,28 +309,21 @@ def _rb_matching(
     """
     if delta <= 0:
         raise InvalidInputError("delta must be positive")
-    exponent = net.S / (net.B * delta)
-    # exp2 overflows from 1024 on; checking here costs less than np.errstate
-    growth = np.exp2(exponent) - 1.0 if exponent < 1024.0 else math.inf
-    rbs = net.rb_order[:u.size + 1]
-    mu = net.noise[rbs] * growth / radios.h[:, None]
-    cap = radios.p_max[:, None]
-    cost = net.eta1 * delta * np.minimum(mu, cap) - u[:, None]     # -gain
-    picked, counts, exact = _in_order_matching(
-        cost.tolist(), mu.tolist(), radios.p_max.tolist(), radios.h_order.tolist(), rbs.size)
+    up = per_run(_Uplink, radios, net)
+    spend, mu = up.prices(delta)
+    cost = spend - u[:, None]                                       # -gain
+    picked, counts, exact = _in_order_matching(cost.tolist(), mu, up.caps, up.order, up.cols)
     s = len(picked)
     how = "in-order"
     if not exact:
-        weights = np.where(np.arange(rbs.size) < np.array(counts)[:, None], cost, np.inf)
+        weights = np.where(np.arange(up.cols) < np.array(counts)[:, None], cost, np.inf)
         how = "certified" if _certified(-weights[:, :s + 1], picked) else "solved"
     if how == "solved":
-        pairs = min_cost_assignment(weights)
-        pairs = np.array(pairs, dtype=int).reshape(-1, 2)
-        rows, ranks = pairs[:, 0], rbs[pairs[:, 1]]
+        pairs = [(i, up.rbs[j]) for i, j in min_cost_assignment(weights)]
     else:
-        rows, ranks = np.array(picked, dtype=int), rbs[:s]
-    by_row = rows.argsort()
-    return rows[by_row], ranks[by_row], how
+        pairs = sorted(zip(picked, up.rbs))
+    return (np.array([i for i, _ in pairs], dtype=int),
+            np.array([m for _, m in pairs], dtype=int), how)
 
 
 def f4_zero(b1: float, eta2: float) -> float:
@@ -390,10 +392,50 @@ def initial_delay(radios: RadioProfile, net: NetworkConfig) -> float:
     return float((net.S / rates).max())
 
 
-@functools.lru_cache(maxsize=1)
-def _run_initial_delay(radios: RadioProfile, net: NetworkConfig) -> float:
-    """``initial_delay``, computed once per run: it reads only the run's fixed environment."""
-    return initial_delay(radios, net)
+class _Uplink:
+    """A run's fixed uplink, as IVES and the RB matching read it.
+
+    The matching builds only the ``cols`` (at most n + 1) quietest RBs:
+    ``rbs`` lists them in noise order and ``noise`` holds their noise.
+    ``h`` and ``cap`` are the rows' gains and power caps as columns,
+    ``caps`` the caps as a list and ``order`` the rows by ascending h.
+    """
+
+    def __init__(self, radios: RadioProfile, net: NetworkConfig):
+        self.radios, self.net = radios, net
+        rbs = net.rb_order[:radios.h.size + 1]
+        self.cols = rbs.size
+        self.rbs = rbs.tolist()
+        self.noise = net.noise[rbs]
+        self.h = radios.h[:, None]
+        self.cap = radios.p_max[:, None]
+        self.caps = radios.p_max.tolist()
+        self.order = radios.h_order.tolist()
+        self._first: tuple | None = None
+
+    @functools.cached_property
+    def delta0(self) -> float:
+        """IVES's starting delay (``initial_delay``), the same in every round."""
+        return initial_delay(self.radios, self.net)
+
+    def prices(self, delta: float) -> tuple[np.ndarray, list[list[float]]]:
+        """``eta1*delta*min(mu, cap)`` and ``mu`` (as lists) on the built RBs at ``delta``.
+
+        ``mu[i][m]`` is the power row i needs on the m-th quietest RB to
+        finish its upload in exactly delta.  The first delay asked for is
+        kept: in a run that is IVES's fixed start, which every round's first
+        matching reads.
+        """
+        if self._first is not None and self._first[0] == delta:
+            return self._first[1]
+        exponent = self.net.S / (self.net.B * delta)
+        # exp2 overflows from 1024 on; checking here costs less than np.errstate
+        growth = np.exp2(exponent) - 1.0 if exponent < 1024.0 else math.inf
+        mu = self.noise * growth / self.h
+        found = self.net.eta1 * delta * np.minimum(mu, self.cap), mu.tolist()
+        if self._first is None:
+            self._first = delta, found
+        return found
 
 
 def ives(u: np.ndarray, radios: RadioProfile, net: NetworkConfig) -> Sp2Solution:
@@ -407,14 +449,19 @@ def ives(u: np.ndarray, radios: RadioProfile, net: NetworkConfig) -> Sp2Solution
         raise InvalidInputError(f"ives needs one score per device row, got {u.shape}")
     if u.min() <= 0:
         raise InvalidInputError("contribution scores must be shifted positive")
-    delta = _run_initial_delay(radios, net)
+    delta = per_run(_Uplink, radios, net).delta0
     empty = np.zeros(0, dtype=int)
     best_g2, best = 0.0, (empty, empty, np.zeros(0), delta)  # rows, rbs, p, delta
     trace: list[float] = []
+    last = None                         # the previous matching, if its g2 is finite
     for _ in range(IVES_MAX_ITERS):
         rows, rbs = rb_matching(u, radios, delta, net)
         if not rows.size:
             trace.append(0.0)
+            break
+        if last == (pair := (rows.tolist(), rbs.tolist())):
+            # the same powers, rates and g2 again: the loop would stop on a zero change
+            trace.append(trace[-1])
             break
         p = solve_sp2_power(radios, rows, rbs, net)
         rates = net.rate(radios.h[rows], p, rbs)
@@ -426,6 +473,7 @@ def ives(u: np.ndarray, radios: RadioProfile, net: NetworkConfig) -> Sp2Solution
         if len(trace) > 1 and abs(g2 - trace[-2]) <= IVES_EPS * max(1.0, abs(g2)):
             break
         delta = delta_next
+        last = pair if math.isfinite(g2) else None
     rows, rbs, p, delta = best
     return Sp2Solution(
         rows=rows,
@@ -438,15 +486,16 @@ def ives(u: np.ndarray, radios: RadioProfile, net: NetworkConfig) -> Sp2Solution
     )
 
 
-@functools.lru_cache(maxsize=1)
-def _run_sp1(compute: ComputeProfile, net: NetworkConfig) -> Sp1Solution:
-    """``solve_sp1`` at the network's weights, computed once per run (its ``nu`` read-only).
-
-    SP1 reads no score, only the run's fixed compute profiles and weights.
-    """
+def _sp1_at_weights(compute: ComputeProfile, net: NetworkConfig) -> Sp1Solution:
+    """``solve_sp1`` at the network's weights, its ``nu`` read-only."""
     sp1 = solve_sp1(compute, (net.eta1, net.eta2))
     sp1.nu.flags.writeable = False
     return sp1
+
+
+def run_sp1(compute: ComputeProfile, net: NetworkConfig) -> Sp1Solution:
+    """The run's SP1 solution, solved once: SP1 reads no score, only the fixed environment."""
+    return per_run(_sp1_at_weights, compute, net)
 
 
 def ural(
@@ -455,6 +504,7 @@ def ural(
     """Solve the frequency sub-problem and the matching/power sub-problem.
 
     Profiles are immutable and compared by identity, so a run, which keeps
-    one environment, solves SP1 and IVES's starting delay once.
+    one environment, solves SP1, IVES's starting delay and the matching's
+    fixed pieces once.
     """
-    return _run_sp1(compute, net), ives(u, radios, net)
+    return run_sp1(compute, net), ives(u, radios, net)

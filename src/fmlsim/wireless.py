@@ -17,6 +17,7 @@ import functools
 import json
 import logging
 import math
+import operator
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -127,6 +128,23 @@ class Allocation:
     nu: np.ndarray
 
 
+_runs: dict = {}    # builder -> (the run's environment objects, what it built from them)
+
+
+def per_run(build, *env):
+    """``build(*env)``, built once per run.
+
+    A run keeps one environment, so the arguments are compared by identity:
+    no hashing of a network's fields on each call, and no reuse across runs,
+    whose environments are new objects.  Each builder keeps one slot, the
+    latest run's, and that slot holds the arguments, so their ids stay taken.
+    """
+    slot = _runs.get(build)
+    if slot is None or not all(map(operator.is_, slot[0], env)):
+        slot = _runs[build] = env, build(*env)
+    return slot[1]
+
+
 def _validate_allocation(
     compute: ComputeProfile, radios: RadioProfile, net: NetworkConfig, alloc: Allocation,
     u: np.ndarray,
@@ -144,11 +162,20 @@ def _validate_allocation(
         )
     if len(set(rbs)) < len(rbs) or rbs and (min(rbs) < 0 or max(rbs) >= net.M):
         raise InfeasibleAllocationError(f"RBs {rbs} must be distinct RBs of {net.M}")
-    # value / cap lies in (0, 1]: one division and two reductions per quantity
-    for name, ratio in (("p", alloc.p / radios.p_max[alloc.rows]),
-                        ("nu", alloc.nu / compute.nu_max)):
-        if not (ratio.min(initial=1.0) > 0 and ratio.max(initial=1.0) <= 1 + 1e-12):
-            raise InfeasibleAllocationError(f"{name} / {name}_max outside (0, 1]: {ratio.tolist()}")
+    _check_ratio("p", alloc.p / radios.p_max[alloc.rows])
+
+
+def _check_ratio(name: str, ratio: np.ndarray) -> None:
+    """Value / cap lies in (0, 1]: one division and two reductions per quantity."""
+    if not (ratio.min(initial=1.0) > 0 and ratio.max(initial=1.0) <= 1 + 1e-12):
+        raise InfeasibleAllocationError(f"{name} / {name}_max outside (0, 1]: {ratio.tolist()}")
+
+
+def _computation(compute: ComputeProfile, nu: np.ndarray, tau: int) -> tuple[np.ndarray, float]:
+    """Every row's energy for tau local steps at frequencies nu, and the slowest row's time."""
+    _check_ratio("nu", nu / compute.nu_max)
+    work = tau * compute.c * compute.D
+    return 0.5 * compute.iota * work * nu * nu, (work / nu).max()
 
 
 def _running_sum(x: np.ndarray) -> float:
@@ -171,11 +198,13 @@ def round_totals(
     order, computation energy before transmission energy.
     """
     _validate_allocation(compute, radios, net, alloc, u)
-    nu = alloc.nu
-    work = tau * compute.c * compute.D
+    if alloc.nu.flags.writeable:
+        comp_energy, comp_time = _computation(compute, alloc.nu, tau)
+    else:       # a read-only nu (ural's SP1, solved once per run) is fixed for the run
+        comp_energy, comp_time = per_run(_computation, compute, alloc.nu, tau)
     comm_time = net.S / net.rate(radios.h[alloc.rows], alloc.p, alloc.rbs)
-    energy = np.concatenate([0.5 * compute.iota * work * nu * nu, comm_time * alloc.p])
-    total_time = (work / nu).max() + comm_time.max(initial=0.0)
+    energy = np.concatenate([comp_energy, comm_time * alloc.p])
+    total_time = comp_time + comm_time.max(initial=0.0)
     return _running_sum(u[alloc.rows]), _running_sum(energy), float(total_time)
 
 

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -482,6 +483,33 @@ def test_extreme_energy_price_ratio_still_selects(tmp_path):
     assert len(rows) == 2
     for row in rows:
         assert row["selected"] and math.isfinite(float(row["energy"]))
+
+
+@pytest.mark.parametrize("allocation", ["ural", "greedy"])
+@pytest.mark.parametrize("override", ["env.eta1=1e308", "env.eta2=5e-324"])
+def test_weights_that_stop_every_cpu_fail_at_set_up(tmp_path, capsys, monkeypatch,
+                                                     override, allocation):
+    # eta2 / eta1 underflows the CPU frequencies to 0, which round_totals would reject
+    def no_round(*args):
+        raise AssertionError("a round started")
+
+    monkeypatch.setattr(harness, "_round_of_updates", no_round)
+    code = main(["run", "--config", str(CONFIGS / "wireless.json"), "--set", override,
+                 "--set", f"allocation={allocation}", "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: env.eta1=") and "env.eta2=" in err and "underflows" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_tiny_energy_price_runs_without_warnings(tmp_path):
+    # eta2 / (eta1 * ...) overflows inside SP1, where the frequency cap then binds
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", "--config", str(CONFIGS / "wireless.json"),
+                     "--set", "env.eta1=5e-324", "--set", "rounds=2",
+                     "--out", str(tmp_path / "out")])
+    assert code == EXIT_OK
 
 
 @pytest.mark.parametrize("override", [

@@ -9,6 +9,7 @@ from fmlsim.metacore import (
     Batch,
     DeviceArrays,
     LogisticModel,
+    LossModel,
     MetaHyper,
     QuadraticModel,
     StepPlan,
@@ -88,6 +89,18 @@ def test_quadratic_hessian_independent_of_theta():
     h2 = hessian_estimate(QuadraticModel, g.normal(size=3), m)
     assert np.allclose(h1, h2)
     assert np.allclose(h1, h1.T)
+
+
+def test_quadratic_hvp_is_the_generic_formula_bit_for_bit():
+    # the override drops the curvature's margin at theta, a vector of ones
+    g = rng.stream(97)
+    x, v = g.normal(size=(3, 5, 4)), g.normal(size=(3, 4))
+    y = g.normal(size=(3, 5))
+    for theta in (g.normal(size=(3, 4)), np.full(4, np.inf)):
+        got = QuadraticModel.per_sample_hvp(theta, x, y, v)
+        with np.errstate(invalid="ignore"):     # the generic margin at an infinite theta
+            generic = LossModel.per_sample_hvp.__func__(QuadraticModel, theta, x, y, v)
+        assert got.tobytes() == generic.tobytes()
 
 
 def test_logistic_hessian_matches_finite_differences():

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +19,9 @@ from fmlsim.oracles import (
     g1_grid_minimum,
 )
 from fmlsim.ural import (
+    IVES_EPS,
+    IVES_MAX_ITERS,
+    Sp2Solution,
     _certified,
     f4_zero,
     g1_objective,
@@ -29,7 +34,7 @@ from fmlsim.ural import (
     solve_sp2_power,
     ural,
 )
-from fmlsim.wireless import ComputeProfile, NetworkConfig, RadioProfile
+from fmlsim.wireless import Allocation, ComputeProfile, NetworkConfig, RadioProfile, round_totals
 
 
 def _unit_device():
@@ -77,6 +82,15 @@ def test_sp1_homogeneous_devices_get_equal_frequencies():
     sol = solve_sp1(compute, (1.0, 1.0))
     assert sol.nu.shape == (4,)
     assert sol.nu.max() - sol.nu.min() < 1e-12
+
+
+def test_sp1_weights_too_far_apart_hit_the_cap_silently():
+    # eta2 / (eta1 * sum iota w^3) overflows to +inf, so every row runs at its cap's speed
+    compute = _random_compute(rng.stream(98), 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        nu = solve_sp1(compute, (5e-324, 1.0)).nu
+    assert nu.tobytes() == ((compute.nu_max / compute.work).min() * compute.work).tobytes()
 
 
 def test_sp1_cap_binds_for_tiny_nu_max():
@@ -590,3 +604,148 @@ def test_ives_trace_never_decreases(env):
     assert (np.diff(sol.rows) > 0).all() and set(sol.rows.tolist()) <= set(range(u.size))
     assert len(set(sol.z.tolist())) == sol.z.size
     assert ((0 < sol.p) & (sol.p <= radios.p_max[sol.rows] * (1 + 1e-12))).all()
+
+
+# ---------------------------------------------------------------------------
+# IVES against its first form, and the per-run state
+
+
+def _ives_reference(u, radios, net):
+    """IVES as first written: every iteration prices its matching, even a repeated one.
+
+    A test-only reference.  Each call hands ``rb_matching`` a fresh copy of
+    the radio profile, so no per-run state carries over between its calls.
+    """
+    delta = initial_delay(radios, net)
+    empty = np.zeros(0, dtype=int)
+    best_g2, best = 0.0, (empty, empty, np.zeros(0), delta)
+    trace = []
+    for _ in range(IVES_MAX_ITERS):
+        rows, rbs = rb_matching(u, RadioProfile(h=radios.h, p_max=radios.p_max), delta, net)
+        if not rows.size:
+            trace.append(0.0)
+            break
+        p = solve_sp2_power(radios, rows, rbs, net)
+        rates = net.rate(radios.h[rows], p, rbs)
+        g2 = g2_objective(u, radios, rows, rbs, p, net, rates)
+        trace.append(g2)
+        delta_next = float((net.S / rates).max())
+        if g2 > best_g2:
+            best_g2, best = g2, (rows, rbs, p, delta_next)
+        if len(trace) > 1 and abs(g2 - trace[-2]) <= IVES_EPS * max(1.0, abs(g2)):
+            break
+        delta = delta_next
+    rows, rbs, p, delta = best
+    return Sp2Solution(rows=rows, z=rbs, p=p, delta=delta, objective=best_g2,
+                       iterations=len(trace), trace=trace)
+
+
+def _bits(value):
+    """A value's exact bits: arrays with their dtype and shape, floats by repr."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, list):
+        return [_bits(v) for v in value]
+    return repr(value)
+
+
+def _same(a, b):
+    """Whether two solution dataclasses agree bit for bit in every field."""
+    return all(_bits(getattr(a, f.name)) == _bits(getattr(b, f.name))
+               for f in dataclasses.fields(a))
+
+
+@st.composite
+def _ives_envs(draw):
+    """``_uplink_envs`` instances; a third get an eta2 whose f4 root is too small for the rate.
+
+    There g2 is -inf, the next delay inf, and the loop takes the non-finite path.
+    """
+    u, radios, net = draw(_uplink_envs(max_n=10, max_m=12))
+    if draw(st.integers(0, 2)) == 0:
+        net = dataclasses.replace(net, eta2=draw(st.sampled_from([1e-32, 1e-40, 1e-300])))
+    return u, radios, net
+
+
+@given(env=_ives_envs())
+def test_ives_equals_its_first_form_bit_for_bit(env):
+    u, radios, net = env
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got, want = ives(u, radios, net), _ives_reference(u, radios, net)
+    assert _same(got, want)
+
+
+def test_ives_non_finite_g2_keeps_the_repricing_path():
+    radios = RadioProfile(h=[0.9, 0.5, 0.7], p_max=[1.0, 0.8, 0.6])
+    net = NetworkConfig(M=3, B=1.0, N0=0.1, interference=(0.1, 0.3, 0.2), S=1.0, eta2=1e-40)
+    u = np.array([3.0, 2.0, 1.0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sol, want = ives(u, radios, net), _ives_reference(u, radios, net)
+    assert sol.trace == [-math.inf, 0.0] and sol.rows.size == 0
+    assert _same(sol, want)
+    # at a finite delay: eta2 * upload time overflows, the same matching returns,
+    # and -inf - -inf is no zero change, so the loop runs to its cap
+    radios = RadioProfile(h=[0.9, 0.5], p_max=[1.0, 0.8])
+    net = NetworkConfig(M=2, B=1e-300, N0=0.1, interference=(0.1, 0.3), S=1.0,
+                        eta1=1e-305, eta2=1e10)
+    u = np.array([3.0, 2.0])
+    with np.errstate(over="ignore"):
+        sol, want = ives(u, radios, net), _ives_reference(u, radios, net)
+    assert sol.trace == [-math.inf] * IVES_MAX_ITERS and math.isfinite(sol.delta)
+    assert _same(sol, want)
+
+
+def test_ives_prices_a_repeated_matching_once(monkeypatch):
+    # the same matching twice in a row ends the loop without new powers
+    g = rng.stream(111)
+    envs = []
+    for _ in range(20):
+        n, m = int(g.integers(2, 10)), int(g.integers(1, 10))
+        radios, net = _random_radio_env(g, n, m)
+        envs.append((g.uniform(0.1, 5.0, size=n), radios, net))
+    priced, matched = [], 0
+    monkeypatch.setattr(ural_module, "solve_sp2_power",
+                        lambda *a: priced.append(1) or solve_sp2_power(*a))
+    for u, radios, net in envs:
+        sol = ives(u, radios, net)
+        assert _same(sol, _ives_reference(u, radios, net))
+        # the first form priced every non-empty matching, a trailing 0.0 marks an empty one
+        matched += sol.iterations - (sol.trace[-1] == 0.0)
+    assert len(priced) < matched
+
+
+def _copies(compute, radios, net):
+    """An environment's equal copies, new objects that share no per-run state with it."""
+    return (ComputeProfile(c=compute.c, iota=compute.iota, D=compute.D, nu_max=compute.nu_max),
+            RadioProfile(h=radios.h, p_max=radios.p_max), dataclasses.replace(net))
+
+
+def test_per_run_state_never_crosses_environments():
+    g = rng.stream(112)
+    compute_a, compute_b = _random_compute(g, 6), _random_compute(g, 6)
+    radios_a, net_a = _random_radio_env(g, 6, 5)
+    radios_b, net_c = _random_radio_env(g, 6, 5)
+    envs = [
+        (compute_a, radios_a, net_a),
+        (compute_b, radios_b, net_a),                           # the same network object
+        (compute_b, radios_b, dataclasses.replace(net_a)),      # an equal network
+        (compute_a, radios_b, net_c),                           # another network
+        (compute_a, radios_a, dataclasses.replace(net_a, eta1=net_a.eta1 * 2)),
+    ]
+    scores = [g.uniform(0.1, 4.0, size=6) for _ in range(3)]
+
+    def solve(compute, radios, net, u, tau):
+        sp1, sp2 = ural(compute, radios, net, u)
+        alloc = Allocation(rows=sp2.rows, rbs=sp2.z, p=sp2.p, nu=sp1.nu)
+        return sp1, sp2, ives(u, radios, net), round_totals(compute, radios, net, alloc, u, tau)
+
+    # each environment alone, on fresh copies, then all of them interleaved
+    fresh = {(e, k, tau): solve(*_copies(*env), u, tau)
+             for e, env in enumerate(envs) for k, u in enumerate(scores) for tau in (1, 2)}
+    for k, u in enumerate(scores):
+        for tau in (1, 2):
+            for e, env in [*enumerate(envs), *reversed(list(enumerate(envs)))]:
+                sp1, sp2, sp2_alone, totals = solve(*env, u, tau)
+                want = fresh[e, k, tau]
+                assert _same(sp1, want[0]) and _same(sp2, want[1]) and _same(sp2_alone, want[2])
+                assert _bits(list(totals)) == _bits(list(want[3]))

@@ -43,6 +43,9 @@ INVOCATIONS = {
        for a in ("ural", "greedy", "random", "nufm-greedy", "nufm-random")},
     "wireless-large": ["run", "--config", WIRELESS, "--set", "population.n=400",
                        "--set", "env.M=100", "--set", "rounds=3"],
+    # f4's root too small for the rate formula: IVES's g2 is -inf and its delay inf
+    "wireless-eta2-tiny": ["run", "--config", WIRELESS, "--set", "env.eta2=1e-32",
+                           "--set", "rounds=2"],
     "sweep-small": ["sweep", "--config", WIRELESS, *SWEEP_SMALL],
     "sweep-eta1": ["sweep", "--config", WIRELESS, "--param", "eta1", "--values", "0.25,1,4",
                    "--seeds", ",".join(map(str, range(10)))],
