@@ -10,13 +10,14 @@ from .harness import ExperimentConfig, RoundMetrics, run, sweep
 from .metacore import LogisticModel, LossModel, MetaHyper, QuadraticModel
 from .selection import aggregate, select_top_k, shifted_scores
 from .tasks import Population, PopulationSpec, generate_population
-from .ural import Sp1Solution, Sp2Solution, ives, solve_sp1
+from .ural import Sp1Solution, Sp2Solution, Uplink, ives, solve_sp1
 from .wireless import (
     Allocation,
     ComputeProfile,
     EnvironmentSpec,
     NetworkConfig,
     RadioProfile,
+    computation,
     round_totals,
     sample_environment,
 )
@@ -43,7 +44,9 @@ __all__ = [
     "RoundMetrics",
     "Sp1Solution",
     "Sp2Solution",
+    "Uplink",
     "aggregate",
+    "computation",
     "generate_population",
     "ives",
     "round_totals",

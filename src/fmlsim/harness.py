@@ -10,13 +10,14 @@ row in the training arrays (rows ascend in device id); ids appear only in
 ``RoundMetrics.selected``.  A run is a deterministic function of (config, seed)
 because every random draw comes from a stream keyed by (seed, round, step)
 or a similar tuple; a local step whose batches are all full datasets draws
-nothing.  A round does only the work that changes between rounds: ``run``
-builds the run's ``StepPlan`` (batch-size checks, score penalties,
-full-batch weights and the draw's constants) once before round 0, ``ural``
-solves the run-constant SP1, starting delay and matching constants once per
-run (``round_totals`` likewise charges SP1's fixed computation), and a sweep
-builds each distinct (population spec, seed) once for all its cells.  Weights
-that leave the CPU frequencies at 0 fail at set-up.  A round whose
+nothing.  A round does only the work that changes between rounds: before
+round 0 ``run`` builds the run's ``StepPlan`` (batch-size checks, score
+penalties, full-batch weights and the draw's constants) and, in wireless
+mode, its allocation plan (URAL's SP1 solution and ``Uplink``, and the
+computation part of the round totals at the run's fixed frequencies), and
+hands them to the solvers; a sweep builds each distinct (population spec,
+seed) once for all its cells.  Weights that leave the CPU frequencies at 0,
+or the greedy powers' eta1 * noise / h at 0, fail at set-up.  A round whose
 meta-gradients, scores or losses are non-finite stops the run with
 NumericalError.
 """
@@ -37,17 +38,19 @@ from dataclasses import asdict, astuple, dataclass, field, fields, is_dataclass,
 import numpy as np
 
 from . import rng
+from . import ural as solvers    # solve_sp1 is looked up where the bench's tracer wraps it
 from .errors import ConfigurationError, InvalidInputError, NumericalError
 from .metacore import MetaHyper, StepPlan, adapted_loss, local_update
 from .selection import aggregate, select_top_k, shifted_scores
 from .tasks import Population, PopulationSpec, generate_population
-from .ural import run_sp1, solve_sp2_power, ural
+from .ural import Uplink, solve_sp2_power, ural
 from .wireless import (
     Allocation,
     ComputeProfile,
     EnvironmentSpec,
     NetworkConfig,
     RadioProfile,
+    computation,
     round_totals,
     sample_environment,
 )
@@ -171,18 +174,20 @@ def _allocate(
     compute: ComputeProfile,
     radios: RadioProfile,
     net: NetworkConfig,
-) -> tuple[Allocation, int]:
-    """Round k's resource decisions and their IVES iteration count (0 for the baselines).
+    plan: tuple,
+) -> tuple[Allocation, tuple[np.ndarray, float], int]:
+    """Round k's uplink, its computation part and its IVES iteration count (0 for the baselines).
 
-    ``ural`` solves selection and resources jointly.  The baselines pick
-    ``min(n_k, M)`` rows (top shifted scores for ``nufm-*``, a uniform draw
-    otherwise) on distinct random RBs, with greedy or random frequencies
-    and powers.
+    ``plan`` is the run's ``_allocation_plan``.  ``ural`` solves selection
+    and resources jointly.  The baselines pick ``min(n_k, M)`` rows (top
+    shifted scores for ``nufm-*``, a uniform draw otherwise) on distinct
+    random RBs, with greedy or random frequencies and powers.
     """
+    sp1, uplink, comp = plan
     mode = config.allocation
     if mode == "ural":
-        sp1, sp2 = ural(compute, radios, net, u_shifted)
-        return Allocation(rows=sp2.rows, rbs=sp2.z, p=sp2.p, nu=sp1.nu), sp2.iterations
+        _, sp2 = ural(sp1, uplink, net, u_shifted)
+        return Allocation(rows=sp2.rows, rbs=sp2.z, p=sp2.p), comp, sp2.iterations
     g = rng.stream(config.seed, k, rng.ROLE_ALLOC)
     n_sel = min(config.n_k, net.M, u_shifted.size)
     if mode.startswith("nufm-"):
@@ -191,12 +196,12 @@ def _allocate(
         rows = np.sort(g.choice(u_shifted.size, size=n_sel, replace=False))
     rbs = g.choice(net.M, size=n_sel, replace=False)
     if mode.endswith("greedy"):
-        nu = greedy_frequency(compute, net)
         p = greedy_power(radios, net, rows, rbs)
     else:
         nu = compute.nu_max * g.uniform(1e-6, 1.0, size=u_shifted.size)
         p = radios.p_max[rows] * g.uniform(1e-6, 1.0, size=n_sel)
-    return Allocation(rows=rows, rbs=rbs, p=p, nu=nu), 0
+        comp = computation(compute, nu, config.hyper.tau)
+    return Allocation(rows=rows, rbs=rbs, p=p), comp, 0
 
 
 def build_environment(
@@ -209,27 +214,43 @@ def build_environment(
     )
 
 
-def _check_frequencies(
-    config: ExperimentConfig, compute: ComputeProfile, net: NetworkConfig
-) -> None:
-    """ConfigurationError, naming the weights, if they leave the run's CPU frequencies at 0.
+def _allocation_plan(
+    config: ExperimentConfig, compute: ComputeProfile, radios: RadioProfile, net: NetworkConfig
+) -> tuple:
+    """What the run's allocation fixes before round 0: ``(sp1, uplink, computation part)``.
 
-    SP1's common speed and the greedy frequencies are cube roots of
-    eta2 / (eta1 * ...), which underflows when the weights lie too far
-    apart, and no device runs at frequency 0.  The random baselines draw
-    positive fractions of ``nu_max``.
+    ``sp1`` and ``uplink`` are URAL's (None for the baselines), and the
+    computation part is ``round_totals``' at the run's fixed frequencies,
+    SP1's or the greedy ones; the random baselines draw theirs, positive
+    fractions of ``nu_max`` and ``p_max``, each round (all three None).
+
+    ConfigurationError if the weights break a fixed piece.  SP1's common
+    speed and the greedy frequencies are cube roots of eta2 / (eta1 * ...),
+    which underflows when the weights lie too far apart, and no device runs
+    at frequency 0.  A greedy power solves f4 with b1 = eta1 * noise / h,
+    which must stay positive.
     """
-    if config.allocation == "ural":
-        nu = run_sp1(compute, net).nu
-    elif config.allocation.endswith("greedy"):
+    mode = config.allocation
+    if mode.endswith("random"):
+        return None, None, None
+    if mode == "ural":
+        sp1 = solvers.solve_sp1(compute, (net.eta1, net.eta2))
+        sp1.nu.flags.writeable = False      # every round is charged the computation at it
+        nu = sp1.nu
+    else:
+        sp1 = None
+        if not net.eta1 * float(net.noise.min()) / float(radios.h.max()) > 0:
+            raise ConfigurationError(
+                f"env.eta1={net.eta1!r} is too small: the {mode} powers' "
+                f"eta1 * noise / h underflows to 0")
         with np.errstate(over="ignore"):        # eta1 * iota = inf makes a 0 below
             nu = greedy_frequency(compute, net)
-    else:
-        return
     if not nu.min() > 0:
         raise ConfigurationError(
             f"env.eta1={net.eta1!r} and env.eta2={net.eta2!r} lie too far apart: "
-            f"eta2 / eta1 underflows the {config.allocation} CPU frequencies to 0")
+            f"eta2 / eta1 underflows the {mode} CPU frequencies to 0")
+    uplink = Uplink(radios, net) if mode == "ural" else None
+    return sp1, uplink, computation(compute, nu, config.hyper.tau)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +290,7 @@ def run(config: ExperimentConfig) -> list[RoundMetrics]:
     wireless = config.mode == "wireless"
     if wireless:
         compute, radios, net = build_environment(config, pop)
-        _check_frequencies(config, compute, net)
+        alloc_plan = _allocation_plan(config, compute, radios, net)
 
     theta = np.zeros(config.population.d)
     metrics: list[RoundMetrics] = []
@@ -277,11 +298,9 @@ def run(config: ExperimentConfig) -> list[RoundMetrics]:
         thetas, scores = _round_of_updates(plan, theta, config, k)
         if wireless:
             su = shifted_scores(scores)
-            alloc, ives_iters = _allocate(config, k, su, compute, radios, net)
+            alloc, comp, ives_iters = _allocate(config, k, su, compute, radios, net, alloc_plan)
             rows = alloc.rows
-            contribution, energy, time = round_totals(
-                compute, radios, net, alloc, su, tau=config.hyper.tau
-            )
+            contribution, energy, time = round_totals(comp, radios, net, alloc, su)
             objective = contribution - net.eta1 * energy - net.eta2 * time
         else:
             rows = _select(scores, config, k)

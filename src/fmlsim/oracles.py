@@ -32,7 +32,7 @@ from .metacore import (
 )
 from .selection import aggregate
 from .tasks import PopulationSpec, generate_population
-from .ural import _rb_matching, f4_zero, ives, min_cost_assignment, solve_sp1
+from .ural import Uplink, _rb_matching, f4_zero, ives, min_cost_assignment, solve_sp1
 from .wireless import ComputeProfile, NetworkConfig, RadioProfile
 
 
@@ -368,7 +368,7 @@ def rb_matching_suite(instances: int = 500, seed: int = 0, tol: float = 1e-9) ->
         else:
             i, j = int(g.integers(n)), int(g.integers(m))
             delta = net.S / (net.B * math.log2(1.0 + radios.h[i] * radios.p_max[i] / noise[j]))
-        rows, rbs, how = _rb_matching(u, radios, delta, net)
+        rows, rbs, how = _rb_matching(u, Uplink(radios, net), delta)
         settled[how] += 1
         mu = noise * (2.0 ** (net.S / (net.B * delta)) - 1.0) / radios.h[:, None]
         cap = radios.p_max[:, None]
@@ -430,7 +430,7 @@ def ives_monotone_suite(
         m = int(g.integers(1, 21))
         radios, net = _random_radio_env(g, n, m)
         u = np.array([g.uniform(0.1, 5.0) for _ in range(n)])
-        sol = ives(u, radios, net)
+        sol = ives(u, Uplink(radios, net))
         iteration_counts.append(len(sol.trace))
         drops = [
             sol.trace[t] - sol.trace[t + 1]

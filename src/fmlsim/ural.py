@@ -15,27 +15,27 @@ rows sorted by channel gain proposes the matching, and an exchange argument
 or an LP-duality certificate proves it optimal.  ``min_cost_assignment``, a
 shortest-augmenting-path solver, runs only when the certificate fails.
 
-A run keeps one environment, so what no round changes is built once per
-run (``wireless.per_run``): SP1, IVES's starting delay, and the matching's
-fixed pieces (``_Uplink``: the n + 1 quietest RBs and their noise, the
-rows' gains and caps, the rows in h order, and the RBs priced at the
-starting delay, where every round's first matching is made).  IVES stops
-as soon as a matching repeats the previous iteration's with a finite g2:
-the powers, rates and g2 would come out the same, and the loop would stop
-on their zero change.
+A run keeps one environment, so what no round changes is built once, in
+the run's allocation plan before round 0, and passed in: SP1's solution
+(it reads no score) and the ``Uplink``, which holds the matching's fixed
+pieces (the n + 1 quietest RBs and their noise, the rows' gains and caps,
+the rows in h order), IVES's starting delay and the RBs priced at it,
+where every round's first matching is made.  IVES stops as soon as a
+matching repeats the previous iteration's with a finite g2: the powers,
+rates and g2 would come out the same, and the loop would stop on their
+zero change.
 """
 
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .wireless import ComputeProfile, NetworkConfig, RadioProfile, per_run
+from .wireless import ComputeProfile, NetworkConfig, RadioProfile
 
 IVES_EPS = 1e-9
 IVES_MAX_ITERS = 50
@@ -271,7 +271,7 @@ def _certified(value: np.ndarray, matched: list[int]) -> bool:
 
 
 def rb_matching(
-    u: np.ndarray, radios: RadioProfile, delta: float, net: NetworkConfig
+    u: np.ndarray, uplink: Uplink, delta: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Optimal RB assignment ``(rows, rbs)`` for a given transmission delay.
 
@@ -295,12 +295,12 @@ def rb_matching(
     proposal optimal, and if it fails ``min_cost_assignment`` solves the
     built pairs.
     """
-    rows, rbs, _ = _rb_matching(u, radios, delta, net)
+    rows, rbs, _ = _rb_matching(u, uplink, delta)
     return rows, rbs
 
 
 def _rb_matching(
-    u: np.ndarray, radios: RadioProfile, delta: float, net: NetworkConfig
+    u: np.ndarray, uplink: Uplink, delta: float
 ) -> tuple[np.ndarray, np.ndarray, str]:
     """``rb_matching``, and how its optimum was settled.
 
@@ -309,19 +309,19 @@ def _rb_matching(
     """
     if delta <= 0:
         raise InvalidInputError("delta must be positive")
-    up = per_run(_Uplink, radios, net)
-    spend, mu = up.prices(delta)
+    spend, mu = uplink.prices(delta)
     cost = spend - u[:, None]                                       # -gain
-    picked, counts, exact = _in_order_matching(cost.tolist(), mu, up.caps, up.order, up.cols)
+    picked, counts, exact = _in_order_matching(
+        cost.tolist(), mu, uplink.caps, uplink.order, uplink.cols)
     s = len(picked)
     how = "in-order"
     if not exact:
-        weights = np.where(np.arange(up.cols) < np.array(counts)[:, None], cost, np.inf)
+        weights = np.where(np.arange(uplink.cols) < np.array(counts)[:, None], cost, np.inf)
         how = "certified" if _certified(-weights[:, :s + 1], picked) else "solved"
     if how == "solved":
-        pairs = [(i, up.rbs[j]) for i, j in min_cost_assignment(weights)]
+        pairs = [(i, uplink.rbs[j]) for i, j in min_cost_assignment(weights)]
     else:
-        pairs = sorted(zip(picked, up.rbs))
+        pairs = sorted(zip(picked, uplink.rbs))
     return (np.array([i for i, _ in pairs], dtype=int),
             np.array([m for _, m in pairs], dtype=int), how)
 
@@ -392,13 +392,16 @@ def initial_delay(radios: RadioProfile, net: NetworkConfig) -> float:
     return float((net.S / rates).max())
 
 
-class _Uplink:
-    """A run's fixed uplink, as IVES and the RB matching read it.
+class Uplink:
+    """A run's fixed uplink, as IVES and the RB matching read it, built once.
 
     The matching builds only the ``cols`` (at most n + 1) quietest RBs:
     ``rbs`` lists them in noise order and ``noise`` holds their noise.
     ``h`` and ``cap`` are the rows' gains and power caps as columns,
     ``caps`` the caps as a list and ``order`` the rows by ascending h.
+    ``delta0`` is IVES's starting delay (``initial_delay``), the same in
+    every round, and ``first`` the prices there, which every round's first
+    matching reads.
     """
 
     def __init__(self, radios: RadioProfile, net: NetworkConfig):
@@ -411,51 +414,44 @@ class _Uplink:
         self.cap = radios.p_max[:, None]
         self.caps = radios.p_max.tolist()
         self.order = radios.h_order.tolist()
-        self._first: tuple | None = None
-
-    @functools.cached_property
-    def delta0(self) -> float:
-        """IVES's starting delay (``initial_delay``), the same in every round."""
-        return initial_delay(self.radios, self.net)
+        self.delta0 = initial_delay(radios, net)
+        self.first = self._prices(self.delta0)
 
     def prices(self, delta: float) -> tuple[np.ndarray, list[list[float]]]:
         """``eta1*delta*min(mu, cap)`` and ``mu`` (as lists) on the built RBs at ``delta``.
 
         ``mu[i][m]`` is the power row i needs on the m-th quietest RB to
-        finish its upload in exactly delta.  The first delay asked for is
-        kept: in a run that is IVES's fixed start, which every round's first
-        matching reads.
+        finish its upload in exactly delta.
         """
-        if self._first is not None and self._first[0] == delta:
-            return self._first[1]
+        return self.first if delta == self.delta0 else self._prices(delta)
+
+    def _prices(self, delta: float) -> tuple[np.ndarray, list[list[float]]]:
         exponent = self.net.S / (self.net.B * delta)
         # exp2 overflows from 1024 on; checking here costs less than np.errstate
         growth = np.exp2(exponent) - 1.0 if exponent < 1024.0 else math.inf
         mu = self.noise * growth / self.h
-        found = self.net.eta1 * delta * np.minimum(mu, self.cap), mu.tolist()
-        if self._first is None:
-            self._first = delta, found
-        return found
+        return self.net.eta1 * delta * np.minimum(mu, self.cap), mu.tolist()
 
 
-def ives(u: np.ndarray, radios: RadioProfile, net: NetworkConfig) -> Sp2Solution:
+def ives(u: np.ndarray, uplink: Uplink) -> Sp2Solution:
     """Alternate RB matching, power optimization and delay update until g2 settles.
 
     ``u`` holds every row's (positively shifted) contribution score.
     """
+    radios, net = uplink.radios, uplink.net
     if not u.size or net.M < 1:
         raise InvalidInputError("ives needs at least one device and one RB")
     if u.shape != radios.h.shape:
         raise InvalidInputError(f"ives needs one score per device row, got {u.shape}")
     if u.min() <= 0:
         raise InvalidInputError("contribution scores must be shifted positive")
-    delta = per_run(_Uplink, radios, net).delta0
+    delta = uplink.delta0
     empty = np.zeros(0, dtype=int)
     best_g2, best = 0.0, (empty, empty, np.zeros(0), delta)  # rows, rbs, p, delta
     trace: list[float] = []
     last = None                         # the previous matching, if its g2 is finite
     for _ in range(IVES_MAX_ITERS):
-        rows, rbs = rb_matching(u, radios, delta, net)
+        rows, rbs = rb_matching(u, uplink, delta)
         if not rows.size:
             trace.append(0.0)
             break
@@ -486,25 +482,14 @@ def ives(u: np.ndarray, radios: RadioProfile, net: NetworkConfig) -> Sp2Solution
     )
 
 
-def _sp1_at_weights(compute: ComputeProfile, net: NetworkConfig) -> Sp1Solution:
-    """``solve_sp1`` at the network's weights, its ``nu`` read-only."""
-    sp1 = solve_sp1(compute, (net.eta1, net.eta2))
-    sp1.nu.flags.writeable = False
-    return sp1
-
-
-def run_sp1(compute: ComputeProfile, net: NetworkConfig) -> Sp1Solution:
-    """The run's SP1 solution, solved once: SP1 reads no score, only the fixed environment."""
-    return per_run(_sp1_at_weights, compute, net)
-
-
 def ural(
-    compute: ComputeProfile, radios: RadioProfile, net: NetworkConfig, u: np.ndarray
+    sp1: Sp1Solution, uplink: Uplink, net: NetworkConfig, u: np.ndarray
 ) -> tuple[Sp1Solution, Sp2Solution]:
-    """Solve the frequency sub-problem and the matching/power sub-problem.
+    """A round's joint allocation: the run's SP1 solution and IVES on the round's scores.
 
-    Profiles are immutable and compared by identity, so a run, which keeps
-    one environment, solves SP1, IVES's starting delay and the matching's
-    fixed pieces once.
+    SP1 reads no score, so a run solves it once (``solve_sp1``) and passes
+    it in with its ``Uplink``.  ``net`` is the uplink's network and is not
+    read: it only keeps the scores the fourth argument, where the
+    benchmark's span tracer counts the devices offered to the matching.
     """
-    return run_sp1(compute, net), ives(u, radios, net)
+    return sp1, ives(u, uplink)

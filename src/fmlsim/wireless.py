@@ -17,7 +17,6 @@ import functools
 import json
 import logging
 import math
-import operator
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -32,8 +31,10 @@ _P_MAX_FLOOR = 1e-6
 def _as_rows(profile, **dtypes) -> None:
     """Store the named fields of a frozen profile as equal-length, positive 1-D arrays.
 
-    The arrays are read-only copies: a profile is fixed for a run, and the
-    solvers keep results computed from it (``ural`` solves SP1 once per run).
+    The arrays are read-only copies: a profile is fixed for a run, and a
+    run's allocation plan keeps results computed from it (SP1, the uplink's
+    quietest RBs and first prices, the computation part), built once before
+    round 0.
     """
     arrays = {name: np.array(getattr(profile, name), dtype=dtype)
               for name, dtype in dtypes.items()}
@@ -117,46 +118,28 @@ class NetworkConfig:
 
 @dataclass
 class Allocation:
-    """A round's decision: row ``rows[k]`` sends on RB ``rbs[k]`` at power ``p[k]``.
+    """A round's uplink: row ``rows[k]`` sends on RB ``rbs[k]`` at power ``p[k]``.
 
-    ``rows`` ascend; ``nu`` holds every row's CPU frequency.
+    ``rows`` ascend.  The frequencies enter ``round_totals`` through its
+    ``computation`` part.
     """
 
     rows: np.ndarray
     rbs: np.ndarray
     p: np.ndarray
-    nu: np.ndarray
-
-
-_runs: dict = {}    # builder -> (the run's environment objects, what it built from them)
-
-
-def per_run(build, *env):
-    """``build(*env)``, built once per run.
-
-    A run keeps one environment, so the arguments are compared by identity:
-    no hashing of a network's fields on each call, and no reuse across runs,
-    whose environments are new objects.  Each builder keeps one slot, the
-    latest run's, and that slot holds the arguments, so their ids stay taken.
-    """
-    slot = _runs.get(build)
-    if slot is None or not all(map(operator.is_, slot[0], env)):
-        slot = _runs[build] = env, build(*env)
-    return slot[1]
 
 
 def _validate_allocation(
-    compute: ComputeProfile, radios: RadioProfile, net: NetworkConfig, alloc: Allocation,
-    u: np.ndarray,
+    radios: RadioProfile, net: NetworkConfig, alloc: Allocation, u: np.ndarray, rows_total: int
 ) -> None:
     if not (alloc.rows.ndim == 1 and alloc.rows.shape == alloc.rbs.shape == alloc.p.shape
-            and alloc.nu.shape == u.shape == compute.nu_max.shape):
+            and u.shape == (rows_total,)):
         raise InfeasibleAllocationError(
-            "rows, rbs and p must align, and nu and u have one entry per device row"
+            "rows, rbs and p must align, and u has one entry per device row"
         )
     # index checks on lists: at most M transmitters, where numpy calls cost more
     rows, rbs = alloc.rows.tolist(), alloc.rbs.tolist()
-    if rows != sorted(set(rows)) or rows and (rows[0] < 0 or rows[-1] >= alloc.nu.size):
+    if rows != sorted(set(rows)) or rows and (rows[0] < 0 or rows[-1] >= rows_total):
         raise InfeasibleAllocationError(
             f"transmitting rows {rows} must be distinct device rows in ascending order"
         )
@@ -171,8 +154,17 @@ def _check_ratio(name: str, ratio: np.ndarray) -> None:
         raise InfeasibleAllocationError(f"{name} / {name}_max outside (0, 1]: {ratio.tolist()}")
 
 
-def _computation(compute: ComputeProfile, nu: np.ndarray, tau: int) -> tuple[np.ndarray, float]:
-    """Every row's energy for tau local steps at frequencies nu, and the slowest row's time."""
+def computation(
+    compute: ComputeProfile, nu: np.ndarray, tau: int = 1
+) -> tuple[np.ndarray, float]:
+    """Every row's energy for tau local steps at frequencies nu, and the slowest row's time.
+
+    tau*c*D cycles at nu take work/nu and iota/2*work*nu^2 energy.  This is
+    ``round_totals``' computation part: a run whose frequencies are fixed
+    computes it once.
+    """
+    if nu.shape != compute.nu_max.shape:
+        raise InfeasibleAllocationError(f"nu needs one entry per device row, got {nu.shape}")
     _check_ratio("nu", nu / compute.nu_max)
     work = tau * compute.c * compute.D
     return 0.5 * compute.iota * work * nu * nu, (work / nu).max()
@@ -184,24 +176,20 @@ def _running_sum(x: np.ndarray) -> float:
 
 
 def round_totals(
-    compute: ComputeProfile,
+    comp: tuple[np.ndarray, float],
     radios: RadioProfile,
     net: NetworkConfig,
     alloc: Allocation,
     u: np.ndarray,
-    tau: int = 1,
 ) -> tuple[float, float, float]:
-    """Round totals (U, E, T): every row runs tau local steps, ``alloc.rows`` upload.
+    """Round totals (U, E, T): every row computes, ``alloc.rows`` upload.
 
-    Computation of tau*c*D cycles at nu takes work/nu and iota/2*work*nu^2
-    energy; an upload takes S/rate and p*S/rate.  U and E add up in row
-    order, computation energy before transmission energy.
+    ``comp`` is the round's ``computation`` part, every row's energy and
+    the slowest row's time; an upload takes S/rate and p*S/rate.  U and E
+    add up in row order, computation energy before transmission energy.
     """
-    _validate_allocation(compute, radios, net, alloc, u)
-    if alloc.nu.flags.writeable:
-        comp_energy, comp_time = _computation(compute, alloc.nu, tau)
-    else:       # a read-only nu (ural's SP1, solved once per run) is fixed for the run
-        comp_energy, comp_time = per_run(_computation, compute, alloc.nu, tau)
+    comp_energy, comp_time = comp
+    _validate_allocation(radios, net, alloc, u, comp_energy.size)
     comm_time = net.S / net.rate(radios.h[alloc.rows], alloc.p, alloc.rbs)
     energy = np.concatenate([comp_energy, comm_time * alloc.p])
     total_time = comp_time + comm_time.max(initial=0.0)

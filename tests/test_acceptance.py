@@ -37,10 +37,11 @@ from fmlsim.oracles import (
     sp1_suite,
 )
 from fmlsim.tasks import PopulationSpec
-from fmlsim.ural import ural
+from fmlsim.ural import Uplink, solve_sp1, ural
 from fmlsim.wireless import (
     Allocation,
     EnvironmentSpec,
+    computation,
     round_totals,
     sample_environment,
 )
@@ -259,16 +260,17 @@ def test_joint_allocation_beats_random():
             g, EnvironmentSpec(M=6), np.ones(8, dtype=int)
         )
         u = g.uniform(0.5, 5.0, size=8)
-        sp1, sp2 = ural(compute, radios, net, u)
-        alloc = Allocation(rows=sp2.rows, rbs=sp2.z, p=sp2.p, nu=sp1.nu)
-        c1, e1, t1 = round_totals(compute, radios, net, alloc, u)
+        sp1, sp2 = ural(solve_sp1(compute, (net.eta1, net.eta2)), Uplink(radios, net), net, u)
+        alloc = Allocation(rows=sp2.rows, rbs=sp2.z, p=sp2.p)
+        c1, e1, t1 = round_totals(computation(compute, sp1.nu), radios, net, alloc, u)
         obj_solver = c1 - net.eta1 * e1 - net.eta2 * t1
         n_sel = min(net.M, u.size)
         rows = np.sort(g.choice(u.size, size=n_sel, replace=False))
         rbs = g.choice(net.M, size=n_sel, replace=False)
         p = radios.p_max[rows] * g.uniform(1e-6, 1.0, size=n_sel)
         nu = compute.nu_max * g.uniform(1e-6, 1.0, size=u.size)
-        c2, e2, t2 = round_totals(compute, radios, net, Allocation(rows, rbs, p, nu), u)
+        alloc = Allocation(rows, rbs, p)
+        c2, e2, t2 = round_totals(computation(compute, nu), radios, net, alloc, u)
         if obj_solver >= c2 - net.eta1 * e2 - net.eta2 * t2:
             wins += 1
     elapsed = time.perf_counter() - t0

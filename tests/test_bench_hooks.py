@@ -7,6 +7,9 @@ the tier-1 suite.
 """
 
 import importlib
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +21,8 @@ from fmlsim.metacore import MetaHyper
 from fmlsim.tasks import PopulationSpec
 from fmlsim.wireless import EnvironmentSpec
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 
 
 @pytest.fixture
@@ -56,3 +60,22 @@ def test_wireless_round_hooks_see_devices_and_matches(layers, monkeypatch):
         assert len(args[3]) == n_train
         assert len(sp2.z) == len(m.selected) == sp2.rows.size
         assert np.array_equal(np.sort(sp2.z), np.unique(sp2.z))
+
+
+def test_bench_child_runs_a_traced_sweep(layers, tmp_path):
+    # the benchmark's own child process, end to end, on a 2 x 2 sweep of 2 rounds
+    record, trace = tmp_path / "record.json", tmp_path / "trace.json"
+    done = subprocess.run(
+        [sys.executable, str(BENCH / "child.py"), "--src", str(ROOT / "src"),
+         "--record", str(record), "--trace", str(trace), "--",
+         "sweep", "--config", str(ROOT / "configs" / "wireless.json"), "--set", "rounds=2",
+         "--param", "eta1", "--values", "0.5,1.0", "--seeds", "1,2",
+         "--out", str(tmp_path / "out")],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    timings = json.loads(record.read_text())
+    assert timings["exit_code"] == 0 and len(timings["round_s"]) == 8
+    spans = json.loads(trace.read_text())
+    assert sum(span[1] == "ural.ural" for span in spans["spans"]) == 8
+    assert importlib.import_module("spans").per_layer(spans)["ural.solve_sp1.calls"] == 4

@@ -502,6 +502,24 @@ def test_weights_that_stop_every_cpu_fail_at_set_up(tmp_path, capsys, monkeypatc
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("allocation", ["greedy", "nufm-greedy"])
+def test_greedy_power_underflow_fails_at_set_up(tmp_path, capsys, monkeypatch, allocation):
+    # eta1 * noise / h, the greedy powers' f4 b1, underflows to 0
+    def no_round(*args):
+        raise AssertionError("a round started")
+
+    monkeypatch.setattr(harness, "_round_of_updates", no_round)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", "--config", str(CONFIGS / "wireless.json"),
+                     "--set", "env.eta1=5e-324", "--set", f"allocation={allocation}",
+                     "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: env.eta1=5e-324 ") and "underflows" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_tiny_energy_price_runs_without_warnings(tmp_path):
     # eta2 / (eta1 * ...) overflows inside SP1, where the frequency cap then binds
     with warnings.catch_warnings():

@@ -1,12 +1,16 @@
+import collections
 import dataclasses
+import gc
 import json
 import logging
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fmlsim.ural as ural_module
 from fmlsim import harness
 from fmlsim.errors import ConfigurationError, InvalidInputError, NumericalError
 from fmlsim.harness import (
@@ -291,20 +295,47 @@ def test_sweep_builds_each_population_once(monkeypatch, parameter, values, build
     assert len(built) == builds + 1
 
 
-def test_shared_population_and_run_constants_are_read_only():
-    cfg = _wireless_config(rounds=1)
+def test_shared_population_and_run_constants_are_read_only(monkeypatch):
+    cfg = _wireless_config(rounds=3)
     pop = generate_population(cfg.population, cfg.seed)
     arrays = [getattr(data, name) for data in (pop.train, pop.test)
               for name in ("x", "y", "mask", "counts", "full_weights")]
     compute, radios, net = harness.build_environment(cfg, pop)
     arrays += [compute.c, compute.D, radios.h, radios.p_max]
-    u = np.ones(pop.train_ids.size)
-    sp1, _ = harness.ural(compute, radios, net, u)
-    assert harness.ural(compute, radios, net, u)[0] is sp1      # solved once per environment
-    arrays.append(sp1.nu)
+    results = collections.defaultdict(list)
+    for name in ("solve_sp1", "initial_delay"):
+        def recording(*args, _solve=getattr(ural_module, name), _name=name):
+            results[_name].append(_solve(*args))
+            return results[_name][-1]
+
+        monkeypatch.setattr(ural_module, name, recording)
+    # a run solves SP1 and the starting delay once, not once per round; so does each sweep cell
+    run(cfg)
+    assert {name: len(found) for name, found in results.items()} == {
+        "solve_sp1": 1, "initial_delay": 1}
+    arrays.append(results["solve_sp1"][0].nu)
+    sweep(cfg, "eta1", [0.5, 1.0, 2.0], seeds=[0, 1])
+    assert {name: len(found) for name, found in results.items()} == {
+        "solve_sp1": 7, "initial_delay": 7}
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
+
+
+def test_a_run_environment_dies_with_it(monkeypatch):
+    # nothing keeps a run's profiles, or the plan built from them, once it returns
+    refs = []
+
+    def recording_build_environment(config, pop):
+        env = build_environment(config, pop)
+        refs.extend(map(weakref.ref, env))
+        return env
+
+    build_environment = harness.build_environment
+    monkeypatch.setattr(harness, "build_environment", recording_build_environment)
+    run(config_from_dict(json.loads((CONFIGS / "wireless.json").read_text())))
+    gc.collect()
+    assert len(refs) == 3 and [ref() for ref in refs] == [None] * 3
 
 
 def test_empty_selection_keeps_the_model(caplog):

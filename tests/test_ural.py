@@ -22,6 +22,7 @@ from fmlsim.ural import (
     IVES_EPS,
     IVES_MAX_ITERS,
     Sp2Solution,
+    Uplink,
     _certified,
     f4_zero,
     g1_objective,
@@ -34,7 +35,14 @@ from fmlsim.ural import (
     solve_sp2_power,
     ural,
 )
-from fmlsim.wireless import Allocation, ComputeProfile, NetworkConfig, RadioProfile, round_totals
+from fmlsim.wireless import (
+    Allocation,
+    ComputeProfile,
+    NetworkConfig,
+    RadioProfile,
+    computation,
+    round_totals,
+)
 
 
 def _unit_device():
@@ -147,7 +155,7 @@ def _two_device_env():
 
 def _matching(u, delta, radios, net):
     """rb_matching as a dict row -> RB."""
-    rows, rbs = rb_matching(np.asarray(u, dtype=float), radios, delta, net)
+    rows, rbs = rb_matching(np.asarray(u, dtype=float), Uplink(radios, net), delta)
     return dict(zip(rows.tolist(), rbs.tolist()))
 
 
@@ -290,7 +298,7 @@ def test_ives_unprofitable_devices_give_empty_allocation():
     radios = RadioProfile(h=[0.9], p_max=[1.0])
     net = NetworkConfig(M=1, B=1.0, N0=0.1, interference=(0.5,), S=1.0,
                         eta1=100.0, eta2=1.0)
-    sol = ives(np.array([1e-6]), radios, net)
+    sol = ives(np.array([1e-6]), Uplink(radios, net))
     assert sol.rows.size == sol.z.size == sol.p.size == 0 and sol.objective == 0.0
     assert sol.iterations == 1
 
@@ -302,7 +310,7 @@ def test_ives_trace_non_decreasing():
         m = int(g.integers(1, 10))
         radios, net = _random_radio_env(g, n, m)
         u = np.array([g.uniform(0.1, 5.0) for _ in range(n)])
-        sol = ives(u, radios, net)
+        sol = ives(u, Uplink(radios, net))
         for a, b in zip(sol.trace, sol.trace[1:]):
             assert b >= a - 1e-9 * max(1.0, abs(a))
         assert len(sol.trace) <= 50
@@ -311,9 +319,9 @@ def test_ives_trace_non_decreasing():
 def test_ives_requires_positive_scores():
     radios, net = _two_device_env()
     with pytest.raises(InvalidInputError):
-        ives(np.array([-1.0, 2.0]), radios, net)
+        ives(np.array([-1.0, 2.0]), Uplink(radios, net))
     with pytest.raises(InvalidInputError, match="one score per device row"):
-        ives(np.array([1.0, 2.0, 3.0]), radios, net)
+        ives(np.array([1.0, 2.0, 3.0]), Uplink(radios, net))
 
 
 def test_initial_delay_covers_all_pairs():
@@ -333,11 +341,10 @@ def test_ural_combines_subproblems():
     compute = _random_compute(g, 5)
     radios, net = _random_radio_env(g, 5, 5)
     u = np.array([g.uniform(0.5, 3.0) for _ in range(5)])
-    sp1, sp2 = ural(compute, radios, net, u)
-    assert sp1.objective == pytest.approx(
-        solve_sp1(compute, (net.eta1, net.eta2)).objective
-    )
-    assert sp2.objective == pytest.approx(ives(u, radios, net).objective)
+    sp1 = solve_sp1(compute, (net.eta1, net.eta2))
+    got, sp2 = ural(sp1, Uplink(radios, net), net, u)
+    assert got is sp1
+    assert _same(sp2, ives(u, Uplink(radios, net)))
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +428,7 @@ def test_rb_matching_total_equals_brute_force(env, delta):
                 gain = u[row] - net.eta1 * delta * min(mu, radios.p_max[row])
                 if gain > 0:
                     cost[row, m] = -gain
-    rows, rbs = rb_matching(u, radios, delta, net)
+    rows, rbs = rb_matching(u, Uplink(radios, net), delta)
     assert len(set(rbs.tolist())) == len(rbs)
     got = sum(cost[r, m] for r, m in zip(rows, rbs))
     assert got == pytest.approx(assignment_brute_force(cost), abs=1e-9)
@@ -452,12 +459,15 @@ def _distinct_uplinks(draw, max_n=30, max_m=30):
 
     Distinct gains and noises keep exact ties between matchings out (with a
     tie, any optimal matching is right, and the solvers may pick different
-    ones).  Half the delays are a full-power upload time, which puts one
-    pair at its power cap, in the cap-slack band.
+    ones).  The channel gains h lie on a 1e-3 grid: two that differ only in
+    their last bits give equal powers once rounded, and so a tie.  Half the
+    delays are a full-power upload time, which puts one pair at its power
+    cap, in the cap-slack band.
     """
     n = draw(st.integers(1, max_n))
     m = draw(st.integers(1, max_m))
-    h = draw(st.lists(_floats(0.05, 1.0), min_size=n, max_size=n, unique=True))
+    h = [k / 1000.0 for k in draw(st.lists(st.integers(50, 1000), min_size=n, max_size=n,
+                                           unique=True))]
     radios = RadioProfile(h=h, p_max=_rows_of(draw, n, 0.01, 2.0))
     u = np.array(_rows_of(draw, n, 0.01, 5.0))
     net = NetworkConfig(
@@ -478,7 +488,7 @@ def test_rb_matching_pairs_equal_linear_sum_assignment(env):
     gain, usable = _gains(u, radios, delta, net)
     rows, rbs = linear_sum_assignment(np.where(usable, -gain, 0.0))
     keep = usable[rows, rbs]
-    got = rb_matching(u, radios, delta, net)
+    got = rb_matching(u, Uplink(radios, net), delta)
     assert got[0].tolist() == rows[keep].tolist()
     assert got[1].tolist() == rbs[keep].tolist()
 
@@ -515,7 +525,7 @@ def test_rb_matching_falls_back_when_the_dynamic_program_is_wrong(env):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ural_module, "min_cost_assignment",
                       lambda weights: calls.append(weights) or solve(weights))
-        rows, rbs = rb_matching(u, radios, delta, net)
+        rows, rbs = rb_matching(u, Uplink(radios, net), delta)
     assert calls
     gain, usable = _gains(u, radios, delta, net)
     cost = np.where(usable, -gain, np.inf)
@@ -538,7 +548,7 @@ def test_rb_matching_takes_the_cap_slack_band_bonus_out_of_order(h, cap, quiet, 
     u = np.array([score, score])
     gain, usable = _gains(u, radios, delta, net)
     assert usable.all() and gain[0, 1] + gain[1, 0] > gain[0, 0] + gain[1, 1]
-    rows, rbs = rb_matching(u, radios, delta, net)
+    rows, rbs = rb_matching(u, Uplink(radios, net), delta)
     assert rows.tolist() == [0, 1] and rbs.tolist() == [1, 0]
 
 
@@ -596,7 +606,7 @@ def test_f4_zero_at_extreme_ratios():
 @given(env=_uplink_envs(max_n=12, max_m=12))
 def test_ives_trace_never_decreases(env):
     u, radios, net = env
-    sol = ives(u, radios, net)
+    sol = ives(u, Uplink(radios, net))
     for a, b in zip(sol.trace, sol.trace[1:]):
         assert b >= a - 1e-9 * max(1.0, abs(a))
     assert sol.iterations == len(sol.trace) <= 50
@@ -613,15 +623,15 @@ def test_ives_trace_never_decreases(env):
 def _ives_reference(u, radios, net):
     """IVES as first written: every iteration prices its matching, even a repeated one.
 
-    A test-only reference.  Each call hands ``rb_matching`` a fresh copy of
-    the radio profile, so no per-run state carries over between its calls.
+    A test-only reference.  Each call hands ``rb_matching`` a fresh
+    ``Uplink``, so no per-run state carries over between its calls.
     """
     delta = initial_delay(radios, net)
     empty = np.zeros(0, dtype=int)
     best_g2, best = 0.0, (empty, empty, np.zeros(0), delta)
     trace = []
     for _ in range(IVES_MAX_ITERS):
-        rows, rbs = rb_matching(u, RadioProfile(h=radios.h, p_max=radios.p_max), delta, net)
+        rows, rbs = rb_matching(u, Uplink(radios, net), delta)
         if not rows.size:
             trace.append(0.0)
             break
@@ -671,7 +681,7 @@ def _ives_envs(draw):
 def test_ives_equals_its_first_form_bit_for_bit(env):
     u, radios, net = env
     with np.errstate(divide="ignore", invalid="ignore"):
-        got, want = ives(u, radios, net), _ives_reference(u, radios, net)
+        got, want = ives(u, Uplink(radios, net)), _ives_reference(u, radios, net)
     assert _same(got, want)
 
 
@@ -680,7 +690,7 @@ def test_ives_non_finite_g2_keeps_the_repricing_path():
     net = NetworkConfig(M=3, B=1.0, N0=0.1, interference=(0.1, 0.3, 0.2), S=1.0, eta2=1e-40)
     u = np.array([3.0, 2.0, 1.0])
     with np.errstate(divide="ignore", invalid="ignore"):
-        sol, want = ives(u, radios, net), _ives_reference(u, radios, net)
+        sol, want = ives(u, Uplink(radios, net)), _ives_reference(u, radios, net)
     assert sol.trace == [-math.inf, 0.0] and sol.rows.size == 0
     assert _same(sol, want)
     # at a finite delay: eta2 * upload time overflows, the same matching returns,
@@ -690,7 +700,7 @@ def test_ives_non_finite_g2_keeps_the_repricing_path():
                         eta1=1e-305, eta2=1e10)
     u = np.array([3.0, 2.0])
     with np.errstate(over="ignore"):
-        sol, want = ives(u, radios, net), _ives_reference(u, radios, net)
+        sol, want = ives(u, Uplink(radios, net)), _ives_reference(u, radios, net)
     assert sol.trace == [-math.inf] * IVES_MAX_ITERS and math.isfinite(sol.delta)
     assert _same(sol, want)
 
@@ -707,7 +717,7 @@ def test_ives_prices_a_repeated_matching_once(monkeypatch):
     monkeypatch.setattr(ural_module, "solve_sp2_power",
                         lambda *a: priced.append(1) or solve_sp2_power(*a))
     for u, radios, net in envs:
-        sol = ives(u, radios, net)
+        sol = ives(u, Uplink(radios, net))
         assert _same(sol, _ives_reference(u, radios, net))
         # the first form priced every non-empty matching, a trailing 0.0 marks an empty one
         matched += sol.iterations - (sol.trace[-1] == 0.0)
@@ -733,19 +743,25 @@ def test_per_run_state_never_crosses_environments():
         (compute_a, radios_a, dataclasses.replace(net_a, eta1=net_a.eta1 * 2)),
     ]
     scores = [g.uniform(0.1, 4.0, size=6) for _ in range(3)]
+    uplinks = [Uplink(radios, net) for _, radios, net in envs]     # one per run, kept
 
-    def solve(compute, radios, net, u, tau):
-        sp1, sp2 = ural(compute, radios, net, u)
-        alloc = Allocation(rows=sp2.rows, rbs=sp2.z, p=sp2.p, nu=sp1.nu)
-        return sp1, sp2, ives(u, radios, net), round_totals(compute, radios, net, alloc, u, tau)
+    def solve(compute, radios, net, uplink, u, tau):
+        sp1, sp2 = ural(solve_sp1(compute, (net.eta1, net.eta2)), uplink, net, u)
+        alloc = Allocation(rows=sp2.rows, rbs=sp2.z, p=sp2.p)
+        totals = round_totals(computation(compute, sp1.nu, tau), radios, net, alloc, u)
+        return sp1, sp2, ives(u, uplink), totals
 
-    # each environment alone, on fresh copies, then all of them interleaved
-    fresh = {(e, k, tau): solve(*_copies(*env), u, tau)
+    def solve_fresh(compute, radios, net, u, tau):
+        compute, radios, net = _copies(compute, radios, net)
+        return solve(compute, radios, net, Uplink(radios, net), u, tau)
+
+    # each environment alone, on fresh copies, then all of them interleaved on their kept uplinks
+    fresh = {(e, k, tau): solve_fresh(*env, u, tau)
              for e, env in enumerate(envs) for k, u in enumerate(scores) for tau in (1, 2)}
     for k, u in enumerate(scores):
         for tau in (1, 2):
             for e, env in [*enumerate(envs), *reversed(list(enumerate(envs)))]:
-                sp1, sp2, sp2_alone, totals = solve(*env, u, tau)
+                sp1, sp2, sp2_alone, totals = solve(*env, uplinks[e], u, tau)
                 want = fresh[e, k, tau]
                 assert _same(sp1, want[0]) and _same(sp2, want[1]) and _same(sp2_alone, want[2])
                 assert _bits(list(totals)) == _bits(list(want[3]))

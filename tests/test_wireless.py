@@ -12,6 +12,7 @@ from fmlsim.wireless import (
     EnvironmentSpec,
     NetworkConfig,
     RadioProfile,
+    computation,
     environment_to_json,
     round_totals,
     sample_environment,
@@ -24,9 +25,15 @@ def _net(m=1, interference=(0.0,), **kw):
     return NetworkConfig(**defaults)
 
 
-def _alloc(rows=(), rbs=(), p=(), nu=(1.0,)):
+def _alloc(rows=(), rbs=(), p=()):
     return Allocation(rows=np.array(rows, dtype=int), rbs=np.array(rbs, dtype=int),
-                      p=np.array(p, dtype=float), nu=np.array(nu, dtype=float))
+                      p=np.array(p, dtype=float))
+
+
+def _totals(compute, radios, net, alloc, u, nu=(1.0,), tau=1):
+    """``round_totals`` charged the computation part at frequencies ``nu``."""
+    comp = computation(compute, np.array(nu, dtype=float), tau)
+    return round_totals(comp, radios, net, alloc, u)
 
 
 def _one_device(c=1.0, iota=2.0, D=1, nu_max=2.0, h=1.0, p_max=2.0):
@@ -59,22 +66,22 @@ def test_rate_broadcasts_over_every_rb():
 def test_comp_cost_unit_substitution():
     # no upload: one unit of work at unit frequency takes unit time and energy
     compute, radios = _one_device()
-    assert round_totals(compute, radios, _net(), _alloc(nu=[1.0]), np.ones(1)) == (0.0, 1.0, 1.0)
+    assert _totals(compute, radios, _net(), _alloc(), np.ones(1), [1.0]) == (0.0, 1.0, 1.0)
 
 
 def test_comp_cost_scaling_laws():
     compute, radios = _one_device(D=3, nu_max=4.0)
-    _, e1, t1 = round_totals(compute, radios, _net(), _alloc(nu=[1.0]), np.ones(1))
-    _, e2, t2 = round_totals(compute, radios, _net(), _alloc(nu=[2.0]), np.ones(1))
+    _, e1, t1 = _totals(compute, radios, _net(), _alloc(), np.ones(1), [1.0])
+    _, e2, t2 = _totals(compute, radios, _net(), _alloc(), np.ones(1), [2.0])
     assert t2 == pytest.approx(t1 / 2)
     assert e2 == pytest.approx(4 * e1)
 
 
 def test_comp_cost_no_work():
     compute, radios = _one_device(nu_max=1.0)
-    assert round_totals(compute, radios, _net(), _alloc(), np.ones(1), tau=0) == (0.0, 0.0, 0.0)
+    assert _totals(compute, radios, _net(), _alloc(), np.ones(1), tau=0) == (0.0, 0.0, 0.0)
     with pytest.raises(InfeasibleAllocationError):
-        round_totals(compute, radios, _net(), _alloc(nu=[0.0]), np.ones(1))
+        computation(compute, np.array([0.0]))
 
 
 def test_comm_cost_unit_payload():
@@ -82,7 +89,7 @@ def test_comm_cost_unit_payload():
     # the unit computation adds one unit of time and energy
     compute, radios = _one_device()
     net = _net(S=float(_net().rate(1.0, 1.0, 0)))
-    u, energy, total = round_totals(compute, radios, net, _alloc([0], [0], [1.0]), np.full(1, 3.0))
+    u, energy, total = _totals(compute, radios, net, _alloc([0], [0], [1.0]), np.full(1, 3.0))
     assert u == 3.0
     assert energy == pytest.approx(1.0 + 1.0)
     assert total == pytest.approx(1.0 + 1.0)
@@ -92,8 +99,8 @@ def test_comm_cost_symmetric_rbs():
     compute, radios = _one_device(h=0.7, p_max=1.0)
     net = _net(m=2, interference=(0.3, 0.3))
     u = np.ones(1)
-    assert (round_totals(compute, radios, net, _alloc([0], [0], [0.5]), u)
-            == round_totals(compute, radios, net, _alloc([0], [1], [0.5]), u))
+    assert (_totals(compute, radios, net, _alloc([0], [0], [0.5]), u)
+            == _totals(compute, radios, net, _alloc([0], [1], [0.5]), u))
 
 
 def _simple_instance():
@@ -106,9 +113,7 @@ def _simple_instance():
 def test_round_totals_empty_assignment():
     compute, radios, net = _simple_instance()
     nu = np.array([1.0, 0.5])
-    contribution, energy, total = round_totals(
-        compute, radios, net, _alloc(nu=nu), np.array([1.0, 1.0])
-    )
+    contribution, energy, total = _totals(compute, radios, net, _alloc(), np.array([1.0, 1.0]), nu)
     assert contribution == 0.0
     work = compute.c * compute.D
     assert energy == pytest.approx((0.5 * compute.iota * work * nu ** 2).sum())
@@ -118,8 +123,8 @@ def test_round_totals_empty_assignment():
 def test_round_totals_single_transmitter():
     compute, radios, net = _simple_instance()
     nu = np.array([1.0, 0.5])
-    contribution, energy, total = round_totals(
-        compute, radios, net, _alloc([0], [1], [0.5], nu), np.array([2.0, 1.0])
+    contribution, energy, total = _totals(
+        compute, radios, net, _alloc([0], [1], [0.5]), np.array([2.0, 1.0]), nu
     )
     t_up = net.S / (net.B * np.log2(1 + 0.8 * 0.5 / (0.2 + net.B * net.N0)))
     work = compute.c * compute.D
@@ -130,32 +135,33 @@ def test_round_totals_single_transmitter():
 
 def test_round_totals_rejects_duplicate_rb():
     compute, radios, net = _simple_instance()
-    alloc = _alloc([0, 1], [0, 0], [0.5, 0.2], [1.0, 0.5])
+    alloc = _alloc([0, 1], [0, 0], [0.5, 0.2])
     with pytest.raises(InfeasibleAllocationError):
-        round_totals(compute, radios, net, alloc, np.array([1.0, 1.0]))
+        _totals(compute, radios, net, alloc, np.array([1.0, 1.0]), [1.0, 0.5])
 
 
 def test_round_totals_rejects_power_above_cap():
     compute, radios, net = _simple_instance()
-    alloc = _alloc([1], [0], [0.9], [1.0, 0.5])  # p_max is 0.5
+    alloc = _alloc([1], [0], [0.9])  # p_max is 0.5
     with pytest.raises(InfeasibleAllocationError):
-        round_totals(compute, radios, net, alloc, np.array([1.0, 1.0]))
+        _totals(compute, radios, net, alloc, np.array([1.0, 1.0]), [1.0, 0.5])
 
 
-@pytest.mark.parametrize("alloc, n_scores", [
-    (_alloc([1], [2], [0.2], [1.0, 0.5]), 2),               # RB out of range
-    (_alloc([1, 0], [0, 1], [0.2, 0.5], [1.0, 0.5]), 2),    # rows not ascending
-    (_alloc([2], [0], [0.2], [1.0, 0.5]), 2),               # row out of range
-    (_alloc([1], [0], [0.0], [1.0, 0.5]), 2),               # zero power, zero rate
-    (_alloc([1], [0], [0.2], [1.0, 1.5]), 2),               # nu_max is 1.0
-    (_alloc([1], [0, 1], [0.2], [1.0, 0.5]), 2),            # rows and rbs misaligned
-    (_alloc([1], [0], [0.2], [1.0, 0.5]), 3),               # a score per row, plus one
+@pytest.mark.parametrize("alloc, nu, n_scores", [
+    (_alloc([1], [2], [0.2]), [1.0, 0.5], 2),               # RB out of range
+    (_alloc([1, 0], [0, 1], [0.2, 0.5]), [1.0, 0.5], 2),    # rows not ascending
+    (_alloc([2], [0], [0.2]), [1.0, 0.5], 2),               # row out of range
+    (_alloc([1], [0], [0.0]), [1.0, 0.5], 2),               # zero power, zero rate
+    (_alloc([1], [0], [0.2]), [1.0, 1.5], 2),               # nu_max is 1.0
+    (_alloc([1], [0, 1], [0.2]), [1.0, 0.5], 2),            # rows and rbs misaligned
+    (_alloc([1], [0], [0.2]), [1.0, 0.5], 3),               # a score per row, plus one
+    (_alloc([1], [0], [0.2]), [1.0, 0.5, 0.5], 3),          # a frequency per row, plus one
 ], ids=["rb-range", "row-order", "row-range", "zero-power", "frequency-cap", "misaligned",
-        "score-count"])
-def test_round_totals_rejects_infeasible_allocation(alloc, n_scores):
+        "score-count", "frequency-count"])
+def test_round_totals_rejects_infeasible_allocation(alloc, nu, n_scores):
     compute, radios, net = _simple_instance()
     with pytest.raises(InfeasibleAllocationError):
-        round_totals(compute, radios, net, alloc, np.ones(n_scores))
+        _totals(compute, radios, net, alloc, np.ones(n_scores), nu)
 
 
 def test_sample_environment_bounds_and_determinism():
