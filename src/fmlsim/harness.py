@@ -12,12 +12,13 @@ because every random draw comes from a stream keyed by (seed, round, step)
 or a similar tuple; a local step whose batches are all full datasets draws
 nothing.  A round does only the work that changes between rounds: before
 round 0 ``run`` builds the run's ``StepPlan`` (batch-size checks, score
-penalties, full-batch weights and the draw's constants) and, in wireless
+penalties, full-batch role batches and the draw's constants) and, in wireless
 mode, its allocation plan (URAL's SP1 solution and ``Uplink``, and the
 computation part of the round totals at the run's fixed frequencies), and
 hands them to the solvers; a sweep builds each distinct (population spec,
-seed) once for all its cells.  Weights that leave the CPU frequencies at 0,
-or the greedy powers' eta1 * noise / h at 0, fail at set-up.  A round whose
+seed) once for all its cells.  An environment where some device cannot
+upload at a positive rate on some RB, weights that leave the CPU frequencies
+at 0, or the greedy powers' eta1 * noise / h at 0 fail at set-up.  A round whose
 meta-gradients, scores or losses are non-finite stops the run with
 NumericalError.
 """
@@ -27,6 +28,7 @@ from __future__ import annotations
 import collections
 import contextvars
 import csv
+import functools
 import io
 import logging
 import math
@@ -224,12 +226,21 @@ def _allocation_plan(
     SP1's or the greedy ones; the random baselines draw theirs, positive
     fractions of ``nu_max`` and ``p_max``, each round (all three None).
 
-    ConfigurationError if the weights break a fixed piece.  SP1's common
-    speed and the greedy frequencies are cube roots of eta2 / (eta1 * ...),
-    which underflows when the weights lie too far apart, and no device runs
-    at frequency 0.  A greedy power solves f4 with b1 = eta1 * noise / h,
-    which must stay positive.
+    ConfigurationError if the environment or the weights break a fixed
+    piece.  Every row must upload at a positive rate on every RB at full
+    power, or an upload never ends.  SP1's common speed and the greedy
+    frequencies are cube roots of eta2 / (eta1 * ...), which underflows
+    when the weights lie too far apart, and no device runs at frequency 0.
+    A greedy power solves f4 with b1 = eta1 * noise / h, which must stay
+    positive.
     """
+    silent = ~(net.rate(radios.h[:, None], radios.p_max[:, None]) > 0)
+    if silent.any():
+        row, rb = np.argwhere(silent)[0]
+        raise ConfigurationError(
+            f"device row {row} has no positive full-power rate on RB {rb}: noise swamps "
+            f"the uplink; check env.N0, env.B, env.interference_range, env.h_range "
+            f"and env.p_max_range")
     mode = config.allocation
     if mode.endswith("random"):
         return None, None, None
@@ -350,7 +361,7 @@ class SweepCell:
 def _sweep_path(parameter: str) -> str:
     if parameter == "seed":
         raise ConfigurationError("seed is not a sweep parameter; sweep seeds with --seeds")
-    hints = typing.get_type_hints(ExperimentConfig)
+    hints = _type_hints(ExperimentConfig)
     if "." in parameter or parameter in hints:
         return parameter
     matches = [
@@ -503,11 +514,17 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
 _TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string"}
 
 
+@functools.cache
+def _type_hints(cls) -> dict:
+    """A config class's field type hints, its string annotations evaluated once."""
+    return typing.get_type_hints(cls)
+
+
 def _build(cls, payload, prefix: str):
     if not isinstance(payload, dict):
         raise ConfigurationError(f"{prefix.rstrip('.') or 'config'} must be an object, "
                                  f"got {payload!r}")
-    hints = typing.get_type_hints(cls)
+    hints = _type_hints(cls)
     unknown = sorted(set(payload) - {f.name for f in fields(cls)})
     if unknown:
         raise ConfigurationError(f"unknown key {prefix}{unknown[0]}")

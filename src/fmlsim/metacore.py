@@ -14,10 +14,13 @@ serve as analytic oracles for the stochastic estimators.
 A family is stateless: a class of margin formulas, never instantiated.  A
 device's dataset is a ``Batch``, and a population is the family plus its
 datasets held as padded arrays (``DeviceArrays``).  The library runs
-``batched_meta_gradient`` on those arrays: ``local_update`` takes each
-local step of every device in one array pass, on a run's ``StepPlan`` of
-constants built once, the descent bound in ``oracles`` every (resample,
-device) pair.  The per-device ``draw_batch``, ``grad_estimate``,
+``batched_meta_gradient`` on three role batches: the compact batches
+that ``draw_role_batches`` gathers from those arrays, only the drawn
+samples in slot order, or, when every batch is a whole dataset, the padded
+arrays themselves.  ``local_update`` takes each local step
+of every device in one array pass, on a run's ``StepPlan`` of constants
+built once, the descent bound in ``oracles`` every (resample, device)
+pair.  The per-device ``draw_batch``, ``grad_estimate``,
 ``hessian_estimate``, ``meta_gradient`` and ``exact_meta_gradient`` take
 ``(family, Batch)`` and are the tests' reference for it.
 """
@@ -27,7 +30,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -314,26 +317,22 @@ class DeviceArrays:
         return self.counts if batch_size is None else np.minimum(batch_size, self.counts)
 
     def grad(self, weights: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        """Per-device weighted sum of per-sample gradients, (n, d)."""
-        per_sample = self.model_class.per_sample_grad(theta, self.x, self.y)
-        return np.einsum("ns,nsd->nd", weights, per_sample)
+        """Per-device weighted sum of per-sample gradients over every slot, (n, d)."""
+        return weighted_grad(self.model_class, self.x, self.y, weights, theta)
 
-    def hvp(self, weights: np.ndarray, theta: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Per-device weighted sum of per-sample Hessian-vector products, (n, d)."""
-        per_sample = self.model_class.per_sample_hvp(theta, self.x, self.y, v)
-        return np.einsum("ns,nsd->nd", weights, per_sample)
 
-    def loss(self, weights: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        """Per-device weighted sum of per-sample losses, (n,)."""
-        per_sample = self.model_class.per_sample_loss(theta, self.x, self.y)
-        return np.einsum("ns,ns->n", weights, per_sample)
+def weighted_grad(family: type[LossModel], x, y, w, theta) -> np.ndarray:
+    """Per-row sum of the per-sample gradients on ``x (n, S, d)``, ``y``, weighted by ``w``."""
+    return np.einsum("ns,nsd->nd", w, family.per_sample_grad(theta, x, y))
 
 
 def adapted_loss(data: DeviceArrays, theta: np.ndarray, alpha: float) -> float:
     """Mean over devices of the full-data loss after one personalization step."""
     w = data.full_weights
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(data.loss(w, theta - alpha * data.grad(w, theta)).mean())
+        adapted = theta - alpha * data.grad(w, theta)
+        per_sample = data.model_class.per_sample_loss(adapted, data.x, data.y)
+        return float(np.einsum("ns,ns->n", w, per_sample).mean())
 
 
 class StepPlan:
@@ -343,11 +342,12 @@ class StepPlan:
     common to every row that subsamples (``data.batch_sizes`` gives these),
     so that one selection at ``b - 1`` draws every row's batch; both are
     checked here.  The plan holds the devices, the hyper-parameters, the
-    score penalties ``2*(lambda1 + lambda2/sqrt(D_i))``, the full-batch
-    weights when every batch is its whole dataset (else None), and what the
-    draw needs: the selection index, the padding, the weight ``1/sizes[i]``
-    of each real sample slot (0 on padding) and each (role, row)'s offset in
-    the flattened keys.  It is per run, not kept on ``data``, because a
+    score penalties ``2*(lambda1 + lambda2/sqrt(D_i))``, the three role
+    batches of a step when every batch is its whole dataset (else None),
+    and what the draw needs: the selection index, the padding, each row's
+    first slot in the flattened slots, and read-only flat views of the
+    samples, labels and sample weights ``1/sizes[i]`` (0 on padding) that
+    the drawn slots index.  It is per run, not kept on ``data``, because a
     sweep shares one population between cells of different batch sizes.
     """
 
@@ -361,16 +361,23 @@ class StepPlan:
                 "each batch size must be its dataset size or one size common to the others")
         self.data, self.hyper = data, hyper
         self.penalty = 2.0 * (hyper.lambda1 + hyper.lambda2 / np.sqrt(sizes))
-        self.full_weights = (data.full_weights,) * 3 if np.array_equal(sizes, data.counts) else None
+        self.full_batches = (((data.x, data.y, data.full_weights),) * 3
+                             if np.array_equal(sizes, data.counts) else None)
         self.kth = b - 1
         self.padding = ~data.mask
-        self.slot_weight = data.mask * (1.0 / sizes[:, None])
-        n, s_max = data.mask.shape
-        self.row_offsets = np.arange(0, 3 * n * s_max, s_max).reshape(3, n, 1)
+        n, s_max, d = data.x.shape
+        self.row_start = np.arange(0, n * s_max, s_max)[:, None]
+        slot_weight = data.mask * (1.0 / sizes[:, None])
+        slot_weight.flags.writeable = False
+        self.flat_x = data.x.reshape(n * s_max, d)
+        self.flat_y = data.y.reshape(-1)
+        self.flat_w = slot_weight.reshape(-1)
 
 
-def draw_batch_weights(g: np.random.Generator, plan: StepPlan) -> np.ndarray:
-    """Batch weights of the three roles of one step for every device, (3, n, S_max).
+def draw_role_batches(
+    g: np.random.Generator, plan: StepPlan
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every device's three role batches of one step: ``x (3, n, b, d)``, ``y``, ``w (3, n, b)``.
 
     One uniform key per (role, device, sample slot), with +inf on padding;
     each device's ``sizes[i]`` smallest keys of a role form its batch, each
@@ -378,34 +385,37 @@ def draw_batch_weights(g: np.random.Generator, plan: StepPlan) -> np.ndarray:
     ``argpartition``) puts each row's b smallest keys first: those are the
     batch of a row that subsamples, and of a full-batch row (at most b
     samples) they hold every real sample, the rest being padding, which the
-    slot weights zero.  A full-batch device thus takes every sample.
+    slot weights zero.  A full-batch device thus takes every sample.  The
+    picked slots are sorted, so a batch keeps its samples in slot order,
+    and gathered from the plan's flat views.
     """
     keys = g.random((3,) + plan.padding.shape)
     np.copyto(keys, np.inf, where=plan.padding)
-    first = np.argpartition(keys, plan.kth, axis=-1)[..., :plan.kth + 1]
-    weights = np.zeros(keys.shape)
-    weights.reshape(-1)[first + plan.row_offsets] = 1.0
-    weights *= plan.slot_weight
-    return weights
+    slots = np.sort(np.argpartition(keys, plan.kth, axis=-1)[..., :plan.kth + 1], axis=-1)
+    slots += plan.row_start
+    return plan.flat_x.take(slots, axis=0), plan.flat_y.take(slots), plan.flat_w.take(slots)
 
 
 def batched_meta_gradient(
-    data: DeviceArrays, theta: np.ndarray, weights: np.ndarray, hyper: MetaHyper
+    family: type[LossModel], theta: np.ndarray, batches: Iterable[tuple], hyper: MetaHyper
 ) -> np.ndarray:
     """``meta_gradient`` of every device row at once, (n, d).
 
-    ``weights[r]`` are the batch weights of role r (D, D', D''), as drawn
-    by ``draw_batch_weights``; theta is shared (d,) or per device (n, d).
+    ``batches`` are the three role batches (D, D', D''), each a triple
+    ``(x (n, b, d), y (n, b), w (n, b))`` of samples, labels and sample
+    weights, as ``draw_role_batches`` draws them; theta is shared (d,) or
+    per device (n, d).
     """
+    (x0, y0, w0), (x1, y1, w1), (x2, y2, w2) = batches
     alpha = hyper.alpha
-    g = data.grad(weights[1], theta - alpha * data.grad(weights[0], theta))
+    g = weighted_grad(family, x1, y1, w1, theta - alpha * weighted_grad(family, x0, y0, w0, theta))
     if hyper.mode == MODE_FIRST_ORDER:
         return g
     if hyper.mode == MODE_HESSIAN:
-        hvp = data.hvp(weights[2], theta, g)
+        hvp = np.einsum("ns,nsd->nd", w2, family.per_sample_hvp(theta, x2, y2, g))
     else:
         hvp = finite_difference_hvp(
-            lambda t: data.grad(weights[2], t), theta, g, hyper.hv_epsilon
+            lambda t: weighted_grad(family, x2, y2, w2, t), theta, g, hyper.hv_epsilon
         )
     return g - alpha * hvp
 
@@ -418,24 +428,25 @@ def local_update(
     """Run tau local meta-gradient steps on every device at once and score them.
 
     ``plan`` is the run's ``StepPlan``: the devices, hyper-parameters,
-    checked batch sizes and score penalties.  ``step_rng(step)`` returns the stream of one
-    step; its batches for all devices and roles come from
-    ``draw_batch_weights``.  When every batch is its device's whole dataset,
-    each role's weights are the plan's full-batch weights (what the draw
-    would give, bit for bit) and ``step_rng`` is never called.
+    checked batch sizes and score penalties.  ``step_rng(step)`` returns the
+    stream of one step; ``draw_role_batches`` draws from it the compact
+    batches of all devices and roles.  When every batch is its device's
+    whole dataset, each role is the plan's full batch (the padded arrays
+    and full-batch weights) and ``step_rng`` is never called.
     Returns the updated parameters (n, d) and the contribution scores (n,)
     u_i = sum_t ||g_t||^2 - 2*(lambda1 + lambda2/sqrt(D_i)) * ||g_t||.
     Raises NumericalError as soon as a meta-gradient or score is non-finite.
     """
-    data, hyper, penalty, full = plan.data, plan.hyper, plan.penalty, plan.full_weights
+    data, hyper, penalty, full = plan.data, plan.hyper, plan.penalty, plan.full_batches
+    family = data.model_class
     n, _, d = data.x.shape
     theta = np.empty((n, d))
     theta[:] = theta0
     u = np.zeros(n)
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(hyper.tau):
-            weights = draw_batch_weights(step_rng(t), plan) if full is None else full
-            g = batched_meta_gradient(data, theta, weights, hyper)
+            batches = full or zip(*draw_role_batches(step_rng(t), plan))
+            g = batched_meta_gradient(family, theta, batches, hyper)
             if not np.isfinite(g).all():
                 raise NumericalError(f"non-finite meta-gradient at local step {t}")
             gn = np.sqrt(np.einsum("nd,nd->n", g, g))

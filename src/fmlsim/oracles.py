@@ -28,7 +28,7 @@ from .metacore import (
     StepPlan,
     adapted_loss,
     batched_meta_gradient,
-    draw_batch_weights,
+    draw_role_batches,
 )
 from .selection import aggregate
 from .tasks import PopulationSpec, generate_population
@@ -217,8 +217,8 @@ def theorem1_bound(
     """Monte-Carlo one-round loss decrease versus the analytic lower bound.
 
     ``rows`` are the selected rows of ``data``, ascending.  The mc resamples
-    of every selected row are one ``batched_meta_gradient`` pass, their
-    batches drawn by ``draw_batch_weights`` from the stream ``(seed,)``.
+    of every selected row are one ``batched_meta_gradient`` pass on the
+    compact batches ``draw_role_batches`` draws from the stream ``(seed,)``.
     Restricted to tau=1 (the single-step form of the bound).  zeta and
     gamma_G are filled with empirical values at theta when not supplied.
     """
@@ -240,8 +240,9 @@ def theorem1_bound(
 
     # resample r of selected row k is row r*len(rows) + k of the tiled arrays
     tiled = data.take(np.tile(rows, mc))
-    weights = draw_batch_weights(rng.stream(seed), StepPlan(tiled, np.tile(sizes, mc), hyper))
-    grads = batched_meta_gradient(tiled, theta, weights, hyper).reshape(mc, rows.size, -1)
+    batches = draw_role_batches(rng.stream(seed), StepPlan(tiled, np.tile(sizes, mc), hyper))
+    grads = batched_meta_gradient(data.model_class, theta, zip(*batches), hyper)
+    grads = grads.reshape(mc, rows.size, -1)
     if not np.all(np.isfinite(grads)):
         raise NumericalError("meta-gradient produced non-finite values")
     f_now = adapted_loss(data, theta, c.alpha)

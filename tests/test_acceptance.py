@@ -23,6 +23,7 @@ from fmlsim.metacore import (
     exact_meta_gradient,
     grad_estimate,
     hessian_estimate,
+    weighted_grad,
 )
 from fmlsim.oracles import (
     SmoothnessConstants,
@@ -70,8 +71,8 @@ def test_meta_gradient_exactness():
         alpha = float(g.uniform(0.01, 0.2))
         hyper = MetaHyper(alpha=alpha, beta=0.0, mode="hessian")
         data = DeviceArrays(QuadraticModel, [model])
-        full = np.broadcast_to(data.full_weights, (3,) + data.mask.shape)
-        got = batched_meta_gradient(data, theta, full, hyper)[0]
+        full = ((data.x, data.y, data.full_weights),) * 3
+        got = batched_meta_gradient(QuadraticModel, theta, full, hyper)[0]
         want = exact_meta_gradient(QuadraticModel, model, theta, alpha)
         rel = float(np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-300))
         worst = max(worst, rel)
@@ -98,16 +99,14 @@ def test_estimator_moments():
         L = float(np.linalg.norm(hessian_estimate(QuadraticModel, theta, model), 2))
         one = DeviceArrays(QuadraticModel, [model])
         sigma_h = float(hessian_noise_std(one, theta)[0])
-        # the exact index draws of one resample per row, stacked into the
-        # batch weights (role, resample, sample) of the batched estimator
+        # the exact index draws of one resample per row, gathered into the
+        # compact role batches (role, resample, sample) of the batched estimator
         idx = np.array([[g.choice(model.size, size=batch, replace=False)
-                         for _ in range(3)] for _ in range(resamples)])
-        weights = np.zeros((resamples, 3, model.size))
-        np.put_along_axis(weights, idx, 1.0 / batch, axis=2)
-        weights = weights.transpose(1, 0, 2)
+                         for _ in range(3)] for _ in range(resamples)]).transpose(1, 0, 2)
+        x, y, w = model.x[idx], model.y[idx], np.full(idx.shape, 1.0 / batch)
+        grads = batched_meta_gradient(QuadraticModel, theta, zip(x, y, w), hyper)
+        adapted = theta - alpha * weighted_grad(QuadraticModel, x[0], y[0], w[0], theta)
         data = one.take(np.zeros(resamples, dtype=int))
-        grads = batched_meta_gradient(data, theta, weights, hyper)
-        adapted = theta - alpha * data.grad(weights[0], theta)
         # the noise and gradient-norm constants must cover every iterate the
         # estimator visits, so take their suprema over the adapted points
         sigma_g = max(float(gradient_noise_std(one, theta)[0]),

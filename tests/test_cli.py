@@ -520,6 +520,28 @@ def test_greedy_power_underflow_fails_at_set_up(tmp_path, capsys, monkeypatch, a
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("allocation", harness.ALLOCATION_MODES)
+def test_noise_that_swamps_every_uplink_fails_at_set_up(tmp_path, capsys, monkeypatch,
+                                                       allocation):
+    # h * p_max / (I_m + B*N0) rounds 1 + SNR to 1: every full-power rate is 0
+    def no_round(*args):
+        raise AssertionError("a round started")
+
+    monkeypatch.setattr(harness, "_round_of_updates", no_round)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", "--config", str(CONFIGS / "wireless.json"),
+                     "--set", "env.N0=1e300", "--set", "rounds=1",
+                     "--set", f"allocation={allocation}", "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "no positive full-power rate" in err
+    for name in ("env.N0", "env.B", "env.interference_range", "env.h_range",
+                 "env.p_max_range"):
+        assert name in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_tiny_energy_price_runs_without_warnings(tmp_path):
     # eta2 / (eta1 * ...) overflows inside SP1, where the frequency cap then binds
     with warnings.catch_warnings():

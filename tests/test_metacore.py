@@ -16,7 +16,7 @@ from fmlsim.metacore import (
     _sigmoid,
     batched_meta_gradient,
     draw_batch,
-    draw_batch_weights,
+    draw_role_batches,
     exact_meta_gradient,
     finite_difference_hvp,
     grad_estimate,
@@ -280,10 +280,9 @@ def _reference_local_update(data, family, theta0, hyper, sizes, step_rng):
     scale = np.zeros(n)
     plan = StepPlan(data, sizes, hyper)
     for t in range(hyper.tau):
-        w = draw_batch_weights(step_rng(t), plan)
+        x, y, w = draw_role_batches(step_rng(t), plan)
         for i in range(n):
-            batches = [Batch(data.x[i][w[r, i] > 0], data.y[i][w[r, i] > 0])
-                       for r in range(3)]
+            batches = [Batch(x[r, i][w[r, i] > 0], y[r, i][w[r, i] > 0]) for r in range(3)]
             assert all(b.size == sizes[i] for b in batches)
             g = meta_gradient(family, thetas[i], *batches, hyper)
             gn = np.linalg.norm(g)
@@ -337,12 +336,11 @@ def test_batched_meta_gradient_matches_reference_on_identical_batches(family, mo
     data = _mixed_population(g, family)
     sizes = data.batch_sizes(3)
     hyper = MetaHyper(alpha=0.1, beta=0.05, mode=mode)
-    weights = draw_batch_weights(rng.stream(0, 1, 0, rng.ROLE_BATCH), StepPlan(data, sizes, hyper))
+    x, y, w = draw_role_batches(rng.stream(0, 1, 0, rng.ROLE_BATCH), StepPlan(data, sizes, hyper))
     theta = g.normal(size=(data.counts.size, 3))
-    got = batched_meta_gradient(data, theta, weights, hyper)
+    got = batched_meta_gradient(family, theta, zip(x, y, w), hyper)
     for i in range(data.counts.size):
-        batches = [Batch(data.x[i][weights[r, i] > 0], data.y[i][weights[r, i] > 0])
-                   for r in range(3)]
+        batches = [Batch(x[r, i][w[r, i] > 0], y[r, i][w[r, i] > 0]) for r in range(3)]
         want = meta_gradient(family, theta[i], *batches, hyper)
         assert np.linalg.norm(got[i] - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -373,8 +371,17 @@ def test_device_arrays_take_keeps_every_row_array_aligned():
 
 
 def _padded(counts):
-    """A population of the given dataset sizes, for drawing batch weights."""
-    return DeviceArrays(QuadraticModel, [_quad(np.zeros((c, 1)), np.zeros(c)) for c in counts])
+    """A population of the given dataset sizes whose samples name their slots.
+
+    Slot s of row i holds the input s + 1 and the label i + 1; padding is 0.
+    """
+    return DeviceArrays(QuadraticModel, [
+        _quad(np.arange(1.0, c + 1)[:, None], np.full(c, i + 1.0)) for i, c in enumerate(counts)])
+
+
+def _drawn_slots(x, w):
+    """Each drawn sample's slot (-1 on padding) and whether it carries weight."""
+    return x[..., 0].astype(int) - 1, w > 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -387,23 +394,28 @@ def _padded(counts):
 )
 def test_batch_draw_properties(counts, batch, seed, k, step):
     data = _padded(counts)
-    mask = data.mask
+    n, s_max = data.mask.shape
     sizes = np.array(counts) if batch is None else np.minimum(batch, counts)
     plan = StepPlan(data, sizes, MetaHyper())
-    w = draw_batch_weights(rng.stream(seed, k, step, rng.ROLE_BATCH), plan)
-    assert w.shape == (3,) + mask.shape
-    picked = w > 0
-    # exactly min(batch, n_i) distinct real samples per device and role
-    assert np.array_equal(picked.sum(axis=-1), np.broadcast_to(sizes, (3, len(counts))))
-    assert not np.any(picked & ~mask)
+    x, y, w = draw_role_batches(rng.stream(seed, k, step, rng.ROLE_BATCH), plan)
+    b = int(sizes.max())
+    assert x.shape == (3, n, b, 1) and y.shape == w.shape == (3, n, b)
+    slot, picked = _drawn_slots(x, w)
+    # exactly min(batch, n_i) distinct real samples of its own row per device and role
+    assert np.array_equal(picked.sum(axis=-1), np.broadcast_to(sizes, (3, n)))
+    assert np.array_equal(picked, slot >= 0)
+    assert np.all(y[picked] == np.broadcast_to(np.arange(1.0, n + 1)[:, None], y.shape)[picked])
+    assert all(len(set(row[row >= 0].tolist())) == (row >= 0).sum() for row in slot.reshape(-1, b))
     assert np.allclose(w.sum(axis=-1), 1.0)
+    # the draw gathers from views of the shared population, which stay read-only
+    assert not any(a.flags.writeable for a in (plan.flat_x, plan.flat_y, plan.flat_w))
     # a pure function of (seed, round, step)
-    again = draw_batch_weights(rng.stream(seed, k, step, rng.ROLE_BATCH), plan)
-    assert np.array_equal(w, again)
+    again = draw_role_batches(rng.stream(seed, k, step, rng.ROLE_BATCH), plan)
+    assert all(np.array_equal(first, second) for first, second in zip((x, y, w), again))
 
 
 def _rank_rule_weights(g, mask, sizes):
-    """The draw as a full sort: each row's ``sizes[i]`` smallest keys by rank."""
+    """The draw as a full sort, as dense weights: each row's ``sizes[i]`` smallest keys."""
     keys = np.where(mask, g.random((3,) + mask.shape), np.inf)
     rank = keys.argsort(axis=-1).argsort(axis=-1)
     return (rank < sizes[:, None]) / sizes[:, None]
@@ -423,13 +435,77 @@ def test_one_selection_draw_is_the_rank_rule_bit_for_bit(counts, batch, offset, 
     b = {"below": max(1, s_max - offset), "equal": s_max, "above": s_max + offset,
          "none": None}[batch]
     sizes = data.batch_sizes(b)
-    w = draw_batch_weights(rng.stream(seed, rng.ROLE_BATCH), StepPlan(data, sizes, MetaHyper()))
+    x, _, w = draw_role_batches(rng.stream(seed, rng.ROLE_BATCH),
+                                StepPlan(data, sizes, MetaHyper()))
     want = _rank_rule_weights(rng.stream(seed, rng.ROLE_BATCH), data.mask, sizes)
-    assert np.array_equal(w.view(np.uint64), want.view(np.uint64))
-    picked = w > 0
-    assert np.array_equal((picked & data.mask).sum(axis=-1),
-                          np.broadcast_to(sizes, picked.shape[:2]))
-    assert not np.any(picked & ~data.mask)
+    # scattered back into slots, the compact batches are the rank rule's weights
+    slot, picked = _drawn_slots(x, w)
+    dense = np.zeros(want.shape)
+    role, row, _ = np.nonzero(picked)
+    dense[role, row, slot[picked]] = w[picked]
+    assert np.array_equal(dense.view(np.uint64), want.view(np.uint64))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    counts=st.lists(st.integers(1, 12), min_size=1, max_size=8),
+    batch=st.one_of(st.none(), st.integers(1, 14)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_compact_draw_holds_the_smallest_keys_in_slot_order(counts, batch, seed):
+    data = _padded(counts)
+    sizes = data.batch_sizes(batch)
+    x, _, w = draw_role_batches(rng.stream(seed, rng.ROLE_BATCH),
+                                StepPlan(data, sizes, MetaHyper()))
+    keys = np.where(data.mask, rng.stream(seed, rng.ROLE_BATCH).random((3,) + data.mask.shape),
+                    np.inf)
+    slot, picked = _drawn_slots(x, w)
+    for r in range(3):
+        for i, (count, size) in enumerate(zip(counts, sizes)):
+            got = slot[r, i][picked[r, i]]
+            # the slots of the sizes[i] smallest keys, ascending and distinct
+            assert got.tolist() == sorted(np.argsort(keys[r, i], kind="stable")[:size].tolist())
+            assert np.all(np.diff(got) > 0)
+            # weight only on real samples, each 1/sizes[i]
+            assert np.array_equal(picked[r, i], slot[r, i] >= 0)
+            assert np.all(w[r, i][picked[r, i]] == 1.0 / size)
+            if size == count:
+                assert got.tolist() == list(range(count))
+
+
+def _dense_meta_gradient(data, theta, weights, hyper):
+    """The meta-gradient on dense batch weights ``(3, n, S_max)`` over every padded slot."""
+    family = data.model_class
+
+    def grad(w, t):
+        return np.einsum("ns,nsd->nd", w, family.per_sample_grad(t, data.x, data.y))
+
+    alpha = hyper.alpha
+    g = grad(weights[1], theta - alpha * grad(weights[0], theta))
+    if hyper.mode == "first-order":
+        return g
+    if hyper.mode == "hessian":
+        hvp = np.einsum("ns,nsd->nd", weights[2], family.per_sample_hvp(theta, data.x, data.y, g))
+    else:
+        hvp = finite_difference_hvp(lambda t: grad(weights[2], t), theta, g, hyper.hv_epsilon)
+    return g - alpha * hvp
+
+
+@pytest.mark.parametrize("family", [QuadraticModel, LogisticModel])
+@pytest.mark.parametrize("mode", ["hessian", "first-order", "hessian-free"])
+@pytest.mark.parametrize("d", [1, 12])
+@pytest.mark.parametrize("batch", [1, 4])
+def test_compact_kernel_matches_dense_weights(family, mode, d, batch):
+    g = np.random.default_rng(13)
+    data = _mixed_population(g, family, d)
+    sizes = data.batch_sizes(batch)
+    hyper = MetaHyper(alpha=0.1, beta=0.05, mode=mode)
+    x, y, w = draw_role_batches(rng.stream(2, 1, 0, rng.ROLE_BATCH), StepPlan(data, sizes, hyper))
+    weights = _rank_rule_weights(rng.stream(2, 1, 0, rng.ROLE_BATCH), data.mask, sizes)
+    theta = g.normal(size=(data.counts.size, d))
+    got = batched_meta_gradient(family, theta, zip(x, y, w), hyper)
+    want = _dense_meta_gradient(data, theta, weights, hyper)
+    assert np.all(np.linalg.norm(got - want, axis=1) <= 1e-12 * np.linalg.norm(want, axis=1))
 
 
 def _no_stream(step):
@@ -453,16 +529,17 @@ def test_full_batches_skip_the_draw_bit_for_bit(counts, family, mode, tau, seed)
     theta0 = g.normal(size=3)
     hyper = MetaHyper(alpha=0.1, beta=0.05, tau=tau, lambda1=0.3, lambda2=0.7, mode=mode)
     plan = StepPlan(data, data.counts, hyper)
+    full = (data.x, data.y, data.full_weights)
     for t in range(tau):
-        drawn = draw_batch_weights(streams(t), plan)
-        assert all(np.array_equal(w, data.full_weights) for w in drawn)
+        drawn = draw_role_batches(streams(t), plan)
+        assert all(np.array_equal(a, np.broadcast_to(f, a.shape)) for a, f in zip(drawn, full))
     theta, u = local_update(plan, theta0, _no_stream)
     # the loop of local_update with every step's batches drawn
     ref_theta, ref_u = np.tile(theta0, (len(counts), 1)), np.zeros(len(counts))
     penalty = 2.0 * (hyper.lambda1 + hyper.lambda2 / np.sqrt(data.counts))
     for t in range(tau):
-        weights = draw_batch_weights(streams(t), plan)
-        grad = batched_meta_gradient(data, ref_theta, weights, hyper)
+        batches = zip(*draw_role_batches(streams(t), plan))
+        grad = batched_meta_gradient(family, ref_theta, batches, hyper)
         gn = np.sqrt(np.einsum("nd,nd->n", grad, grad))
         ref_u += gn * gn - penalty * gn
         ref_theta -= hyper.beta * grad

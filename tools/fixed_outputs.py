@@ -39,6 +39,9 @@ SWEEP_SMALL = ["--set", "population.family=logistic-regression", "--set", "hyper
 INVOCATIONS = {
     "nufm": ["run", "--config", NUFM],
     "nufm-uniform": ["run", "--config", NUFM, "--set", "selection=uniform"],
+    # one-sample batches in 12 dimensions: every local step draws and subsamples
+    "nufm-batch1": ["run", "--config", NUFM, "--set", "batch_size=1",
+                    "--set", "population.d=12", "--set", "rounds=20"],
     **{f"wireless-{a}": ["run", "--config", WIRELESS, "--set", f"allocation={a}"]
        for a in ("ural", "greedy", "random", "nufm-greedy", "nufm-random")},
     "wireless-large": ["run", "--config", WIRELESS, "--set", "population.n=400",
