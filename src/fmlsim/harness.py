@@ -4,16 +4,18 @@
 loop (selection + aggregation, no wireless model); in wireless mode each
 round adds the per-round resource allocation.  A run holds the train and
 test devices as padded arrays built once; each round updates every training
-device in one ``local_update`` call and evaluates each loss in one
-``adapted_loss`` call.  From the scores to the round totals a device is its
-row in the training arrays (rows ascend in device id); ids appear only in
-``RoundMetrics.selected``.  A run is a deterministic function of (config, seed)
-because every random draw comes from a stream keyed by (seed, round, step)
-or a similar tuple; a local step whose batches are all full datasets draws
-nothing.  A round does only the work that changes between rounds: before
-round 0 ``run`` builds the run's ``StepPlan`` (batch-size checks, score
-penalties, full-batch role batches and the draw's constants) and, in wireless
-mode, its allocation plan (URAL's SP1 solution and ``Uplink``, and the
+device in one ``local_update`` call and evaluates both losses in one
+``adapted_loss`` call, a pass over the real samples of both splits.  From the
+scores to the round totals a device is its row in the training arrays (rows
+ascend in device id); ids appear only in ``RoundMetrics.selected``.  A run is
+a deterministic function of (config, seed) because every random draw comes
+from a stream keyed by (seed, round, step) or a similar tuple; a local step
+whose batches are all full datasets draws nothing.  A round does only the
+work that changes between rounds: before round 0 ``run`` builds the run's
+``StepPlan`` (batch-size checks, score penalties, full-batch role batches and
+the draw's constants), its ``LossPlan`` (both splits' real samples flattened,
+a test set that is the training set held once) and, in wireless mode, its
+allocation plan (URAL's SP1 solution and ``Uplink``, and the
 computation part of the round totals at the run's fixed frequencies), and
 hands them to the solvers; a sweep builds each distinct (population spec,
 seed) once for all its cells.  An environment where some device cannot
@@ -42,7 +44,7 @@ import numpy as np
 from . import rng
 from . import ural as solvers    # solve_sp1 is looked up where the bench's tracer wraps it
 from .errors import ConfigurationError, InvalidInputError, NumericalError
-from .metacore import MetaHyper, StepPlan, adapted_loss, local_update
+from .metacore import LossPlan, MetaHyper, StepPlan, adapted_loss, local_update
 from .selection import aggregate, select_top_k, shifted_scores
 from .tasks import Population, PopulationSpec, generate_population
 from .ural import Uplink, solve_sp2_power, ural
@@ -130,10 +132,10 @@ def _round_of_updates(
 
 
 def _round_losses(
-    pop: Population, theta: np.ndarray, alpha: float, k: int
+    plan: LossPlan, theta: np.ndarray, alpha: float, k: int
 ) -> tuple[float, float]:
     """Round k's train and test adapted losses; NumericalError if either is non-finite."""
-    losses = adapted_loss(pop.train, theta, alpha), adapted_loss(pop.test, theta, alpha)
+    losses = adapted_loss(plan, theta, alpha)
     if not all(map(math.isfinite, losses)):
         raise NumericalError(f"round {k}: non-finite adapted loss {losses}")
     return losses
@@ -298,6 +300,7 @@ def run(config: ExperimentConfig) -> list[RoundMetrics]:
     """
     pop = _population(config)
     plan = StepPlan(pop.train, pop.train.batch_sizes(config.batch_size), config.hyper)
+    loss_plan = LossPlan(pop.train, pop.test)
     wireless = config.mode == "wireless"
     if wireless:
         compute, radios, net = build_environment(config, pop)
@@ -322,7 +325,7 @@ def run(config: ExperimentConfig) -> list[RoundMetrics]:
             theta = aggregate(thetas[rows])
         else:
             log.info("round %d: empty selection, aggregation skipped", k)
-        train_loss, test_loss = _round_losses(pop, theta, config.hyper.alpha, k)
+        train_loss, test_loss = _round_losses(loss_plan, theta, config.hyper.alpha, k)
         metrics.append(RoundMetrics(
             round=k,
             train_loss=train_loss,

@@ -20,9 +20,12 @@ samples in slot order, or, when every batch is a whole dataset, the padded
 arrays themselves.  ``local_update`` takes each local step
 of every device in one array pass, on a run's ``StepPlan`` of constants
 built once, the descent bound in ``oracles`` every (resample, device)
-pair.  The per-device ``draw_batch``, ``grad_estimate``,
-``hessian_estimate``, ``meta_gradient`` and ``exact_meta_gradient`` take
-``(family, Batch)`` and are the tests' reference for it.
+pair.  ``adapted_loss`` evaluates every split's loss after one
+personalization step in one pass over a ``LossPlan``, the splits' real
+samples back to back, never over the padding.  The per-device
+``draw_batch``, ``grad_estimate``, ``hessian_estimate``, ``meta_gradient``
+and ``exact_meta_gradient`` take ``(family, Batch)`` and are the tests'
+reference for it.
 """
 
 from __future__ import annotations
@@ -326,13 +329,57 @@ def weighted_grad(family: type[LossModel], x, y, w, theta) -> np.ndarray:
     return np.einsum("ns,nsd->nd", w, family.per_sample_grad(theta, x, y))
 
 
-def adapted_loss(data: DeviceArrays, theta: np.ndarray, alpha: float) -> float:
-    """Mean over devices of the full-data loss after one personalization step."""
-    w = data.full_weights
+class LossPlan:
+    """The samples that ``adapted_loss`` evaluates, flattened once per run.
+
+    ``splits`` are populations of one family, such as a run's train and
+    test devices; a split given twice (a test set that is the training set)
+    is held once.  The plan holds the real samples of every held device
+    back to back, device after device in slot order: inputs ``x (N, d)``,
+    labels ``y``, weights ``w`` (1 / the device's sample count), each
+    sample's device ``row`` and each device's first sample ``start``.  Each
+    held split has its first sample in ``split_start`` and its loss
+    weights ``v`` (``w`` over the split's device count).  Its arrays are
+    read-only.  InvalidInputError for a split without devices or a device
+    without samples, whose segment would be empty.
+    """
+
+    def __init__(self, *splits: DeviceArrays):
+        held = list(dict.fromkeys(splits))
+        self.family = held[0].model_class
+        self.split_of = tuple(held.index(s) for s in splits)
+        if not all(s.counts.size and s.counts.min() >= 1 for s in held):
+            raise InvalidInputError("each split of a loss plan needs a device and each device "
+                                    "a sample")
+        counts = np.concatenate([s.counts for s in held])
+        self.x = np.concatenate([s.x[s.mask] for s in held])
+        self.y = np.concatenate([s.y[s.mask] for s in held])
+        self.row = np.repeat(np.arange(counts.size), counts)
+        self.start = np.cumsum(counts) - counts
+        self.w = 1.0 / counts[self.row]
+        split_sizes = [int(s.counts.sum()) for s in held]
+        self.split_start = np.cumsum(split_sizes) - split_sizes
+        self.v = self.w / np.repeat([s.counts.size for s in held], split_sizes)
+        for a in (self.x, self.y, self.row, self.start, self.w, self.split_start, self.v):
+            a.flags.writeable = False
+
+
+def adapted_loss(plan: LossPlan, theta: np.ndarray, alpha: float) -> tuple[float, ...]:
+    """Each split's mean over devices of the full-data loss after one personalization step.
+
+    One pass over the plan's samples: the margins ``x @ theta``, each
+    device's full-data gradient summed over its own samples, every sample's
+    margin at its device's adapted parameters, and each split's losses
+    reduced to one weighted sum.  Returns one loss per split given to the
+    plan, in that order.
+    """
+    family = plan.family
     with np.errstate(over="ignore", invalid="ignore"):
-        adapted = theta - alpha * data.grad(w, theta)
-        per_sample = data.model_class.per_sample_loss(adapted, data.x, data.y)
-        return float(np.einsum("ns,ns->n", w, per_sample).mean())
+        slope = family.margin_slope(plan.x @ theta, plan.y) * plan.w
+        adapted = theta - alpha * np.add.reduceat(slope[:, None] * plan.x, plan.start, axis=0)
+        margin = np.einsum("nd,nd->n", plan.x, adapted.take(plan.row, axis=0))
+        losses = np.add.reduceat(plan.v * family.margin_loss(margin, plan.y), plan.split_start)
+    return tuple(losses.take(plan.split_of).tolist())
 
 
 class StepPlan:

@@ -23,6 +23,7 @@ from . import rng
 from .errors import InvalidInputError, NumericalError
 from .metacore import (
     DeviceArrays,
+    LossPlan,
     MetaHyper,
     QuadraticModel,
     StepPlan,
@@ -245,9 +246,10 @@ def theorem1_bound(
     grads = grads.reshape(mc, rows.size, -1)
     if not np.all(np.isfinite(grads)):
         raise NumericalError("meta-gradient produced non-finite values")
-    f_now = adapted_loss(data, theta, c.alpha)
-    decreases = np.array([f_now - adapted_loss(data, aggregate(theta - hyper.beta * g), c.alpha)
-                          for g in grads])
+    losses = LossPlan(data)
+    (f_now,) = adapted_loss(losses, theta, c.alpha)
+    after = [adapted_loss(losses, aggregate(theta - hyper.beta * g), c.alpha) for g in grads]
+    decreases = f_now - np.array(after)[:, 0]
 
     dissimilarity = math.sqrt(
         (1.0 + c.alpha * c.L) ** 2 * c.gamma_G + c.alpha * c.zeta * c.gamma_H

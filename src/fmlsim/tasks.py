@@ -4,7 +4,10 @@ Each device owns a small regression or classification dataset generated
 from a mixture of two cluster ground truths (the regression analogue of
 "two random classes per device").  Per-class sample counts follow a
 truncated Gaussian with a floor of 1.  Everything is reproducible from the
-spec and the seed alone.
+spec and the seed alone.  A population's train and test splits are padded
+``DeviceArrays``; a run evaluates their losses on a ``metacore.LossPlan``
+of their real samples, which holds a test split that is the training split
+once.
 """
 
 from __future__ import annotations

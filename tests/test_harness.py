@@ -353,6 +353,24 @@ def test_empty_selection_keeps_the_model(caplog):
     assert skipped == [f"round {k}: empty selection, aggregation skipped" for k in range(3)]
 
 
+def test_an_all_train_run_evaluates_its_losses_once_per_round(monkeypatch):
+    plans = []
+
+    def recording_adapted_loss(plan, theta, alpha):
+        plans.append(plan)
+        return adapted_loss(plan, theta, alpha)
+
+    adapted_loss = harness.adapted_loss
+    monkeypatch.setattr(harness, "adapted_loss", recording_adapted_loss)
+    cfg = _base_config(rounds=3, population=PopulationSpec(n=12, d=3, train_fraction=1.0))
+    ms = run(cfg)
+    pop = generate_population(cfg.population, cfg.seed)
+    assert pop.test is pop.train and len(plans) == 3
+    # the test set is the training set: the plan holds its samples once, in one split
+    assert plans[0].x.shape[0] == pop.train.counts.sum() and plans[0].split_start.tolist() == [0]
+    assert all(m.train_loss == m.test_loss for m in ms)
+
+
 def test_metrics_csv_shape():
     ms = run(_base_config(rounds=2))
     lines = metrics_to_csv(ms).splitlines()

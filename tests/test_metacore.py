@@ -1,6 +1,8 @@
+import copy
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fmlsim import rng
@@ -10,10 +12,12 @@ from fmlsim.metacore import (
     DeviceArrays,
     LogisticModel,
     LossModel,
+    LossPlan,
     MetaHyper,
     QuadraticModel,
     StepPlan,
     _sigmoid,
+    adapted_loss,
     batched_meta_gradient,
     draw_batch,
     draw_role_batches,
@@ -559,6 +563,56 @@ def test_sigmoid_is_the_two_branch_formula_bit_for_bit(values):
     nan = np.isnan(want)
     assert np.array_equal(np.isnan(got), nan)
     assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+def _reference_adapted_loss(family, datasets, theta, alpha):
+    """The mean over devices of each one's full-data loss after one personalization step."""
+    return float(np.mean([
+        family.per_sample_loss(theta - alpha * grad_estimate(family, theta, b), b.x, b.y).mean()
+        for b in datasets]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from([QuadraticModel, LogisticModel]),
+    counts=st.lists(st.lists(st.integers(1, 30), min_size=1, max_size=6), min_size=2, max_size=2),
+    d=st.integers(1, 6),
+    alpha=st.floats(0.0, 0.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_adapted_loss_matches_the_per_device_reference(family, counts, d, alpha, seed):
+    assume(max(counts[0]) != max(counts[1]))       # the splits pad to different widths
+    g = np.random.default_rng(seed)
+    splits = []
+    for split_counts in counts:
+        xs = [g.normal(size=(c, d)) for c in split_counts]
+        ys = [g.normal(size=c) if family is QuadraticModel else g.choice([-1.0, 1.0], size=c)
+              for c in split_counts]
+        splits.append([Batch(x, y) for x, y in zip(xs, ys)])
+    theta = g.normal(size=d)
+    train, test = (DeviceArrays(family, datasets) for datasets in splits)
+    plan = LossPlan(train, test)
+    want = [_reference_adapted_loss(family, datasets, theta, alpha) for datasets in splits]
+    got = adapted_loss(plan, theta, alpha)
+    assert len(got) == 2 and np.allclose(got, want, rtol=1e-12, atol=0)
+    assert plan.x.shape == (sum(map(sum, counts)), d)
+    assert not any(a.flags.writeable for a in (plan.x, plan.y, plan.w, plan.row, plan.start,
+                                               plan.split_start, plan.v))
+    # a split given twice is held and evaluated once, its loss returned for both
+    twice = LossPlan(test, test)
+    assert twice.x.shape == (sum(counts[1]), d)
+    assert adapted_loss(twice, theta, alpha) == adapted_loss(LossPlan(test), theta, alpha) * 2
+
+
+def test_loss_plan_rejects_an_empty_device_or_split():
+    data = _padded([2, 3])
+    # a device without samples would make np.add.reduceat read the next device's first sample
+    no_samples = copy.copy(data)
+    no_samples.mask = data.mask & np.array([[False], [True]])
+    no_samples.counts = np.array([0, 3])
+    for splits in ((no_samples,), (data, no_samples), (data, data.take(np.array([], int)))):
+        with pytest.raises(InvalidInputError, match="needs a device and each device a sample"):
+            LossPlan(*splits)
 
 
 def test_draw_batch_without_replacement():

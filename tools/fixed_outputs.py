@@ -42,6 +42,9 @@ INVOCATIONS = {
     # one-sample batches in 12 dimensions: every local step draws and subsamples
     "nufm-batch1": ["run", "--config", NUFM, "--set", "batch_size=1",
                     "--set", "population.d=12", "--set", "rounds=20"],
+    # every device trains, so the test set is the training set
+    "nufm-all-train": ["run", "--config", NUFM, "--set", "population.train_fraction=1",
+                       "--set", "rounds=5"],
     **{f"wireless-{a}": ["run", "--config", WIRELESS, "--set", f"allocation={a}"]
        for a in ("ural", "greedy", "random", "nufm-greedy", "nufm-random")},
     "wireless-large": ["run", "--config", WIRELESS, "--set", "population.n=400",
