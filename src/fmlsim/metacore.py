@@ -15,14 +15,15 @@ A family is stateless: a class of margin formulas, never instantiated.  A
 device's dataset is a ``Batch``, and a population is the family plus its
 datasets held as padded arrays (``DeviceArrays``).  The library runs
 ``batched_meta_gradient`` on three role batches: the compact batches
-that ``draw_role_batches`` gathers from those arrays, only the drawn
-samples in slot order, or, when every batch is a whole dataset, the padded
-arrays themselves.  ``local_update`` takes each local step
-of every device in one array pass, on a run's ``StepPlan`` of constants
-built once, the descent bound in ``oracles`` every (resample, device)
-pair.  ``adapted_loss`` evaluates every split's loss after one
-personalization step in one pass over a ``LossPlan``, the splits' real
-samples back to back, never over the padding.  The per-device
+that ``draw_role_batches`` picks with one value sort of its keys and
+gathers from those arrays, only the drawn samples in slot order, or, when
+every batch is a whole dataset, the padded arrays themselves.
+``local_update`` takes each local step of every device in one array
+pass, on a run's ``StepPlan`` of constants built once, the descent bound
+in ``oracles`` every (resample, device) pair.  ``adapted_loss``
+evaluates every split's loss after one personalization step in one pass
+over a ``LossPlan``, the splits' real samples back to back, never over
+the padding.  The per-device
 ``draw_batch``, ``grad_estimate``, ``hessian_estimate``, ``meta_gradient``
 and ``exact_meta_gradient`` take ``(family, Batch)`` and are the tests'
 reference for it.
@@ -387,15 +388,17 @@ class StepPlan:
 
     ``sizes[i]`` is row i's batch size: its whole dataset, or one size ``b``
     common to every row that subsamples (``data.batch_sizes`` gives these),
-    so that one selection at ``b - 1`` draws every row's batch; both are
-    checked here.  The plan holds the devices, the hyper-parameters, the
-    score penalties ``2*(lambda1 + lambda2/sqrt(D_i))``, the three role
-    batches of a step when every batch is its whole dataset (else None),
-    and what the draw needs: the selection index, the padding, each row's
-    first slot in the flattened slots, and read-only flat views of the
-    samples, labels and sample weights ``1/sizes[i]`` (0 on padding) that
-    the drawn slots index.  It is per run, not kept on ``data``, because a
-    sweep shares one population between cells of different batch sizes.
+    so that one threshold per row at its b-th smallest key draws every
+    row's batch; both are checked here.  The plan holds the devices, the
+    hyper-parameters, the score penalties ``2*(lambda1 + lambda2/sqrt(D_i))``,
+    the three role batches of a step when every batch is its whole dataset
+    (else None), and what the draw needs: the selection index ``b - 1``,
+    the key floor (0 on a real sample, ``1 + slot`` on padding), each
+    role's first slot in the flattened keys, and read-only flat views of
+    the samples, labels and sample weights ``1/sizes[i]`` (0 on padding)
+    that the drawn slots index.  It is per run, not kept on ``data``,
+    because a sweep shares one population between cells of different batch
+    sizes.
     """
 
     def __init__(self, data: DeviceArrays, sizes: np.ndarray, hyper: MetaHyper):
@@ -410,12 +413,13 @@ class StepPlan:
         self.penalty = 2.0 * (hyper.lambda1 + hyper.lambda2 / np.sqrt(sizes))
         self.full_batches = (((data.x, data.y, data.full_weights),) * 3
                              if np.array_equal(sizes, data.counts) else None)
-        self.kth = b - 1
-        self.padding = ~data.mask
         n, s_max, d = data.x.shape
-        self.row_start = np.arange(0, n * s_max, s_max)[:, None]
+        self.kth = b - 1
+        self.key_floor = np.where(data.mask, 0.0, 1.0 + np.arange(s_max))
+        self.role_start = np.arange(0, 3 * n * s_max, n * s_max)[:, None, None]
         slot_weight = data.mask * (1.0 / sizes[:, None])
-        slot_weight.flags.writeable = False
+        for a in (self.key_floor, slot_weight):
+            a.flags.writeable = False
         self.flat_x = data.x.reshape(n * s_max, d)
         self.flat_y = data.y.reshape(-1)
         self.flat_w = slot_weight.reshape(-1)
@@ -426,21 +430,38 @@ def draw_role_batches(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every device's three role batches of one step: ``x (3, n, b, d)``, ``y``, ``w (3, n, b)``.
 
-    One uniform key per (role, device, sample slot), with +inf on padding;
-    each device's ``sizes[i]`` smallest keys of a role form its batch, each
-    sample weighted ``1/sizes[i]``.  One selection at ``b - 1`` (introselect,
-    ``argpartition``) puts each row's b smallest keys first: those are the
-    batch of a row that subsamples, and of a full-batch row (at most b
-    samples) they hold every real sample, the rest being padding, which the
-    slot weights zero.  A full-batch device thus takes every sample.  The
-    picked slots are sorted, so a batch keeps its samples in slot order,
-    and gathered from the plan's flat views.
+    One uniform key per (role, device, sample slot); each device's
+    ``sizes[i]`` smallest keys of a role form its batch, each sample
+    weighted ``1/sizes[i]``.  Padding slots take the plan's key floor
+    ``1 + slot``: above every uniform key, distinct, and rising with the
+    slot.  One value sort gives each row's b-th smallest key, and the
+    slots at or below it are the row's b slots, already in slot order: the
+    batch of a row that subsamples, and for a full-batch row (at most b
+    samples) every real sample, then its lowest padding slots, which the
+    slot weights zero.  An exact tie of real keys at that threshold goes to
+    the lower slot.  The slots are gathered from the plan's flat views.
     """
-    keys = g.random((3,) + plan.padding.shape)
-    np.copyto(keys, np.inf, where=plan.padding)
-    slots = np.sort(np.argpartition(keys, plan.kth, axis=-1)[..., :plan.kth + 1], axis=-1)
-    slots += plan.row_start
+    keys = g.random((3,) + plan.key_floor.shape)
+    np.maximum(keys, plan.key_floor, out=keys)
+    b = plan.kth + 1
+    threshold = np.sort(keys, axis=-1)[..., plan.kth, None]
+    slots = np.flatnonzero(keys <= threshold)
+    if slots.size != threshold.size * b:
+        slots = _lowest_slots(keys, threshold, b)
+    slots = slots.reshape(threshold.shape[:-1] + (b,)) - plan.role_start
     return plan.flat_x.take(slots, axis=0), plan.flat_y.take(slots), plan.flat_w.take(slots)
+
+
+def _lowest_slots(keys: np.ndarray, threshold: np.ndarray, b: int) -> np.ndarray:
+    """Flat indices of each row's b smallest keys, a tie at ``threshold`` going to the lower slot.
+
+    ``threshold`` is each row's b-th smallest key: fewer than b keys lie
+    below it, and its lowest tied slots fill the rest of the row's b.
+    """
+    below = keys < threshold
+    tied = keys == threshold
+    room = b - below.sum(axis=-1, keepdims=True)
+    return np.flatnonzero(below | (tied & (np.cumsum(tied, axis=-1) <= room)))
 
 
 def batched_meta_gradient(

@@ -477,6 +477,64 @@ def test_compact_draw_holds_the_smallest_keys_in_slot_order(counts, batch, seed)
                 assert got.tolist() == list(range(count))
 
 
+class _FixedKeys:
+    """A stand-in generator whose ``random`` returns the given keys."""
+
+    def __init__(self, keys):
+        self.keys = np.asarray(keys, dtype=float)
+
+    def random(self, shape):
+        assert shape == self.keys.shape
+        return self.keys.copy()
+
+
+def _stable_rule_slots(keys, mask, sizes):
+    """Each row's ``sizes[i]`` smallest real keys, the lower slot first among equal keys."""
+    keys = np.where(mask, keys, np.inf)
+    return [[sorted(np.argsort(keys[r, i], kind="stable")[:size].tolist())
+             for i, size in enumerate(sizes)] for r in range(keys.shape[0])]
+
+
+def _check_tied_draw(counts, sizes, keys):
+    data = _padded(counts)
+    x, y, w = draw_role_batches(_FixedKeys(keys), StepPlan(data, np.array(sizes), MetaHyper()))
+    n, b = len(counts), max(sizes)
+    assert x.shape == (3, n, b, 1) and y.shape == w.shape == (3, n, b)
+    slot, picked = _drawn_slots(x, w)
+    got = [[slot[r, i][picked[r, i]].tolist() for i in range(n)] for r in range(3)]
+    assert got == _stable_rule_slots(np.asarray(keys), data.mask, sizes)
+    assert np.allclose(w.sum(axis=-1), 1.0)
+    return got
+
+
+def test_draw_gives_a_tie_at_the_threshold_to_the_lower_slot():
+    # b = 3; row 1 is a full batch of 2 samples, shorter than b
+    counts, sizes = [6, 2, 5], [3, 2, 3]
+    keys = np.full((3, 3, 6), 0.9)
+    keys[0, 0] = [0.5, 0.25, 0.9, 0.1, 0.25, 0.05]   # slots 1 and 4 tie for the third place
+    keys[0, 2, :5] = 0.3                              # five real samples, all tied
+    keys[1] = np.arange(18).reshape(3, 6) / 18        # no tie
+    keys[2, 0] = [0.2, 0.7, 0.2, 0.2, 0.2, 0.1]       # four tie for the last two places
+    got = _check_tied_draw(counts, sizes, keys)
+    assert got[0] == [[1, 3, 5], [0, 1], [0, 1, 2]]
+    assert got[2][0] == [0, 2, 5]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    counts=st.lists(st.integers(1, 8), min_size=1, max_size=5),
+    batch=st.one_of(st.none(), st.integers(1, 9)),
+    data=st.data(),
+)
+def test_draw_on_coarse_keys_is_the_stable_rule(counts, batch, data):
+    # keys from four values tie often, at and away from each row's threshold
+    sizes = _padded(counts).batch_sizes(batch)
+    shape = (3, len(counts), max(counts))
+    keys = data.draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75]),
+                              min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+    _check_tied_draw(counts, sizes.tolist(), np.reshape(keys, shape))
+
+
 def _dense_meta_gradient(data, theta, weights, hyper):
     """The meta-gradient on dense batch weights ``(3, n, S_max)`` over every padded slot."""
     family = data.model_class

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fmlsim.errors import InvalidInputError
 from fmlsim.selection import aggregate, select_top_k, shifted_scores
@@ -73,6 +75,15 @@ def test_aggregate_idempotent_and_order_free():
     assert np.allclose(aggregate(models), aggregate(models[::-1]))
     theta = g.normal(size=4)
     assert np.allclose(aggregate([theta, theta]), theta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(count=st.integers(1, 50), d=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_aggregate_is_the_mean_bit_for_bit(count, d, seed):
+    stack = np.random.default_rng(seed).normal(scale=1e3, size=(count, d))
+    want = np.mean(stack, axis=0).view(np.uint64)
+    assert np.array_equal(aggregate(stack).view(np.uint64), want)
+    assert np.array_equal(aggregate(list(stack)).view(np.uint64), want)
 
 
 def test_aggregate_empty_rejected():

@@ -45,6 +45,8 @@ INVOCATIONS = {
     # every device trains, so the test set is the training set
     "nufm-all-train": ["run", "--config", NUFM, "--set", "population.train_fraction=1",
                        "--set", "rounds=5"],
+    # a seed above 2**32: every stream key starts with two 32-bit words
+    "nufm-bigseed": ["run", "--config", NUFM, "--seed", "4294967301", "--set", "rounds=5"],
     **{f"wireless-{a}": ["run", "--config", WIRELESS, "--set", f"allocation={a}"]
        for a in ("ural", "greedy", "random", "nufm-greedy", "nufm-random")},
     "wireless-large": ["run", "--config", WIRELESS, "--set", "population.n=400",
