@@ -17,10 +17,15 @@ the draw's constants), its ``LossPlan`` (both splits' real samples flattened,
 a test set that is the training set held once) and, in wireless mode, its
 allocation plan (URAL's SP1 solution and ``Uplink``, and the
 computation part of the round totals at the run's fixed frequencies), and
-hands them to the solvers; a sweep builds each distinct (population spec,
-seed) once for all its cells.  An environment where some device cannot
-upload at a positive rate on some RB, weights that leave the CPU frequencies
-at 0, or the greedy powers' eta1 * noise / h at 0 fail at set-up.  A round whose
+hands them to the solvers.  A sweep builds each distinct (population spec,
+seed) once for all its cells, and the plans once per batch size and
+hyper-parameters of it.  Its cells also share their learning rounds: a
+round whose local update (same round and model) or losses (same model)
+another cell has computed reads them instead, and outputs stay
+byte-identical because both are pure functions of that key.  A plain run
+keeps no such memo.  An environment where some device cannot upload at a
+positive rate on some RB, weights that leave the CPU frequencies at 0, or
+the greedy powers' eta1 * noise / h at 0 fail at set-up.  A round whose
 meta-gradients, scores or losses are non-finite stops the run with
 NumericalError.
 """
@@ -117,27 +122,66 @@ class RoundMetrics:
     ives_iterations: int = 0
 
 
+class _Learner:
+    """A run's learning constants and, inside a sweep, the rounds its cells have computed.
+
+    ``steps`` is the run's ``StepPlan`` and ``loss_plan`` its ``LossPlan``.
+    ``updates`` maps (round, model bytes) to a round's read-only (parameters,
+    scores) and ``losses`` maps model bytes to (train, test) adapted losses;
+    both are None in a plain run, which keeps no memo.  ``local_update`` and
+    ``adapted_loss`` are pure functions of the plans, the seed, the round
+    (which keys the batch streams) and the model, so a sweep shares one
+    learner between its cells of one (population spec, seed, batch size,
+    hyper-parameters), and a cell whose model in some round has the bytes
+    another cell's had reads that cell's results.  Only checked, finite
+    results are stored.
+    """
+
+    def __init__(self, pop: Population, config: ExperimentConfig, memo: bool):
+        self.steps = StepPlan(pop.train, pop.train.batch_sizes(config.batch_size), config.hyper)
+        self.loss_plan = LossPlan(pop.train, pop.test)
+        self.updates: dict | None = {} if memo else None
+        self.losses: dict | None = {} if memo else None
+
+
 def _round_of_updates(
-    plan: StepPlan,
+    learner: _Learner,
     theta: np.ndarray,
     config: ExperimentConfig,
     k: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every training device's local update for round k: parameters (n, d), scores (n,)."""
+    memo = learner.updates
+    if memo is not None:
+        key = k, theta.tobytes()
+        if (hit := memo.get(key)) is not None:
+            return hit
     try:
-        return local_update(
-            plan, theta, lambda step: rng.stream(config.seed, k, step, rng.ROLE_BATCH))
+        result = local_update(
+            learner.steps, theta, lambda step: rng.stream(config.seed, k, step, rng.ROLE_BATCH))
     except NumericalError as exc:
         raise NumericalError(f"round {k}: {exc}") from None
+    if memo is not None:
+        for a in result:
+            a.flags.writeable = False
+        memo[key] = result
+    return result
 
 
 def _round_losses(
-    plan: LossPlan, theta: np.ndarray, alpha: float, k: int
+    learner: _Learner, theta: np.ndarray, alpha: float, k: int
 ) -> tuple[float, float]:
     """Round k's train and test adapted losses; NumericalError if either is non-finite."""
-    losses = adapted_loss(plan, theta, alpha)
+    memo = learner.losses
+    if memo is not None:
+        key = theta.tobytes()
+        if (hit := memo.get(key)) is not None:
+            return hit
+    losses = adapted_loss(learner.loss_plan, theta, alpha)
     if not all(map(math.isfinite, losses)):
         raise NumericalError(f"round {k}: non-finite adapted loss {losses}")
+    if memo is not None:
+        memo[key] = losses
     return losses
 
 
@@ -269,23 +313,44 @@ def _allocation_plan(
 # ---------------------------------------------------------------------------
 # the round loop
 
-# inside ``sweep``: (population spec, seed) -> (its population, built at the first
-# run that needs it, and its runs left); sharing is safe as its arrays are read-only.
-# ``run`` takes only a config: bench/child.py's round clock wraps it with that signature
+# inside ``sweep``: (population spec, seed) -> its ``_SharedPopulation``; sharing is
+# safe as its arrays are read-only.  ``run`` takes only a config: bench/child.py's
+# round clock wraps it with that signature
 _sweep_populations: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
     "_sweep_populations", default=None)
 
 
-def _population(config: ExperimentConfig) -> Population:
-    """The run's population: the sweep's shared one inside ``sweep``, else a new build."""
+@dataclass
+class _SharedPopulation:
+    """A sweep's (population spec, seed): its population, runs left and learners.
+
+    The population is built at the first run that needs it; ``learners`` holds
+    one ``_Learner`` per (batch size, hyper-parameters).  The entry leaves the
+    sweep's dict as its last run starts, so its memos die with that run.
+    """
+
+    runs_left: int
+    pop: Population | None = None
+    learners: dict = field(default_factory=dict)
+
+
+def _population_and_learner(config: ExperimentConfig) -> tuple[Population, _Learner]:
+    """The run's population and learner: inside ``sweep`` the shared ones, else new builds."""
     shared = _sweep_populations.get()
     key = astuple(config.population), config.seed
-    pop, uses = shared.pop(key) if shared is not None else (None, 1)
-    if pop is None:
+    entry = shared.get(key) if shared is not None else None
+    if entry is None:
         pop = generate_population(config.population, config.seed)
-    if uses > 1:
-        shared[key] = pop, uses - 1
-    return pop
+        return pop, _Learner(pop, config, memo=False)
+    entry.runs_left -= 1
+    if not entry.runs_left:
+        del shared[key]
+    if entry.pop is None:
+        entry.pop = generate_population(config.population, config.seed)
+    learner_key = config.batch_size, astuple(config.hyper)
+    if learner_key not in entry.learners:
+        entry.learners[learner_key] = _Learner(entry.pop, config, memo=True)
+    return entry.pop, entry.learners[learner_key]
 
 
 def run(config: ExperimentConfig) -> list[RoundMetrics]:
@@ -296,11 +361,12 @@ def run(config: ExperimentConfig) -> list[RoundMetrics]:
     is charged; in wireless mode ``_allocate`` decides uploads, frequencies,
     RBs and powers from the shifted scores and ``round_totals`` charges them.
     The uploads are aggregated into the next model (an empty selection keeps
-    it) and the adapted losses are evaluated.
+    it) and the adapted losses are evaluated.  Inside ``sweep`` the
+    population, the plans and the memo of computed rounds come from the
+    sweep's ``_SharedPopulation`` (see ``_Learner``); alone, the run builds
+    its own and keeps no memo.
     """
-    pop = _population(config)
-    plan = StepPlan(pop.train, pop.train.batch_sizes(config.batch_size), config.hyper)
-    loss_plan = LossPlan(pop.train, pop.test)
+    pop, learner = _population_and_learner(config)
     wireless = config.mode == "wireless"
     if wireless:
         compute, radios, net = build_environment(config, pop)
@@ -309,7 +375,7 @@ def run(config: ExperimentConfig) -> list[RoundMetrics]:
     theta = np.zeros(config.population.d)
     metrics: list[RoundMetrics] = []
     for k in range(config.rounds):
-        thetas, scores = _round_of_updates(plan, theta, config, k)
+        thetas, scores = _round_of_updates(learner, theta, config, k)
         if wireless:
             su = shifted_scores(scores)
             alloc, comp, ives_iters = _allocate(config, k, su, compute, radios, net, alloc_plan)
@@ -325,7 +391,7 @@ def run(config: ExperimentConfig) -> list[RoundMetrics]:
             theta = aggregate(thetas[rows])
         else:
             log.info("round %d: empty selection, aggregation skipped", k)
-        train_loss, test_loss = _round_losses(loss_plan, theta, config.hyper.alpha, k)
+        train_loss, test_loss = _round_losses(learner, theta, config.hyper.alpha, k)
         metrics.append(RoundMetrics(
             round=k,
             train_loss=train_loss,
@@ -407,7 +473,7 @@ def sweep(
     runs: dict[tuple[object, int], list[RoundMetrics]] = {}
     uses = collections.Counter((astuple(c.population), c.seed)
                                for _, seed_configs in grid for c in seed_configs)
-    token = _sweep_populations.set({key: (None, n) for key, n in uses.items()})
+    token = _sweep_populations.set({key: _SharedPopulation(n) for key, n in uses.items()})
     try:
         for value, seed_configs in grid:
             losses, energies, times, objectives = [], [], [], []

@@ -466,7 +466,9 @@ def ives(u: np.ndarray, uplink: Uplink) -> Sp2Solution:
         delta_next = float((net.S / rates).max())
         if g2 > best_g2:
             best_g2, best = g2, (rows, rbs, p, delta_next)
-        if len(trace) > 1 and abs(g2 - trace[-2]) <= IVES_EPS * max(1.0, abs(g2)):
+        # an equal g2 ends it too: two -inf values differ by NaN
+        if len(trace) > 1 and (g2 == trace[-2]
+                               or abs(g2 - trace[-2]) <= IVES_EPS * max(1.0, abs(g2))):
             break
         delta = delta_next
         last = pair if math.isfinite(g2) else None

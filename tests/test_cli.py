@@ -485,6 +485,20 @@ def test_extreme_energy_price_ratio_still_selects(tmp_path):
         assert row["selected"] and math.isfinite(float(row["energy"]))
 
 
+def test_ives_ends_on_a_repeated_minus_infinite_g2(tmp_path):
+    # every matching's g2 is -inf, and -inf - -inf is NaN: IVES stops on the equal
+    # value at its second iteration instead of running all IVES_MAX_ITERS
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)     # g2_objective overflows to -inf
+        code = main(["run", "--config", str(CONFIGS / "wireless.json"),
+                     "--set", "env.B=1e-300", "--set", "env.eta1=1e-305",
+                     "--set", "env.eta2=1e10", "--set", "rounds=2", "--out", str(out)])
+    assert code == EXIT_OK
+    rows = list(csv.DictReader((out / "metrics.csv").open()))
+    assert [row["ives_iterations"] for row in rows] == ["2", "2"]
+
+
 @pytest.mark.parametrize("allocation", ["ural", "greedy"])
 @pytest.mark.parametrize("override", ["env.eta1=1e308", "env.eta2=5e-324"])
 def test_weights_that_stop_every_cpu_fail_at_set_up(tmp_path, capsys, monkeypatch,

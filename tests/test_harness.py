@@ -295,6 +295,96 @@ def test_sweep_builds_each_population_once(monkeypatch, parameter, values, build
     assert len(built) == builds + 1
 
 
+# the bench's sweep-small cells: tiny logistic hessian-free full-batch wireless runs
+SWEEP_SMALL = {"population.family": "logistic-regression", "hyper.mode": "hessian-free",
+               "batch_size": None}
+
+
+def _wireless_json(overrides):
+    payload = json.loads((CONFIGS / "wireless.json").read_text())
+    for path, value in overrides.items():
+        set_path(payload, path, value)
+    return config_from_dict(payload)
+
+
+def _assert_cells_equal_their_runs_alone(cfg, parameter, runs):
+    """Each sweep cell's metrics, bit for bit, against its config run outside a sweep."""
+    path = harness._sweep_path(parameter)
+    for (value, seed), ms in runs.items():
+        payload = dataclasses.asdict(cfg)
+        set_path(payload, path, value)
+        alone = run(dataclasses.replace(config_from_dict(payload), seed=seed))
+        assert ms == alone and metrics_to_csv(ms) == metrics_to_csv(alone), (value, seed)
+
+
+@pytest.mark.parametrize("overrides", [SWEEP_SMALL, {}], ids=["full-batch", "drawn-batch"])
+def test_sweep_cells_share_rounds_and_equal_their_runs_alone(monkeypatch, overrides):
+    calls = []
+
+    def counting_local_update(*args):
+        calls.append(args)
+        return local_update(*args)
+
+    local_update = harness.local_update
+    monkeypatch.setattr(harness, "local_update", counting_local_update)
+    cfg = _wireless_json(overrides)
+    _, runs = sweep(cfg, "eta1", [0.5, 1.0, 1.5, 2.0, 2.5], seeds=[1, 2, 3])
+    # eta1 reaches only the allocation: cells of one seed that upload alike share rounds
+    assert len(runs) * cfg.rounds == 150 and len(calls) < 150
+    _assert_cells_equal_their_runs_alone(cfg, "eta1", runs)
+
+
+@pytest.mark.parametrize("parameter, values", [
+    ("alpha", [0.01, 0.03]),            # one population, a learner per hyper-parameters
+    ("batch_size", [2, None]),          # one population, a learner per batch size
+    ("n", [16, 20]),                    # a population per value
+])
+def test_sweep_cells_that_learn_differently_share_no_round(parameter, values):
+    # every cell starts at theta = 0, so a key without these would hand round 0 over
+    cfg = _wireless_json({})
+    _, runs = sweep(cfg, parameter, values, seeds=[1, 2])
+    _assert_cells_equal_their_runs_alone(cfg, parameter, runs)
+
+
+def test_a_sweeps_shared_rounds_are_read_only_and_die_with_their_last_cell(monkeypatch):
+    seen, done = [], collections.Counter()
+
+    def recording_round(*args):
+        result = round_of_updates(*args)
+        seen.extend((args[2].seed, a.flags.writeable, weakref.ref(a)) for a in result)
+        return result
+
+    def checking_run(config):
+        ms = plain_run(config)
+        done[config.seed] += 1
+        gc.collect()
+        assert all(ref() is None for seed, _, ref in seen if done[seed] == 2)
+        return ms
+
+    round_of_updates, plain_run = harness._round_of_updates, harness.run
+    monkeypatch.setattr(harness, "_round_of_updates", recording_round)
+    monkeypatch.setattr(harness, "run", checking_run)
+    sweep(_wireless_config(), "eta1", [0.5, 1.0], seeds=[0, 1])
+    assert len(seen) == 2 * 4 * 3 and not any(writeable for _, writeable, _ in seen)
+    seen.clear()
+    plain_run(_wireless_config())       # a plain run keeps no memo and freezes nothing
+    assert len(seen) == 2 * 3 and all(writeable for _, writeable, _ in seen)
+
+
+def test_a_memo_keys_the_round_that_keys_the_batches():
+    # the same model in two rounds draws different batches: each round is its own entry
+    cfg = _wireless_config()
+    pop = generate_population(cfg.population, cfg.seed)
+    shared = harness._Learner(pop, cfg, memo=True)
+    plain = harness._Learner(pop, cfg, memo=False)
+    theta = np.zeros(cfg.population.d)
+    for k in (0, 1, 0):
+        for a, b in zip(harness._round_of_updates(shared, theta, cfg, k),
+                        harness._round_of_updates(plain, theta, cfg, k)):
+            assert np.array_equal(a, b)
+    assert len(shared.updates) == 2 and plain.updates is None
+
+
 def test_shared_population_and_run_constants_are_read_only(monkeypatch):
     cfg = _wireless_config(rounds=3)
     pop = generate_population(cfg.population, cfg.seed)

@@ -642,7 +642,8 @@ def _ives_reference(u, radios, net):
         delta_next = float((net.S / rates).max())
         if g2 > best_g2:
             best_g2, best = g2, (rows, rbs, p, delta_next)
-        if len(trace) > 1 and abs(g2 - trace[-2]) <= IVES_EPS * max(1.0, abs(g2)):
+        if len(trace) > 1 and (g2 == trace[-2]
+                               or abs(g2 - trace[-2]) <= IVES_EPS * max(1.0, abs(g2))):
             break
         delta = delta_next
     rows, rbs, p, delta = best
@@ -693,15 +694,15 @@ def test_ives_non_finite_g2_keeps_the_repricing_path():
         sol, want = ives(u, Uplink(radios, net)), _ives_reference(u, radios, net)
     assert sol.trace == [-math.inf, 0.0] and sol.rows.size == 0
     assert _same(sol, want)
-    # at a finite delay: eta2 * upload time overflows, the same matching returns,
-    # and -inf - -inf is no zero change, so the loop runs to its cap
+    # at a finite delay: eta2 * upload time overflows and the same matching returns;
+    # -inf - -inf is NaN, not a zero change, so the loop stops on the equal g2 instead
     radios = RadioProfile(h=[0.9, 0.5], p_max=[1.0, 0.8])
     net = NetworkConfig(M=2, B=1e-300, N0=0.1, interference=(0.1, 0.3), S=1.0,
                         eta1=1e-305, eta2=1e10)
     u = np.array([3.0, 2.0])
     with np.errstate(over="ignore"):
         sol, want = ives(u, Uplink(radios, net)), _ives_reference(u, radios, net)
-    assert sol.trace == [-math.inf] * IVES_MAX_ITERS and math.isfinite(sol.delta)
+    assert sol.trace == [-math.inf] * 2 and math.isfinite(sol.delta)
     assert _same(sol, want)
 
 

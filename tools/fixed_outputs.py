@@ -57,6 +57,9 @@ INVOCATIONS = {
     "sweep-small": ["sweep", "--config", WIRELESS, *SWEEP_SMALL],
     "sweep-eta1": ["sweep", "--config", WIRELESS, "--param", "eta1", "--values", "0.25,1,4",
                    "--seeds", ",".join(map(str, range(10)))],
+    # cells of different alpha share no learner: the path where a sweep shares no round
+    "sweep-alpha": ["sweep", "--config", WIRELESS, "--param", "alpha", "--values", "0.01,0.03",
+                    "--seeds", "1,2", "--set", "rounds=5"],
     "dump-env-nufm": ["dump-env", "--config", NUFM],
     "dump-env-wireless": ["dump-env", "--config", WIRELESS],
 }
