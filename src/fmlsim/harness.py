@@ -19,9 +19,9 @@ allocation plan (URAL's SP1 solution and ``Uplink``, and the
 computation part of the round totals at the run's fixed frequencies), and
 hands them to the solvers.  A sweep builds each distinct (population spec,
 seed) once for all its cells, and the plans once per batch size and
-hyper-parameters of it.  Its cells also share their learning rounds: a
-round whose local update (same round and model) or losses (same model)
-another cell has computed reads them instead, and outputs stay
+hyper-parameters of it.  Its cells also share what they compute alike:
+round 0's local update, from the same starting model in every cell, and
+the losses of a model another cell has already evaluated.  Outputs stay
 byte-identical because both are pure functions of that key.  A plain run
 keeps no such memo.  An environment where some device cannot upload at a
 positive rate on some RB, weights that leave the CPU frequencies at 0, or
@@ -123,24 +123,31 @@ class RoundMetrics:
 
 
 class _Learner:
-    """A run's learning constants and, inside a sweep, the rounds its cells have computed.
+    """A run's learning constants and, inside a sweep, what its cells compute alike.
 
     ``steps`` is the run's ``StepPlan`` and ``loss_plan`` its ``LossPlan``.
-    ``updates`` maps (round, model bytes) to a round's read-only (parameters,
-    scores) and ``losses`` maps model bytes to (train, test) adapted losses;
-    both are None in a plain run, which keeps no memo.  ``local_update`` and
-    ``adapted_loss`` are pure functions of the plans, the seed, the round
-    (which keys the batch streams) and the model, so a sweep shares one
-    learner between its cells of one (population spec, seed, batch size,
-    hyper-parameters), and a cell whose model in some round has the bytes
-    another cell's had reads that cell's results.  Only checked, finite
-    results are stored.
+    ``local_update`` and ``adapted_loss`` are pure functions of the plans,
+    the seed, the round (which keys the batch streams) and the model, so a
+    sweep shares one learner between its cells of one (population spec,
+    seed, batch size, hyper-parameters).  Every cell starts from the same
+    model, so ``first_round`` maps model bytes to round 0's read-only
+    (parameters, scores), computed by the first cell only; ``losses`` maps
+    model bytes to (train, test) adapted losses, which a cell reads when its
+    model has the bytes of one another cell evaluated.  Both are None in a
+    plain run, which keeps no memo.  Only checked, finite results are stored.
+
+    Later rounds' updates are not kept.  They repeat only while two cells
+    still upload alike, in a share of rounds that varies with the seed, and
+    a round that read its update took well under half the time of one that
+    computed it: round times fell in two clusters, mixed in seed-dependent
+    parts, and their median jumped between the two from seed to seed.  The
+    loss pass that a shared loss saves is a far smaller part of a round.
     """
 
     def __init__(self, pop: Population, config: ExperimentConfig, memo: bool):
         self.steps = StepPlan(pop.train, pop.train.batch_sizes(config.batch_size), config.hyper)
         self.loss_plan = LossPlan(pop.train, pop.test)
-        self.updates: dict | None = {} if memo else None
+        self.first_round: dict | None = {} if memo else None
         self.losses: dict | None = {} if memo else None
 
 
@@ -151,9 +158,9 @@ def _round_of_updates(
     k: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every training device's local update for round k: parameters (n, d), scores (n,)."""
-    memo = learner.updates
+    memo = learner.first_round if k == 0 else None
     if memo is not None:
-        key = k, theta.tobytes()
+        key = theta.tobytes()
         if (hit := memo.get(key)) is not None:
             return hit
     try:
@@ -362,9 +369,9 @@ def run(config: ExperimentConfig) -> list[RoundMetrics]:
     RBs and powers from the shifted scores and ``round_totals`` charges them.
     The uploads are aggregated into the next model (an empty selection keeps
     it) and the adapted losses are evaluated.  Inside ``sweep`` the
-    population, the plans and the memo of computed rounds come from the
-    sweep's ``_SharedPopulation`` (see ``_Learner``); alone, the run builds
-    its own and keeps no memo.
+    population, the plans, round 0's update and the evaluated losses come
+    from the sweep's ``_SharedPopulation`` (see ``_Learner``); alone, the
+    run builds its own and keeps no memo.
     """
     pop, learner = _population_and_learner(config)
     wireless = config.mode == "wireless"

@@ -182,7 +182,8 @@ class LogisticModel(LossModel):
 
     @staticmethod
     def margin_slope(a, y):
-        return -y * _sigmoid(-y * a)
+        neg_y = -y
+        return neg_y * _sigmoid(neg_y * a)
 
     @staticmethod
     def margin_curvature(a, y):
@@ -191,9 +192,13 @@ class LogisticModel(LossModel):
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """1 / (1 + e^-z), from e^-|z| <= 1 so that neither branch overflows."""
-    ez = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+    """1 / (1 + e^-z), from e^-|z| <= 1 so that neither branch overflows.
+
+    Written e^min(z, 0) / (1 + e^-|z|): the numerator is exactly 1 for
+    z >= 0 and e^z = e^-|z| below, so each side has the bits of its branch,
+    1 / (1 + e^-z) or e^z / (1 + e^z), without computing both.
+    """
+    return np.exp(np.minimum(z, 0.0)) / (1.0 + np.exp(-np.abs(z)))
 
 
 def _check_dims(theta: np.ndarray, batch: Batch) -> None:
@@ -326,8 +331,12 @@ class DeviceArrays:
 
 
 def weighted_grad(family: type[LossModel], x, y, w, theta) -> np.ndarray:
-    """Per-row sum of the per-sample gradients on ``x (n, S, d)``, ``y``, weighted by ``w``."""
-    return np.einsum("ns,nsd->nd", w, family.per_sample_grad(theta, x, y))
+    """Per-row sum of the per-sample gradients on ``x (n, S, d)``, ``y``, weighted by ``w``.
+
+    ``theta`` is (d,), (n, d), or a stack of these; a stack gives a stack of
+    (n, d) sums, each with the bits it has alone.
+    """
+    return np.einsum("ns,...nsd->...nd", w, family.per_sample_grad(theta, x, y))
 
 
 class LossPlan:
@@ -464,6 +473,9 @@ def _lowest_slots(keys: np.ndarray, threshold: np.ndarray, b: int) -> np.ndarray
     return np.flatnonzero(below | (tied & (np.cumsum(tied, axis=-1) <= room)))
 
 
+_BOTH_SIGNS = np.array([1.0, -1.0])[:, None, None]
+
+
 def batched_meta_gradient(
     family: type[LossModel], theta: np.ndarray, batches: Iterable[tuple], hyper: MetaHyper
 ) -> np.ndarray:
@@ -482,9 +494,10 @@ def batched_meta_gradient(
     if hyper.mode == MODE_HESSIAN:
         hvp = np.einsum("ns,nsd->nd", w2, family.per_sample_hvp(theta, x2, y2, g))
     else:
-        hvp = finite_difference_hvp(
-            lambda t: weighted_grad(family, x2, y2, w2, t), theta, g, hyper.hv_epsilon
-        )
+        # finite_difference_hvp with both points in one pass: theta + (-step) is theta - step
+        step = hyper.hv_epsilon * g
+        plus, minus = weighted_grad(family, x2, y2, w2, theta + step * _BOTH_SIGNS)
+        hvp = (plus - minus) / (2.0 * hyper.hv_epsilon)
     return g - alpha * hvp
 
 

@@ -318,19 +318,26 @@ def _assert_cells_equal_their_runs_alone(cfg, parameter, runs):
 
 
 @pytest.mark.parametrize("overrides", [SWEEP_SMALL, {}], ids=["full-batch", "drawn-batch"])
-def test_sweep_cells_share_rounds_and_equal_their_runs_alone(monkeypatch, overrides):
-    calls = []
+def test_sweep_cells_share_round_0_and_losses_and_equal_their_runs_alone(monkeypatch,
+                                                                          overrides):
+    calls = collections.Counter()
 
-    def counting_local_update(*args):
-        calls.append(args)
-        return local_update(*args)
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(harness, name, counted)
 
-    local_update = harness.local_update
-    monkeypatch.setattr(harness, "local_update", counting_local_update)
+    counting("local_update", harness.local_update)
+    counting("adapted_loss", harness.adapted_loss)
     cfg = _wireless_json(overrides)
-    _, runs = sweep(cfg, "eta1", [0.5, 1.0, 1.5, 2.0, 2.5], seeds=[1, 2, 3])
-    # eta1 reaches only the allocation: cells of one seed that upload alike share rounds
-    assert len(runs) * cfg.rounds == 150 and len(calls) < 150
+    seeds = [1, 2, 3]
+    _, runs = sweep(cfg, "eta1", [0.5, 1.0, 1.5, 2.0, 2.5], seeds=seeds)
+    assert len(runs) * cfg.rounds == 150
+    # round 0 starts from the same model in every cell: one update per seed
+    assert calls["local_update"] == 150 - (len(runs) - len(seeds))
+    # eta1 reaches only the allocation: cells of one seed that upload alike share losses
+    assert calls["adapted_loss"] < 150
     _assert_cells_equal_their_runs_alone(cfg, "eta1", runs)
 
 
@@ -346,43 +353,45 @@ def test_sweep_cells_that_learn_differently_share_no_round(parameter, values):
     _assert_cells_equal_their_runs_alone(cfg, parameter, runs)
 
 
-def test_a_sweeps_shared_rounds_are_read_only_and_die_with_their_last_cell(monkeypatch):
+def test_a_sweeps_shared_round_0_is_read_only_and_dies_with_its_last_cell(monkeypatch):
     seen, done = [], collections.Counter()
 
     def recording_round(*args):
         result = round_of_updates(*args)
-        seen.extend((args[2].seed, a.flags.writeable, weakref.ref(a)) for a in result)
+        seen.extend((args[2].seed, args[3], a.flags.writeable, weakref.ref(a)) for a in result)
         return result
 
     def checking_run(config):
         ms = plain_run(config)
         done[config.seed] += 1
         gc.collect()
-        assert all(ref() is None for seed, _, ref in seen if done[seed] == 2)
+        assert all(ref() is None for seed, _, _, ref in seen if done[seed] == 2)
         return ms
 
     round_of_updates, plain_run = harness._round_of_updates, harness.run
     monkeypatch.setattr(harness, "_round_of_updates", recording_round)
     monkeypatch.setattr(harness, "run", checking_run)
     sweep(_wireless_config(), "eta1", [0.5, 1.0], seeds=[0, 1])
-    assert len(seen) == 2 * 4 * 3 and not any(writeable for _, writeable, _ in seen)
+    # round 0's shared results are frozen; later rounds' are the cell's own
+    assert len(seen) == 2 * 4 * 3
+    assert all(writeable == (k > 0) for _, k, writeable, _ in seen)
     seen.clear()
     plain_run(_wireless_config())       # a plain run keeps no memo and freezes nothing
-    assert len(seen) == 2 * 3 and all(writeable for _, writeable, _ in seen)
+    assert len(seen) == 2 * 3 and all(writeable for _, _, writeable, _ in seen)
 
 
-def test_a_memo_keys_the_round_that_keys_the_batches():
-    # the same model in two rounds draws different batches: each round is its own entry
+def test_only_round_0_updates_are_kept_each_under_its_model():
     cfg = _wireless_config()
     pop = generate_population(cfg.population, cfg.seed)
     shared = harness._Learner(pop, cfg, memo=True)
     plain = harness._Learner(pop, cfg, memo=False)
-    theta = np.zeros(cfg.population.d)
-    for k in (0, 1, 0):
+    start, other = np.zeros(cfg.population.d), np.full(cfg.population.d, 0.5)
+    for k, theta in ((0, start), (1, start), (0, other), (0, start)):
         for a, b in zip(harness._round_of_updates(shared, theta, cfg, k),
                         harness._round_of_updates(plain, theta, cfg, k)):
             assert np.array_equal(a, b)
-    assert len(shared.updates) == 2 and plain.updates is None
+    assert list(shared.first_round) == [start.tobytes(), other.tobytes()]
+    assert plain.first_round is None and plain.losses is None
 
 
 def test_shared_population_and_run_constants_are_read_only(monkeypatch):

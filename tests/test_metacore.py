@@ -27,6 +27,7 @@ from fmlsim.metacore import (
     hessian_estimate,
     local_update,
     meta_gradient,
+    weighted_grad,
 )
 from fmlsim.oracles import SmoothnessConstants
 
@@ -568,6 +569,28 @@ def test_compact_kernel_matches_dense_weights(family, mode, d, batch):
     got = batched_meta_gradient(family, theta, zip(x, y, w), hyper)
     want = _dense_meta_gradient(data, theta, weights, hyper)
     assert np.all(np.linalg.norm(got - want, axis=1) <= 1e-12 * np.linalg.norm(want, axis=1))
+
+
+@pytest.mark.parametrize("family", [QuadraticModel, LogisticModel])
+@pytest.mark.parametrize("batch", [1, 4, None])
+def test_hessian_free_takes_both_difference_points_bit_for_bit(family, batch):
+    # one weighted_grad pass on the stacked points theta +- eps*g gives the bits
+    # of finite_difference_hvp's two calls
+    g = np.random.default_rng(29)
+    data = _mixed_population(g, family, d=4)
+    hyper = MetaHyper(alpha=0.1, beta=0.05, hv_epsilon=1e-3, mode="hessian-free")
+    plan = StepPlan(data, data.batch_sizes(batch), hyper)
+    x, y, w = draw_role_batches(rng.stream(5, 0, 0, rng.ROLE_BATCH), plan)
+    theta = g.normal(size=(data.counts.size, 4))
+    got = batched_meta_gradient(family, theta, zip(x, y, w), hyper)
+    first_order = batched_meta_gradient(family, theta, zip(x, y, w),
+                                        MetaHyper(alpha=0.1, beta=0.05, mode="first-order"))
+    hvp = finite_difference_hvp(lambda t: weighted_grad(family, x[2], y[2], w[2], t),
+                                theta, first_order, hyper.hv_epsilon)
+    assert np.array_equal(got, first_order - hyper.alpha * hvp)
+    stacked = weighted_grad(family, x[2], y[2], w[2], np.stack([theta, -theta, 2 * theta]))
+    for one, t in zip(stacked, (theta, -theta, 2 * theta)):
+        assert np.array_equal(one, weighted_grad(family, x[2], y[2], w[2], t))
 
 
 def _no_stream(step):
