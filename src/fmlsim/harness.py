@@ -22,12 +22,12 @@ seed) once for all its cells, and the plans once per batch size and
 hyper-parameters of it.  Its cells also share what they compute alike:
 round 0's local update, from the same starting model in every cell, and
 the losses of a model another cell has already evaluated.  Outputs stay
-byte-identical because both are pure functions of that key.  A plain run
-keeps no such memo.  An environment where some device cannot upload at a
-positive rate on some RB, weights that leave the CPU frequencies at 0, or
-the greedy powers' eta1 * noise / h at 0 fail at set-up.  A round whose
-meta-gradients, scores or losses are non-finite stops the run with
-NumericalError.
+byte-identical because both are pure functions of that key.  A plain run,
+and a sweep learner that serves one cell, keeps no such memo.  An
+environment where some device cannot upload at a positive rate on some RB,
+weights that leave the CPU frequencies at 0, or the greedy powers'
+eta1 * noise / h at 0 fail at set-up.  A round whose meta-gradients,
+scores or losses are non-finite stops the run with NumericalError.
 """
 
 from __future__ import annotations
@@ -134,7 +134,8 @@ class _Learner:
     (parameters, scores), computed by the first cell only; ``losses`` maps
     model bytes to (train, test) adapted losses, which a cell reads when its
     model has the bytes of one another cell evaluated.  Both are None in a
-    plain run, which keeps no memo.  Only checked, finite results are stored.
+    plain run and in a sweep learner of one cell, which keep no memo, as no
+    other cell would read it.  Only checked, finite results are stored.
 
     Later rounds' updates are not kept.  They repeat only while two cells
     still upload alike, in a share of rounds that varies with the seed, and
@@ -332,13 +333,26 @@ class _SharedPopulation:
     """A sweep's (population spec, seed): its population, runs left and learners.
 
     The population is built at the first run that needs it; ``learners`` holds
-    one ``_Learner`` per (batch size, hyper-parameters).  The entry leaves the
-    sweep's dict as its last run starts, so its memos die with that run.
+    one ``_Learner`` per (batch size, hyper-parameters), and ``cells`` counts
+    the sweep's cells of each.  A learner keeps memos only when two or more
+    cells share it.  The entry leaves the sweep's dict as its last run
+    starts, so its memos die with that run.
     """
 
-    runs_left: int
+    runs_left: int = 0
     pop: Population | None = None
     learners: dict = field(default_factory=dict)
+    cells: collections.Counter = field(default_factory=collections.Counter)
+
+
+def _shared_populations(configs: list[ExperimentConfig]) -> dict:
+    """A sweep's ``_SharedPopulation`` per (population spec, seed), counting its cells."""
+    shared: dict = {}
+    for c in configs:
+        entry = shared.setdefault((astuple(c.population), c.seed), _SharedPopulation())
+        entry.runs_left += 1
+        entry.cells[c.batch_size, astuple(c.hyper)] += 1
+    return shared
 
 
 def _population_and_learner(config: ExperimentConfig) -> tuple[Population, _Learner]:
@@ -356,7 +370,8 @@ def _population_and_learner(config: ExperimentConfig) -> tuple[Population, _Lear
         entry.pop = generate_population(config.population, config.seed)
     learner_key = config.batch_size, astuple(config.hyper)
     if learner_key not in entry.learners:
-        entry.learners[learner_key] = _Learner(entry.pop, config, memo=True)
+        entry.learners[learner_key] = _Learner(
+            entry.pop, config, memo=entry.cells[learner_key] > 1)
     return entry.pop, entry.learners[learner_key]
 
 
@@ -478,9 +493,8 @@ def sweep(
         grid.append((value, [replace(value_config, seed=s) for s in seeds]))
     cells: list[SweepCell] = []
     runs: dict[tuple[object, int], list[RoundMetrics]] = {}
-    uses = collections.Counter((astuple(c.population), c.seed)
-                               for _, seed_configs in grid for c in seed_configs)
-    token = _sweep_populations.set({key: _SharedPopulation(n) for key, n in uses.items()})
+    token = _sweep_populations.set(
+        _shared_populations([c for _, seed_configs in grid for c in seed_configs]))
     try:
         for value, seed_configs in grid:
             losses, energies, times, objectives = [], [], [], []

@@ -24,6 +24,18 @@ where every round's first matching is made.  IVES stops as soon as a
 matching repeats the previous iteration's with a finite g2: the powers,
 rates and g2 would come out the same, and the loop would stop on their
 zero change.
+
+Between iterations and rounds the run's ``Uplink`` also keeps what the
+scores do not change, one entry deep: the prices at the last other delay
+priced (keyed by float equality) and the last power step (keyed by the
+matching as lists): its read-only powers, g2's score-free part
+(``_g2_costs``) and the next delay.  A round whose scores change little
+repeats the last round's final matching and delay, and a repeated step
+then costs only g2's score-dependent part (``_g2``).  A hit returns
+exactly what a miss would compute, and ``g2_objective`` is built from the
+same two parts, in the same IEEE operations and order, so outputs stay
+byte-identical.  Nothing is module-level: each run, and each sweep cell,
+has its own ``Uplink``.
 """
 
 from __future__ import annotations
@@ -377,10 +389,30 @@ def g2_objective(
         return 0.0
     if rates is None:
         rates = net.rate(radios.h[rows], p, rbs)
-    if (rates <= 0).any():
-        return -math.inf
+    return _g2(u, rows, *_g2_costs(rates, p, net), net)
+
+
+def _g2_costs(
+    rates: np.ndarray, p: np.ndarray, net: NetworkConfig
+) -> tuple[np.ndarray | None, np.floating]:
+    """g2's score-free part: ``eta1 * t * p`` per matched row and ``t.max()``, t = S / rates.
+
+    The first is None when some rate is not positive: g2 is then -inf
+    whatever the scores.  ``t.max()`` is the matching's upload time, IVES's
+    next delay.
+    """
     t = net.S / rates
-    return float((u[rows] - net.eta1 * t * p).sum() - net.eta2 * t.max())
+    return (None if (rates <= 0).any() else net.eta1 * t * p), t.max()
+
+
+def _g2(
+    u: np.ndarray, rows: np.ndarray, energy: np.ndarray | None, t_max: np.floating,
+    net: NetworkConfig,
+) -> float:
+    """g2 from its score-free part (``_g2_costs``) and the round's scores."""
+    if energy is None:
+        return -math.inf
+    return float((u[rows] - energy).sum() - net.eta2 * t_max)
 
 
 def initial_delay(radios: RadioProfile, net: NetworkConfig) -> float:
@@ -402,6 +434,12 @@ class Uplink:
     ``delta0`` is IVES's starting delay (``initial_delay``), the same in
     every round, and ``first`` the prices there, which every round's first
     matching reads.
+
+    It also keeps two one-entry caches, which carry over between IVES's
+    iterations and the run's rounds: the prices at the last other delay
+    priced (``prices``) and the last matching's power step
+    (``power_step``).  Both hold pure functions of their key, so a hit
+    changes no output; one entry each keeps the memory flat at any scale.
     """
 
     def __init__(self, radios: RadioProfile, net: NetworkConfig):
@@ -416,27 +454,59 @@ class Uplink:
         self.order = radios.h_order.tolist()
         self.delta0 = initial_delay(radios, net)
         self.first = self._prices(self.delta0)
+        self._last_delta, self._last_prices = math.nan, None
+        self._last_pair, self._last_step = None, None
 
     def prices(self, delta: float) -> tuple[np.ndarray, list[list[float]]]:
-        """``eta1*delta*min(mu, cap)`` and ``mu`` (as lists) on the built RBs at ``delta``.
+        """``eta1*delta*min(mu, cap)`` as a read-only array and ``mu`` as lists, at ``delta``.
 
         ``mu[i][m]`` is the power row i needs on the m-th quietest RB to
-        finish its upload in exactly delta.
+        finish its upload in exactly delta.  Prices at ``delta0`` are
+        ``first``; the last other delay priced is kept too, keyed by float
+        equality (an inf delay hits, a NaN one never does).
         """
-        return self.first if delta == self.delta0 else self._prices(delta)
+        if delta == self.delta0:
+            return self.first
+        if delta != self._last_delta:
+            self._last_delta, self._last_prices = delta, self._prices(delta)
+        return self._last_prices
 
     def _prices(self, delta: float) -> tuple[np.ndarray, list[list[float]]]:
         exponent = self.net.S / (self.net.B * delta)
         # exp2 overflows from 1024 on; checking here costs less than np.errstate
         growth = np.exp2(exponent) - 1.0 if exponent < 1024.0 else math.inf
         mu = self.noise * growth / self.h
-        return self.net.eta1 * delta * np.minimum(mu, self.cap), mu.tolist()
+        spend = self.net.eta1 * delta * np.minimum(mu, self.cap)
+        spend.flags.writeable = False
+        return spend, mu.tolist()
+
+    def power_step(
+        self, rows: np.ndarray, rbs: np.ndarray, pair: tuple[list[int], list[int]]
+    ) -> tuple[np.ndarray, np.ndarray | None, np.floating, float]:
+        """The score-free part of an IVES power step on the matching ``(rows, rbs)``.
+
+        ``pair`` is the matching as lists, ``(rows.tolist(), rbs.tolist())``.
+        Returns the read-only powers (``solve_sp2_power``), g2's score-free
+        part at them (``_g2_costs``: the energy costs and the upload time)
+        and the upload time as a float, IVES's next delay.  The last
+        matching powered is kept, keyed by ``pair``.
+        """
+        if pair != self._last_pair:
+            p = solve_sp2_power(self.radios, rows, rbs, self.net)
+            p.flags.writeable = False
+            energy, t_max = _g2_costs(self.net.rate(self.radios.h[rows], p, rbs), p, self.net)
+            self._last_pair, self._last_step = pair, (p, energy, t_max, float(t_max))
+        return self._last_step
 
 
 def ives(u: np.ndarray, uplink: Uplink) -> Sp2Solution:
     """Alternate RB matching, power optimization and delay update until g2 settles.
 
-    ``u`` holds every row's (positively shifted) contribution score.
+    ``u`` holds every row's (positively shifted) contribution score.  Only
+    the matching and g2 read it: the prices at a delay and a matching's
+    powers, energy costs and upload time come from ``uplink``, which keeps
+    the run's last repricing and last power step, so a round that repeats
+    the last round's final matching or delay does not recompute them.
     """
     radios, net = uplink.radios, uplink.net
     if not u.size or net.M < 1:
@@ -459,11 +529,9 @@ def ives(u: np.ndarray, uplink: Uplink) -> Sp2Solution:
             # the same powers, rates and g2 again: the loop would stop on a zero change
             trace.append(trace[-1])
             break
-        p = solve_sp2_power(radios, rows, rbs, net)
-        rates = net.rate(radios.h[rows], p, rbs)
-        g2 = g2_objective(u, radios, rows, rbs, p, net, rates)
+        p, energy, t_max, delta_next = uplink.power_step(rows, rbs, pair)
+        g2 = _g2(u, rows, energy, t_max, net)
         trace.append(g2)
-        delta_next = float((net.S / rates).max())
         if g2 > best_g2:
             best_g2, best = g2, (rows, rbs, p, delta_next)
         # an equal g2 ends it too: two -inf values differ by NaN

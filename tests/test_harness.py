@@ -353,6 +353,33 @@ def test_sweep_cells_that_learn_differently_share_no_round(parameter, values):
     _assert_cells_equal_their_runs_alone(cfg, parameter, runs)
 
 
+@pytest.mark.parametrize("overrides, parameter, values, seeds, learners, memos", [
+    # fixed_outputs.py's sweep-alpha: 4 learners of one cell each
+    ({"rounds": 5}, "alpha", [0.01, 0.03], [1, 2], 4, False),
+    # sweep-small: 3 learners of 5 cells each
+    (SWEEP_SMALL, "eta1", [0.5, 1.0, 1.5, 2.0, 2.5], [1, 2, 3], 3, True),
+])
+def test_a_sweep_learner_keeps_memos_only_when_cells_share_it(
+        monkeypatch, overrides, parameter, values, seeds, learners, memos):
+    built = []
+    init = harness._Learner.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(harness._Learner, "__init__", recording_init)
+    cfg = _wireless_json(overrides)
+    _, runs = sweep(cfg, parameter, values, seeds=seeds)
+    assert len(built) == learners
+    for learner in built:
+        if memos:
+            assert len(learner.first_round) == 1 and learner.losses
+        else:
+            assert learner.first_round is None and learner.losses is None
+    _assert_cells_equal_their_runs_alone(cfg, parameter, runs)
+
+
 def test_a_sweeps_shared_round_0_is_read_only_and_dies_with_its_last_cell(monkeypatch):
     seen, done = [], collections.Counter()
 

@@ -1,6 +1,9 @@
+import collections
 import dataclasses
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from scipy.optimize import linear_sum_assignment   # test-only reference
 import fmlsim.ural as ural_module
 from fmlsim import rng
 from fmlsim.errors import InvalidInputError
+from fmlsim.harness import config_from_dict, run
 from fmlsim.oracles import (
     _random_compute,
     _random_radio_env,
@@ -43,6 +47,8 @@ from fmlsim.wireless import (
     computation,
     round_totals,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _unit_device():
@@ -416,6 +422,19 @@ def test_sp2_powers_within_cap_with_equal_rates(env, data):
     assert max(rates) - min(rates) <= 1e-9 * max(rates)
 
 
+@given(env=_uplink_envs(), data=st.data())
+def test_g2_is_its_first_form_bit_for_bit(env, data):
+    # IVES scores a kept power step with g2's score-free part; g2 keeps one formula
+    u, radios, net = env
+    n = data.draw(st.integers(1, min(u.size, net.M)))
+    rows = np.array(sorted(data.draw(st.permutations(range(u.size)))[:n]), dtype=int)
+    rbs = np.array(data.draw(st.permutations(range(net.M)))[:n], dtype=int)
+    p = np.array(_rows_of(data.draw, n, 1e-3, 1.0)) * radios.p_max[rows]
+    t = net.S / net.rate(radios.h[rows], p, rbs)
+    want = float((u[rows] - net.eta1 * t * p).sum() - net.eta2 * t.max())
+    assert repr(g2_objective(u, radios, rows, rbs, p, net)) == repr(want)
+
+
 @given(env=_uplink_envs(max_n=6, max_m=6), delta=_floats(0.05, 10.0))
 def test_rb_matching_total_equals_brute_force(env, delta):
     u, radios, net = env
@@ -723,6 +742,76 @@ def test_ives_prices_a_repeated_matching_once(monkeypatch):
         # the first form priced every non-empty matching, a trailing 0.0 marks an empty one
         matched += sol.iterations - (sol.trace[-1] == 0.0)
     assert len(priced) < matched
+
+
+@given(env=_ives_envs(), data=st.data())
+def test_a_kept_uplink_solves_every_round_as_a_fresh_one(env, data):
+    # later rounds repeat, rescale, permute or redraw earlier scores, so the run's
+    # last matching and last delay repeat, alternate and change between calls
+    u, radios, net = env
+    scores = [u]
+    for _ in range(data.draw(st.integers(1, 6))):
+        base = data.draw(st.sampled_from(scores))
+        how = data.draw(st.sampled_from(["repeat", "rescale", "permute", "redraw"]))
+        if how == "rescale":
+            base = base * data.draw(_floats(0.25, 4.0))
+        elif how == "permute":
+            base = base[data.draw(st.permutations(range(u.size)))]
+        elif how == "redraw":
+            base = np.array(_rows_of(data.draw, u.size, 0.01, 5.0))
+        scores.append(base)
+    uplink = Uplink(radios, net)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for s in scores:
+            got = ives(s, uplink)
+            assert _same(got, ives(s, Uplink(radios, net)))
+            assert _same(got, _ives_reference(s, radios, net))
+            # a kept power step hands its powers to every round that repeats it
+            assert not got.rows.size or not got.p.flags.writeable
+
+
+def test_uplink_prices_keep_the_last_delay_by_float_equality(monkeypatch):
+    radios, net = _two_device_env()
+    uplink = Uplink(radios, net)
+    priced = []
+    monkeypatch.setattr(uplink, "_prices", lambda delta: priced.append(delta) or
+                        Uplink._prices(uplink, delta))
+    delta = 2 * uplink.delta0
+    kept = uplink.prices(delta)
+    assert uplink.prices(delta) is kept and uplink.prices(uplink.delta0) is uplink.first
+    assert uplink.prices(delta) is kept and priced == [delta]
+    assert not kept[0].flags.writeable and not uplink.first[0].flags.writeable
+    with np.errstate(invalid="ignore"):     # eta1 * inf * 0 at an infinite delay
+        for d in (math.inf, math.inf, math.nan, math.nan):
+            uplink.prices(d)
+    # an inf delay hits the kept one, a NaN never does
+    assert len(priced) == 4 and priced[1] == math.inf and all(map(math.isnan, priced[2:]))
+
+
+def test_a_power_step_is_kept_under_its_rows_and_rbs():
+    radios, net = _two_device_env()
+    uplink = Uplink(radios, net)
+    steps = []
+    for rows, rbs in (([0], [0]), ([0], [1]), ([0], [1]), ([0, 1], [1, 0])):
+        rows, rbs = np.array(rows), np.array(rbs)
+        steps.append(uplink.power_step(rows, rbs, (rows.tolist(), rbs.tolist())))
+        p = solve_sp2_power(radios, rows, rbs, net)
+        assert steps[-1][0].tobytes() == p.tobytes() and not steps[-1][0].flags.writeable
+    assert steps[2] is steps[1] and steps[1][0].tobytes() != steps[0][0].tobytes()
+
+
+def test_a_run_powers_and_prices_a_repeated_step_once(monkeypatch):
+    # configs/wireless.json: every round's matchings repeat the last round's last one
+    calls = collections.Counter()
+    for owner, name in ((ural_module, "solve_sp2_power"), (Uplink, "_prices")):
+        def counted(*args, _fn=getattr(owner, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(owner, name, counted)
+    metrics = run(config_from_dict(json.loads((CONFIGS / "wireless.json").read_text())))
+    assert sum(m.ives_iterations for m in metrics) == 20
+    # one power step, and the start delay and one other delay priced, for the whole run
+    assert calls == {"solve_sp2_power": 1, "_prices": 2}
 
 
 def _copies(compute, radios, net):

@@ -51,6 +51,10 @@ INVOCATIONS = {
        for a in ("ural", "greedy", "random", "nufm-greedy", "nufm-random")},
     "wireless-large": ["run", "--config", WIRELESS, "--set", "population.n=400",
                        "--set", "env.M=100", "--set", "rounds=3"],
+    # 20 training rows on 12 RBs: the matching changes nearly every round, so IVES
+    # powers and prices anew where the other runs repeat the last round's step
+    "wireless-contended": ["run", "--config", WIRELESS, "--set", "population.n=40",
+                           "--set", "env.M=12", "--set", "rounds=100"],
     # f4's root too small for the rate formula: IVES's g2 is -inf and its delay inf
     "wireless-eta2-tiny": ["run", "--config", WIRELESS, "--set", "env.eta2=1e-32",
                            "--set", "rounds=2"],
