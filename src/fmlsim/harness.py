@@ -5,7 +5,9 @@ loop (selection + aggregation, no wireless model); in wireless mode each
 round adds the per-round resource allocation.  A run holds the train and
 test devices as padded arrays built once; each round updates every training
 device in one ``local_update`` call and evaluates both losses in one
-``adapted_loss`` call, a pass over the real samples of both splits.  From the
+``adapted_loss`` call: on a quadratic population each split's least-squares
+form, built before round 0, and on a logistic one a pass over the real
+samples of both splits.  From the
 scores to the round totals a device is its row in the training arrays (rows
 ascend in device id); ids appear only in ``RoundMetrics.selected``.  A run is
 a deterministic function of (config, seed) because every random draw comes
@@ -14,7 +16,8 @@ whose batches are all full datasets draws nothing.  A round does only the
 work that changes between rounds: before round 0 ``run`` builds the run's
 ``StepPlan`` (batch-size checks, score penalties, full-batch role batches and
 the draw's constants), its ``LossPlan`` (both splits' real samples flattened,
-a test set that is the training set held once) and, in wireless mode, its
+a test set that is the training set held once, and on a quadratic population
+each split's least-squares form at ``hyper.alpha``) and, in wireless mode, its
 allocation plan (URAL's SP1 solution and ``Uplink``, and the
 computation part of the round totals at the run's fixed frequencies), and
 hands them to the solvers.  A sweep builds each distinct (population spec,
@@ -27,7 +30,8 @@ and a sweep learner that serves one cell, keeps no such memo.  An
 environment where some device cannot upload at a positive rate on some RB,
 weights that leave the CPU frequencies at 0, or the greedy powers'
 eta1 * noise / h at 0 fail at set-up.  A round whose meta-gradients,
-scores or losses are non-finite stops the run with NumericalError.
+scores or losses are non-finite stops the run with NumericalError; the
+first round whose finite loss exceeds ``EXPLODING_LOSS`` logs a warning.
 """
 
 from __future__ import annotations
@@ -68,6 +72,10 @@ log = logging.getLogger(__name__)
 
 SELECTION_MODES = ("nufm", "uniform")
 ALLOCATION_MODES = ("ural", "greedy", "random", "nufm-greedy", "nufm-random")
+
+# a finite adapted loss above this is logged once per run as diverging: the
+# synthetic populations start near 1-10 and a converging run only falls from there
+EXPLODING_LOSS = 1e10
 
 CSV_HEADER = (
     "round,train_loss,test_loss,contribution_sum,energy,time,objective,"
@@ -147,7 +155,7 @@ class _Learner:
 
     def __init__(self, pop: Population, config: ExperimentConfig, memo: bool):
         self.steps = StepPlan(pop.train, pop.train.batch_sizes(config.batch_size), config.hyper)
-        self.loss_plan = LossPlan(pop.train, pop.test)
+        self.loss_plan = LossPlan(pop.train, pop.test, alpha=config.hyper.alpha)
         self.first_round: dict | None = {} if memo else None
         self.losses: dict | None = {} if memo else None
 
@@ -176,16 +184,14 @@ def _round_of_updates(
     return result
 
 
-def _round_losses(
-    learner: _Learner, theta: np.ndarray, alpha: float, k: int
-) -> tuple[float, float]:
+def _round_losses(learner: _Learner, theta: np.ndarray, k: int) -> tuple[float, float]:
     """Round k's train and test adapted losses; NumericalError if either is non-finite."""
     memo = learner.losses
     if memo is not None:
         key = theta.tobytes()
         if (hit := memo.get(key)) is not None:
             return hit
-    losses = adapted_loss(learner.loss_plan, theta, alpha)
+    losses = adapted_loss(learner.loss_plan, theta)
     if not all(map(math.isfinite, losses)):
         raise NumericalError(f"round {k}: non-finite adapted loss {losses}")
     if memo is not None:
@@ -396,6 +402,7 @@ def run(config: ExperimentConfig) -> list[RoundMetrics]:
 
     theta = np.zeros(config.population.d)
     metrics: list[RoundMetrics] = []
+    exploding = False
     for k in range(config.rounds):
         thetas, scores = _round_of_updates(learner, theta, config, k)
         if wireless:
@@ -413,7 +420,13 @@ def run(config: ExperimentConfig) -> list[RoundMetrics]:
             theta = aggregate(thetas[rows])
         else:
             log.info("round %d: empty selection, aggregation skipped", k)
-        train_loss, test_loss = _round_losses(learner, theta, config.hyper.alpha, k)
+        train_loss, test_loss = _round_losses(learner, theta, k)
+        worst = max(train_loss, test_loss)
+        if worst > EXPLODING_LOSS and not exploding:
+            exploding = True
+            log.warning("round %d: adapted loss %r exceeds %g, the model is diverging; "
+                        "check hyper.beta=%r and hyper.alpha=%r", k, worst, EXPLODING_LOSS,
+                        config.hyper.beta, config.hyper.alpha)
         metrics.append(RoundMetrics(
             round=k,
             train_loss=train_loss,

@@ -21,9 +21,11 @@ every batch is a whole dataset, the padded arrays themselves.
 ``local_update`` takes each local step of every device in one array
 pass, on a run's ``StepPlan`` of constants built once, the descent bound
 in ``oracles`` every (resample, device) pair.  ``adapted_loss``
-evaluates every split's loss after one personalization step in one pass
-over a ``LossPlan``, the splits' real samples back to back, never over
-the padding.  The per-device
+evaluates every split's loss after one personalization step on a
+``LossPlan`` built once per run: a quadratic plan holds each split's
+least-squares form ``(R, z, rho)`` (``QuadraticModel.loss_form``), so a
+round costs O(d^2) per split, and a logistic plan one pass over the
+splits' real samples back to back, never over the padding.  The per-device
 ``draw_batch``, ``grad_estimate``, ``hessian_estimate``, ``meta_gradient``
 and ``exact_meta_gradient`` take ``(family, Batch)`` and are the tests'
 reference for it.
@@ -168,6 +170,44 @@ class QuadraticModel(LossModel):
     def per_sample_hvp(cls, theta, x, y, v) -> np.ndarray:
         # the curvature is 1 at every theta, so the margin at theta is not needed
         return _margin(v, x)[..., None] * x
+
+    @classmethod
+    def loss_form(
+        cls, splits: Sequence[DeviceArrays], alpha: float
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each split's adapted loss as a least-squares form ``(R (k, d, d), z (k, d), rho (k,))``.
+
+        On device j of c_j samples, with ``A_j = X_j^T X_j / c_j`` and
+        ``b_j = X_j^T y_j / c_j``, one personalization step gives
+        ``M_j theta + alpha * b_j``, ``M_j = I - alpha * A_j``, so a sample's
+        residual ``(M_j^T x) @ theta - (y - alpha * x @ b_j)`` is linear in
+        theta.  A split's rows, each scaled by the square root of its loss
+        weight ``1 / (c_j * device count)``, stack into ``B theta - c`` and its
+        loss is ``0.5 * ||B theta - c||^2``.  One Householder QR ``B = Q R``
+        gives ``z = Q^T c`` and ``rho = ||c - Q z||^2``, taken from the explicit
+        residual, so that the loss is ``0.5 * (||R theta - z||^2 + rho)``, two
+        sums of squares.  A split with fewer samples than d pads R and z with
+        zero rows.  O(N d^2) per split: A_j and ``M_j^T x`` come from batched
+        products on the padded arrays, whose zero padding adds nothing to A_j.
+        """
+        d = splits[0].x.shape[-1]
+        r_all, z_all, rho = np.zeros((len(splits), d, d)), np.zeros((len(splits), d)), []
+        for r_s, z_s, s in zip(r_all, z_all, splits):
+            counts, xt = s.counts, s.x.swapaxes(1, 2)
+            scale = 1.0 / np.sqrt(counts * counts.size)
+            # each device's M_j, scaled by its rows' weight: x @ m is then a row of B
+            m = (np.eye(d) - (alpha / counts)[:, None, None] * (xt @ s.x)) * scale[:, None, None]
+            b = (xt @ s.y[..., None])[..., 0] / counts[:, None]
+            real = np.flatnonzero(s.mask)
+            rows = (s.x @ m).reshape(-1, d).take(real, axis=0)
+            c = ((s.y - alpha * _margin(b, s.x)).reshape(-1).take(real)
+                 * scale.take(real // s.mask.shape[1]))
+            q, r = np.linalg.qr(rows)
+            z = q.T @ c
+            resid = c - q @ z
+            r_s[:z.size], z_s[:z.size] = r, z
+            rho.append(resid @ resid)
+        return r_all, z_all, np.array(rho)
 
 
 class LogisticModel(LossModel):
@@ -340,7 +380,7 @@ def weighted_grad(family: type[LossModel], x, y, w, theta) -> np.ndarray:
 
 
 class LossPlan:
-    """The samples that ``adapted_loss`` evaluates, flattened once per run.
+    """What ``adapted_loss`` evaluates at personalization stepsize ``alpha``, built once per run.
 
     ``splits`` are populations of one family, such as a run's train and
     test devices; a split given twice (a test set that is the training set)
@@ -349,14 +389,18 @@ class LossPlan:
     labels ``y``, weights ``w`` (1 / the device's sample count), each
     sample's device ``row`` and each device's first sample ``start``.  Each
     held split has its first sample in ``split_start`` and its loss
-    weights ``v`` (``w`` over the split's device count).  Its arrays are
-    read-only.  InvalidInputError for a split without devices or a device
-    without samples, whose segment would be empty.
+    weights ``v`` (``w`` over the split's device count).  A family with a
+    ``loss_form`` (quadratic regression) also has each held split's
+    least-squares form ``(R, z, rho)`` in ``form``, which ``adapted_loss``
+    reads instead of the samples; for any other family ``form`` is None.
+    Its arrays are read-only.  InvalidInputError for a split without
+    devices or a device without samples, whose segment would be empty.
     """
 
-    def __init__(self, *splits: DeviceArrays):
+    def __init__(self, *splits: DeviceArrays, alpha: float):
         held = list(dict.fromkeys(splits))
         self.family = held[0].model_class
+        self.alpha = alpha
         self.split_of = tuple(held.index(s) for s in splits)
         if not all(s.counts.size and s.counts.min() >= 1 for s in held):
             raise InvalidInputError("each split of a loss plan needs a device and each device "
@@ -370,25 +414,37 @@ class LossPlan:
         split_sizes = [int(s.counts.sum()) for s in held]
         self.split_start = np.cumsum(split_sizes) - split_sizes
         self.v = self.w / np.repeat([s.counts.size for s in held], split_sizes)
-        for a in (self.x, self.y, self.row, self.start, self.w, self.split_start, self.v):
+        form = getattr(self.family, "loss_form", None)
+        self.form = form(held, alpha) if form else None
+        for a in (self.x, self.y, self.row, self.start, self.w, self.split_start, self.v,
+                  *(self.form or ())):
             a.flags.writeable = False
 
 
-def adapted_loss(plan: LossPlan, theta: np.ndarray, alpha: float) -> tuple[float, ...]:
+def adapted_loss(plan: LossPlan, theta: np.ndarray) -> tuple[float, ...]:
     """Each split's mean over devices of the full-data loss after one personalization step.
 
-    One pass over the plan's samples: the margins ``x @ theta``, each
-    device's full-data gradient summed over its own samples, every sample's
-    margin at its device's adapted parameters, and each split's losses
-    reduced to one weighted sum.  Returns one loss per split given to the
+    With a plan's least-squares ``form``, ``0.5 * (||R theta - z||^2 + rho)``
+    for all its splits at once.  Otherwise one pass over the plan's samples:
+    the margins ``x @ theta``, each device's full-data gradient summed over
+    its own samples, every sample's margin at its device's adapted
+    parameters, and each split's losses reduced to one weighted sum.  The
+    step is the plan's ``alpha``.  Returns one loss per split given to the
     plan, in that order.
     """
-    family = plan.family
     with np.errstate(over="ignore", invalid="ignore"):
-        slope = family.margin_slope(plan.x @ theta, plan.y) * plan.w
-        adapted = theta - alpha * np.add.reduceat(slope[:, None] * plan.x, plan.start, axis=0)
-        margin = np.einsum("nd,nd->n", plan.x, adapted.take(plan.row, axis=0))
-        losses = np.add.reduceat(plan.v * family.margin_loss(margin, plan.y), plan.split_start)
+        if plan.form is not None:
+            r, z, rho = plan.form
+            resid = np.matmul(r, theta) - z
+            losses = 0.5 * (np.einsum("kd,kd->k", resid, resid) + rho)
+        else:
+            family = plan.family
+            slope = family.margin_slope(plan.x @ theta, plan.y) * plan.w
+            adapted = theta - plan.alpha * np.add.reduceat(slope[:, None] * plan.x, plan.start,
+                                                           axis=0)
+            margin = np.einsum("nd,nd->n", plan.x, adapted.take(plan.row, axis=0))
+            losses = np.add.reduceat(plan.v * family.margin_loss(margin, plan.y),
+                                     plan.split_start)
     return tuple(losses.take(plan.split_of).tolist())
 
 

@@ -246,9 +246,9 @@ def theorem1_bound(
     grads = grads.reshape(mc, rows.size, -1)
     if not np.all(np.isfinite(grads)):
         raise NumericalError("meta-gradient produced non-finite values")
-    losses = LossPlan(data)
-    (f_now,) = adapted_loss(losses, theta, c.alpha)
-    after = [adapted_loss(losses, aggregate(theta - hyper.beta * g), c.alpha) for g in grads]
+    losses = LossPlan(data, alpha=c.alpha)
+    (f_now,) = adapted_loss(losses, theta)
+    after = [adapted_loss(losses, aggregate(theta - hyper.beta * g)) for g in grads]
     decreases = f_now - np.array(after)[:, 0]
 
     dissimilarity = math.sqrt(

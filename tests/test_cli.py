@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import functools
 import json
+import logging
 import math
 import os
 import subprocess
@@ -88,6 +89,34 @@ def test_divergent_run_fails_fast_with_usage_exit(tmp_path, capsys):
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: round ") and "non-finite" in err
+
+
+def test_an_exploding_finite_loss_warns_once_and_leaves_the_outputs(tmp_path, caplog):
+    args = ["run", "--config", str(CONFIGS / "nufm.json"), "--set", "hyper.beta=50"]
+    with caplog.at_level(logging.WARNING, logger="fmlsim.harness"):
+        assert main([*args, "--out", str(tmp_path / "out")]) == EXIT_OK
+    warned = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert [r.getMessage() for r in warned] == [
+        f"round 2: adapted loss 5392625762900.775 exceeds {harness.EXPLODING_LOSS:g}, the model "
+        "is diverging; check hyper.beta=50.0 and hyper.alpha=0.03"]
+    rows = list(csv.DictReader((tmp_path / "out" / "metrics.csv").open()))
+    assert rows[-1]["round"] == "49" and float(rows[-1]["train_loss"]) == pytest.approx(4.48e203,
+                                                                                       rel=1e-3)
+    # the warning is a side channel: the same run with logging off writes the same bytes
+    logging.disable(logging.WARNING)
+    try:
+        assert main([*args, "--out", str(tmp_path / "quiet")]) == EXIT_OK
+    finally:
+        logging.disable(logging.NOTSET)
+    for name in ("metrics.csv", "summary.json", "manifest.json"):
+        assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "quiet" / name).read_bytes()
+
+
+def test_an_overflowing_loss_still_stops_the_run_at_its_round(tmp_path, capsys):
+    code = main(["run", "--config", str(CONFIGS / "nufm.json"), "--set", "hyper.beta=500",
+                 "--set", "rounds=200", "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: round 50: non-finite adapted loss")
 
 
 def test_seed_flag_changes_results(tmp_path):

@@ -482,9 +482,9 @@ def test_empty_selection_keeps_the_model(caplog):
 def test_an_all_train_run_evaluates_its_losses_once_per_round(monkeypatch):
     plans = []
 
-    def recording_adapted_loss(plan, theta, alpha):
+    def recording_adapted_loss(plan, theta):
         plans.append(plan)
-        return adapted_loss(plan, theta, alpha)
+        return adapted_loss(plan, theta)
 
     adapted_loss = harness.adapted_loss
     monkeypatch.setattr(harness, "adapted_loss", recording_adapted_loss)

@@ -47,6 +47,10 @@ INVOCATIONS = {
                        "--set", "rounds=5"],
     # a seed above 2**32: every stream key starts with two 32-bit words
     "nufm-bigseed": ["run", "--config", NUFM, "--seed", "4294967301", "--set", "rounds=5"],
+    # 40 weights and 13 training samples: the loss form of a split with fewer
+    # samples than weights is rank-deficient and padded
+    "nufm-wide": ["run", "--config", NUFM, "--set", "population.n=4", "--set", "n_k=2",
+                  "--set", "population.d=40", "--set", "rounds=5"],
     **{f"wireless-{a}": ["run", "--config", WIRELESS, "--set", f"allocation={a}"]
        for a in ("ural", "greedy", "random", "nufm-greedy", "nufm-random")},
     "wireless-large": ["run", "--config", WIRELESS, "--set", "population.n=400",
