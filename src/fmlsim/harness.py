@@ -12,13 +12,18 @@ scores to the round totals a device is its row in the training arrays (rows
 ascend in device id); ids appear only in ``RoundMetrics.selected``.  A run is
 a deterministic function of (config, seed) because every random draw comes
 from a stream keyed by (seed, round, step) or a similar tuple; a local step
-whose batches are all full datasets draws nothing.  A round does only the
+whose batches are all full datasets draws nothing.  The local steps' batch
+streams are seeded as families, a block of rounds at a time before the
+rounds that read them (``rng.RoundStreams``), the same streams as
+``rng.stream`` of each key; a uniform selection or a baseline allocation
+makes its round's one stream with ``rng.stream``.  A round does only the
 work that changes between rounds: before round 0 ``run`` builds the run's
-``StepPlan`` (batch-size checks, score penalties, full-batch role batches and
-the draw's constants), its ``LossPlan`` (both splits' real samples flattened,
-a test set that is the training set held once, and on a quadratic population
-each split's least-squares form at ``hyper.alpha``) and, in wireless mode, its
-allocation plan (URAL's SP1 solution and ``Uplink``, and the
+``StepPlan`` (batch-size checks, score penalties, full-batch role batches
+and the draw's constants), its ``LossPlan`` (a test set that is the
+training set held once, on a quadratic population each split's
+least-squares form at ``hyper.alpha`` and on a logistic one both splits'
+real samples flattened), the seeds of its batch streams and, in wireless
+mode, its allocation plan (URAL's SP1 solution and ``Uplink``, and the
 computation part of the round totals at the run's fixed frequencies), and
 hands them to the solvers.  A sweep builds each distinct (population spec,
 seed) once for all its cells, and the plans once per batch size and
@@ -134,11 +139,14 @@ class _Learner:
     """A run's learning constants and, inside a sweep, what its cells compute alike.
 
     ``steps`` is the run's ``StepPlan`` and ``loss_plan`` its ``LossPlan``.
-    ``local_update`` and ``adapted_loss`` are pure functions of the plans,
-    the seed, the round (which keys the batch streams) and the model, so a
-    sweep shares one learner between its cells of one (population spec,
-    seed, batch size, hyper-parameters).  Every cell starts from the same
-    model, so ``first_round`` maps model bytes to round 0's read-only
+    When a local step draws its batches, ``batch_streams`` holds the seeds of
+    the streams ``(seed, k, t, ROLE_BATCH)``, seeded before round 0 a block
+    of rounds at a time (else it is None).  ``local_update`` and
+    ``adapted_loss`` are pure functions of the plans, the seed, the round
+    (which keys the batch streams) and the model, so a sweep shares one
+    learner between its cells of one (population spec, seed, batch size,
+    hyper-parameters), whatever their rounds.  Every cell starts from the
+    same model, so ``first_round`` maps model bytes to round 0's read-only
     (parameters, scores), computed by the first cell only; ``losses`` maps
     model bytes to (train, test) adapted losses, which a cell reads when its
     model has the bytes of one another cell evaluated.  Both are None in a
@@ -156,6 +164,9 @@ class _Learner:
     def __init__(self, pop: Population, config: ExperimentConfig, memo: bool):
         self.steps = StepPlan(pop.train, pop.train.batch_sizes(config.batch_size), config.hyper)
         self.loss_plan = LossPlan(pop.train, pop.test, alpha=config.hyper.alpha)
+        drawn = self.steps.full_batches is None
+        steps = [(t, rng.ROLE_BATCH) for t in range(config.hyper.tau)]
+        self.batch_streams = rng.RoundStreams((config.seed,), steps) if drawn else None
         self.first_round: dict | None = {} if memo else None
         self.losses: dict | None = {} if memo else None
 
@@ -172,9 +183,10 @@ def _round_of_updates(
         key = theta.tobytes()
         if (hit := memo.get(key)) is not None:
             return hit
+    streams = learner.batch_streams
+    step_rng = functools.partial(streams.stream, k) if streams else None
     try:
-        result = local_update(
-            learner.steps, theta, lambda step: rng.stream(config.seed, k, step, rng.ROLE_BATCH))
+        result = local_update(learner.steps, theta, step_rng)
     except NumericalError as exc:
         raise NumericalError(f"round {k}: {exc}") from None
     if memo is not None:

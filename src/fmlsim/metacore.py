@@ -384,15 +384,15 @@ class LossPlan:
 
     ``splits`` are populations of one family, such as a run's train and
     test devices; a split given twice (a test set that is the training set)
-    is held once.  The plan holds the real samples of every held device
-    back to back, device after device in slot order: inputs ``x (N, d)``,
-    labels ``y``, weights ``w`` (1 / the device's sample count), each
-    sample's device ``row`` and each device's first sample ``start``.  Each
-    held split has its first sample in ``split_start`` and its loss
-    weights ``v`` (``w`` over the split's device count).  A family with a
-    ``loss_form`` (quadratic regression) also has each held split's
-    least-squares form ``(R, z, rho)`` in ``form``, which ``adapted_loss``
-    reads instead of the samples; for any other family ``form`` is None.
+    is held once.  A family with a ``loss_form`` (quadratic regression) has
+    each held split's least-squares form ``(R, z, rho)`` in ``form``, which
+    is all ``adapted_loss`` reads.  For any other family ``form`` is None
+    and the plan holds the real samples of every held device back to back,
+    device after device in slot order: inputs ``x (N, d)``, labels ``y``,
+    weights ``w`` (1 / the device's sample count), each sample's device
+    ``row`` and each device's first sample ``start``.  Each held split has
+    its first sample in ``split_start`` and its loss weights ``v`` (``w``
+    over the split's device count).  A plan with a form has none of these.
     Its arrays are read-only.  InvalidInputError for a split without
     devices or a device without samples, whose segment would be empty.
     """
@@ -405,6 +405,12 @@ class LossPlan:
         if not all(s.counts.size and s.counts.min() >= 1 for s in held):
             raise InvalidInputError("each split of a loss plan needs a device and each device "
                                     "a sample")
+        form = getattr(self.family, "loss_form", None)
+        self.form = form(held, alpha) if form else None
+        if self.form is not None:
+            for a in self.form:
+                a.flags.writeable = False
+            return
         counts = np.concatenate([s.counts for s in held])
         self.x = np.concatenate([s.x[s.mask] for s in held])
         self.y = np.concatenate([s.y[s.mask] for s in held])
@@ -414,10 +420,7 @@ class LossPlan:
         split_sizes = [int(s.counts.sum()) for s in held]
         self.split_start = np.cumsum(split_sizes) - split_sizes
         self.v = self.w / np.repeat([s.counts.size for s in held], split_sizes)
-        form = getattr(self.family, "loss_form", None)
-        self.form = form(held, alpha) if form else None
-        for a in (self.x, self.y, self.row, self.start, self.w, self.split_start, self.v,
-                  *(self.form or ())):
+        for a in (self.x, self.y, self.row, self.start, self.w, self.split_start, self.v):
             a.flags.writeable = False
 
 
@@ -560,7 +563,7 @@ def batched_meta_gradient(
 def local_update(
     plan: StepPlan,
     theta0: np.ndarray,
-    step_rng: Callable[[int], np.random.Generator],
+    step_rng: Callable[[int], np.random.Generator] | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run tau local meta-gradient steps on every device at once and score them.
 
@@ -569,7 +572,8 @@ def local_update(
     stream of one step; ``draw_role_batches`` draws from it the compact
     batches of all devices and roles.  When every batch is its device's
     whole dataset, each role is the plan's full batch (the padded arrays
-    and full-batch weights) and ``step_rng`` is never called.
+    and full-batch weights) and ``step_rng`` is never called (it may be
+    None).
     Returns the updated parameters (n, d) and the contribution scores (n,)
     u_i = sum_t ||g_t||^2 - 2*(lambda1 + lambda2/sqrt(D_i)) * ||g_t||.
     Raises NumericalError as soon as a meta-gradient or score is non-finite.

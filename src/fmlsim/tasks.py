@@ -6,8 +6,9 @@ from a mixture of two cluster ground truths (the regression analogue of
 truncated Gaussian with a floor of 1.  Everything is reproducible from the
 spec and the seed alone.  A population's train and test splits are padded
 ``DeviceArrays``; a run evaluates their losses on a ``metacore.LossPlan``
-of their real samples, which holds a test split that is the training split
-once.
+of them, which holds a test split that is the training split once.  Each
+device's data come from a stream of its own, and the devices' streams are
+seeded as one family.
 """
 
 from __future__ import annotations
@@ -87,7 +88,8 @@ def generate_population(spec: PopulationSpec, seed: int) -> Population:
 
     The data of device i come from its own stream ``(seed, _KEY_DEVICE, i)``
     and the split from ``(seed, _KEY_SPLIT)``, so no device depends on
-    ``train_fraction``.
+    ``train_fraction``.  The device streams are seeded as one family
+    (``rng.family_states``), the same streams as ``rng.stream`` of each key.
     """
     center_rng = rng.stream(seed, _KEY_CENTERS)
     base = np.ones(spec.d)
@@ -95,8 +97,8 @@ def generate_population(spec: PopulationSpec, seed: int) -> Population:
     family = FAMILIES[spec.family]
 
     datasets: list[Batch] = []
-    for i in range(spec.n):
-        g = rng.stream(seed, _KEY_DEVICE, i)
+    for state in rng.family_states((seed, _KEY_DEVICE), np.arange(spec.n)):
+        g = rng.generator(state)
         picked = g.choice(spec.clusters, size=min(spec.classes_per_device, spec.clusters),
                           replace=False)
         scales = 1.0 + spec.cov_spread * g.uniform(0.0, 1.0, size=spec.d)

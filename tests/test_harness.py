@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import fmlsim.ural as ural_module
-from fmlsim import harness
+from fmlsim import harness, metacore, rng
 from fmlsim.errors import ConfigurationError, InvalidInputError, NumericalError
 from fmlsim.harness import (
     ExperimentConfig,
@@ -488,13 +488,20 @@ def test_an_all_train_run_evaluates_its_losses_once_per_round(monkeypatch):
 
     adapted_loss = harness.adapted_loss
     monkeypatch.setattr(harness, "adapted_loss", recording_adapted_loss)
-    cfg = _base_config(rounds=3, population=PopulationSpec(n=12, d=3, train_fraction=1.0))
-    ms = run(cfg)
-    pop = generate_population(cfg.population, cfg.seed)
-    assert pop.test is pop.train and len(plans) == 3
-    # the test set is the training set: the plan holds its samples once, in one split
-    assert plans[0].x.shape[0] == pop.train.counts.sum() and plans[0].split_start.tolist() == [0]
-    assert all(m.train_loss == m.test_loss for m in ms)
+    for family in ("quadratic-regression", "logistic-regression"):
+        plans.clear()
+        cfg = _base_config(rounds=3, population=PopulationSpec(n=12, d=3, family=family,
+                                                               train_fraction=1.0))
+        ms = run(cfg)
+        pop = generate_population(cfg.population, cfg.seed)
+        assert pop.test is pop.train and len(plans) == 3
+        # the test set is the training set: the plan holds it once, in one split
+        plan = plans[0]
+        if plan.form is not None:
+            assert [a.shape[0] for a in plan.form] == [1, 1, 1]
+        else:
+            assert plan.x.shape[0] == pop.train.counts.sum() and plan.split_start.tolist() == [0]
+        assert all(m.train_loss == m.test_loss for m in ms)
 
 
 def test_metrics_csv_shape():
@@ -542,3 +549,48 @@ def test_config_json_roundtrip(source):
     else:
         cfg = config_from_dict(json.loads((CONFIGS / source).read_text()))
     assert config_from_dict(json.loads(json.dumps(dataclasses.asdict(cfg)))) == cfg
+
+
+def test_a_drawn_batch_run_draws_each_step_from_its_keyed_stream(monkeypatch):
+    seen = []
+    draw = metacore.draw_role_batches
+
+    def recording_draw(g, plan):
+        seen.append(g.bit_generator.state)
+        return draw(g, plan)
+
+    cfg = _base_config(rounds=10, seed=2**32 + 5, hyper=MetaHyper(alpha=0.03, beta=0.02, tau=3))
+    whole = run(cfg)
+    monkeypatch.setattr(metacore, "draw_role_batches", recording_draw)
+    monkeypatch.setattr(rng.RoundStreams, "BLOCK", 4)     # rounds 4-9 seed blocks of their own
+    assert run(cfg) == whole
+    assert seen == [rng.stream(cfg.seed, k, t, rng.ROLE_BATCH).bit_generator.state
+                    for k in range(10) for t in range(3)]
+
+
+@pytest.mark.parametrize("config, calls, per_round", [
+    # centers and split; the batches draw from a round table
+    (_base_config(), 2, 0),
+    # and a uniform selection's own stream each round
+    (_base_config(selection="uniform"), 2, 1),
+    # centers, split and the environment, and a random allocation's stream each round
+    (_wireless_config(allocation="random"), 3, 1),
+])
+def test_batch_and_device_streams_are_seeded_as_families(monkeypatch, config, calls, per_round):
+    counted = collections.Counter()
+    stream = rng.stream
+
+    def counting_stream(*key):
+        counted["calls"] += 1
+        return stream(*key)
+
+    monkeypatch.setattr(rng, "stream", counting_stream)
+    for rounds, n in ((3, 12), (9, 40)):
+        counted.clear()
+        population = dataclasses.replace(config.population, n=n)
+        run(dataclasses.replace(config, rounds=rounds, population=population))
+        assert counted["calls"] == calls + per_round * rounds, (rounds, n)
+    for n in (5, 50):
+        counted.clear()
+        generate_population(PopulationSpec(n=n, d=3), 1)
+        assert counted["calls"] == 2

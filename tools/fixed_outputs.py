@@ -47,6 +47,8 @@ INVOCATIONS = {
                        "--set", "rounds=5"],
     # a seed above 2**32: every stream key starts with two 32-bit words
     "nufm-bigseed": ["run", "--config", NUFM, "--seed", "4294967301", "--set", "rounds=5"],
+    # three local steps a round: every round draws from keys with step 0, 1 and 2
+    "nufm-tau3": ["run", "--config", NUFM, "--set", "hyper.tau=3", "--set", "rounds=10"],
     # 40 weights and 13 training samples: the loss form of a split with fewer
     # samples than weights is rank-deficient and padded
     "nufm-wide": ["run", "--config", NUFM, "--set", "population.n=4", "--set", "n_k=2",
@@ -68,6 +70,9 @@ INVOCATIONS = {
     # cells of different alpha share no learner: the path where a sweep shares no round
     "sweep-alpha": ["sweep", "--config", WIRELESS, "--param", "alpha", "--values", "0.01,0.03",
                     "--seeds", "1,2", "--set", "rounds=5"],
+    # cells of 3 and 7 rounds share one learner and its batch streams
+    "nufm-rounds-sweep": ["sweep", "--config", NUFM, "--param", "rounds", "--values", "3,7",
+                          "--seeds", "1,2"],
     "dump-env-nufm": ["dump-env", "--config", NUFM],
     "dump-env-wireless": ["dump-env", "--config", WIRELESS],
 }
