@@ -25,18 +25,20 @@ least-squares form at ``hyper.alpha`` and on a logistic one both splits'
 real samples flattened), the seeds of its batch streams and, in wireless
 mode, its allocation plan (URAL's SP1 solution and ``Uplink``, and the
 computation part of the round totals at the run's fixed frequencies), and
-hands them to the solvers.  A sweep builds each distinct (population spec,
-seed) once for all its cells, and the plans once per batch size and
-hyper-parameters of it.  Its cells also share what they compute alike:
-round 0's local update, from the same starting model in every cell, and
-the losses of a model another cell has already evaluated.  Outputs stay
-byte-identical because both are pure functions of that key.  A plain run,
-and a sweep learner that serves one cell, keeps no such memo.  An
-environment where some device cannot upload at a positive rate on some RB,
-weights that leave the CPU frequencies at 0, or the greedy powers'
-eta1 * noise / h at 0 fail at set-up.  A round whose meta-gradients,
-scores or losses are non-finite stops the run with NumericalError; the
-first round whose finite loss exceeds ``EXPLODING_LOSS`` logs a warning.
+hands them to the solvers.  A sweep runs its cells grouped by (population
+spec, seed), one group after another: ``_group`` builds the group's
+population once, and the plans once per batch size and hyper-parameters of
+it.  A group's cells also share what they compute alike: round 0's local
+update, from the same starting model in every cell, and the losses of a
+model another cell has already evaluated.  Outputs stay byte-identical
+because both are pure functions of that key.  These memos live as long as
+their group; a plain run is a group of one cell, and a learner that serves
+one cell keeps no memo.  An environment where some device cannot upload at
+a positive rate on some RB, weights that leave the CPU frequencies at 0, or
+the greedy powers' eta1 * noise / h at 0 fail at set-up.  A round whose
+meta-gradients, scores or losses are non-finite stops the run with
+NumericalError; the first round whose finite loss exceeds
+``EXPLODING_LOSS`` logs a warning.
 """
 
 from __future__ import annotations
@@ -143,22 +145,15 @@ class _Learner:
     the streams ``(seed, k, t, ROLE_BATCH)``, seeded before round 0 a block
     of rounds at a time (else it is None).  ``local_update`` and
     ``adapted_loss`` are pure functions of the plans, the seed, the round
-    (which keys the batch streams) and the model, so a sweep shares one
-    learner between its cells of one (population spec, seed, batch size,
-    hyper-parameters), whatever their rounds.  Every cell starts from the
-    same model, so ``first_round`` maps model bytes to round 0's read-only
-    (parameters, scores), computed by the first cell only; ``losses`` maps
-    model bytes to (train, test) adapted losses, which a cell reads when its
-    model has the bytes of one another cell evaluated.  Both are None in a
-    plain run and in a sweep learner of one cell, which keep no memo, as no
-    other cell would read it.  Only checked, finite results are stored.
-
-    Later rounds' updates are not kept.  They repeat only while two cells
-    still upload alike, in a share of rounds that varies with the seed, and
-    a round that read its update took well under half the time of one that
-    computed it: round times fell in two clusters, mixed in seed-dependent
-    parts, and their median jumped between the two from seed to seed.  The
-    loss pass that a shared loss saves is a far smaller part of a round.
+    (which keys the batch streams) and the model, so a sweep group shares
+    one learner between its cells of one batch size and hyper-parameters,
+    whatever their rounds.  Every cell starts from the same model, so
+    ``first_round`` maps model bytes to round 0's read-only (parameters,
+    scores), computed by the first cell only; ``losses`` maps model bytes to
+    (train, test) adapted losses, which a cell reads when its model has the
+    bytes of one another cell evaluated.  Both are None in a learner of one
+    cell, a plain run's included, as no other cell would read them.  Only
+    checked, finite results are stored.
     """
 
     def __init__(self, pop: Population, config: ExperimentConfig, memo: bool):
@@ -300,20 +295,24 @@ def _allocation_plan(
 
     ConfigurationError if the environment or the weights break a fixed
     piece.  Every row must upload at a positive rate on every RB at full
-    power, or an upload never ends.  SP1's common speed and the greedy
+    power, or an upload never ends; ``ural.initial_delay`` checks it, inside
+    ``Uplink`` under URAL.  SP1's common speed and the greedy
     frequencies are cube roots of eta2 / (eta1 * ...), which underflows
     when the weights lie too far apart, and no device runs at frequency 0.
     A greedy power solves f4 with b1 = eta1 * noise / h, which must stay
     positive.
     """
-    silent = ~(net.rate(radios.h[:, None], radios.p_max[:, None]) > 0)
-    if silent.any():
-        row, rb = np.argwhere(silent)[0]
-        raise ConfigurationError(
-            f"device row {row} has no positive full-power rate on RB {rb}: noise swamps "
-            f"the uplink; check env.N0, env.B, env.interference_range, env.h_range "
-            f"and env.p_max_range")
     mode = config.allocation
+    uplink = None
+    try:
+        if mode == "ural":
+            uplink = Uplink(radios, net)
+        else:
+            solvers.initial_delay(radios, net)
+    except InvalidInputError as exc:
+        raise ConfigurationError(
+            f"{exc}: noise swamps the uplink; check env.N0, env.B, env.interference_range, "
+            f"env.h_range and env.p_max_range") from None
     if mode.endswith("random"):
         return None, None, None
     if mode == "ural":
@@ -332,65 +331,35 @@ def _allocation_plan(
         raise ConfigurationError(
             f"env.eta1={net.eta1!r} and env.eta2={net.eta2!r} lie too far apart: "
             f"eta2 / eta1 underflows the {mode} CPU frequencies to 0")
-    uplink = Uplink(radios, net) if mode == "ural" else None
     return sp1, uplink, computation(compute, nu, config.hyper.tau)
 
 
 # ---------------------------------------------------------------------------
 # the round loop
 
-# inside ``sweep``: (population spec, seed) -> its ``_SharedPopulation``; sharing is
-# safe as its arrays are read-only.  ``run`` takes only a config: bench/child.py's
-# round clock wraps it with that signature
-_sweep_populations: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
-    "_sweep_populations", default=None)
+# inside ``sweep``: the running group, as ``_group`` builds it.  ``run`` takes only a
+# config: bench/child.py's round clock wraps it with that signature
+_sweep_group: contextvars.ContextVar[tuple | None] = contextvars.ContextVar(
+    "_sweep_group", default=None)
 
 
-@dataclass
-class _SharedPopulation:
-    """A sweep's (population spec, seed): its population, runs left and learners.
+def _group(configs: list[ExperimentConfig]) -> tuple[Population, dict]:
+    """One (population spec, seed)'s population and a ``_Learner`` per (batch size, hyper).
 
-    The population is built at the first run that needs it; ``learners`` holds
-    one ``_Learner`` per (batch size, hyper-parameters), and ``cells`` counts
-    the sweep's cells of each.  A learner keeps memos only when two or more
-    cells share it.  The entry leaves the sweep's dict as its last run
-    starts, so its memos die with that run.
+    ``configs`` share the population spec and the seed.  A learner keeps
+    memos only when two or more of them share it.
     """
-
-    runs_left: int = 0
-    pop: Population | None = None
-    learners: dict = field(default_factory=dict)
-    cells: collections.Counter = field(default_factory=collections.Counter)
-
-
-def _shared_populations(configs: list[ExperimentConfig]) -> dict:
-    """A sweep's ``_SharedPopulation`` per (population spec, seed), counting its cells."""
-    shared: dict = {}
+    pop = generate_population(configs[0].population, configs[0].seed)
+    cells = collections.Counter(_learner_key(c) for c in configs)
+    learners = {}
     for c in configs:
-        entry = shared.setdefault((astuple(c.population), c.seed), _SharedPopulation())
-        entry.runs_left += 1
-        entry.cells[c.batch_size, astuple(c.hyper)] += 1
-    return shared
+        if (key := _learner_key(c)) not in learners:
+            learners[key] = _Learner(pop, c, memo=cells[key] > 1)
+    return pop, learners
 
 
-def _population_and_learner(config: ExperimentConfig) -> tuple[Population, _Learner]:
-    """The run's population and learner: inside ``sweep`` the shared ones, else new builds."""
-    shared = _sweep_populations.get()
-    key = astuple(config.population), config.seed
-    entry = shared.get(key) if shared is not None else None
-    if entry is None:
-        pop = generate_population(config.population, config.seed)
-        return pop, _Learner(pop, config, memo=False)
-    entry.runs_left -= 1
-    if not entry.runs_left:
-        del shared[key]
-    if entry.pop is None:
-        entry.pop = generate_population(config.population, config.seed)
-    learner_key = config.batch_size, astuple(config.hyper)
-    if learner_key not in entry.learners:
-        entry.learners[learner_key] = _Learner(
-            entry.pop, config, memo=entry.cells[learner_key] > 1)
-    return entry.pop, entry.learners[learner_key]
+def _learner_key(config: ExperimentConfig) -> tuple:
+    return config.batch_size, astuple(config.hyper)
 
 
 def run(config: ExperimentConfig) -> list[RoundMetrics]:
@@ -401,12 +370,13 @@ def run(config: ExperimentConfig) -> list[RoundMetrics]:
     is charged; in wireless mode ``_allocate`` decides uploads, frequencies,
     RBs and powers from the shifted scores and ``round_totals`` charges them.
     The uploads are aggregated into the next model (an empty selection keeps
-    it) and the adapted losses are evaluated.  Inside ``sweep`` the
-    population, the plans, round 0's update and the evaluated losses come
-    from the sweep's ``_SharedPopulation`` (see ``_Learner``); alone, the
-    run builds its own and keeps no memo.
+    it) and the adapted losses are evaluated.  The population and the
+    learner come from the running sweep group, with its memos of round 0's
+    update and the evaluated losses (see ``_Learner``); alone, the run is a
+    group of one cell and keeps no memo.
     """
-    pop, learner = _population_and_learner(config)
+    pop, learners = _sweep_group.get() or _group([config])
+    learner = learners[_learner_key(config)]
     wireless = config.mode == "wireless"
     if wireless:
         compute, radios, net = build_environment(config, pop)
@@ -502,7 +472,10 @@ def sweep(
     of exactly one section field (``eta1`` is ``env.eta1``).  Every
     (value, seed) config is built and checked before the first run.  A
     repeated seed, or two values written as the same ``value_text``, would
-    give two cells one name, so either is a ConfigurationError.
+    give two cells one name, so either is a ConfigurationError.  The cells
+    run grouped by (population spec, seed), each group's back to back
+    through ``run``, and a group's population, plans and memos die before
+    the next group's are built.
     """
     path = _sweep_path(parameter)
     seeds = [config.seed] if seeds is None else list(seeds)
@@ -516,36 +489,33 @@ def sweep(
         set_path(payload, path, value)
         value_config = config_from_dict(payload)
         grid.append((value, [replace(value_config, seed=s) for s in seeds]))
-    cells: list[SweepCell] = []
-    runs: dict[tuple[object, int], list[RoundMetrics]] = {}
-    token = _sweep_populations.set(
-        _shared_populations([c for _, seed_configs in grid for c in seed_configs]))
-    try:
-        for value, seed_configs in grid:
-            losses, energies, times, objectives = [], [], [], []
-            for cell_config in seed_configs:
-                ms = run(cell_config)
-                runs[(value, cell_config.seed)] = ms
-                losses.append(np.mean([m.test_loss for m in ms]))
-                energies.append(np.mean([m.energy for m in ms]))
-                times.append(np.mean([m.time for m in ms]))
-                objectives.append(np.mean([m.objective for m in ms]))
+    groups = collections.defaultdict(list)
+    for value, seed_configs in grid:
+        for c in seed_configs:
+            groups[astuple(c.population), c.seed].append((value, c))
+    runs = dict.fromkeys((value, s) for value, _ in grid for s in seeds)
+    for group in groups.values():
+        # only the context variable holds the group, so it dies as its last cell ends
+        token = _sweep_group.set(_group([c for _, c in group]))
+        try:
+            for value, c in group:
+                runs[value, c.seed] = run(c)
+        finally:
+            _sweep_group.reset(token)
 
-            def stats(xs):
-                arr = np.asarray(xs, dtype=float)
-                return float(arr.mean()), float(arr.std(ddof=1)) if len(xs) > 1 else 0.0
+    def stats(value, name):
+        means = np.array([np.mean([getattr(m, name) for m in runs[value, s]]) for s in seeds])
+        return float(means.mean()), float(means.std(ddof=1)) if len(seeds) > 1 else 0.0
 
-            ml, sl = stats(losses)
-            me, se = stats(energies)
-            mt, st = stats(times)
-            mo, so = stats(objectives)
-            cells.append(SweepCell(
-                parameter=parameter, value=value, seeds=tuple(seeds),
-                mean_loss=ml, sd_loss=sl, mean_energy=me, sd_energy=se,
-                mean_time=mt, sd_time=st, mean_objective=mo, sd_objective=so,
-            ))
-    finally:
-        _sweep_populations.reset(token)
+    cells = []
+    for value, _ in grid:
+        (ml, sl), (me, se), (mt, st), (mo, so) = (
+            stats(value, name) for name in ("test_loss", "energy", "time", "objective"))
+        cells.append(SweepCell(
+            parameter=parameter, value=value, seeds=tuple(seeds),
+            mean_loss=ml, sd_loss=sl, mean_energy=me, sd_energy=se,
+            mean_time=mt, sd_time=st, mean_objective=mo, sd_objective=so,
+        ))
     return cells, runs
 
 

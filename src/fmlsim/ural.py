@@ -416,11 +416,16 @@ def _g2(
 
 
 def initial_delay(radios: RadioProfile, net: NetworkConfig) -> float:
-    """Most conservative start: the slowest full-power upload over all device/RB pairs."""
+    """Most conservative start: the slowest full-power upload over all device/RB pairs.
+
+    InvalidInputError if some pair's full-power rate is not positive (or is
+    NaN): that upload never ends.
+    """
     rates = net.rate(radios.h[:, None], radios.p_max[:, None])
-    if (rates <= 0).any():
-        row, m = np.argwhere(rates <= 0)[0]
-        raise InvalidInputError(f"device row {row} cannot transmit on RB {m}")
+    silent = ~(rates > 0)
+    if silent.any():
+        row, m = np.argwhere(silent)[0]
+        raise InvalidInputError(f"device row {row} has no positive full-power rate on RB {m}")
     return float((net.S / rates).max())
 
 

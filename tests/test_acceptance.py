@@ -99,10 +99,11 @@ def test_estimator_moments():
         L = float(np.linalg.norm(hessian_estimate(QuadraticModel, theta, model), 2))
         one = DeviceArrays(QuadraticModel, [model])
         sigma_h = float(hessian_noise_std(one, theta)[0])
-        # the exact index draws of one resample per row, gathered into the
-        # compact role batches (role, resample, sample) of the batched estimator
-        idx = np.array([[g.choice(model.size, size=batch, replace=False)
-                         for _ in range(3)] for _ in range(resamples)]).transpose(1, 0, 2)
+        # each (role, resample)'s batch: the slots of its `batch` smallest iid
+        # uniform keys, a uniform subset, gathered into the compact role
+        # batches (role, resample, sample) of the batched estimator
+        keys = g.random((3, resamples, model.size))
+        idx = np.argpartition(keys, batch - 1, axis=-1)[..., :batch]
         x, y, w = model.x[idx], model.y[idx], np.full(idx.shape, 1.0 / batch)
         grads = batched_meta_gradient(QuadraticModel, theta, zip(x, y, w), hyper)
         adapted = theta - alpha * weighted_grad(QuadraticModel, x[0], y[0], w[0], theta)

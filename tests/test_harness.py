@@ -381,30 +381,52 @@ def test_a_sweep_learner_keeps_memos_only_when_cells_share_it(
 
 
 def test_a_sweeps_shared_round_0_is_read_only_and_dies_with_its_last_cell(monkeypatch):
-    seen, done = [], collections.Counter()
+    updates, learners = [], []
 
-    def recording_round(*args):
-        result = round_of_updates(*args)
-        seen.extend((args[2].seed, args[3], a.flags.writeable, weakref.ref(a)) for a in result)
+    def recording_round(learner, theta, config, k):
+        if k == 0:
+            # a cell starts: other groups' round-0 results and learners (with their memos) are gone
+            gc.collect()
+            assert all(ref() is None for seed, _, _, ref in updates if seed != config.seed)
+            assert all(ref() is None for seed, ref in learners if seed != config.seed)
+        result = round_of_updates(learner, theta, config, k)
+        updates.extend((config.seed, k, a.flags.writeable, weakref.ref(a)) for a in result)
+        learners.append((config.seed, weakref.ref(learner)))
         return result
 
-    def checking_run(config):
-        ms = plain_run(config)
-        done[config.seed] += 1
-        gc.collect()
-        assert all(ref() is None for seed, _, _, ref in seen if done[seed] == 2)
-        return ms
-
-    round_of_updates, plain_run = harness._round_of_updates, harness.run
+    round_of_updates = harness._round_of_updates
     monkeypatch.setattr(harness, "_round_of_updates", recording_round)
-    monkeypatch.setattr(harness, "run", checking_run)
     sweep(_wireless_config(), "eta1", [0.5, 1.0], seeds=[0, 1])
     # round 0's shared results are frozen; later rounds' are the cell's own
-    assert len(seen) == 2 * 4 * 3
-    assert all(writeable == (k > 0) for _, k, writeable, _ in seen)
-    seen.clear()
-    plain_run(_wireless_config())       # a plain run keeps no memo and freezes nothing
-    assert len(seen) == 2 * 3 and all(writeable for _, _, writeable, _ in seen)
+    assert len(updates) == 2 * 4 * 3
+    assert all(writeable == (k > 0) for _, k, writeable, _ in updates)
+    gc.collect()
+    assert all(ref() is None for *_, ref in updates + learners)
+    updates.clear()
+    run(_wireless_config())             # a plain run keeps no memo and freezes nothing
+    assert len(updates) == 2 * 3 and all(writeable for _, _, writeable, _ in updates)
+
+
+def test_a_sweep_holds_one_population_at_a_time(monkeypatch):
+    populations, most_alive = [], 0
+
+    def recording_generate(spec, seed):
+        pop = generate(spec, seed)
+        populations.append(weakref.ref(pop))
+        return pop
+
+    def counting_round(*args):
+        nonlocal most_alive
+        gc.collect()
+        most_alive = max(most_alive, sum(ref() is not None for ref in populations))
+        return round_of_updates(*args)
+
+    generate, round_of_updates = harness.generate_population, harness._round_of_updates
+    monkeypatch.setattr(harness, "generate_population", recording_generate)
+    monkeypatch.setattr(harness, "_round_of_updates", counting_round)
+    sweep(_wireless_config(), "eta1", [0.5, 1.0, 2.0], seeds=[0, 1, 2])
+    # one population per seed, each built as its group starts and gone before the next
+    assert len(populations) == 3 and most_alive == 1
 
 
 def test_only_round_0_updates_are_kept_each_under_its_model():

@@ -73,6 +73,9 @@ INVOCATIONS = {
     # cells of 3 and 7 rounds share one learner and its batch streams
     "nufm-rounds-sweep": ["sweep", "--config", NUFM, "--param", "rounds", "--values", "3,7",
                           "--seeds", "1,2"],
+    # a population field swept: one population per (value, seed), each its own group
+    "nufm-n-sweep": ["sweep", "--config", NUFM, "--param", "n", "--values", "40,60",
+                     "--seeds", "1,2", "--set", "rounds=5"],
     "dump-env-nufm": ["dump-env", "--config", NUFM],
     "dump-env-wireless": ["dump-env", "--config", WIRELESS],
 }
