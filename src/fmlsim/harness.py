@@ -84,12 +84,6 @@ ALLOCATION_MODES = ("ural", "greedy", "random", "nufm-greedy", "nufm-random")
 # synthetic populations start near 1-10 and a converging run only falls from there
 EXPLODING_LOSS = 1e10
 
-CSV_HEADER = (
-    "round,train_loss,test_loss,contribution_sum,energy,time,objective,"
-    "selected,ives_iterations"
-)
-
-
 @dataclass
 class ExperimentConfig:
     """One experiment: mode, rounds, selection, allocation, seed and the config sections."""
@@ -520,10 +514,10 @@ def sweep(
 
 
 def metrics_to_csv(metrics: list[RoundMetrics]) -> str:
-    """Round metrics as CSV with round-trip precision floats."""
+    """Round metrics as CSV, a column per ``RoundMetrics`` field, floats in round-trip form."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER.split(","))
+    writer.writerow(f.name for f in fields(RoundMetrics))
     for m in metrics:
         writer.writerow([
             m.round,

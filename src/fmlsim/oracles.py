@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import rng
+from . import rng, ural
 from .errors import InvalidInputError, NumericalError
 from .metacore import (
     DeviceArrays,
@@ -375,8 +375,8 @@ def rb_matching_suite(instances: int = 500, seed: int = 0, tol: float = 1e-9) ->
         settled[how] += 1
         mu = noise * (2.0 ** (net.S / (net.B * delta)) - 1.0) / radios.h[:, None]
         cap = radios.p_max[:, None]
-        gain = u[:, None] - net.eta1 * delta * np.minimum(mu, cap)
-        cost = np.where((mu <= cap * (1.0 + 1e-9)) & (gain > 0), -gain, np.inf)
+        gain = u[:, None] - net.eta1 * delta * mu
+        cost = np.where((mu <= cap * (1.0 + ural.CAP_SLACK)) & (gain > 0), -gain, np.inf)
         dev = abs(float(cost[rows, rbs].sum()) - assignment_brute_force(cost))
         worst = max(worst, dev) if math.isfinite(dev) else math.inf
         failures += not (dev <= tol and len(set(rbs.tolist())) == rbs.size)
@@ -441,7 +441,7 @@ def ives_monotone_suite(
             if sol.trace[t] - sol.trace[t + 1] > tol * max(1.0, abs(sol.trace[t]))
         ]
         worst = max(worst, max(drops, default=0.0))
-        if drops or len(sol.trace) > 50:
+        if drops or len(sol.trace) > ural.IVES_MAX_ITERS:
             failures += 1
     fast = sum(1 for c in iteration_counts if c <= 3)
     note = f"ives-monotone: {fast}/{instances} instances converged within 3 iterations"

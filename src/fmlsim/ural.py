@@ -18,8 +18,8 @@ shortest-augmenting-path solver, runs only when the certificate fails.
 A run keeps one environment, so what no round changes is built once, in
 the run's allocation plan before round 0, and passed in: SP1's solution
 (it reads no score) and the ``Uplink``, which holds the matching's fixed
-pieces (the n + 1 quietest RBs and their noise, the rows' gains and caps,
-the rows in h order), IVES's starting delay and the RBs priced at it,
+pieces (the n + 1 quietest RBs and their noise, the rows' gains and power
+limits, the rows in h order), IVES's starting delay and the RBs priced at it,
 where every round's first matching is made.  IVES stops as soon as a
 matching repeats the previous iteration's with a finite g2: the powers,
 rates and g2 would come out the same, and the loop would stop on their
@@ -51,6 +51,9 @@ from .wireless import ComputeProfile, NetworkConfig, RadioProfile
 
 IVES_EPS = 1e-9
 IVES_MAX_ITERS = 50
+# a pair is feasible up to this relative power above the cap: the slack absorbs
+# round-off when delta was realized by a device transmitting exactly at its cap
+CAP_SLACK = 1e-9
 F4_NEWTON_STEPS = 12                # pinned by the f4_zero accuracy property test
 
 
@@ -175,51 +178,33 @@ def min_cost_assignment(weights: np.ndarray) -> list[tuple[int, int]]:
 
 
 def _in_order_matching(
-    cost: list[list[float]], mu: list[list[float]], caps: list[float], order: list[int],
-    cols: int,
-) -> tuple[list[int], list[int], bool]:
+    cost: list[list[float]], fits: list[int], order: list[int], cols: int
+) -> tuple[list[int], bool]:
     """Best matching that gives RB ranks 0, 1, 2, ... to rows taken in ``order``.
 
-    ``cost[i][m]`` is row i's negated gain on the RB of noise rank m,
-    ``mu[i][m]`` its required power there and ``caps[i]`` its power cap;
-    both rise with m, so row i's usable ranks (feasible, gain > 0) are a
-    prefix.  A dynamic program over the rows: ``best[j]`` is the largest
-    total that gives ranks 0..j-1 to the rows seen so far, the k-th matched
-    row on rank k.  Returns the matched rows (the k-th on rank k), every
-    row's count of usable ranks, and whether this in-order optimum is
+    ``cost[i][m]`` is row i's negated gain on the RB of noise rank m and
+    ``fits[i]`` its count of feasible ranks; the cost rises with m, so row
+    i's usable ranks (feasible, gain > 0) are a prefix.  A dynamic program
+    over the rows: ``best[j]`` is the largest total that gives ranks 0..j-1
+    to the rows seen so far, the k-th matched row on rank k.  Returns the
+    matched rows (the k-th on rank k) and whether this in-order optimum is
     optimal over all matchings (see ``rb_matching``).  That needs, of the
     rows with a usable rank, each one's feasible count to exceed its
     position among them, or cover all ``cols`` ranks, or reach that of each
-    such row before it; and at most one usable pair (b, m) in the cap-slack
-    band, where b pays for its cap, less than 1e-9 * mu[b][m] below the
-    power it needs.  Such a pair is harmless when m = 0, or when the first
-    such row a after b that fits on rank m, if any, gives
-    ``(mu[b][m] - mu[b][m-1]) - (mu[a][m] - mu[a][m-1]) > 2e-9 * mu[b][m]``.
-    In a matching on the lowest ranks that puts b on m above its in-order
-    position, the feasible counts above leave some row after b that fits
-    on m below it, and swapping the two gains at least that much, more
-    than the band can give; so an optimal matching has b in order.
+    such row before it.
     """
     best = [0.0] + [-math.inf] * cols
-    took = []                           # (row, its feasible count, bitmask of the ranks it improved)
-    counts = [0] * len(cost)
-    exact, reach, band = True, 0, None
+    took = []                           # (row, bitmask of the ranks it improved)
+    exact, reach = True, 0
     for i in order:
-        row, mu_row, cap = cost[i], mu[i], caps[i]
-        # the relative slack absorbs round-off when delta was realized by a
-        # device transmitting exactly at its power cap
-        fits = bisect.bisect_right(mu_row, cap * (1.0 + 1e-9))
-        usable = bisect.bisect_left(row, 0.0, 0, fits)
+        row, fit = cost[i], fits[i]
+        usable = bisect.bisect_left(row, 0.0, 0, fit)
         if not usable:
             continue
-        counts[i] = usable
         t = len(took)
-        exact = exact and (fits > t or fits == cols or fits >= reach)
-        if fits > reach:
-            reach = fits
-        if mu_row[usable - 1] > cap:       # a usable pair in the cap-slack band
-            exact = exact and band is None and (usable == 1 or mu_row[usable - 2] <= cap)
-            band = (i, usable - 1, t)
+        exact = exact and (fit > t or fit == cols or fit >= reach)
+        if fit > reach:
+            reach = fit
         # descending j reads each best[j] before this row can change it
         hi = usable if usable <= t else t + 1
         above, mask = best[hi], 0
@@ -230,19 +215,14 @@ def _in_order_matching(
                 best[j + 1] = c
                 mask |= 1 << j
             above = here
-        took.append((i, fits, mask))
-    if exact and band and band[1]:
-        b, m, t = band
-        # of the rows after b that fit on m, the first (least h) gains least by a swap
-        a = next((i for i, fits, _ in took[t + 1:] if fits > m), None)
-        exact = a is None or (mu[b][m] - mu[b][m - 1]) - (mu[a][m] - mu[a][m - 1]) > 2e-9 * mu[b][m]
+        took.append((i, mask))
     j = best.index(max(best))
     matched = []
-    for i, _, mask in reversed(took):
+    for i, mask in reversed(took):
         if j and mask >> (j - 1) & 1:
             matched.append(i)
             j -= 1
-    return matched[::-1], counts, exact
+    return matched[::-1], exact
 
 
 def _certified(value: np.ndarray, matched: list[int]) -> bool:
@@ -288,8 +268,9 @@ def rb_matching(
     """Optimal RB assignment ``(rows, rbs)`` for a given transmission delay.
 
     mu[i, m] is the power device i needs on RB m to finish the upload in
-    exactly delta.  Pairs whose mu exceeds the device cap are forbidden;
-    among the rest, the matching maximizes sum of (u_i - eta1*delta*mu_{i,m}).
+    exactly delta.  Pairs whose mu exceeds the device cap (by more than
+    ``CAP_SLACK``, relatively) are forbidden; among the rest, the matching
+    maximizes sum of (u_i - eta1*delta*mu_{i,m}).
 
     mu is a product noise_m * growth / h_i, so every row ranks the RBs by
     ascending noise and its usable RBs form a prefix of that order.  Moving
@@ -298,14 +279,13 @@ def rb_matching(
     n + 1 lowest are built (one past the most that can be matched, for the
     certificate).  A dynamic program (``_in_order_matching``) finds the best
     matching that gives those RBs, in noise order, to rows in ascending h.
-    Away from the cap-slack band the cost is a product, so by the
-    rearrangement inequality the in-order assignment of a row set is its
-    cheapest; the optimum is then in-order whenever the in-order assignment
-    of every matchable row set is feasible, which the feasible counts
-    checked there guarantee, and a usable pair in the band needs one more
-    check.  Otherwise the LP-duality certificate (``_certified``) proves the
-    proposal optimal, and if it fails ``min_cost_assignment`` solves the
-    built pairs.
+    The cost of every feasible pair is a product, so by the rearrangement
+    inequality the in-order assignment of a row set is its cheapest; the
+    optimum is then in-order whenever the in-order assignment of every
+    matchable row set is feasible, which the feasible counts checked there
+    guarantee.  Otherwise the LP-duality certificate (``_certified``)
+    proves the proposal optimal, and if it fails ``min_cost_assignment``
+    solves the built pairs.
     """
     rows, rbs, _ = _rb_matching(u, uplink, delta)
     return rows, rbs
@@ -321,14 +301,14 @@ def _rb_matching(
     """
     if delta <= 0:
         raise InvalidInputError("delta must be positive")
-    spend, mu = uplink.prices(delta)
+    spend, fits = uplink.prices(delta)
     cost = spend - u[:, None]                                       # -gain
-    picked, counts, exact = _in_order_matching(
-        cost.tolist(), mu, uplink.caps, uplink.order, uplink.cols)
+    picked, exact = _in_order_matching(cost.tolist(), fits.tolist(), uplink.order, uplink.cols)
     s = len(picked)
     how = "in-order"
     if not exact:
-        weights = np.where(np.arange(uplink.cols) < np.array(counts)[:, None], cost, np.inf)
+        usable = np.minimum(fits, (cost < 0).sum(axis=1))
+        weights = np.where(np.arange(uplink.cols) < usable[:, None], cost, np.inf)
         how = "certified" if _certified(-weights[:, :s + 1], picked) else "solved"
     if how == "solved":
         pairs = [(i, uplink.rbs[j]) for i, j in min_cost_assignment(weights)]
@@ -434,8 +414,8 @@ class Uplink:
 
     The matching builds only the ``cols`` (at most n + 1) quietest RBs:
     ``rbs`` lists them in noise order and ``noise`` holds their noise.
-    ``h`` and ``cap`` are the rows' gains and power caps as columns,
-    ``caps`` the caps as a list and ``order`` the rows by ascending h.
+    ``h`` and ``cap`` are the rows' gains and power limits as columns
+    and ``order`` the rows by ascending h.
     ``delta0`` is IVES's starting delay (``initial_delay``), the same in
     every round, and ``first`` the prices there, which every round's first
     matching reads.
@@ -455,20 +435,21 @@ class Uplink:
         self.noise = net.noise[rbs]
         self.h = radios.h[:, None]
         self.cap = radios.p_max[:, None]
-        self.caps = radios.p_max.tolist()
         self.order = radios.h_order.tolist()
         self.delta0 = initial_delay(radios, net)
         self.first = self._prices(self.delta0)
         self._last_delta, self._last_prices = math.nan, None
         self._last_pair, self._last_step = None, None
 
-    def prices(self, delta: float) -> tuple[np.ndarray, list[list[float]]]:
-        """``eta1*delta*min(mu, cap)`` as a read-only array and ``mu`` as lists, at ``delta``.
+    def prices(self, delta: float) -> tuple[np.ndarray, np.ndarray]:
+        """Every pair's spend ``eta1*delta*mu`` and every row's feasible count, at ``delta``.
 
-        ``mu[i][m]`` is the power row i needs on the m-th quietest RB to
-        finish its upload in exactly delta.  Prices at ``delta0`` are
-        ``first``; the last other delay priced is kept too, keyed by float
-        equality (an inf delay hits, a NaN one never does).
+        ``mu[i, m]`` is the power row i needs on the m-th quietest RB to
+        finish its upload in exactly delta; it rises with m, and row i fits
+        the ranks where ``mu <= cap * (1 + CAP_SLACK)``, a prefix.  Both
+        arrays are read-only.  Prices at ``delta0`` are ``first``; the last
+        other delay priced is kept too, keyed by float equality (an inf
+        delay hits, a NaN one never does).
         """
         if delta == self.delta0:
             return self.first
@@ -476,14 +457,15 @@ class Uplink:
             self._last_delta, self._last_prices = delta, self._prices(delta)
         return self._last_prices
 
-    def _prices(self, delta: float) -> tuple[np.ndarray, list[list[float]]]:
+    def _prices(self, delta: float) -> tuple[np.ndarray, np.ndarray]:
         exponent = self.net.S / (self.net.B * delta)
         # exp2 overflows from 1024 on; checking here costs less than np.errstate
         growth = np.exp2(exponent) - 1.0 if exponent < 1024.0 else math.inf
         mu = self.noise * growth / self.h
-        spend = self.net.eta1 * delta * np.minimum(mu, self.cap)
-        spend.flags.writeable = False
-        return spend, mu.tolist()
+        spend = self.net.eta1 * delta * mu
+        fits = (mu <= self.cap * (1.0 + CAP_SLACK)).sum(axis=1)
+        spend.flags.writeable = fits.flags.writeable = False
+        return spend, fits
 
     def power_step(
         self, rows: np.ndarray, rbs: np.ndarray, pair: tuple[list[int], list[int]]

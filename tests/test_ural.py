@@ -1,3 +1,4 @@
+import bisect
 import collections
 import dataclasses
 import json
@@ -23,6 +24,7 @@ from fmlsim.oracles import (
     g1_grid_minimum,
 )
 from fmlsim.ural import (
+    CAP_SLACK,
     IVES_EPS,
     IVES_MAX_ITERS,
     Sp2Solution,
@@ -443,8 +445,8 @@ def test_rb_matching_total_equals_brute_force(env, delta):
         for m in range(net.M):
             noise = net.interference[m] + net.B * net.N0
             mu = noise * (2.0 ** (net.S / (net.B * delta)) - 1.0) / radios.h[row]
-            if mu <= radios.p_max[row] * (1.0 + 1e-9):
-                gain = u[row] - net.eta1 * delta * min(mu, radios.p_max[row])
+            if mu <= radios.p_max[row] * (1.0 + CAP_SLACK):
+                gain = u[row] - net.eta1 * delta * mu
                 if gain > 0:
                     cost[row, m] = -gain
     rows, rbs = rb_matching(u, Uplink(radios, net), delta)
@@ -457,8 +459,8 @@ def _gains(u, radios, delta, net):
     """The RB matching's gain matrix, as the library defines it, and its usable pairs."""
     mu = net.noise * (np.exp2(net.S / (net.B * delta)) - 1.0) / radios.h[:, None]
     cap = radios.p_max[:, None]
-    gain = u[:, None] - net.eta1 * delta * np.minimum(mu, cap)
-    return gain, (mu <= cap * (1.0 + 1e-9)) & (gain > 0)
+    gain = u[:, None] - net.eta1 * delta * mu
+    return gain, (mu <= cap * (1.0 + CAP_SLACK)) & (gain > 0)
 
 
 def _upload_time(radios, net, row, rb):
@@ -481,7 +483,7 @@ def _distinct_uplinks(draw, max_n=30, max_m=30):
     ones).  The channel gains h lie on a 1e-3 grid: two that differ only in
     their last bits give equal powers once rounded, and so a tie.  Half the
     delays are a full-power upload time, which puts one pair at its power
-    cap, in the cap-slack band.
+    cap, where the feasibility slack ``CAP_SLACK`` decides.
     """
     n = draw(st.integers(1, max_n))
     m = draw(st.integers(1, max_m))
@@ -552,23 +554,47 @@ def test_rb_matching_falls_back_when_the_dynamic_program_is_wrong(env):
     assert cost[rows, rbs].sum() == pytest.approx(assignment_brute_force(cost), abs=1e-9)
 
 
-@given(h=_floats(0.3, 1.0), cap=_floats(0.2, 1.0), quiet=st.integers(0, 30),
-       louder=st.integers(1, 50), score=_floats(2.0, 5.0))
-def test_rb_matching_takes_the_cap_slack_band_bonus_out_of_order(h, cap, quiet, louder, score):
-    # Two rows of equal h on two RBs; the delay puts row 0's pair on the
-    # louder RB 5e-10 into the cap-slack band, where it pays only its cap.
-    # The in-order matching (row 0 on the quieter RB) and the crossed one
-    # cost the same but for that bonus, so the crossed one is the optimum.
-    net = NetworkConfig(M=2, B=1.0, N0=0.1, S=1.0, eta1=1.0, eta2=1.0,
-                        interference=(quiet / 100.0, (quiet + louder) / 100.0))
-    radios = RadioProfile(h=[h, h], p_max=[cap, 10.0])
-    growth = cap * (1.0 + 5e-10) * h / net.noise[1]
-    delta = net.S / (net.B * math.log2(1.0 + growth))
-    u = np.array([score, score])
-    gain, usable = _gains(u, radios, delta, net)
-    assert usable.all() and gain[0, 1] + gain[1, 0] > gain[0, 0] + gain[1, 1]
-    rows, rbs = rb_matching(u, Uplink(radios, net), delta)
-    assert rows.tolist() == [0, 1] and rbs.tolist() == [1, 0]
+@given(h=_floats(0.3, 1.0), cap=_floats(0.2, 1.0), quiet=st.integers(0, 80))
+def test_rb_matching_prices_a_pair_inside_the_cap_slack_at_the_power_it_needs(h, cap, quiet):
+    # the delay puts the one pair's required power 5e-10 above its cap, inside the slack
+    net = NetworkConfig(M=1, B=1.0, N0=0.1, S=1.0, eta1=1.0, eta2=1.0,
+                        interference=(quiet / 100.0,))
+    radios = RadioProfile(h=[h], p_max=[cap])
+    delta = net.S / (net.B * math.log2(1.0 + cap * (1.0 + 5e-10) * h / net.noise[0]))
+    mu = net.noise[0] * (np.exp2(net.S / (net.B * delta)) - 1.0) / h
+    assert cap < mu <= cap * (1.0 + CAP_SLACK)
+    uplink = Uplink(radios, net)
+    spend, fits = uplink.prices(delta)
+    assert fits.tolist() == [1] and spend[0, 0] == net.eta1 * delta * mu
+    rows, rbs = rb_matching(np.array([1.0 + 2.0 * spend[0, 0]]), uplink, delta)
+    assert rows.tolist() == [0] and rbs.tolist() == [0]
+
+
+@st.composite
+def _delays(draw, radios, net):
+    """A delay: drawn, a pair's full-power upload time, inf, or one past exp2's range."""
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        return draw(_floats(0.05, 10.0))
+    if kind == 1:
+        return _upload_time(radios, net, draw(st.integers(0, radios.h.size - 1)),
+                            draw(st.integers(0, net.M - 1)))
+    if kind == 2:
+        return math.inf
+    return net.S / (net.B * draw(_floats(1024.0, 1e6)))
+
+
+@given(env=_uplink_envs(), data=st.data())
+def test_uplink_prices_count_every_rows_feasible_ranks(env, data):
+    _, radios, net = env
+    delta = data.draw(_delays(radios, net))
+    uplink = Uplink(radios, net)
+    with np.errstate(invalid="ignore", over="ignore"):  # eta1 * inf * 0; exp2 past 1024
+        spend, fits = uplink.prices(delta)
+        mu = uplink.noise * (np.exp2(net.S / (net.B * delta)) - 1.0) / radios.h[:, None]
+    assert not spend.flags.writeable and not fits.flags.writeable
+    assert fits.tolist() == [bisect.bisect_right(row, cap * (1 + CAP_SLACK))
+                             for row, cap in zip(mu.tolist(), radios.p_max.tolist())]
 
 
 @given(seed=st.integers(0, 2**32 - 1))

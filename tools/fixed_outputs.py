@@ -57,6 +57,9 @@ INVOCATIONS = {
        for a in ("ural", "greedy", "random", "nufm-greedy", "nufm-random")},
     "wireless-large": ["run", "--config", WIRELESS, "--set", "population.n=400",
                        "--set", "env.M=100", "--set", "rounds=3"],
+    # every round's second matching is certified, on the largest priced arrays
+    "wireless-scale-out": ["run", "--config", WIRELESS, "--set", "population.n=2000",
+                           "--set", "env.M=200", "--set", "rounds=2"],
     # 20 training rows on 12 RBs: the matching changes nearly every round, so IVES
     # powers and prices anew where the other runs repeat the last round's step
     "wireless-contended": ["run", "--config", WIRELESS, "--set", "population.n=40",
