@@ -22,11 +22,10 @@ from .harness import (
     build_environment,
     config_from_dict,
     metrics_summary,
-    metrics_to_csv,
     run,
     set_path,
     sweep,
-    sweep_to_csv,
+    to_csv,
     value_text,
 )
 from .tasks import generate_population
@@ -125,7 +124,7 @@ def cmd_run(args) -> int:
     config = load_config(args.config, args.set or [], args.seed)
     metrics = run(config)
     files = {
-        "metrics.csv": metrics_to_csv(metrics),
+        "metrics.csv": to_csv(metrics),
         "summary.json": json.dumps(metrics_summary(metrics), indent=2, sort_keys=True) + "\n",
     }
     _write_outputs(args.out, files, config)
@@ -144,9 +143,9 @@ def cmd_sweep(args) -> int:
         raise CliError("--seeds must be comma-separated non-negative integers, "
                        f"got {args.seeds!r}") from None
     cells, runs = sweep(config, args.param, values, seeds)
-    files = {"sweep.csv": sweep_to_csv(cells)}
+    files = {"sweep.csv": to_csv(cells)}
     for (value, s), ms in runs.items():
-        files[f"cell_{args.param}_{value_text(value)}_seed{s}.csv"] = metrics_to_csv(ms)
+        files[f"cell_{args.param}_{value_text(value)}_seed{s}.csv"] = to_csv(ms)
     _write_outputs(args.out, files, config)
     print(f"wrote {len(cells)} sweep cells to {args.out}")
     return EXIT_OK
@@ -228,8 +227,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except MemoryError:
         print("error: out of memory: the run's padded device arrays grow with population.n, "
-              "population.size_mu, population.size_sigma and population.d; lower one of them",
-              file=sys.stderr)
+              "population.size_mu, population.size_sigma and population.d, and its batch "
+              "stream seeds with rounds and hyper.tau; lower one of them", file=sys.stderr)
         return EXIT_USAGE
 
 

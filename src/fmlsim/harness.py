@@ -13,12 +13,13 @@ ascend in device id); ids appear only in ``RoundMetrics.selected``.  A run is
 a deterministic function of (config, seed) because every random draw comes
 from a stream keyed by (seed, round, step) or a similar tuple; a local step
 whose batches are all full datasets draws nothing.  The local steps' batch
-streams are seeded as families, a block of rounds at a time before the
-rounds that read them (``rng.RoundStreams``), the same streams as
-``rng.stream`` of each key; a uniform selection or a baseline allocation
-makes its round's one stream with ``rng.stream``.  A round does only the
-work that changes between rounds: before round 0 ``run`` builds the run's
-``StepPlan`` (batch-size checks, score penalties, full-batch role batches
+streams are seeded as families before round 0, one ``rng.family_states``
+call per step for every round the learner's longest cell runs (32 bytes
+per round and step, beside the ~430 bytes a run keeps per round in its
+``RoundMetrics``), the same streams as ``rng.stream`` of each key; a
+uniform selection or a baseline allocation makes its round's one stream
+with ``rng.stream``.  A round does only the work that changes between
+rounds: before round 0 ``run`` builds the run's ``StepPlan`` (batch-size checks, score penalties, full-batch role batches
 and the draw's constants), its ``LossPlan`` (a test set that is the
 training set held once, on a quadratic population each split's
 least-squares form at ``hyper.alpha`` and on a logistic one both splits'
@@ -38,7 +39,8 @@ a positive rate on some RB, weights that leave the CPU frequencies at 0, or
 the greedy powers' eta1 * noise / h at 0 fail at set-up.  A round whose
 meta-gradients, scores or losses are non-finite stops the run with
 NumericalError; the first round whose finite loss exceeds
-``EXPLODING_LOSS`` logs a warning.
+``EXPLODING_LOSS`` logs a warning.  ``to_csv`` writes every result table,
+a column per field of its dataclass.
 """
 
 from __future__ import annotations
@@ -135,9 +137,10 @@ class _Learner:
     """A run's learning constants and, inside a sweep, what its cells compute alike.
 
     ``steps`` is the run's ``StepPlan`` and ``loss_plan`` its ``LossPlan``.
-    When a local step draws its batches, ``batch_streams`` holds the seeds of
-    the streams ``(seed, k, t, ROLE_BATCH)``, seeded before round 0 a block
-    of rounds at a time (else it is None).  ``local_update`` and
+    When a local step draws its batches, ``batch_states`` holds the
+    read-only seeds ``(rounds, tau, 4)`` of the streams ``(seed, k, t,
+    ROLE_BATCH)`` for every round of ``config``, the longest cell it serves
+    (else it is None).  ``local_update`` and
     ``adapted_loss`` are pure functions of the plans, the seed, the round
     (which keys the batch streams) and the model, so a sweep group shares
     one learner between its cells of one batch size and hyper-parameters,
@@ -153,9 +156,13 @@ class _Learner:
     def __init__(self, pop: Population, config: ExperimentConfig, memo: bool):
         self.steps = StepPlan(pop.train, pop.train.batch_sizes(config.batch_size), config.hyper)
         self.loss_plan = LossPlan(pop.train, pop.test, alpha=config.hyper.alpha)
-        drawn = self.steps.full_batches is None
-        steps = [(t, rng.ROLE_BATCH) for t in range(config.hyper.tau)]
-        self.batch_streams = rng.RoundStreams((config.seed,), steps) if drawn else None
+        self.batch_states = None
+        if self.steps.full_batches is None:
+            ks = np.arange(config.rounds)
+            self.batch_states = np.stack([
+                rng.family_states((config.seed,), ks, (t, rng.ROLE_BATCH))
+                for t in range(config.hyper.tau)], axis=1)
+            self.batch_states.flags.writeable = False
         self.first_round: dict | None = {} if memo else None
         self.losses: dict | None = {} if memo else None
 
@@ -172,8 +179,8 @@ def _round_of_updates(
         key = theta.tobytes()
         if (hit := memo.get(key)) is not None:
             return hit
-    streams = learner.batch_streams
-    step_rng = functools.partial(streams.stream, k) if streams else None
+    states = learner.batch_states
+    step_rng = None if states is None else lambda t: rng.generator(states[k, t])
     try:
         result = local_update(learner.steps, theta, step_rng)
     except NumericalError as exc:
@@ -340,16 +347,16 @@ _sweep_group: contextvars.ContextVar[tuple | None] = contextvars.ContextVar(
 def _group(configs: list[ExperimentConfig]) -> tuple[Population, dict]:
     """One (population spec, seed)'s population and a ``_Learner`` per (batch size, hyper).
 
-    ``configs`` share the population spec and the seed.  A learner keeps
-    memos only when two or more of them share it.
+    ``configs`` share the population spec and the seed.  A learner is built
+    from its longest cell, whose rounds its batch streams cover, and keeps
+    memos only when two or more cells share it.
     """
     pop = generate_population(configs[0].population, configs[0].seed)
-    cells = collections.Counter(_learner_key(c) for c in configs)
-    learners = {}
+    cells = collections.defaultdict(list)
     for c in configs:
-        if (key := _learner_key(c)) not in learners:
-            learners[key] = _Learner(pop, c, memo=cells[key] > 1)
-    return pop, learners
+        cells[_learner_key(c)].append(c)
+    return pop, {key: _Learner(pop, max(cs, key=lambda c: c.rounds), memo=len(cs) > 1)
+                 for key, cs in cells.items()}
 
 
 def _learner_key(config: ExperimentConfig) -> tuple:
@@ -423,11 +430,13 @@ def run(config: ExperimentConfig) -> list[RoundMetrics]:
 
 @dataclass
 class SweepCell:
-    """One swept value's mean and sd, over its seeds, of the per-run round means."""
+    """One swept value's mean and sd, over its seeds, of the per-run round means.
+
+    The fields are sweep.csv's columns; ``value`` is the swept value's ``value_text``.
+    """
 
     parameter: str
-    value: object
-    seeds: tuple[int, ...]
+    value: str
     mean_loss: float
     sd_loss: float
     mean_energy: float
@@ -436,6 +445,7 @@ class SweepCell:
     sd_time: float
     mean_objective: float
     sd_objective: float
+    seeds: tuple[int, ...]
 
 
 def _sweep_path(parameter: str) -> str:
@@ -501,31 +511,30 @@ def sweep(
         means = np.array([np.mean([getattr(m, name) for m in runs[value, s]]) for s in seeds])
         return float(means.mean()), float(means.std(ddof=1)) if len(seeds) > 1 else 0.0
 
-    cells = []
-    for value, _ in grid:
-        (ml, sl), (me, se), (mt, st), (mo, so) = (
-            stats(value, name) for name in ("test_loss", "energy", "time", "objective"))
-        cells.append(SweepCell(
-            parameter=parameter, value=value, seeds=tuple(seeds),
-            mean_loss=ml, sd_loss=sl, mean_energy=me, sd_energy=se,
-            mean_time=mt, sd_time=st, mean_objective=mo, sd_objective=so,
-        ))
+    cells = [
+        SweepCell(parameter, value_text(value),
+                  *(x for name in ("test_loss", "energy", "time", "objective")
+                    for x in stats(value, name)),
+                  tuple(seeds))
+        for value, _ in grid]
     return cells, runs
 
 
-def metrics_to_csv(metrics: list[RoundMetrics]) -> str:
-    """Round metrics as CSV, a column per ``RoundMetrics`` field, floats in round-trip form."""
+def to_csv(rows: list) -> str:
+    """Dataclass rows of one class as CSV, a header of its field names and a line per row.
+
+    Floats are written in round-trip ``repr``, tuples joined by ``;`` and
+    anything else with ``str``.
+    """
+    names = [f.name for f in fields(rows[0])]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(f.name for f in fields(RoundMetrics))
-    for m in metrics:
-        writer.writerow([
-            m.round,
-            repr(m.train_loss), repr(m.test_loss), repr(m.contribution_sum),
-            repr(m.energy), repr(m.time), repr(m.objective),
-            ";".join(str(i) for i in m.selected),
-            m.ives_iterations,
-        ])
+    writer.writerow(names)
+    for row in rows:
+        values = (getattr(row, name) for name in names)
+        writer.writerow([repr(v) if isinstance(v, float) else
+                         ";".join(map(str, v)) if isinstance(v, tuple) else str(v)
+                         for v in values])
     return buf.getvalue()
 
 
@@ -541,25 +550,6 @@ def metrics_summary(metrics: list[RoundMetrics]) -> dict:
         "total_energy": float(np.sum([m.energy for m in metrics])),
         "total_time": float(np.sum([m.time for m in metrics])),
     }
-
-
-def sweep_to_csv(cells: list[SweepCell]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([
-        "parameter", "value", "mean_loss", "sd_loss", "mean_energy", "sd_energy",
-        "mean_time", "sd_time", "mean_objective", "sd_objective", "seeds",
-    ])
-    for c in cells:
-        writer.writerow([
-            c.parameter, value_text(c.value),
-            repr(c.mean_loss), repr(c.sd_loss),
-            repr(c.mean_energy), repr(c.sd_energy),
-            repr(c.mean_time), repr(c.sd_time),
-            repr(c.mean_objective), repr(c.sd_objective),
-            ";".join(str(s) for s in c.seeds),
-        ])
-    return buf.getvalue()
 
 
 def value_text(value) -> str:

@@ -423,7 +423,12 @@ def bisection_suite(instances: int = 1000, seed: int = 0, tol: float = 1e-8) -> 
 def ives_monotone_suite(
     instances: int = 100, seed: int = 0, tol: float = 1e-9
 ) -> tuple[SuiteResult, list[int]]:
-    """Objective-trace monotonicity and iteration counts on random environments."""
+    """Objective-trace monotonicity and iteration counts on random environments.
+
+    An instance fails when its trace ever falls or when IVES runs
+    ``IVES_MAX_ITERS`` iterations: a run that stops on its own exactly at
+    the cap counts as a failure too, as the two cannot be told apart.
+    """
     failures = 0
     worst = 0.0
     iteration_counts: list[int] = []
@@ -441,7 +446,7 @@ def ives_monotone_suite(
             if sol.trace[t] - sol.trace[t + 1] > tol * max(1.0, abs(sol.trace[t]))
         ]
         worst = max(worst, max(drops, default=0.0))
-        if drops or len(sol.trace) > ural.IVES_MAX_ITERS:
+        if drops or len(sol.trace) >= ural.IVES_MAX_ITERS:
             failures += 1
     fast = sum(1 for c in iteration_counts if c <= 3)
     note = f"ives-monotone: {fast}/{instances} instances converged within 3 iterations"

@@ -24,8 +24,6 @@ round and step, or a population's device streams, is seeded in one array
 pass instead: ``family_states`` runs ``SeedSequence``'s hash on
 uint32 arrays and gives each key's PCG64 seed, and ``generator`` turns one
 into the generator ``stream`` gives for that key, bit for bit.
-``RoundStreams`` holds such seeds for a run's rounds, a block of rounds at
-a time.
 """
 
 from __future__ import annotations
@@ -184,28 +182,3 @@ def generator(state: np.ndarray) -> np.random.Generator:
     """The PCG64 generator of one ``family_states`` row: ``stream`` of that row's key."""
     return np.random.Generator(np.random.PCG64(_seeded()(state)))
 
-
-class RoundStreams:
-    """The streams ``(*prefix, k, *suffix)`` of rounds k, for each of a few suffixes.
-
-    ``stream(k, j)`` is ``stream(*prefix, k, *suffixes[j])``.  The seeds of
-    one block of ``BLOCK`` rounds are held, from ``family_states``, and a
-    round outside that block seeds its own block in their place, so the
-    memory does not grow with the rounds a run asks for, in any order.
-    """
-
-    BLOCK = 128
-
-    def __init__(self, prefix: tuple, suffixes: list[tuple]):
-        self.prefix, self.suffixes = prefix, suffixes
-        self._seed_block(0)
-
-    def _seed_block(self, first: int) -> None:
-        ks = np.arange(first, first + self.BLOCK)
-        self.first = first
-        self.states = np.stack([family_states(self.prefix, ks, s) for s in self.suffixes])
-
-    def stream(self, k: int, j: int) -> np.random.Generator:
-        if not 0 <= k - self.first < self.BLOCK:
-            self._seed_block(k - k % self.BLOCK)
-        return generator(self.states[j, k - self.first])

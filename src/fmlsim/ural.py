@@ -398,15 +398,17 @@ def _g2(
 def initial_delay(radios: RadioProfile, net: NetworkConfig) -> float:
     """Most conservative start: the slowest full-power upload over all device/RB pairs.
 
-    InvalidInputError if some pair's full-power rate is not positive (or is
-    NaN): that upload never ends.
+    The rate rises with h * p_max / noise, so the slowest pair is the row of
+    least h * p_max on the noisiest RB, and only its rate is computed.
+    InvalidInputError if that rate is not positive (or is NaN): that upload
+    never ends.
     """
-    rates = net.rate(radios.h[:, None], radios.p_max[:, None])
-    silent = ~(rates > 0)
-    if silent.any():
-        row, m = np.argwhere(silent)[0]
+    row = int(np.argmin(radios.h * radios.p_max))
+    m = int(net.rb_order[-1])
+    rate = net.rate(radios.h[row], radios.p_max[row], m)
+    if not rate > 0:
         raise InvalidInputError(f"device row {row} has no positive full-power rate on RB {m}")
-    return float((net.S / rates).max())
+    return float(net.S / rate)
 
 
 class Uplink:

@@ -38,7 +38,7 @@ from fmlsim.oracles import (
     sp1_suite,
 )
 from fmlsim.tasks import PopulationSpec
-from fmlsim.ural import Uplink, solve_sp1, ural
+from fmlsim.ural import IVES_MAX_ITERS, Uplink, solve_sp1, ural
 from fmlsim.wireless import (
     Allocation,
     EnvironmentSpec,
@@ -171,13 +171,13 @@ def test_power_bisection():
 
 def test_alternating_solver_monotonicity():
     """Alternating power/matching solver: objective non-decreasing across
-    iterations on 100 environments, converging within 50 iterations on all
-    and within 3 on at least 80%."""
+    iterations on 100 environments, converging before the iteration cap on
+    all and within 3 iterations on at least 80%."""
     t0 = time.perf_counter()
     result, iterations = ives_monotone_suite()
     fast = sum(1 for c in iterations if c <= 3)
     elapsed = time.perf_counter() - t0
-    ok = (result.ok and max(iterations) <= 50
+    ok = (result.ok and max(iterations) < IVES_MAX_ITERS
           and fast >= 0.8 * len(iterations) and elapsed < 60.0)
     _report("alternating-solver-monotonicity", ok,
             f"{result.failures} monotonicity violations / {result.instances} "

@@ -390,6 +390,20 @@ def test_out_of_memory_is_usage_error(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
+def test_rounds_beyond_memory_fail_before_round_0(tmp_path, capsys, monkeypatch):
+    # the batch stream seeds of 10**15 rounds cannot be allocated
+    def no_round(*args):
+        raise AssertionError("a round started")
+
+    monkeypatch.setattr(harness, "_round_of_updates", no_round)
+    code = main(["run", "--config", str(CONFIGS / "nufm.json"),
+                 "--set", "rounds=1000000000000000", "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and "rounds" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_unknown_parameter_is_usage_error(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     code = main(["sweep", "--config", cfg, "--param", "nonesuch",

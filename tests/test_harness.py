@@ -19,10 +19,10 @@ from fmlsim.harness import (
     greedy_frequency,
     greedy_power,
     metrics_summary,
-    metrics_to_csv,
     run,
     set_path,
     sweep,
+    to_csv,
 )
 from fmlsim.metacore import Batch, DeviceArrays, MetaHyper, QuadraticModel
 from fmlsim.oracles import (
@@ -314,7 +314,7 @@ def _assert_cells_equal_their_runs_alone(cfg, parameter, runs):
         payload = dataclasses.asdict(cfg)
         set_path(payload, path, value)
         alone = run(dataclasses.replace(config_from_dict(payload), seed=seed))
-        assert ms == alone and metrics_to_csv(ms) == metrics_to_csv(alone), (value, seed)
+        assert ms == alone and to_csv(ms) == to_csv(alone), (value, seed)
 
 
 @pytest.mark.parametrize("overrides", [SWEEP_SMALL, {}], ids=["full-batch", "drawn-batch"])
@@ -528,11 +528,27 @@ def test_an_all_train_run_evaluates_its_losses_once_per_round(monkeypatch):
 
 def test_metrics_csv_shape():
     ms = run(_base_config(rounds=2))
-    lines = metrics_to_csv(ms).splitlines()
+    lines = to_csv(ms).splitlines()
     assert len(lines) == 3
     assert lines[0].startswith("round,train_loss,test_loss")
     summary = metrics_summary(ms)
     assert summary["rounds"] == 2
+
+
+def test_every_table_is_written_from_its_dataclass_fields():
+    # a header of the field names; floats in repr, tuples joined by ';', the rest with str
+    metrics = [harness.RoundMetrics(3, 0.1, 1 / 3, 2.0, 0.0, 1e-300, -5.5, (4, 17, 2), 7),
+               harness.RoundMetrics(4, 0.1, 0.2, 0.0, 0.0, 0.0, 0.0, ())]
+    assert to_csv(metrics) == ("round,train_loss,test_loss,contribution_sum,energy,time,"
+                               "objective,selected,ives_iterations\n"
+                               "3,0.1,0.3333333333333333,2.0,0.0,1e-300,-5.5,4;17;2,7\n"
+                               "4,0.1,0.2,0.0,0.0,0.0,0.0,,0\n")
+    cells, _ = sweep(_base_config(rounds=2), "alpha", [0.03], seeds=[1, 2])
+    header, row = to_csv(cells).splitlines()
+    assert header.split(",") == [f.name for f in dataclasses.fields(harness.SweepCell)] == [
+        "parameter", "value", "mean_loss", "sd_loss", "mean_energy", "sd_energy",
+        "mean_time", "sd_time", "mean_objective", "sd_objective", "seeds"]
+    assert row.startswith("alpha,0.03,") and row.endswith(",0.0,0.0,0.0,0.0,0.0,0.0,1;2")
 
 
 def test_config_dict_roundtrip():
@@ -584,7 +600,6 @@ def test_a_drawn_batch_run_draws_each_step_from_its_keyed_stream(monkeypatch):
     cfg = _base_config(rounds=10, seed=2**32 + 5, hyper=MetaHyper(alpha=0.03, beta=0.02, tau=3))
     whole = run(cfg)
     monkeypatch.setattr(metacore, "draw_role_batches", recording_draw)
-    monkeypatch.setattr(rng.RoundStreams, "BLOCK", 4)     # rounds 4-9 seed blocks of their own
     assert run(cfg) == whole
     assert seen == [rng.stream(cfg.seed, k, t, rng.ROLE_BATCH).bit_generator.state
                     for k in range(10) for t in range(3)]

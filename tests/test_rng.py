@@ -77,12 +77,3 @@ def test_a_family_rejects_a_negative_element(prefix, index, suffix):
         rng.family_states(prefix, np.array(index), suffix)
 
 
-def test_round_streams_are_the_streams_of_their_rounds_in_any_order(monkeypatch):
-    monkeypatch.setattr(rng.RoundStreams, "BLOCK", 4)
-    table = rng.RoundStreams((5,), [(0, rng.ROLE_BATCH), (1, rng.ROLE_BATCH)])
-    for k in (0, 3, 4, 9, 2, 2**32 + 1, 0):
-        for j in (0, 1):
-            want = rng.stream(5, k, j, rng.ROLE_BATCH)
-            assert table.stream(k, j).bit_generator.state == want.bit_generator.state
-        # one block of seeds is held, whatever round was asked for
-        assert table.states.shape == (2, 4, 4) and table.first <= k < table.first + 4

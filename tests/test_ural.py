@@ -332,18 +332,6 @@ def test_ives_requires_positive_scores():
         ives(np.array([1.0, 2.0, 3.0]), Uplink(radios, net))
 
 
-def test_initial_delay_covers_all_pairs():
-    g = rng.stream(108)
-    radios, net = _random_radio_env(g, 5, 4)
-    d0 = initial_delay(radios, net)
-    for i in range(5):
-        for m in range(net.M):
-            rate = net.B * np.log2(
-                1 + radios.h[i] * radios.p_max[i] / (net.interference[m] + net.B * net.N0)
-            )
-            assert net.S / rate <= d0 + 1e-12
-
-
 def test_ural_combines_subproblems():
     g = rng.stream(109)
     compute = _random_compute(g, 5)
@@ -392,6 +380,23 @@ def _uplink_envs(draw, max_n=8, max_m=8):
         eta1=draw(_floats(0.1, 3.0)), eta2=draw(_floats(0.1, 3.0)),
     )
     return u, radios, net
+
+
+@given(env=_uplink_envs(), swamped=st.none() | st.integers(0, 7))
+def test_initial_delay_covers_all_pairs(env, swamped):
+    # the slowest full-power upload of all n x M pairs, bit for bit, from one pair's rate
+    _, radios, net = env
+    if swamped is None:
+        rates = net.rate(radios.h[:, None], radios.p_max[:, None])
+        assert initial_delay(radios, net) == float((net.S / rates).max())
+        return
+    # one RB's noise rounds every row's 1 + h*p_max/noise to 1 there: no upload on it ends
+    m = swamped % net.M
+    interference = list(net.interference)
+    interference[m] = 1e300
+    net = dataclasses.replace(net, interference=tuple(interference))
+    with pytest.raises(InvalidInputError, match=f"no positive full-power rate on RB {m}$"):
+        initial_delay(radios, net)
 
 
 @given(compute=_computes(), weights=_weights)

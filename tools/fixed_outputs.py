@@ -47,6 +47,9 @@ INVOCATIONS = {
                        "--set", "rounds=5"],
     # a seed above 2**32: every stream key starts with two 32-bit words
     "nufm-bigseed": ["run", "--config", NUFM, "--seed", "4294967301", "--set", "rounds=5"],
+    # a drawn-batch run of 300 rounds, all of whose batch streams are seeded before round 0
+    "nufm-past-block": ["run", "--config", NUFM, "--set", "rounds=300",
+                        "--set", "population.n=20", "--set", "n_k=5"],
     # three local steps a round: every round draws from keys with step 0, 1 and 2
     "nufm-tau3": ["run", "--config", NUFM, "--set", "hyper.tau=3", "--set", "rounds=10"],
     # 40 weights and 13 training samples: the loss form of a split with fewer
@@ -76,6 +79,11 @@ INVOCATIONS = {
     # cells of 3 and 7 rounds share one learner and its batch streams
     "nufm-rounds-sweep": ["sweep", "--config", NUFM, "--param", "rounds", "--values", "3,7",
                           "--seeds", "1,2"],
+    # cells of 100 and 260 rounds share one learner, seeded for the longer cell's rounds
+    "nufm-rounds-past-block": ["sweep", "--config", NUFM, "--param", "rounds",
+                               "--values", "100,260", "--seeds", "1,2",
+                               "--set", "population.n=20", "--set", "n_k=5",
+                               "--set", "hyper.tau=2"],
     # a population field swept: one population per (value, seed), each its own group
     "nufm-n-sweep": ["sweep", "--config", NUFM, "--param", "n", "--values", "40,60",
                      "--seeds", "1,2", "--set", "rounds=5"],
