@@ -74,6 +74,7 @@ from .wireless import (
     RadioProfile,
     computation,
     round_totals,
+    running_sum,
     sample_environment,
 )
 
@@ -168,10 +169,7 @@ class _Learner:
 
 
 def _round_of_updates(
-    learner: _Learner,
-    theta: np.ndarray,
-    config: ExperimentConfig,
-    k: int,
+    learner: _Learner, theta: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every training device's local update for round k: parameters (n, d), scores (n,)."""
     memo = learner.first_round if k == 0 else None
@@ -387,7 +385,7 @@ def run(config: ExperimentConfig) -> list[RoundMetrics]:
     metrics: list[RoundMetrics] = []
     exploding = False
     for k in range(config.rounds):
-        thetas, scores = _round_of_updates(learner, theta, config, k)
+        thetas, scores = _round_of_updates(learner, theta, k)
         if wireless:
             su = shifted_scores(scores)
             alloc, comp, ives_iters = _allocate(config, k, su, compute, radios, net, alloc_plan)
@@ -396,7 +394,7 @@ def run(config: ExperimentConfig) -> list[RoundMetrics]:
             objective = contribution - net.eta1 * energy - net.eta2 * time
         else:
             rows = _select(scores, config, k)
-            contribution = float(sum(scores[rows].tolist()))
+            contribution = running_sum(scores[rows])
             energy = time = objective = 0.0
             ives_iters = 0
         if rows.size:

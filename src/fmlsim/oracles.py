@@ -33,8 +33,8 @@ from .metacore import (
 )
 from .selection import aggregate
 from .tasks import PopulationSpec, generate_population
-from .ural import Uplink, _rb_matching, f4_zero, ives, min_cost_assignment, solve_sp1
-from .wireless import ComputeProfile, NetworkConfig, RadioProfile
+from .ural import Uplink, f4_zero, ives, min_cost_assignment, rb_matching, solve_sp1
+from .wireless import ComputeProfile, NetworkConfig, RadioProfile, running_sum
 
 
 def g1_grid_minimum(
@@ -337,7 +337,7 @@ def assignment_suite(instances: int = 500, seed: int = 0, tol: float = 1e-9) -> 
         m = int(g.integers(1, 8))
         w = g.uniform(-5.0, 5.0, size=(n, m))
         w[g.uniform(size=(n, m)) < 0.3] = np.inf  # forbidden edges
-        got = sum(w[i, j] for i, j in min_cost_assignment(w))
+        got = running_sum(np.array([w[i, j] for i, j in min_cost_assignment(w)]))
         want = assignment_brute_force(w)
         dev = abs(got - want)
         worst = max(worst, dev)
@@ -371,7 +371,7 @@ def rb_matching_suite(instances: int = 500, seed: int = 0, tol: float = 1e-9) ->
         else:
             i, j = int(g.integers(n)), int(g.integers(m))
             delta = net.S / (net.B * math.log2(1.0 + radios.h[i] * radios.p_max[i] / noise[j]))
-        rows, rbs, how = _rb_matching(u, Uplink(radios, net), delta)
+        rows, rbs, how = rb_matching(u, Uplink(radios, net), delta)
         settled[how] += 1
         mu = noise * (2.0 ** (net.S / (net.B * delta)) - 1.0) / radios.h[:, None]
         cap = radios.p_max[:, None]
@@ -448,7 +448,7 @@ def ives_monotone_suite(
         worst = max(worst, max(drops, default=0.0))
         if drops or len(sol.trace) >= ural.IVES_MAX_ITERS:
             failures += 1
-    fast = sum(1 for c in iteration_counts if c <= 3)
+    fast = len([c for c in iteration_counts if c <= 3])
     note = f"ives-monotone: {fast}/{instances} instances converged within 3 iterations"
     return SuiteResult("ives-monotone", instances, failures, worst, note), iteration_counts
 

@@ -20,10 +20,9 @@ the run's allocation plan before round 0, and passed in: SP1's solution
 (it reads no score) and the ``Uplink``, which holds the matching's fixed
 pieces (the n + 1 quietest RBs and their noise, the rows' gains and power
 limits, the rows in h order), IVES's starting delay and the RBs priced at it,
-where every round's first matching is made.  IVES stops as soon as a
-matching repeats the previous iteration's with a finite g2: the powers,
-rates and g2 would come out the same, and the loop would stop on their
-zero change.
+where every round's first matching is made.  IVES stops when g2 settles;
+a matching that repeats the previous iteration's takes its power step from
+the cache and gives the same g2 again, which ends the loop.
 
 Between iterations and rounds the run's ``Uplink`` also keeps what the
 scores do not change, one entry deep: the prices at the last other delay
@@ -264,8 +263,8 @@ def _certified(value: np.ndarray, matched: list[int]) -> bool:
 
 def rb_matching(
     u: np.ndarray, uplink: Uplink, delta: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Optimal RB assignment ``(rows, rbs)`` for a given transmission delay.
+) -> tuple[np.ndarray, np.ndarray, str]:
+    """Optimal RB assignment ``(rows, rbs, how)`` for a given transmission delay.
 
     mu[i, m] is the power device i needs on RB m to finish the upload in
     exactly delta.  Pairs whose mu exceeds the device cap (by more than
@@ -285,19 +284,8 @@ def rb_matching(
     matchable row set is feasible, which the feasible counts checked there
     guarantee.  Otherwise the LP-duality certificate (``_certified``)
     proves the proposal optimal, and if it fails ``min_cost_assignment``
-    solves the built pairs.
-    """
-    rows, rbs, _ = _rb_matching(u, uplink, delta)
-    return rows, rbs
-
-
-def _rb_matching(
-    u: np.ndarray, uplink: Uplink, delta: float
-) -> tuple[np.ndarray, np.ndarray, str]:
-    """``rb_matching``, and how its optimum was settled.
-
-    The last item is ``"in-order"`` (exact without a certificate),
-    ``"certified"`` or ``"solved"`` (by ``min_cost_assignment``).
+    solves the built pairs.  ``how`` says which settled it: ``"in-order"``
+    (exact without a certificate), ``"certified"`` or ``"solved"``.
     """
     if delta <= 0:
         raise InvalidInputError("delta must be positive")
@@ -359,22 +347,17 @@ def solve_sp2_power(
 
 def g2_objective(
     u: np.ndarray, radios: RadioProfile, rows: np.ndarray, rbs: np.ndarray,
-    p: np.ndarray, net: NetworkConfig, rates: np.ndarray | None = None,
+    p: np.ndarray, net: NetworkConfig,
 ) -> float:
-    """sum u_i - eta1 * transmission energy - eta2 * max transmission time.
-
-    ``rates`` are the matched rows' upload rates when the caller has them.
-    """
+    """sum u_i - eta1 * transmission energy - eta2 * max transmission time."""
     if not rows.size:
         return 0.0
-    if rates is None:
-        rates = net.rate(radios.h[rows], p, rbs)
-    return _g2(u, rows, *_g2_costs(rates, p, net), net)
+    return _g2(u, rows, *_g2_costs(net.rate(radios.h[rows], p, rbs), p, net), net)
 
 
 def _g2_costs(
     rates: np.ndarray, p: np.ndarray, net: NetworkConfig
-) -> tuple[np.ndarray | None, np.floating]:
+) -> tuple[np.ndarray | None, float]:
     """g2's score-free part: ``eta1 * t * p`` per matched row and ``t.max()``, t = S / rates.
 
     The first is None when some rate is not positive: g2 is then -inf
@@ -382,11 +365,11 @@ def _g2_costs(
     next delay.
     """
     t = net.S / rates
-    return (None if (rates <= 0).any() else net.eta1 * t * p), t.max()
+    return (None if (rates <= 0).any() else net.eta1 * t * p), float(t.max())
 
 
 def _g2(
-    u: np.ndarray, rows: np.ndarray, energy: np.ndarray | None, t_max: np.floating,
+    u: np.ndarray, rows: np.ndarray, energy: np.ndarray | None, t_max: float,
     net: NetworkConfig,
 ) -> float:
     """g2 from its score-free part (``_g2_costs``) and the round's scores."""
@@ -425,8 +408,10 @@ class Uplink:
     It also keeps two one-entry caches, which carry over between IVES's
     iterations and the run's rounds: the prices at the last other delay
     priced (``prices``) and the last matching's power step
-    (``power_step``).  Both hold pure functions of their key, so a hit
-    changes no output; one entry each keeps the memory flat at any scale.
+    (``power_step``), which an iteration repeating the previous one's
+    matching, or a round repeating the last round's, reads back.  Both
+    hold pure functions of their key, so a hit changes no output; one
+    entry each keeps the memory flat at any scale.
     """
 
     def __init__(self, radios: RadioProfile, net: NetworkConfig):
@@ -441,7 +426,7 @@ class Uplink:
         self.delta0 = initial_delay(radios, net)
         self.first = self._prices(self.delta0)
         self._last_delta, self._last_prices = math.nan, None
-        self._last_pair, self._last_step = None, None
+        self._last_key, self._last_step = None, None
 
     def prices(self, delta: float) -> tuple[np.ndarray, np.ndarray]:
         """Every pair's spend ``eta1*delta*mu`` and every row's feasible count, at ``delta``.
@@ -470,21 +455,21 @@ class Uplink:
         return spend, fits
 
     def power_step(
-        self, rows: np.ndarray, rbs: np.ndarray, pair: tuple[list[int], list[int]]
-    ) -> tuple[np.ndarray, np.ndarray | None, np.floating, float]:
+        self, rows: np.ndarray, rbs: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray | None, float]:
         """The score-free part of an IVES power step on the matching ``(rows, rbs)``.
 
-        ``pair`` is the matching as lists, ``(rows.tolist(), rbs.tolist())``.
-        Returns the read-only powers (``solve_sp2_power``), g2's score-free
-        part at them (``_g2_costs``: the energy costs and the upload time)
-        and the upload time as a float, IVES's next delay.  The last
-        matching powered is kept, keyed by ``pair``.
+        Returns the read-only powers (``solve_sp2_power``) and g2's
+        score-free part at them (``_g2_costs``: the energy costs and the
+        upload time, IVES's next delay).  The last matching powered is
+        kept, keyed by ``(rows.tolist(), rbs.tolist())``.
         """
-        if pair != self._last_pair:
+        key = rows.tolist(), rbs.tolist()
+        if key != self._last_key:
             p = solve_sp2_power(self.radios, rows, rbs, self.net)
             p.flags.writeable = False
-            energy, t_max = _g2_costs(self.net.rate(self.radios.h[rows], p, rbs), p, self.net)
-            self._last_pair, self._last_step = pair, (p, energy, t_max, float(t_max))
+            step = p, *_g2_costs(self.net.rate(self.radios.h[rows], p, rbs), p, self.net)
+            self._last_key, self._last_step = key, step
         return self._last_step
 
 
@@ -495,11 +480,13 @@ def ives(u: np.ndarray, uplink: Uplink) -> Sp2Solution:
     the matching and g2 read it: the prices at a delay and a matching's
     powers, energy costs and upload time come from ``uplink``, which keeps
     the run's last repricing and last power step, so a round that repeats
-    the last round's final matching or delay does not recompute them.
+    the last round's final matching or delay does not recompute them, and
+    neither does an iteration that repeats the previous one's matching: its
+    g2 comes out equal, and the loop stops.
     """
     radios, net = uplink.radios, uplink.net
-    if not u.size or net.M < 1:
-        raise InvalidInputError("ives needs at least one device and one RB")
+    if not u.size:
+        raise InvalidInputError("ives needs at least one device")
     if u.shape != radios.h.shape:
         raise InvalidInputError(f"ives needs one score per device row, got {u.shape}")
     if u.min() <= 0:
@@ -508,18 +495,13 @@ def ives(u: np.ndarray, uplink: Uplink) -> Sp2Solution:
     empty = np.zeros(0, dtype=int)
     best_g2, best = 0.0, (empty, empty, np.zeros(0), delta)  # rows, rbs, p, delta
     trace: list[float] = []
-    last = None                         # the previous matching, if its g2 is finite
     for _ in range(IVES_MAX_ITERS):
-        rows, rbs = rb_matching(u, uplink, delta)
+        rows, rbs, _ = rb_matching(u, uplink, delta)
         if not rows.size:
             trace.append(0.0)
             break
-        if last == (pair := (rows.tolist(), rbs.tolist())):
-            # the same powers, rates and g2 again: the loop would stop on a zero change
-            trace.append(trace[-1])
-            break
-        p, energy, t_max, delta_next = uplink.power_step(rows, rbs, pair)
-        g2 = _g2(u, rows, energy, t_max, net)
+        p, energy, delta_next = uplink.power_step(rows, rbs)
+        g2 = _g2(u, rows, energy, delta_next, net)
         trace.append(g2)
         if g2 > best_g2:
             best_g2, best = g2, (rows, rbs, p, delta_next)
@@ -528,7 +510,6 @@ def ives(u: np.ndarray, uplink: Uplink) -> Sp2Solution:
                                or abs(g2 - trace[-2]) <= IVES_EPS * max(1.0, abs(g2))):
             break
         delta = delta_next
-        last = pair if math.isfinite(g2) else None
     rows, rbs, p, delta = best
     return Sp2Solution(
         rows=rows,

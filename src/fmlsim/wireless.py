@@ -170,9 +170,16 @@ def computation(
     return 0.5 * compute.iota * work * nu * nu, (work / nu).max()
 
 
-def _running_sum(x: np.ndarray) -> float:
-    """Sum added left to right, independent of numpy's pairwise summation."""
-    return float(np.add.accumulate(x)[-1]) if x.size else 0.0
+def running_sum(x: np.ndarray) -> float:
+    """Sum added left to right in plain float additions.
+
+    Independent of numpy's pairwise summation and of the Python version:
+    the builtin ``sum`` compensates float rounding from Python 3.12 on.
+    """
+    total = 0.0
+    for v in x.tolist():
+        total += v
+    return total
 
 
 def round_totals(
@@ -193,7 +200,7 @@ def round_totals(
     comm_time = net.S / net.rate(radios.h[alloc.rows], alloc.p, alloc.rbs)
     energy = np.concatenate([comp_energy, comm_time * alloc.p])
     total_time = comp_time + comm_time.max(initial=0.0)
-    return _running_sum(u[alloc.rows]), _running_sum(energy), float(total_time)
+    return running_sum(u[alloc.rows]), running_sum(energy), float(total_time)
 
 
 @dataclass

@@ -383,15 +383,17 @@ def test_a_sweep_learner_keeps_memos_only_when_cells_share_it(
 def test_a_sweeps_shared_round_0_is_read_only_and_dies_with_its_last_cell(monkeypatch):
     updates, learners = [], []
 
-    def recording_round(learner, theta, config, k):
+    def recording_round(learner, theta, k):
         if k == 0:
-            # a cell starts: other groups' round-0 results and learners (with their memos) are gone
+            # a cell starts: other groups' round-0 results and learners (with their memos)
+            # are gone; each group here has one learner
             gc.collect()
-            assert all(ref() is None for seed, _, _, ref in updates if seed != config.seed)
-            assert all(ref() is None for seed, ref in learners if seed != config.seed)
-        result = round_of_updates(learner, theta, config, k)
-        updates.extend((config.seed, k, a.flags.writeable, weakref.ref(a)) for a in result)
-        learners.append((config.seed, weakref.ref(learner)))
+            assert all(ref() is None for owner, _, _, ref in updates if owner() is not learner)
+            assert all(ref() in (None, learner) for ref in learners)
+        result = round_of_updates(learner, theta, k)
+        updates.extend((weakref.ref(learner), k, a.flags.writeable, weakref.ref(a))
+                       for a in result)
+        learners.append(weakref.ref(learner))
         return result
 
     round_of_updates = harness._round_of_updates
@@ -401,7 +403,7 @@ def test_a_sweeps_shared_round_0_is_read_only_and_dies_with_its_last_cell(monkey
     assert len(updates) == 2 * 4 * 3
     assert all(writeable == (k > 0) for _, k, writeable, _ in updates)
     gc.collect()
-    assert all(ref() is None for *_, ref in updates + learners)
+    assert all(ref() is None for *_, ref in updates) and all(ref() is None for ref in learners)
     updates.clear()
     run(_wireless_config())             # a plain run keeps no memo and freezes nothing
     assert len(updates) == 2 * 3 and all(writeable for _, _, writeable, _ in updates)
@@ -436,8 +438,8 @@ def test_only_round_0_updates_are_kept_each_under_its_model():
     plain = harness._Learner(pop, cfg, memo=False)
     start, other = np.zeros(cfg.population.d), np.full(cfg.population.d, 0.5)
     for k, theta in ((0, start), (1, start), (0, other), (0, start)):
-        for a, b in zip(harness._round_of_updates(shared, theta, cfg, k),
-                        harness._round_of_updates(plain, theta, cfg, k)):
+        for a, b in zip(harness._round_of_updates(shared, theta, k),
+                        harness._round_of_updates(plain, theta, k)):
             assert np.array_equal(a, b)
     assert list(shared.first_round) == [start.tobytes(), other.tobytes()]
     assert plain.first_round is None and plain.losses is None
@@ -484,6 +486,25 @@ def test_a_run_environment_dies_with_it(monkeypatch):
     run(config_from_dict(json.loads((CONFIGS / "wireless.json").read_text())))
     gc.collect()
     assert len(refs) == 3 and [ref() for ref in refs] == [None] * 3
+
+
+def test_a_nufm_contribution_is_summed_left_to_right(monkeypatch):
+    # the builtin sum compensates float rounding from Python 3.12 on and reads fsum's value
+    cfg = _base_config(rounds=2)
+    n_train = generate_population(cfg.population, cfg.seed).train_ids.size
+    cfg = dataclasses.replace(cfg, n_k=n_train)
+    skewed = np.full(n_train, 0.1)
+    skewed[:3] = 1e16, 1.0, -1e16
+    local_update = harness.local_update
+    monkeypatch.setattr(harness, "local_update",
+                        lambda *args: (local_update(*args)[0], skewed.copy()))
+    left_to_right = 0.0
+    for s in skewed.tolist():
+        left_to_right += s
+    assert left_to_right != math.fsum(skewed)
+    ms = run(cfg)
+    assert all(len(m.selected) == n_train for m in ms)
+    assert [m.contribution_sum for m in ms] == [left_to_right] * 2
 
 
 def test_empty_selection_keeps_the_model(caplog):

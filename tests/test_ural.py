@@ -163,7 +163,7 @@ def _two_device_env():
 
 def _matching(u, delta, radios, net):
     """rb_matching as a dict row -> RB."""
-    rows, rbs = rb_matching(np.asarray(u, dtype=float), Uplink(radios, net), delta)
+    rows, rbs, _ = rb_matching(np.asarray(u, dtype=float), Uplink(radios, net), delta)
     return dict(zip(rows.tolist(), rbs.tolist()))
 
 
@@ -454,7 +454,7 @@ def test_rb_matching_total_equals_brute_force(env, delta):
                 gain = u[row] - net.eta1 * delta * mu
                 if gain > 0:
                     cost[row, m] = -gain
-    rows, rbs = rb_matching(u, Uplink(radios, net), delta)
+    rows, rbs, _ = rb_matching(u, Uplink(radios, net), delta)
     assert len(set(rbs.tolist())) == len(rbs)
     got = sum(cost[r, m] for r, m in zip(rows, rbs))
     assert got == pytest.approx(assignment_brute_force(cost), abs=1e-9)
@@ -517,6 +517,7 @@ def test_rb_matching_pairs_equal_linear_sum_assignment(env):
     got = rb_matching(u, Uplink(radios, net), delta)
     assert got[0].tolist() == rows[keep].tolist()
     assert got[1].tolist() == rbs[keep].tolist()
+    assert got[2] in ("in-order", "certified", "solved")
 
 
 @st.composite
@@ -551,11 +552,24 @@ def test_rb_matching_falls_back_when_the_dynamic_program_is_wrong(env):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ural_module, "min_cost_assignment",
                       lambda weights: calls.append(weights) or solve(weights))
-        rows, rbs = rb_matching(u, Uplink(radios, net), delta)
-    assert calls
+        rows, rbs, how = rb_matching(u, Uplink(radios, net), delta)
+    assert calls and how == "solved"
     gain, usable = _gains(u, radios, delta, net)
     cost = np.where(usable, -gain, np.inf)
     assert rows.size == u.size and net.noise[rbs[-1]] == net.noise.min()
+    assert cost[rows, rbs].sum() == pytest.approx(assignment_brute_force(cost), abs=1e-9)
+
+
+def test_rb_matching_certifies_an_optimum_the_dynamic_program_cannot_prove():
+    # the rb-matching suite's instance 230 at seed 0, rounded to two decimals
+    radios = RadioProfile(h=[0.13, 0.14, 0.45, 0.95], p_max=[0.4, 0.25, 0.23, 0.14])
+    net = NetworkConfig(M=2, B=1.0, N0=0.1, S=1.0, interference=(0.27, 0.0),
+                        eta1=1.33, eta2=0.56)
+    u, delta = np.array([3.48, 2.55, 3.47, 3.73]), 5.39
+    rows, rbs, how = rb_matching(u, Uplink(radios, net), delta)
+    assert how == "certified" and rows.tolist() == [2, 3] and rbs.tolist() == [1, 0]
+    gain, usable = _gains(u, radios, delta, net)
+    cost = np.where(usable, -gain, np.inf)
     assert cost[rows, rbs].sum() == pytest.approx(assignment_brute_force(cost), abs=1e-9)
 
 
@@ -571,7 +585,7 @@ def test_rb_matching_prices_a_pair_inside_the_cap_slack_at_the_power_it_needs(h,
     uplink = Uplink(radios, net)
     spend, fits = uplink.prices(delta)
     assert fits.tolist() == [1] and spend[0, 0] == net.eta1 * delta * mu
-    rows, rbs = rb_matching(np.array([1.0 + 2.0 * spend[0, 0]]), uplink, delta)
+    rows, rbs, _ = rb_matching(np.array([1.0 + 2.0 * spend[0, 0]]), uplink, delta)
     assert rows.tolist() == [0] and rbs.tolist() == [0]
 
 
@@ -681,15 +695,14 @@ def _ives_reference(u, radios, net):
     best_g2, best = 0.0, (empty, empty, np.zeros(0), delta)
     trace = []
     for _ in range(IVES_MAX_ITERS):
-        rows, rbs = rb_matching(u, Uplink(radios, net), delta)
+        rows, rbs, _ = rb_matching(u, Uplink(radios, net), delta)
         if not rows.size:
             trace.append(0.0)
             break
         p = solve_sp2_power(radios, rows, rbs, net)
-        rates = net.rate(radios.h[rows], p, rbs)
-        g2 = g2_objective(u, radios, rows, rbs, p, net, rates)
+        g2 = g2_objective(u, radios, rows, rbs, p, net)
         trace.append(g2)
-        delta_next = float((net.S / rates).max())
+        delta_next = float((net.S / net.rate(radios.h[rows], p, rbs)).max())
         if g2 > best_g2:
             best_g2, best = g2, (rows, rbs, p, delta_next)
         if len(trace) > 1 and (g2 == trace[-2]
@@ -825,7 +838,7 @@ def test_a_power_step_is_kept_under_its_rows_and_rbs():
     steps = []
     for rows, rbs in (([0], [0]), ([0], [1]), ([0], [1]), ([0, 1], [1, 0])):
         rows, rbs = np.array(rows), np.array(rbs)
-        steps.append(uplink.power_step(rows, rbs, (rows.tolist(), rbs.tolist())))
+        steps.append(uplink.power_step(rows, rbs))
         p = solve_sp2_power(radios, rows, rbs, net)
         assert steps[-1][0].tobytes() == p.tobytes() and not steps[-1][0].flags.writeable
     assert steps[2] is steps[1] and steps[1][0].tobytes() != steps[0][0].tobytes()

@@ -6,15 +6,19 @@
 The first form runs each fixed invocation through ``fmlsim.cli.main``
 (importing fmlsim from the ``src/`` beside this script), writes its files
 under ``OUT/<invocation>/`` and records the sha256 of every output file,
-with the exit code, in ``OUT/digests.json``.  Run it on two checkouts and
-compare the two ``digests.json`` files (``cmp`` or ``diff``): a change that
-keeps every output byte-identical leaves them equal.
+with the exit code, in ``OUT/digests.json``.  It also runs every ``fmlsim
+oracle`` suite at its default seed, as the invocation ``oracle-<suite>``,
+and records the lines the suite prints with its exit code.  Run it on two
+checkouts and compare the two ``digests.json`` files (``cmp`` or
+``diff``): a change that keeps every output byte-identical leaves them
+equal.
 
 The second form measures a change that does not.  For each invocation it
 prints the changed files, the largest relative change in each numeric CSV
 column, and every changed value in a text or integer CSV column (those in
-``EXACT_COLUMNS`` and any that does not read as numbers).  It exits 1 if
-such a value, an exit code, or the set of files differs, else 0.
+``EXACT_COLUMNS`` and any that does not read as numbers), or every changed
+line an oracle suite printed.  It exits 1 if such a value or line, an exit
+code, or the set of files differs, else 0.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import sys
@@ -95,6 +100,7 @@ INVOCATIONS = {
 def digest(out: Path) -> dict:
     sys.path.insert(0, str(ROOT / "src"))
     from fmlsim.cli import main
+    from fmlsim.oracles import SUITES
 
     digests = {}
     for name, args in INVOCATIONS.items():
@@ -104,6 +110,11 @@ def digest(out: Path) -> dict:
         files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                  for p in sorted(target.iterdir())} if target.is_dir() else {}
         digests[name] = {"exit": code, "files": files}
+    for suite in SUITES:
+        with contextlib.redirect_stdout(printed := io.StringIO()):
+            code = main(["oracle", suite])
+        digests[f"oracle-{suite}"] = {"exit": code, "files": {},
+                                      "lines": printed.getvalue().splitlines()}
     return digests
 
 
@@ -158,11 +169,11 @@ def compare(parent: Path, change: Path) -> int:
             head += f", exit {a['exit']} -> {b['exit']}"
             status = 1
         print(head)
-        if not diff:
-            continue
-        print("  files: " + " ".join(diff))
+        changed = [f"line {x!r} -> {y!r}" for x, y in
+                   itertools.zip_longest(a.get("lines", []), b.get("lines", [])) if x != y]
         moved: dict[str, float] = {}
-        changed: list[str] = []
+        if diff:
+            print("  files: " + " ".join(diff))
         for f in diff:
             if f not in a["files"] or f not in b["files"]:
                 changed.append(f"{f}: only in {'change' if f in b['files'] else 'parent'}")
