@@ -61,7 +61,7 @@ import numpy as np
 
 from . import rng
 from . import ural as solvers    # solve_sp1 is looked up where the bench's tracer wraps it
-from .errors import ConfigurationError, InvalidInputError, NumericalError
+from .errors import ConfigurationError, InvalidInputError, NumericalError, check_fields
 from .metacore import LossPlan, MetaHyper, StepPlan, adapted_loss, local_update
 from .selection import aggregate, select_top_k, shifted_scores
 from .tasks import Population, PopulationSpec, generate_population
@@ -103,20 +103,12 @@ class ExperimentConfig:
     env: EnvironmentSpec = field(default_factory=EnvironmentSpec)
 
     def __post_init__(self):
-        if self.rounds < 1:
-            raise ConfigurationError(f"rounds must be at least 1, got {self.rounds}")
+        check_fields(self, at_least_1=("rounds",), positive=("batch_size",),
+                     nonnegative=("seed",),
+                     choices={"mode": ("nufm", "wireless"), "selection": SELECTION_MODES,
+                              "allocation": ALLOCATION_MODES})
         if not 1 <= self.n_k <= self.population.n:
             raise ConfigurationError(f"n_k={self.n_k} out of range for n={self.population.n}")
-        if self.mode not in ("nufm", "wireless"):
-            raise ConfigurationError(f"mode: unknown mode {self.mode!r}")
-        if self.selection not in SELECTION_MODES:
-            raise ConfigurationError(f"selection: unknown selection mode {self.selection!r}")
-        if self.allocation not in ALLOCATION_MODES:
-            raise ConfigurationError(f"allocation: unknown allocation mode {self.allocation!r}")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ConfigurationError(f"batch_size must be positive, got {self.batch_size}")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass
@@ -572,13 +564,15 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
     """Build and check a config from JSON data (unknown keys and wrong types rejected).
 
     The dataclasses are the definition: each field's type hint sets the JSON
-    type it takes and each ``__post_init__`` its bounds.  Every rejection is
+    type it takes, and each ``__post_init__`` checks every bound through
+    ``errors.check_fields``, finiteness included, as it does for a config
+    built in code.  This loader checks JSON types only.  Every rejection is
     a ConfigurationError naming the dotted field.
     """
     return _build(ExperimentConfig, payload, "")
 
 
-_TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string"}
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
 
 @functools.cache
@@ -599,7 +593,7 @@ def _build(cls, payload, prefix: str):
               for key, value in payload.items()}
     try:
         return cls(**kwargs)
-    except (ConfigurationError, InvalidInputError) as exc:
+    except ConfigurationError as exc:
         # each config __post_init__ message starts with the field it rejects
         raise ConfigurationError(f"{prefix}{exc}") from None
 
@@ -617,7 +611,7 @@ def _field_value(hint, value, path: str):
             raise ConfigurationError(f"{path} must be a list of {len(args)} values, got {value!r}")
         return tuple(_field_value(h, v, path) for h, v in zip(args, value))
     if hint is float:
-        ok = isinstance(value, numbers.Real) and math.isfinite(value)
+        ok = isinstance(value, numbers.Real)
     elif hint is int:
         ok = isinstance(value, numbers.Integral)
     else:

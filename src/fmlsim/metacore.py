@@ -34,13 +34,12 @@ reference for it.
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidInputError, NumericalError
+from .errors import ConfigurationError, InvalidInputError, NumericalError, check_fields
 
 MODE_HESSIAN = "hessian"
 MODE_FIRST_ORDER = "first-order"
@@ -79,19 +78,8 @@ class MetaHyper:
     mode: str = MODE_HESSIAN
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "lambda1", "lambda2", "hv_epsilon"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidInputError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.alpha < 0:
-            raise InvalidInputError("alpha must be nonnegative")
-        if self.beta < 0:
-            raise InvalidInputError("beta must be nonnegative")
-        if self.tau < 1:
-            raise InvalidInputError("tau must be at least 1")
-        if self.hv_epsilon <= 0:
-            raise InvalidInputError("hv_epsilon must be positive")
-        if self.mode not in ESTIMATOR_MODES:
-            raise InvalidInputError(f"mode: unknown estimator mode {self.mode!r}")
+        check_fields(self, at_least_1=("tau",), positive=("hv_epsilon",),
+                     nonnegative=("alpha", "beta"), choices={"mode": ESTIMATOR_MODES})
 
 
 def _margin(theta: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .errors import InvalidInputError
+from .errors import ConfigurationError, check_fields
 from .metacore import Batch, DeviceArrays, LogisticModel, QuadraticModel
 
 _KEY_CENTERS = 9001
@@ -47,19 +47,14 @@ class PopulationSpec:
     train_fraction: float = 0.5
 
     def __post_init__(self):
-        for name in ("n", "d", "clusters", "classes_per_device", "size_min"):
-            if (value := getattr(self, name)) < 1:
-                raise InvalidInputError(f"{name} must be at least 1, got {value}")
-        for name in ("size_sigma", "param_spread", "cov_spread", "label_noise"):
-            if (value := getattr(self, name)) < 0:
-                raise InvalidInputError(f"{name} must be nonnegative, got {value}")
-        if self.family not in FAMILIES:
-            raise InvalidInputError(f"family: unknown loss family {self.family!r}")
+        check_fields(self, at_least_1=("n", "d", "clusters", "classes_per_device", "size_min"),
+                     nonnegative=("size_sigma", "param_spread", "cov_spread", "label_noise"),
+                     choices={"family": FAMILIES})
         if not 0.0 <= self.train_fraction <= 1.0:
-            raise InvalidInputError(f"train_fraction must be in [0, 1], got {self.train_fraction}")
+            raise ConfigurationError(f"train_fraction must be in [0, 1], got {self.train_fraction}")
         if self.n_train < 1:
-            raise InvalidInputError(f"train_fraction {self.train_fraction} leaves no training "
-                                    f"device among n={self.n}")
+            raise ConfigurationError(f"train_fraction {self.train_fraction} leaves no training "
+                                     f"device among n={self.n}")
 
     @property
     def n_train(self) -> int:

@@ -16,12 +16,11 @@ from __future__ import annotations
 import functools
 import json
 import logging
-import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import InfeasibleAllocationError, InvalidInputError
+from .errors import ConfigurationError, InfeasibleAllocationError, InvalidInputError, check_fields
 
 log = logging.getLogger(__name__)
 
@@ -94,12 +93,11 @@ class NetworkConfig:
     eta2: float = 1.0
 
     def __post_init__(self):
-        if self.M < 1 or self.B <= 0 or self.N0 <= 0 or self.S <= 0:
-            raise InvalidInputError("network config fields out of range")
-        if len(self.interference) != self.M or min(self.interference) < 0:
-            raise InvalidInputError("interference vector must be nonnegative, length M")
-        if self.eta1 < 0 or self.eta2 < 0:
-            raise InvalidInputError("weights eta1, eta2 must be nonnegative")
+        check_fields(self, at_least_1=("M",), positive=("B", "N0", "S"),
+                     nonnegative=("interference", "eta1", "eta2"), error=InvalidInputError)
+        if len(self.interference) != self.M:
+            raise InvalidInputError(f"interference must have M={self.M} entries, "
+                                    f"got {len(self.interference)}")
 
     @functools.cached_property
     def noise(self) -> np.ndarray:
@@ -221,24 +219,16 @@ class EnvironmentSpec:
     iota_range: tuple[float, float] = (1.0, 3.0)
 
     def __post_init__(self):
-        if self.M < 1:
-            raise InvalidInputError(f"M must be at least 1, got {self.M}")
-        for name in ("B", "N0", "S", "eta1", "eta2"):
-            if (value := getattr(self, name)) <= 0:
-                raise InvalidInputError(f"{name} must be positive, got {value}")
-        for name in ("h_range", "interference_range", "p_max_range",
-                     "nu_max_range", "c_range", "iota_range"):
-            low, high = getattr(self, name)
-            if not (math.isfinite(low) and math.isfinite(high) and low <= high):
-                raise InvalidInputError(
-                    f"{name} must be two finite bounds with low <= high, got {[low, high]}"
-                )
+        check_fields(self, at_least_1=("M",), positive=("B", "N0", "S", "eta1", "eta2"),
+                     ranges=("h_range", "interference_range", "p_max_range",
+                             "nu_max_range", "c_range", "iota_range"))
         # sample_environment redraws p_max and nu_max until they reach the
         # floor, which never happens if the upper bound lies below it
         for name in ("p_max_range", "nu_max_range"):
             high = getattr(self, name)[1]
             if high <= _P_MAX_FLOOR:
-                raise InvalidInputError(f"{name} upper bound must exceed {_P_MAX_FLOOR}, got {high}")
+                raise ConfigurationError(
+                    f"{name} upper bound must exceed {_P_MAX_FLOOR}, got {high}")
 
 
 def sample_environment(

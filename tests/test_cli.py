@@ -239,6 +239,22 @@ def test_bad_sampling_range_is_usage_error(tmp_path, capsys, override, message):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("override, message", [
+    ("env.S=Infinity", "env.S must be finite, got inf"),
+    ("env.h_range=[NaN,1]", "env.h_range must be finite, got (nan, 1.0)"),
+    ("hyper.beta=-Infinity", "hyper.beta must be finite, got -inf"),
+    ("population.size_sigma=NaN", "population.size_sigma must be finite, got nan"),
+])
+def test_a_non_finite_json_number_is_a_usage_error_naming_its_field(tmp_path, capsys,
+                                                                    override, message):
+    # the loader takes any JSON number for a float; the section's own check rejects it
+    code = main(["run", "--config", str(CONFIGS / "wireless.json"), "--set", override,
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.endswith(f": {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_malformed_override_is_usage_error(tmp_path):
     cfg = _write_config(tmp_path)
     code = main(["run", "--config", cfg, "--set", "rounds", "--out", str(tmp_path / "o")])
@@ -431,6 +447,23 @@ def test_oracle_bisection_exit_codes(capsys, monkeypatch):
     monkeypatch.setattr(oracles, "f4_zero", lambda b1, eta2: root(b1, eta2) * (1 + 1e-9))
     assert main(["oracle", "bisection"]) == EXIT_FAILURE
     assert "1000 instances, 1000 failures" in capsys.readouterr().out
+
+
+def test_oracle_sp1_fails_a_nan_objective(capsys, monkeypatch):
+    # max() drops a NaN deviation, so the suite must fail it on its own
+    solve = oracles.solve_sp1
+    monkeypatch.setattr(oracles, "solve_sp1",
+                        lambda *a: dataclasses.replace(solve(*a), objective=math.nan))
+    result = oracles.sp1_suite()
+    assert (result.failures, result.max_deviation) == (result.instances, math.inf)
+    assert main(["oracle", "sp1"]) == EXIT_FAILURE
+    assert "50 instances, 50 failures, max deviation inf" in capsys.readouterr().out
+
+
+def test_oracle_assignment_fails_a_nan_optimum(monkeypatch):
+    monkeypatch.setattr(oracles, "assignment_brute_force", lambda w: math.nan)
+    result = oracles.assignment_suite(instances=20)
+    assert (result.failures, result.max_deviation) == (20, math.inf)
 
 
 def test_oracle_ives_prints_fast_convergence(capsys):

@@ -4,11 +4,14 @@ import gc
 import json
 import logging
 import math
+import typing
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fmlsim.ural as ural_module
 from fmlsim import harness, metacore, rng
@@ -86,6 +89,65 @@ def test_invalid_config_rejected_before_round_zero():
 def test_negative_seed_rejected():
     with pytest.raises(ConfigurationError, match="^seed must be non-negative, got -1$"):
         _base_config(seed=-1)
+
+
+# the four config dataclasses by their JSON section ("" for the top level)
+_CONFIG_SECTIONS = {"": ExperimentConfig, "population": PopulationSpec, "hyper": MetaHyper,
+                    "env": EnvironmentSpec}
+
+
+def _numeric_slots() -> list[tuple[str, str, int | None]]:
+    """(section, field, tuple index or None) of every number the config dataclasses hold."""
+    slots = []
+    for section, cls in _CONFIG_SECTIONS.items():
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            hint = hints[f.name]
+            args = [a for a in typing.get_args(hint) if a is not type(None)]
+            if typing.get_origin(hint) is tuple:
+                slots += [(section, f.name, i) for i in range(len(args))]
+            elif hint in (int, float) or args == [int]:
+                slots.append((section, f.name, None))
+    return slots
+
+
+@settings(max_examples=300)
+@given(slot=st.sampled_from(_numeric_slots()),
+       value=st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_a_non_finite_number_is_rejected_in_code_and_from_json(slot, value):
+    # one rule whether a config is built in code or read from JSON: the
+    # dataclass names the field, and the loader prefixes its section
+    section, name, index = slot
+    cls = _CONFIG_SECTIONS[section]
+    if index is not None:
+        items = list(getattr(cls(), name))
+        items[index] = value
+        value = tuple(items)
+    with pytest.raises(ConfigurationError, match=f"^{name} must be finite, got "):
+        cls(**{name: value})
+    payload = json.loads(json.dumps({section: {name: value}} if section else {name: value}))
+    path = f"{section}.{name}" if section else name
+    # an int field rejects a float as a JSON type before any bound
+    with pytest.raises(ConfigurationError, match=f"^{path} must be (finite|an integer), got "):
+        config_from_dict(payload)
+
+
+@pytest.mark.parametrize("section, cls, name, value", [
+    ("population", PopulationSpec, "size_sigma", math.nan),
+    ("population", PopulationSpec, "label_noise", math.inf),
+    ("population", PopulationSpec, "param_spread", math.nan),
+    ("env", EnvironmentSpec, "B", math.inf),
+    ("env", EnvironmentSpec, "eta2", math.nan),
+    ("env", EnvironmentSpec, "S", math.inf),
+])
+def test_a_non_finite_section_built_in_code_fails_before_its_population(
+        monkeypatch, section, cls, name, value):
+    # unchecked, these failed in generate_population, in a round's meta-gradient,
+    # at set-up with the wrong cause, or (S=inf) not at all, selecting no device
+    monkeypatch.setattr(harness, "generate_population",
+                        lambda *a: pytest.fail("a population was generated"))
+    with pytest.raises(ConfigurationError, match=f"^{name} must be finite, got {value}$"):
+        run(ExperimentConfig(mode="wireless", rounds=2, **{section: cls(**{name: value})}))
 
 
 def test_training_reduces_loss():
@@ -246,7 +308,7 @@ def test_theorem1_bound_non_finite_report_raises():
     data = generate_population(spec, 0).train
     c = population_constants(data, 0.05)
     assert math.isnan(c.L_F)
-    with pytest.raises(InvalidInputError, match="beta must be finite"):
+    with pytest.raises(ConfigurationError, match="beta must be finite"):
         MetaHyper(alpha=0.05, beta=1.0 / (2.0 * c.L_F))
     hyper = MetaHyper(alpha=0.05, beta=0.1)
     rows = np.arange(data.counts.size)

@@ -137,7 +137,7 @@ def test_dimension_mismatch_raises():
 @pytest.mark.parametrize("name", ["alpha", "beta", "lambda1", "lambda2", "hv_epsilon"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_meta_hyper_rejects_non_finite(name, value):
-    with pytest.raises(InvalidInputError, match=f"^{name} must be finite"):
+    with pytest.raises(ConfigurationError, match=f"^{name} must be finite"):
         MetaHyper(**{name: value})
 
 

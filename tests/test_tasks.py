@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fmlsim.errors import InvalidInputError
+from fmlsim.errors import ConfigurationError
 from fmlsim.metacore import (
     Batch,
     DeviceArrays,
@@ -85,14 +85,14 @@ def test_logistic_family_produces_sign_labels():
 
 
 def test_unknown_family_rejected():
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(ConfigurationError):
         PopulationSpec(family="deep-cnn")
 
 
 def test_empty_training_split_rejected():
-    with pytest.raises(InvalidInputError, match="^train_fraction"):
+    with pytest.raises(ConfigurationError, match="^train_fraction"):
         PopulationSpec(n=20, train_fraction=0.0)
-    with pytest.raises(InvalidInputError, match="^train_fraction"):
+    with pytest.raises(ConfigurationError, match="^train_fraction"):
         PopulationSpec(n=3, train_fraction=0.1)
     assert PopulationSpec(n=20, train_fraction=0.05).n_train == 1
 

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -217,3 +219,22 @@ def test_invalid_profiles_rejected():
         RadioProfile(h=[0.5, 0.6], p_max=[1.0])
     with pytest.raises(InvalidInputError):
         NetworkConfig(M=2, B=1.0, N0=1.0, interference=(0.0,), S=1.0)
+    with pytest.raises(InvalidInputError, match="^interference must have M=2 entries, got 1$"):
+        NetworkConfig(M=2, B=1.0, N0=1.0, interference=(0.0,), S=1.0)
+    # each field named, a non-finite one included (min() with a NaN is never below 0)
+    for name, value, message in [
+        ("B", math.inf, "B must be finite, got inf"),
+        ("N0", math.nan, "N0 must be finite, got nan"),
+        ("S", math.inf, "S must be finite, got inf"),
+        ("eta1", math.nan, "eta1 must be finite, got nan"),
+        ("eta2", -math.inf, "eta2 must be finite, got -inf"),
+        ("interference", (math.nan,), "interference must be finite, got (nan,)"),
+        ("B", 0.0, "B must be positive, got 0.0"),
+        ("N0", -1.0, "N0 must be positive, got -1.0"),
+        ("eta2", -0.5, "eta2 must be non-negative, got -0.5"),
+        ("interference", (-0.1,), "interference must be non-negative, got (-0.1,)"),
+    ]:
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            _net(**{name: value})
+    with pytest.raises(InvalidInputError, match="^M must be at least 1, got 0$"):
+        _net(m=0, interference=())
