@@ -8,7 +8,10 @@ built in code, and a rejected config is a ``ConfigurationError``.
 ``InvalidInputError``.
 """
 
+import functools
 import math
+import numbers
+import typing
 
 
 class InvalidInputError(ValueError):
@@ -27,21 +30,33 @@ class InfeasibleAllocationError(ValueError):
     """An allocation violates the resource constraints."""
 
 
+@functools.cache
+def type_hints(cls) -> dict:
+    """A dataclass's field type hints, its string annotations evaluated once."""
+    return typing.get_type_hints(cls)
+
+
 def check_fields(config, *, at_least_1=(), positive=(), nonnegative=(), choices=None,
                  ranges=(), error=ConfigurationError) -> None:
     """Raise ``error`` naming the first field of ``config`` that breaks a rule.
 
     Every float of every field must be finite, each element of a tuple field
-    too.  Each element of a field named in ``at_least_1``, ``positive`` or
-    ``nonnegative`` must meet that bound, a field of ``choices`` (name ->
-    allowed values) must be one of its values, and a ``ranges`` field
-    ``(low, high)`` must have low <= high.  A field that is None passes.
+    too, and a field whose type hint is ``int`` or ``int | None`` must hold
+    an integer (not a bool).  Each element of a field named in
+    ``at_least_1``, ``positive`` or ``nonnegative`` must meet that bound, a
+    field of ``choices`` (name -> allowed values) must be one of its values,
+    and a ``ranges`` field ``(low, high)`` must have low <= high.  A field
+    that is None passes.
     """
     values = {name: value if isinstance(value, tuple) else (value,)
               for name, value in vars(config).items() if value is not None}
     for name, vs in values.items():
         if any(isinstance(v, float) and not math.isfinite(v) for v in vs):
             raise error(f"{name} must be finite, got {getattr(config, name)}")
+    for name, hint in type_hints(type(config)).items():
+        if hint in (int, int | None) and name in values and (
+                isinstance(v := values[name][0], bool) or not isinstance(v, numbers.Integral)):
+            raise error(f"{name} must be an integer, got {v!r}")
     for names, holds, wording in ((at_least_1, lambda v: v >= 1, "at least 1"),
                                   (positive, lambda v: v > 0, "positive"),
                                   (nonnegative, lambda v: v >= 0, "non-negative")):

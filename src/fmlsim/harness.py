@@ -48,7 +48,6 @@ from __future__ import annotations
 import collections
 import contextvars
 import csv
-import functools
 import io
 import logging
 import math
@@ -61,7 +60,8 @@ import numpy as np
 
 from . import rng
 from . import ural as solvers    # solve_sp1 is looked up where the bench's tracer wraps it
-from .errors import ConfigurationError, InvalidInputError, NumericalError, check_fields
+from .errors import (ConfigurationError, InvalidInputError, NumericalError, check_fields,
+                     type_hints)
 from .metacore import LossPlan, MetaHyper, StepPlan, adapted_loss, local_update
 from .selection import aggregate, select_top_k, shifted_scores
 from .tasks import Population, PopulationSpec, generate_population
@@ -441,7 +441,7 @@ class SweepCell:
 def _sweep_path(parameter: str) -> str:
     if parameter == "seed":
         raise ConfigurationError("seed is not a sweep parameter; sweep seeds with --seeds")
-    hints = _type_hints(ExperimentConfig)
+    hints = type_hints(ExperimentConfig)
     if "." in parameter or parameter in hints:
         return parameter
     matches = [
@@ -575,17 +575,11 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
 
-@functools.cache
-def _type_hints(cls) -> dict:
-    """A config class's field type hints, its string annotations evaluated once."""
-    return typing.get_type_hints(cls)
-
-
 def _build(cls, payload, prefix: str):
     if not isinstance(payload, dict):
         raise ConfigurationError(f"{prefix.rstrip('.') or 'config'} must be an object, "
                                  f"got {payload!r}")
-    hints = _type_hints(cls)
+    hints = type_hints(cls)
     unknown = sorted(set(payload) - {f.name for f in fields(cls)})
     if unknown:
         raise ConfigurationError(f"unknown key {prefix}{unknown[0]}")
@@ -618,4 +612,7 @@ def _field_value(hint, value, path: str):
         ok = isinstance(value, hint)
     if not ok or isinstance(value, bool):
         raise ConfigurationError(f"{path} must be {_TYPE_NAMES[hint]}, got {value!r}")
-    return hint(value)
+    try:
+        return hint(value)
+    except OverflowError as exc:                    # a JSON integer beyond the float range
+        raise ConfigurationError(f"{path} must be a finite number: {exc}") from None

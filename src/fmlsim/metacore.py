@@ -23,8 +23,8 @@ pass, on a run's ``StepPlan`` of constants built once, the descent bound
 in ``oracles`` every (resample, device) pair.  ``adapted_loss``
 evaluates every split's loss after one personalization step on a
 ``LossPlan`` built once per run: a quadratic plan holds each split's
-least-squares form ``(R, z, rho)`` (``QuadraticModel.loss_form``), so a
-round costs O(d^2) per split, and a logistic plan one pass over the
+least-squares form ``[R | z]`` (``QuadraticModel.loss_form``), so a round
+costs O(min(N, d+1) d) per split, and a logistic plan one pass over the
 splits' real samples back to back, never over the padding.  The per-device
 ``draw_batch``, ``grad_estimate``, ``hessian_estimate``, ``meta_gradient``
 and ``exact_meta_gradient`` take ``(family, Batch)`` and are the tests'
@@ -160,42 +160,34 @@ class QuadraticModel(LossModel):
         return _margin(v, x)[..., None] * x
 
     @classmethod
-    def loss_form(
-        cls, splits: Sequence[DeviceArrays], alpha: float
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each split's adapted loss as a least-squares form ``(R (k, d, d), z (k, d), rho (k,))``.
+    def loss_form(cls, splits: Sequence[DeviceArrays], alpha: float) -> np.ndarray:
+        """Each split's adapted loss as a least-squares form ``[R | z]``, read-only (k, h, d+1).
 
-        On device j of c_j samples, with ``A_j = X_j^T X_j / c_j`` and
-        ``b_j = X_j^T y_j / c_j``, one personalization step gives
-        ``M_j theta + alpha * b_j``, ``M_j = I - alpha * A_j``, so a sample's
-        residual ``(M_j^T x) @ theta - (y - alpha * x @ b_j)`` is linear in
-        theta.  A split's rows, each scaled by the square root of its loss
-        weight ``1 / (c_j * device count)``, stack into ``B theta - c`` and its
-        loss is ``0.5 * ||B theta - c||^2``.  One Householder QR ``B = Q R``
-        gives ``z = Q^T c`` and ``rho = ||c - Q z||^2``, taken from the explicit
-        residual, so that the loss is ``0.5 * (||R theta - z||^2 + rho)``, two
-        sums of squares.  A split with fewer samples than d pads R and z with
-        zero rows.  O(N d^2) per split: A_j and ``M_j^T x`` come from batched
-        products on the padded arrays, whose zero padding adds nothing to A_j.
+        After one personalization step on device j, whose c_j samples are
+        ``xy = [X_j | y_j]``, a sample's residual is linear in theta: its row
+        of ``(xy - (alpha / c_j) * X_j X_j^T xy) @ [theta; -1]``.  The rows of
+        a split, each scaled by the square root of its loss weight
+        ``1 / (c_j * device count)``, stack into ``[B | c]``, and its loss is
+        ``0.5 * ||B theta - c||^2``.  The R factor of one Householder QR of
+        ``[B | c]`` (Q is never formed) is ``[R | z]``, and the loss is
+        ``0.5 * ||R theta - z||^2``: a split of N samples has min(N, d+1)
+        rows, the last of which, when N > d, holds only the residual norm
+        (in its last column).
+        Splits are zero-padded to the most rows.  ``X_j X_j^T xy`` is
+        associated through the smaller of d and S_max, so that no d x d
+        array is built per device when d > S_max.
         """
-        d = splits[0].x.shape[-1]
-        r_all, z_all, rho = np.zeros((len(splits), d, d)), np.zeros((len(splits), d)), []
-        for r_s, z_s, s in zip(r_all, z_all, splits):
-            counts, xt = s.counts, s.x.swapaxes(1, 2)
-            scale = 1.0 / np.sqrt(counts * counts.size)
-            # each device's M_j, scaled by its rows' weight: x @ m is then a row of B
-            m = (np.eye(d) - (alpha / counts)[:, None, None] * (xt @ s.x)) * scale[:, None, None]
-            b = (xt @ s.y[..., None])[..., 0] / counts[:, None]
-            real = np.flatnonzero(s.mask)
-            rows = (s.x @ m).reshape(-1, d).take(real, axis=0)
-            c = ((s.y - alpha * _margin(b, s.x)).reshape(-1).take(real)
-                 * scale.take(real // s.mask.shape[1]))
-            q, r = np.linalg.qr(rows)
-            z = q.T @ c
-            resid = c - q @ z
-            r_s[:z.size], z_s[:z.size] = r, z
-            rho.append(resid @ resid)
-        return r_all, z_all, np.array(rho)
+        d1 = splits[0].x.shape[-1] + 1
+        form = np.zeros((len(splits), min(d1, max(int(s.counts.sum()) for s in splits)), d1))
+        for out, s in zip(form, splits):
+            x, xt, rows = s.x, s.x.swapaxes(1, 2), np.concatenate([s.x, s.y[..., None]], axis=-1)
+            step = (alpha / s.counts)[:, None, None]
+            rows -= x @ (step * (xt @ rows)) if d1 <= x.shape[1] else (step * (x @ xt)) @ rows
+            rows /= np.sqrt(s.counts * s.counts.size)[:, None, None]
+            r = np.linalg.qr(rows[s.mask], mode="r")
+            out[:len(r)] = r
+        form.flags.writeable = False
+        return form
 
 
 class LogisticModel(LossModel):
@@ -373,14 +365,15 @@ class LossPlan:
     ``splits`` are populations of one family, such as a run's train and
     test devices; a split given twice (a test set that is the training set)
     is held once.  A family with a ``loss_form`` (quadratic regression) has
-    each held split's least-squares form ``(R, z, rho)`` in ``form``, which
-    is all ``adapted_loss`` reads.  For any other family ``form`` is None
-    and the plan holds the real samples of every held device back to back,
-    device after device in slot order: inputs ``x (N, d)``, labels ``y``,
-    weights ``w`` (1 / the device's sample count), each sample's device
-    ``row`` and each device's first sample ``start``.  Each held split has
-    its first sample in ``split_start`` and its loss weights ``v`` (``w``
-    over the split's device count).  A plan with a form has none of these.
+    the held splits' least-squares forms in ``form`` and its views ``r``
+    and ``z``, all that ``adapted_loss`` reads.  For any other family
+    ``form`` is None and the plan holds the real samples of every held
+    device back to back, device after device in slot order: inputs
+    ``x (N, d)``, labels ``y``, weights ``w`` (1 / the device's sample
+    count), each sample's device ``row`` and each device's first sample
+    ``start``.  Each held split has its first sample in ``split_start`` and
+    its loss weights ``v`` (``w`` over the split's device count).  A plan
+    with a form has none of these.
     Its arrays are read-only.  InvalidInputError for a split without
     devices or a device without samples, whose segment would be empty.
     """
@@ -396,8 +389,7 @@ class LossPlan:
         form = getattr(self.family, "loss_form", None)
         self.form = form(held, alpha) if form else None
         if self.form is not None:
-            for a in self.form:
-                a.flags.writeable = False
+            self.r, self.z = self.form[..., :-1], self.form[..., -1]
             return
         counts = np.concatenate([s.counts for s in held])
         self.x = np.concatenate([s.x[s.mask] for s in held])
@@ -415,7 +407,7 @@ class LossPlan:
 def adapted_loss(plan: LossPlan, theta: np.ndarray) -> tuple[float, ...]:
     """Each split's mean over devices of the full-data loss after one personalization step.
 
-    With a plan's least-squares ``form``, ``0.5 * (||R theta - z||^2 + rho)``
+    With a plan's least-squares ``form``, ``0.5 * ||R theta - z||^2``
     for all its splits at once.  Otherwise one pass over the plan's samples:
     the margins ``x @ theta``, each device's full-data gradient summed over
     its own samples, every sample's margin at its device's adapted
@@ -425,9 +417,8 @@ def adapted_loss(plan: LossPlan, theta: np.ndarray) -> tuple[float, ...]:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         if plan.form is not None:
-            r, z, rho = plan.form
-            resid = np.matmul(r, theta) - z
-            losses = 0.5 * (np.einsum("kd,kd->k", resid, resid) + rho)
+            resid = np.matmul(plan.r, theta) - plan.z
+            losses = 0.5 * np.einsum("kh,kh->k", resid, resid)
         else:
             family = plan.family
             slope = family.margin_slope(plan.x @ theta, plan.y) * plan.w

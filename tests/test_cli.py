@@ -97,7 +97,7 @@ def test_an_exploding_finite_loss_warns_once_and_leaves_the_outputs(tmp_path, ca
         assert main([*args, "--out", str(tmp_path / "out")]) == EXIT_OK
     warned = [r for r in caplog.records if r.levelno == logging.WARNING]
     assert [r.getMessage() for r in warned] == [
-        f"round 2: adapted loss 5392625762900.775 exceeds {harness.EXPLODING_LOSS:g}, the model "
+        f"round 2: adapted loss 5392625762900.774 exceeds {harness.EXPLODING_LOSS:g}, the model "
         "is diverging; check hyper.beta=50.0 and hyper.alpha=0.03"]
     rows = list(csv.DictReader((tmp_path / "out" / "metrics.csv").open()))
     assert rows[-1]["round"] == "49" and float(rows[-1]["train_loss"]) == pytest.approx(4.48e203,
@@ -244,10 +244,15 @@ def test_bad_sampling_range_is_usage_error(tmp_path, capsys, override, message):
     ("env.h_range=[NaN,1]", "env.h_range must be finite, got (nan, 1.0)"),
     ("hyper.beta=-Infinity", "hyper.beta must be finite, got -inf"),
     ("population.size_sigma=NaN", "population.size_sigma must be finite, got nan"),
+    # 10**400 is a JSON integer that no float holds: float() overflows in the loader
+    pytest.param("env.B=1" + "0" * 400,
+                 "env.B must be a finite number: int too large to convert to float",
+                 id="env.B=10**400"),
 ])
 def test_a_non_finite_json_number_is_a_usage_error_naming_its_field(tmp_path, capsys,
                                                                     override, message):
-    # the loader takes any JSON number for a float; the section's own check rejects it
+    # the loader takes any JSON number a float holds; the section's own check rejects a
+    # non-finite one
     code = main(["run", "--config", str(CONFIGS / "wireless.json"), "--set", override,
                  "--out", str(tmp_path / "out")])
     assert code == EXIT_USAGE

@@ -132,6 +132,23 @@ def test_a_non_finite_number_is_rejected_in_code_and_from_json(slot, value):
         config_from_dict(payload)
 
 
+# every field of the config dataclasses whose type hint is int or int | None
+_INT_FIELDS = [(cls, f.name) for cls in _CONFIG_SECTIONS.values() for f in dataclasses.fields(cls)
+               if typing.get_type_hints(cls)[f.name] in (int, int | None)]
+
+
+@pytest.mark.parametrize("cls, name", _INT_FIELDS,
+                         ids=[f"{cls.__name__}.{name}" for cls, name in _INT_FIELDS])
+@pytest.mark.parametrize("value", [2.5, 5.0, True])
+def test_an_int_field_built_in_code_holds_an_integer(cls, name, value):
+    # unchecked, a float ran as its truncation (seed) or died mid-run with a TypeError
+    assert len(_INT_FIELDS) == 11
+    with pytest.raises(ConfigurationError, match=f"^{name} must be an integer, got {value!r}$"):
+        cls(**{name: value})
+    # a numpy integer is an integer
+    assert getattr(cls(**{name: np.int64(getattr(cls(), name) or 1)}), name) >= 0
+
+
 @pytest.mark.parametrize("section, cls, name, value", [
     ("population", PopulationSpec, "size_sigma", math.nan),
     ("population", PopulationSpec, "label_noise", math.inf),
@@ -603,7 +620,7 @@ def test_an_all_train_run_evaluates_its_losses_once_per_round(monkeypatch):
         # the test set is the training set: the plan holds it once, in one split
         plan = plans[0]
         if plan.form is not None:
-            assert [a.shape[0] for a in plan.form] == [1, 1, 1]
+            assert plan.form.shape[0] == 1
         else:
             assert plan.x.shape[0] == pop.train.counts.sum() and plan.split_start.tolist() == [0]
         assert all(m.train_loss == m.test_loss for m in ms)

@@ -1,5 +1,6 @@
 import copy
 import operator
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -33,7 +34,7 @@ from fmlsim.metacore import (
 )
 from fmlsim.harness import ExperimentConfig, run
 from fmlsim.oracles import SmoothnessConstants
-from fmlsim.tasks import PopulationSpec
+from fmlsim.tasks import PopulationSpec, generate_population
 
 
 def _quad(x, y):
@@ -688,7 +689,7 @@ def test_adapted_loss_matches_the_per_device_reference(family, counts, d, alpha,
     if family is QuadraticModel:
         # a plan with a loss form holds no samples: the form is all it reads
         assert not any(hasattr(plan, name) for name in SAMPLE_ARRAYS)
-        assert [a.shape[0] for a in twice.form] == [1, 1, 1]
+        assert twice.form.shape[0] == 1
     else:
         assert plan.x.shape == (sum(map(sum, counts)), d)
         assert not any(getattr(plan, name).flags.writeable for name in SAMPLE_ARRAYS)
@@ -767,12 +768,42 @@ def test_a_runs_loss_form_is_built_once_and_read_only(monkeypatch):
     cfg = ExperimentConfig(rounds=3, n_k=2, population=PopulationSpec(n=12, d=3))
     assert len(run(cfg)) == 3
     (form,) = forms
-    assert [a.shape for a in form] == [(2, 3, 3), (2, 3), (2,)]
-    assert not any(a.flags.writeable for a in form)
+    assert form.shape == (2, 4, 4) and not form.flags.writeable
     # a family without a loss form keeps the pass over the samples
     assert not hasattr(LossModel, "loss_form")
     logistic = DeviceArrays(LogisticModel, [Batch(np.ones((2, 3)), np.array([1.0, -1.0]))])
     assert LossPlan(logistic, alpha=0.1).form is None
+
+
+def test_a_split_holds_min_n_d_plus_1_rows_the_last_its_residual_norm():
+    d, alpha = 6, 0.1
+    g = np.random.default_rng(3)
+    splits = [[_quad(g.normal(size=(c, d)), g.normal(size=c)) for c in counts]
+              for counts in ([2, 3], [4, 5])]
+    plan = LossPlan(*(DeviceArrays(QuadraticModel, s) for s in splits), alpha=alpha)
+    assert plan.form.shape == (2, d + 1, d + 1)
+    for form, datasets, n in zip(plan.form, splits, (5, 9)):
+        # N <= d: N rows and no residual row; N > d: d+1 rows, padding zero below them
+        h = min(n, d + 1)
+        assert np.all(form[h:] == 0) and np.all(np.diag(form[:h]) != 0)
+        # the least-squares minimum of the adapted loss is half the last row's r_dd^2
+        theta = np.linalg.lstsq(form[:, :d], form[:, d], rcond=None)[0]
+        scale = _reference_adapted_loss(QuadraticModel, datasets, np.zeros(d), alpha)
+        assert _reference_adapted_loss(QuadraticModel, datasets, theta, alpha) == pytest.approx(
+            0.5 * form[d, d] ** 2, abs=1e-12 * scale)
+
+
+def test_a_loss_plan_at_large_d_builds_no_d_by_d_array_per_device():
+    pop = generate_population(PopulationSpec(n=20, d=400), 0)
+    tracemalloc.start()
+    try:
+        LossPlan(pop.train, pop.test, alpha=0.03)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one device's 400 x 400 matrix is 1.28 MB: a form that built one per device peaked
+    # at 42.9 MB here, the form from the augmented rows at 2.5 MB
+    assert peak < 8e6
 
 
 def test_loss_plan_rejects_an_empty_device_or_split():

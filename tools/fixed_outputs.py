@@ -61,6 +61,10 @@ INVOCATIONS = {
     # samples than weights is rank-deficient and padded
     "nufm-wide": ["run", "--config", NUFM, "--set", "population.n=4", "--set", "n_k=2",
                   "--set", "population.d=40", "--set", "rounds=5"],
+    # 400 weights against at most 28 samples a device: the loss form's rows come through
+    # each device's Gram matrix, and beta is cut tenfold so that the run does not diverge
+    "nufm-large-d": ["run", "--config", NUFM, "--set", "population.d=400", "--set", "rounds=3",
+                     "--set", "hyper.beta=0.002"],
     **{f"wireless-{a}": ["run", "--config", WIRELESS, "--set", f"allocation={a}"]
        for a in ("ural", "greedy", "random", "nufm-greedy", "nufm-random")},
     "wireless-large": ["run", "--config", WIRELESS, "--set", "population.n=400",
