@@ -464,9 +464,10 @@ def sweep(
 
     ``parameter`` is a config dot path, a top-level field name, or the name
     of exactly one section field (``eta1`` is ``env.eta1``).  Every
-    (value, seed) config is built and checked before the first run.  A
-    repeated seed, or two values written as the same ``value_text``, would
-    give two cells one name, so either is a ConfigurationError.  The cells
+    (value, seed) config is built and checked before the first run.  An
+    empty value or seed list leaves no cell to run, and a repeated seed, or
+    two values written as the same ``value_text``, would give two cells one
+    name, so each is a ConfigurationError.  The cells
     run grouped by (population spec, seed), each group's back to back
     through ``run``, and a group's population, plans and memos die before
     the next group's are built.
@@ -474,6 +475,8 @@ def sweep(
     path = _sweep_path(parameter)
     seeds = [config.seed] if seeds is None else list(seeds)
     for name, keys in (("seed", seeds), ("value", [value_text(v) for v in values])):
+        if not keys:
+            raise ConfigurationError(f"sweep {name} list is empty")
         repeated = [key for key, count in collections.Counter(keys).items() if count > 1]
         if repeated:
             raise ConfigurationError(f"sweep {name} {repeated[0]} is given more than once")

@@ -308,40 +308,46 @@ class SuiteResult:
         return self.failures == 0
 
 
-def sp1_suite(instances: int = 50, seed: int = 0, tol: float = 1e-6) -> SuiteResult:
-    """Closed-form frequency solution versus refined grid search."""
+def _suite(name: str, tag: int, instances: int, seed: int, instance) -> SuiteResult:
+    """Run ``instance(g, r)`` for r < ``instances`` on the stream ``(seed, _KEY_ORACLE, tag, r)``.
+
+    Each instance returns its deviation and whether it holds.  An instance
+    fails when it does not hold or its deviation is not finite (a NaN
+    included); ``max_deviation`` is the largest deviation, infinite if any
+    was not finite.
+    """
     worst = 0.0
     failures = 0
     for r in range(instances):
-        g = rng.stream(seed, _KEY_ORACLE, 1, r)
-        n = int(g.integers(1, 4))
-        compute = _random_compute(g, n)
+        dev, holds = instance(rng.stream(seed, _KEY_ORACLE, tag, r), r)
+        worst = max(worst, dev) if math.isfinite(dev) else math.inf
+        failures += not (holds and math.isfinite(dev))
+    return SuiteResult(name, instances, failures, worst)
+
+
+def sp1_suite(instances: int = 50, seed: int = 0, tol: float = 1e-6) -> SuiteResult:
+    """Closed-form frequency solution versus refined grid search."""
+    def instance(g, r):
+        compute = _random_compute(g, int(g.integers(1, 4)))
         weights = (g.uniform(0.5, 2.0), g.uniform(0.5, 2.0))
         closed = solve_sp1(compute, weights).objective
         grid = g1_grid_minimum(compute, weights)
         dev = abs(closed - grid)
-        worst = max(worst, dev) if math.isfinite(dev) else math.inf
-        # the closed form must match the grid optimum and never exceed it; a NaN fails
-        failures += not (dev <= tol and closed <= grid + tol)
-    return SuiteResult("sp1", instances, failures, worst)
+        # the closed form must match the grid optimum and never exceed it
+        return dev, dev <= tol and closed <= grid + tol
+    return _suite("sp1", 1, instances, seed, instance)
 
 
 def assignment_suite(instances: int = 500, seed: int = 0, tol: float = 1e-9) -> SuiteResult:
     """Shortest-augmenting-path partial matching versus the bitmask DP optimum."""
-    worst = 0.0
-    failures = 0
-    for r in range(instances):
-        g = rng.stream(seed, _KEY_ORACLE, 2, r)
-        n = int(g.integers(1, 8))
-        m = int(g.integers(1, 8))
+    def instance(g, r):
+        n, m = int(g.integers(1, 8)), int(g.integers(1, 8))
         w = g.uniform(-5.0, 5.0, size=(n, m))
         w[g.uniform(size=(n, m)) < 0.3] = np.inf  # forbidden edges
         got = running_sum(np.array([w[i, j] for i, j in min_cost_assignment(w)]))
-        want = assignment_brute_force(w)
-        dev = abs(got - want)
-        worst = max(worst, dev) if math.isfinite(dev) else math.inf
-        failures += not dev <= tol
-    return SuiteResult("assignment", instances, failures, worst)
+        dev = abs(got - assignment_brute_force(w))
+        return dev, dev <= tol
+    return _suite("assignment", 2, instances, seed, instance)
 
 
 def rb_matching_suite(instances: int = 500, seed: int = 0, tol: float = 1e-9) -> SuiteResult:
@@ -354,13 +360,10 @@ def rb_matching_suite(instances: int = 500, seed: int = 0, tol: float = 1e-9) ->
     instance: in-order without a certificate, certified, or solved by the
     general assignment solver.
     """
-    worst = 0.0
-    failures = 0
     settled = {"in-order": 0, "certified": 0, "solved": 0}
-    for r in range(instances):
-        g = rng.stream(seed, _KEY_ORACLE, 5, r)
-        n = int(g.integers(1, 8))
-        m = int(g.integers(1, 8))
+
+    def instance(g, r):
+        n, m = int(g.integers(1, 8)), int(g.integers(1, 8))
         radios, net = _random_radio_env(g, n, m)
         u = g.uniform(0.1, 4.0, size=n)
         noise = np.asarray(net.interference) + net.B * net.N0
@@ -376,11 +379,10 @@ def rb_matching_suite(instances: int = 500, seed: int = 0, tol: float = 1e-9) ->
         gain = u[:, None] - net.eta1 * delta * mu
         cost = np.where((mu <= cap * (1.0 + ural.CAP_SLACK)) & (gain > 0), -gain, np.inf)
         dev = abs(float(cost[rows, rbs].sum()) - assignment_brute_force(cost))
-        worst = max(worst, dev) if math.isfinite(dev) else math.inf
-        failures += not (dev <= tol and len(set(rbs.tolist())) == rbs.size)
-    note = ("rb-matching: {in-order} in-order, {certified} certified, "
-            "{solved} solved by the assignment solver").format(**settled)
-    return SuiteResult("rb-matching", instances, failures, worst, note)
+        return dev, dev <= tol and len(set(rbs.tolist())) == rbs.size
+    result = _suite("rb-matching", 5, instances, seed, instance)
+    return replace(result, note=("rb-matching: {in-order} in-order, {certified} certified, "
+                                 "{solved} solved by the assignment solver").format(**settled))
 
 
 def f4_bisection(b1: float, eta2: float) -> float:
@@ -400,22 +402,21 @@ def f4_bisection(b1: float, eta2: float) -> float:
 
 def bisection_suite(instances: int = 1000, seed: int = 0, tol: float = 1e-8) -> SuiteResult:
     """The f4 root's residual (at most ``tol``, ``max_deviation`` the largest) and its
-    relative distance from ``f4_bisection`` (at most 1e-12, the note the largest)."""
-    worst = worst_rel = 0.0
-    failures = 0
-    for r in range(instances):
-        g = rng.stream(seed, _KEY_ORACLE, 3, r)
-        b1 = float(g.uniform(0.01, 100.0))
-        eta2 = float(g.uniform(0.01, 100.0))
+    relative distance from ``f4_bisection`` (at most 1e-12, the note the largest, NaN if any
+    was NaN)."""
+    distances: list[float] = []
+
+    def instance(g, r):
+        b1, eta2 = float(g.uniform(0.01, 100.0)), float(g.uniform(0.01, 100.0))
         root = f4_zero(b1, eta2)
-        resid = abs(b1 * ((1.0 + root) * math.log1p(root) - root) - eta2)
         reference = f4_bisection(b1, eta2)
-        rel = abs(root - reference) / reference
-        worst = max(worst, resid) if math.isfinite(resid) else math.inf
-        worst_rel = max(worst_rel, rel) if math.isfinite(rel) else math.inf
-        failures += not (resid <= tol and rel <= 1e-12)
-    note = f"bisection: max relative distance from the reference bisection {worst_rel:.3e}"
-    return SuiteResult("bisection", instances, failures, worst, note)
+        distances.append(rel := abs(root - reference) / reference)
+        resid = abs(b1 * ((1.0 + root) * math.log1p(root) - root) - eta2)
+        return resid, resid <= tol and rel <= 1e-12
+    result = _suite("bisection", 3, instances, seed, instance)
+    farthest = np.max(distances, initial=0.0)
+    return replace(result, note=f"bisection: max relative distance from the reference "
+                                f"bisection {farthest:.3e}")
 
 
 def ives_monotone_suite(
@@ -423,32 +424,26 @@ def ives_monotone_suite(
 ) -> tuple[SuiteResult, list[int]]:
     """Objective-trace monotonicity and iteration counts on random environments.
 
-    An instance fails when its trace ever falls or when IVES runs
-    ``IVES_MAX_ITERS`` iterations: a run that stops on its own exactly at
-    the cap counts as a failure too, as the two cannot be told apart.
+    An instance fails when its trace ever falls or holds a NaN, or when IVES
+    runs ``IVES_MAX_ITERS`` iterations: a run that stops on its own exactly
+    at the cap counts as a failure too, as the two cannot be told apart.  A
+    ``-inf`` entry is g2 at a zero rate, not a failure.
     """
-    failures = 0
-    worst = 0.0
     iteration_counts: list[int] = []
-    for r in range(instances):
-        g = rng.stream(seed, _KEY_ORACLE, 4, r)
-        n = int(g.integers(2, 15))
-        m = int(g.integers(1, 21))
+
+    def instance(g, r):
+        n, m = int(g.integers(2, 15)), int(g.integers(1, 21))
         radios, net = _random_radio_env(g, n, m)
         u = np.array([g.uniform(0.1, 5.0) for _ in range(n)])
-        sol = ives(u, Uplink(radios, net))
-        iteration_counts.append(len(sol.trace))
-        drops = [
-            sol.trace[t] - sol.trace[t + 1]
-            for t in range(len(sol.trace) - 1)
-            if sol.trace[t] - sol.trace[t + 1] > tol * max(1.0, abs(sol.trace[t]))
-        ]
-        worst = max(worst, max(drops, default=0.0))
-        if drops or len(sol.trace) >= ural.IVES_MAX_ITERS:
-            failures += 1
+        trace = ives(u, Uplink(radios, net)).trace
+        iteration_counts.append(len(trace))
+        drops = [a - b for a, b in zip(trace, trace[1:]) if a - b > tol * max(1.0, abs(a))]
+        dev = math.nan if any(map(math.isnan, trace)) else max(drops, default=0.0)
+        return dev, not drops and len(trace) < ural.IVES_MAX_ITERS
+    result = _suite("ives-monotone", 4, instances, seed, instance)
     fast = len([c for c in iteration_counts if c <= 3])
     note = f"ives-monotone: {fast}/{instances} instances converged within 3 iterations"
-    return SuiteResult("ives-monotone", instances, failures, worst, note), iteration_counts
+    return replace(result, note=note), iteration_counts
 
 
 def descent_bound_suite(populations: int = 25, thetas: int = 40, seed: int = 0) -> SuiteResult:

@@ -454,21 +454,37 @@ def test_oracle_bisection_exit_codes(capsys, monkeypatch):
     assert "1000 instances, 1000 failures" in capsys.readouterr().out
 
 
-def test_oracle_sp1_fails_a_nan_objective(capsys, monkeypatch):
-    # max() drops a NaN deviation, so the suite must fail it on its own
-    solve = oracles.solve_sp1
-    monkeypatch.setattr(oracles, "solve_sp1",
-                        lambda *a: dataclasses.replace(solve(*a), objective=math.nan))
-    result = oracles.sp1_suite()
+def _nan_objective(solve):
+    return lambda *a: dataclasses.replace(solve(*a), objective=math.nan)
+
+
+def _nan_first_in_trace(ives):
+    def patched(*a):
+        sol = ives(*a)
+        return dataclasses.replace(sol, trace=[math.nan, *sol.trace])
+    return patched
+
+
+# each suite's compared value, made NaN: (suite, the oracles name patched, its patch)
+_NAN_CASES = [
+    ("sp1", "solve_sp1", _nan_objective),
+    ("assignment", "assignment_brute_force", lambda _: lambda w: math.nan),
+    ("rb-matching", "assignment_brute_force", lambda _: lambda w: math.nan),
+    ("bisection", "f4_zero", lambda _: lambda b1, eta2: math.nan),
+    ("ives-monotone", "ives", _nan_first_in_trace),
+]
+
+
+@pytest.mark.parametrize("suite, target, patch", _NAN_CASES, ids=[c[0] for c in _NAN_CASES])
+def test_oracle_suite_fails_a_nan(suite, target, patch, capsys, monkeypatch):
+    # max() drops a NaN deviation, so the instance loop must fail it on its own
+    monkeypatch.setattr(oracles, target, patch(getattr(oracles, target)))
+    result = oracles.SUITES[suite](seed=0)
+    assert result.instances > 0
     assert (result.failures, result.max_deviation) == (result.instances, math.inf)
-    assert main(["oracle", "sp1"]) == EXIT_FAILURE
-    assert "50 instances, 50 failures, max deviation inf" in capsys.readouterr().out
-
-
-def test_oracle_assignment_fails_a_nan_optimum(monkeypatch):
-    monkeypatch.setattr(oracles, "assignment_brute_force", lambda w: math.nan)
-    result = oracles.assignment_suite(instances=20)
-    assert (result.failures, result.max_deviation) == (20, math.inf)
+    assert main(["oracle", suite]) == EXIT_FAILURE
+    line = f"{result.instances} instances, {result.instances} failures, max deviation inf"
+    assert line in capsys.readouterr().out
 
 
 def test_oracle_ives_prints_fast_convergence(capsys):

@@ -347,6 +347,13 @@ def test_sweep_unknown_parameter():
         sweep(_wireless_config(), "bandwidth_hz", [1.0])
 
 
+@pytest.mark.parametrize("values, seeds, empty", [([0.5, 1.0], [], "seed"), ([], None, "value")],
+                         ids=["seeds", "values"])
+def test_sweep_rejects_an_empty_list(values, seeds, empty):
+    with pytest.raises(ConfigurationError, match=f"sweep {empty} list is empty"):
+        sweep(_wireless_config(), "eta1", values, seeds=seeds)
+
+
 def test_sweep_checks_every_seed_before_the_first_run(monkeypatch):
     calls = []
     monkeypatch.setattr(harness, "run", lambda config: calls.append(config) or [])

@@ -15,10 +15,12 @@ equal.
 
 The second form measures a change that does not.  For each invocation it
 prints the changed files, the largest relative change in each numeric CSV
-column, and every changed value in a text or integer CSV column (those in
-``EXACT_COLUMNS`` and any that does not read as numbers), or every changed
-line an oracle suite printed.  It exits 1 if such a value or line, an exit
-code, or the set of files differs, else 0.
+column and in each JSON float that moved (under its dotted key), and every
+changed value in a text or integer CSV column (those in ``EXACT_COLUMNS``
+and any that does not read as numbers), every other changed JSON value or
+structure, or every changed line an oracle suite printed.  A manifest's
+``files`` hashes move with any output and are not compared.  It exits 1 if
+such a value or line, an exit code, or the set of files differs, else 0.
 """
 
 from __future__ import annotations
@@ -158,6 +160,33 @@ def compare_csv(old: Path, new: Path, moved: dict[str, float], changed: list[str
                 moved[col] = max(moved.get(col, 0.0), _relative(fx, fy))
 
 
+def compare_json(old: Path, new: Path, moved: dict[str, float], changed: list[str]) -> None:
+    """Fold one JSON pair into ``moved`` (file and dotted key of each float that moved ->
+    its largest relative change) and ``changed``; a list's elements share its key."""
+    a, b = json.loads(old.read_text()), json.loads(new.read_text())
+    if old.name == "manifest.json":
+        a.pop("files", None)
+        b.pop("files", None)
+
+    def walk(key: str, x, y) -> None:
+        if type(x) is float and type(y) is float:
+            if x != y:
+                at = f"{old.name} {key}"
+                moved[at] = max(moved.get(at, 0.0), _relative(x, y))
+        elif isinstance(x, dict) and isinstance(y, dict) and x.keys() == y.keys():
+            for k in x:
+                walk(f"{key}.{k}" if key else k, x[k], y[k])
+        elif isinstance(x, list) and isinstance(y, list) and len(x) == len(y):
+            for u, v in zip(x, y):
+                walk(f"{key}[]", u, v)
+        elif x != y or type(x) is not type(y):
+            nested = isinstance(x, (dict, list)) or isinstance(y, (dict, list))
+            changed.append(f"{old.name} {key or '(root)'}: "
+                           + ("a different structure" if nested else f"{x!r} -> {y!r}"))
+
+    walk("", a, b)
+
+
 def compare(parent: Path, change: Path) -> int:
     """Print how the change's outputs differ from the parent's; 1 if beyond numeric drift."""
     old = json.loads((parent / "digests.json").read_text())
@@ -183,6 +212,8 @@ def compare(parent: Path, change: Path) -> int:
                 changed.append(f"{f}: only in {'change' if f in b['files'] else 'parent'}")
             elif f.endswith(".csv"):
                 compare_csv(parent / name / f, change / name / f, moved, changed)
+            elif f.endswith(".json"):
+                compare_json(parent / name / f, change / name / f, moved, changed)
         for col, rel in moved.items():
             print(f"  {col}: largest relative change {rel:.3e}")
         for line in changed:
