@@ -29,18 +29,23 @@ computation part of the round totals at the run's fixed frequencies), and
 hands them to the solvers.  A sweep runs its cells grouped by (population
 spec, seed), one group after another: ``_group`` builds the group's
 population once, and the plans once per batch size and hyper-parameters of
-it.  A group's cells also share what they compute alike: round 0's local
-update, from the same starting model in every cell, and the losses of a
-model another cell has already evaluated.  Outputs stay byte-identical
-because both are pure functions of that key.  These memos live as long as
-their group; a plain run is a group of one cell, and a learner that serves
-one cell keeps no memo.  An environment where some device cannot upload at
-a positive rate on some RB, weights that leave the CPU frequencies at 0, or
-the greedy powers' eta1 * noise / h at 0 fail at set-up.  A round whose
-meta-gradients, scores or losses are non-finite stops the run with
-NumericalError; the first round whose finite loss exceeds
-``EXPLODING_LOSS`` logs a warning.  ``to_csv`` writes every result table,
-a column per field of its dataclass.
+it.  A group's cells also share what they compute alike: a round's local
+update, keyed by the model's bytes (and by the round when the local steps
+draw their batches), which the next cell reads where it retraces this
+one's rounds, and the losses of a model another cell has already
+evaluated.  Outputs stay byte-identical because both are pure functions of
+their key.  A cell keeps its own updates and the previous cell's, and the
+losses live as long as the group; a plain run is a group of one cell, and
+a learner that serves one cell keeps no memo.  Under ``ural`` a round whose
+shifted scores repeat the last round's reuses its allocation and round
+totals, a pure function of those scores within a run; the baselines draw
+from a stream keyed by the round and never reuse.  An environment where
+some device cannot upload at a positive rate on some RB, weights that leave
+the CPU frequencies at 0, or the greedy powers' eta1 * noise / h at 0 fail
+at set-up.  A round whose meta-gradients, scores or losses are non-finite
+stops the run with NumericalError; the first round whose finite loss
+exceeds ``EXPLODING_LOSS`` logs a warning.  ``to_csv`` writes every result
+table, a column per field of its dataclass.
 """
 
 from __future__ import annotations
@@ -137,13 +142,20 @@ class _Learner:
     ``adapted_loss`` are pure functions of the plans, the seed, the round
     (which keys the batch streams) and the model, so a sweep group shares
     one learner between its cells of one batch size and hyper-parameters,
-    whatever their rounds.  Every cell starts from the same model, so
-    ``first_round`` maps model bytes to round 0's read-only (parameters,
-    scores), computed by the first cell only; ``losses`` maps model bytes to
-    (train, test) adapted losses, which a cell reads when its model has the
-    bytes of one another cell evaluated.  Both are None in a learner of one
-    cell, a plain run's included, as no other cell would read them.  Only
-    checked, finite results are stored.
+    whatever their rounds.  Every cell starts from the same model, and cells
+    that differ only in their allocation retrace each other's rounds until
+    their selections part, so ``updates`` maps a round's key to its
+    read-only (parameters, scores): the model's bytes under full batches,
+    whose update reads no stream, and ``(k, model bytes)`` when the steps
+    draw from the streams keyed by k.  ``start_cell`` moves the last cell's
+    ``updates`` to ``previous`` and drops the older ones; a round found in
+    either is read back (and, from ``previous``, copied into ``updates``),
+    so a cell's entries live until the cell two places later starts.
+    ``losses`` maps model bytes to (train, test) adapted losses, which a
+    cell reads when its model has the bytes of one another cell evaluated;
+    they live as long as the group.  ``updates`` and ``losses`` are None in
+    a learner of one cell, a plain run's included, as no other cell would
+    read them.  Only checked, finite results are stored.
     """
 
     def __init__(self, pop: Population, config: ExperimentConfig, memo: bool):
@@ -156,18 +168,26 @@ class _Learner:
                 rng.family_states((config.seed,), ks, (t, rng.ROLE_BATCH))
                 for t in range(config.hyper.tau)], axis=1)
             self.batch_states.flags.writeable = False
-        self.first_round: dict | None = {} if memo else None
+        self.updates: dict | None = {} if memo else None
+        self.previous: dict = {}
         self.losses: dict | None = {} if memo else None
+
+    def start_cell(self) -> None:
+        """A cell starts: the last cell's updates become ``previous``, older ones are dropped."""
+        if self.updates is not None:
+            self.previous, self.updates = self.updates, {}
 
 
 def _round_of_updates(
     learner: _Learner, theta: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every training device's local update for round k: parameters (n, d), scores (n,)."""
-    memo = learner.first_round if k == 0 else None
+    memo = learner.updates
     if memo is not None:
-        key = theta.tobytes()
-        if (hit := memo.get(key)) is not None:
+        # drawn batches read the streams keyed by k; full ones read no stream
+        key = theta.tobytes() if learner.batch_states is None else (k, theta.tobytes())
+        if (hit := memo.get(key) or learner.previous.get(key)) is not None:
+            memo[key] = hit
             return hit
     states = learner.batch_states
     step_rng = None if states is None else lambda t: rng.generator(states[k, t])
@@ -362,9 +382,11 @@ def run(config: ExperimentConfig) -> list[RoundMetrics]:
     RBs and powers from the shifted scores and ``round_totals`` charges them.
     The uploads are aggregated into the next model (an empty selection keeps
     it) and the adapted losses are evaluated.  The population and the
-    learner come from the running sweep group, with its memos of round 0's
-    update and the evaluated losses (see ``_Learner``); alone, the run is a
-    group of one cell and keeps no memo.
+    learner come from the running sweep group, with its memos of the
+    updates and the evaluated losses (see ``_Learner``); alone, the run is a
+    group of one cell and keeps no memo.  Under ``ural`` a round whose
+    shifted scores have the bytes of the last round's reads back that
+    round's rows, IVES iterations and totals instead of allocating again.
     """
     pop, learners = _sweep_group.get() or _group([config])
     learner = learners[_learner_key(config)]
@@ -373,16 +395,26 @@ def run(config: ExperimentConfig) -> list[RoundMetrics]:
         compute, radios, net = build_environment(config, pop)
         alloc_plan = _allocation_plan(config, compute, radios, net)
 
+    learner.start_cell()
     theta = np.zeros(config.population.d)
     metrics: list[RoundMetrics] = []
     exploding = False
+    last = None     # under ural: the last round's (shifted score bytes, rows, iterations, totals)
     for k in range(config.rounds):
         thetas, scores = _round_of_updates(learner, theta, k)
         if wireless:
             su = shifted_scores(scores)
-            alloc, comp, ives_iters = _allocate(config, k, su, compute, radios, net, alloc_plan)
-            rows = alloc.rows
-            contribution, energy, time = round_totals(comp, radios, net, alloc, su)
+            key = su.tobytes() if config.allocation == "ural" else None
+            if last is not None and last[0] == key:
+                _, rows, ives_iters, totals = last
+            else:
+                alloc, comp, ives_iters = _allocate(config, k, su, compute, radios, net,
+                                                    alloc_plan)
+                rows = alloc.rows
+                totals = round_totals(comp, radios, net, alloc, su)
+                if key is not None:
+                    last = key, rows, ives_iters, totals
+            contribution, energy, time = totals
             objective = contribution - net.eta1 * energy - net.eta2 * time
         else:
             rows = _select(scores, config, k)

@@ -403,9 +403,14 @@ def _assert_cells_equal_their_runs_alone(cfg, parameter, runs):
         assert ms == alone and to_csv(ms) == to_csv(alone), (value, seed)
 
 
+def _update_key(cfg, k, theta):
+    """The key a shared learner files round k's update of ``theta`` under."""
+    return theta.tobytes() if cfg.batch_size is None else (k, theta.tobytes())
+
+
 @pytest.mark.parametrize("overrides", [SWEEP_SMALL, {}], ids=["full-batch", "drawn-batch"])
-def test_sweep_cells_share_round_0_and_losses_and_equal_their_runs_alone(monkeypatch,
-                                                                          overrides):
+def test_sweep_cells_share_updates_and_losses_and_equal_runs_alone(monkeypatch,
+                                                                  overrides):
     calls = collections.Counter()
 
     def counting(name, fn):
@@ -416,14 +421,37 @@ def test_sweep_cells_share_round_0_and_losses_and_equal_their_runs_alone(monkeyp
 
     counting("local_update", harness.local_update)
     counting("adapted_loss", harness.adapted_loss)
+    cells = []                          # each cell's learner and its rounds' keys, in run order
+
+    def recording_round(learner, theta, k):
+        if k == 0:
+            cells.append((learner, []))
+        cells[-1][1].append(_update_key(cfg, k, theta))
+        return round_of_updates(learner, theta, k)
+
+    round_of_updates = harness._round_of_updates
+    monkeypatch.setattr(harness, "_round_of_updates", recording_round)
     cfg = _wireless_json(overrides)
     seeds = [1, 2, 3]
     _, runs = sweep(cfg, "eta1", [0.5, 1.0, 1.5, 2.0, 2.5], seeds=seeds)
-    assert len(runs) * cfg.rounds == 150
-    # round 0 starts from the same model in every cell: one update per seed
-    assert calls["local_update"] == 150 - (len(runs) - len(seeds))
+    assert len(runs) * cfg.rounds == 150 and len(cells) == len(runs)
+    # a round computes its update unless its cell or the cell before it, on the same
+    # learner, already keyed it
+    computed, previous, owner = 0, set(), None
+    for learner, keys in cells:
+        if learner is not owner:
+            previous, owner = set(), learner
+        own = set()
+        for key in keys:
+            computed += key not in own and key not in previous
+            own.add(key)
+        previous = own
+    assert calls["local_update"] == computed
+    # every cell starts from the same model: at least round 0 is shared, one update per seed
+    assert computed <= 150 - (len(runs) - len(seeds))
     # eta1 reaches only the allocation: cells of one seed that upload alike share losses
     assert calls["adapted_loss"] < 150
+    monkeypatch.undo()
     _assert_cells_equal_their_runs_alone(cfg, "eta1", runs)
 
 
@@ -437,6 +465,20 @@ def test_sweep_cells_that_learn_differently_share_no_round(parameter, values):
     cfg = _wireless_json({})
     _, runs = sweep(cfg, parameter, values, seeds=[1, 2])
     _assert_cells_equal_their_runs_alone(cfg, parameter, runs)
+
+
+@settings(max_examples=25, deadline=None)
+@given(batch_size=st.sampled_from([None, 3]), tau=st.integers(1, 2),
+       allocation=st.sampled_from(["ural", "greedy"]),
+       eta1=st.lists(st.sampled_from([0.01, 0.1, 0.5, 1.0, 4.0, 1e4]), min_size=2, max_size=3,
+                     unique=True),
+       seeds=st.lists(st.integers(0, 50), min_size=1, max_size=2, unique=True))
+def test_every_cell_of_a_small_sweep_equals_its_run_alone(batch_size, tau, allocation, eta1,
+                                                          seeds):
+    cfg = _wireless_config(batch_size=batch_size, allocation=allocation,
+                           hyper=MetaHyper(alpha=0.03, beta=0.02, tau=tau))
+    _, runs = sweep(cfg, "eta1", eta1, seeds=seeds)
+    _assert_cells_equal_their_runs_alone(cfg, "eta1", runs)
 
 
 @pytest.mark.parametrize("overrides, parameter, values, seeds, learners, memos", [
@@ -460,39 +502,62 @@ def test_a_sweep_learner_keeps_memos_only_when_cells_share_it(
     assert len(built) == learners
     for learner in built:
         if memos:
-            assert len(learner.first_round) == 1 and learner.losses
+            # the last two cells' updates, at most one per round each
+            assert 0 < len(learner.updates) <= cfg.rounds and learner.losses
+            assert 0 < len(learner.previous) <= cfg.rounds
         else:
-            assert learner.first_round is None and learner.losses is None
+            assert learner.updates is None and learner.losses is None
+            assert learner.previous == {}
     _assert_cells_equal_their_runs_alone(cfg, parameter, runs)
 
 
-def test_a_sweeps_shared_round_0_is_read_only_and_dies_with_its_last_cell(monkeypatch):
-    updates, learners = [], []
+@pytest.mark.parametrize("batch_size", [None, 3], ids=["full-batch", "drawn-batch"])
+def test_a_sweeps_updates_are_read_only_and_die_two_cells_later(monkeypatch, batch_size):
+    rounds = []                         # per round: its cell, its learner and its arrays
+    starts, read_back = [], []          # each group's first round-0 update; later cells' hits
 
     def recording_round(learner, theta, k):
         if k == 0:
-            # a cell starts: other groups' round-0 results and learners (with their memos)
-            # are gone; each group here has one learner
+            # a cell starts: other groups' learners and updates are gone, and so is what
+            # only the cells two or more places back returned; each group has one learner
             gc.collect()
-            assert all(ref() is None for owner, _, _, ref in updates if owner() is not learner)
-            assert all(ref() in (None, learner) for ref in learners)
+            cell = len({c for c, *_ in rounds})
+            kept = [ref() for c, _, refs in rounds if c == cell - 1 for ref in refs]
+            for c, owner, refs in rounds:
+                if owner() is not learner or c < cell - 1:
+                    assert all(ref() is None or any(ref() is a for a in kept) for ref in refs)
+            assert all(owner() in (None, learner) for _, owner, _ in rounds)
+            del kept
         result = round_of_updates(learner, theta, k)
-        updates.extend((weakref.ref(learner), k, a.flags.writeable, weakref.ref(a))
-                       for a in result)
-        learners.append(weakref.ref(learner))
+        if k == 0 and starts and starts[-1][0]() is learner:
+            read_back.append(result[0] is starts[-1][1]())
+        elif k == 0:
+            starts.append((weakref.ref(learner), weakref.ref(result[0])))
+        cell = len({c for c, *_ in rounds}) - (k > 0)
+        rounds.append((cell, weakref.ref(learner), [weakref.ref(a) for a in result]))
+        assert not any(a.flags.writeable for a in result)
         return result
 
     round_of_updates = harness._round_of_updates
     monkeypatch.setattr(harness, "_round_of_updates", recording_round)
-    sweep(_wireless_config(), "eta1", [0.5, 1.0], seeds=[0, 1])
-    # round 0's shared results are frozen; later rounds' are the cell's own
-    assert len(updates) == 2 * 4 * 3
-    assert all(writeable == (k > 0) for _, k, writeable, _ in updates)
+    cfg = _wireless_config(batch_size=batch_size)
+    sweep(cfg, "eta1", [0.5, 1.0, 2.0, 4.0], seeds=[0, 1])
+    assert len(rounds) == 8 * 3
+    # a round-0 update outlives the cell that computed it: every later cell reads it back
+    assert read_back == [True] * 6
     gc.collect()
-    assert all(ref() is None for *_, ref in updates) and all(ref() is None for ref in learners)
-    updates.clear()
-    run(_wireless_config())             # a plain run keeps no memo and freezes nothing
-    assert len(updates) == 2 * 3 and all(writeable for _, _, writeable, _ in updates)
+    assert all(ref() is None for _, owner, refs in rounds for ref in [owner, *refs])
+    monkeypatch.undo()
+    writeable = []
+
+    def plain_round(learner, theta, k):
+        result = round_of_updates(learner, theta, k)
+        writeable.extend(a.flags.writeable for a in result)
+        return result
+
+    monkeypatch.setattr(harness, "_round_of_updates", plain_round)
+    run(cfg)                            # a plain run keeps no memo and freezes nothing
+    assert writeable == [True] * (2 * 3)
 
 
 def test_a_sweep_holds_one_population_at_a_time(monkeypatch):
@@ -517,18 +582,69 @@ def test_a_sweep_holds_one_population_at_a_time(monkeypatch):
     assert len(populations) == 3 and most_alive == 1
 
 
-def test_only_round_0_updates_are_kept_each_under_its_model():
-    cfg = _wireless_config()
+@pytest.mark.parametrize("batch_size, computed", [(None, 2), (3, 3)],
+                         ids=["full-batch", "drawn-batch"])
+def test_updates_keyed_by_the_round_only_under_drawn_batches(
+        monkeypatch, batch_size, computed):
+    cfg = _wireless_config(batch_size=batch_size)
     pop = generate_population(cfg.population, cfg.seed)
     shared = harness._Learner(pop, cfg, memo=True)
     plain = harness._Learner(pop, cfg, memo=False)
+    calls = []
+    local_update = harness.local_update
+    monkeypatch.setattr(harness, "local_update",
+                        lambda *args: calls.append(args[1].tobytes()) or local_update(*args))
     start, other = np.zeros(cfg.population.d), np.full(cfg.population.d, 0.5)
+    shared.start_cell()
+    # full batches read no stream, so the model repeated at round 1 is read back; drawn
+    # ones read the round's streams, so it is computed again
     for k, theta in ((0, start), (1, start), (0, other), (0, start)):
         for a, b in zip(harness._round_of_updates(shared, theta, k),
                         harness._round_of_updates(plain, theta, k)):
-            assert np.array_equal(a, b)
-    assert list(shared.first_round) == [start.tobytes(), other.tobytes()]
-    assert plain.first_round is None and plain.losses is None
+            assert np.array_equal(a, b) and not a.flags.writeable
+    assert len(calls) == 4 + computed
+    keys = [_update_key(cfg, k, theta) for k, theta in ((0, start), (1, start), (0, other))]
+    assert list(shared.updates) == list(dict.fromkeys(keys))
+    assert plain.updates is None and plain.losses is None and plain.previous == {}
+    # the next cell reads the last one's entries and keeps those it reads; one more
+    # cell later the rest are gone
+    calls.clear()
+    shared.start_cell()
+    harness._round_of_updates(shared, start, 0)
+    assert calls == [] and list(shared.updates) == [keys[0]]
+    shared.start_cell()
+    assert list(shared.previous) == [keys[0]] and shared.updates == {}
+    harness._round_of_updates(shared, other, 0)
+    assert calls == [other.tobytes()]
+
+
+@pytest.mark.parametrize("allocation, eta1, pinned, allocations", [
+    ("ural", 0.5, False, 1),            # IVES selects nothing, so the model never moves
+    ("ural", 0.01, True, 1),            # it selects ten devices, into a pinned model
+    ("greedy", 0.5, True, 30),          # each round draws its own rows and RBs
+], ids=["ural-empty", "ural-pinned", "greedy-pinned"])
+def test_a_ural_run_allocates_once_while_its_scores_repeat(monkeypatch, allocation, eta1,
+                                                           pinned, allocations):
+    # at eta1=0.5, fixed_outputs.py's wireless-empty-tail: IVES's fixed point selects no device
+    cfg = _wireless_json({**SWEEP_SMALL, "env.eta1": eta1, "seed": 2, "rounds": 30,
+                          "allocation": allocation})
+    calls = collections.Counter()
+    for module, name in ((harness, "_allocate"), (ural_module, "ives")):
+        def counted(*args, _fn=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(module, name, counted)
+    if pinned:                          # every round's update starts from the starting model
+        monkeypatch.setattr(harness, "aggregate", lambda models: np.zeros(cfg.population.d))
+    ms = run(cfg)
+    assert calls["_allocate"] == allocations
+    assert calls["ives"] == (allocations if allocation == "ural" else 0)
+    if allocation == "ural":
+        # every round is the first but for its index, and selects devices only when pinned
+        assert [dataclasses.replace(m, round=0) for m in ms] == [ms[0]] * 30
+        assert bool(ms[0].selected) == pinned
+    else:
+        assert len({m.energy for m in ms}) > 1
 
 
 def test_shared_population_and_run_constants_are_read_only(monkeypatch):

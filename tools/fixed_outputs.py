@@ -78,6 +78,12 @@ INVOCATIONS = {
     # powers and prices anew where the other runs repeat the last round's step
     "wireless-contended": ["run", "--config", WIRELESS, "--set", "population.n=40",
                            "--set", "env.M=12", "--set", "rounds=100"],
+    # IVES selects nothing in every round, so each round's shifted scores repeat the last's
+    # and the run reads the last round's allocation back instead of running IVES again
+    "wireless-empty-tail": ["run", "--config", WIRELESS,
+                            "--set", "population.family=logistic-regression",
+                            "--set", "hyper.mode=hessian-free", "--set", "batch_size=null",
+                            "--set", "env.eta1=0.5", "--seed", "2", "--set", "rounds=30"],
     # f4's root too small for the rate formula: IVES's g2 is -inf and its delay inf
     "wireless-eta2-tiny": ["run", "--config", WIRELESS, "--set", "env.eta2=1e-32",
                            "--set", "rounds=2"],
