@@ -29,16 +29,18 @@ computation part of the round totals at the run's fixed frequencies), and
 hands them to the solvers.  A sweep runs its cells grouped by (population
 spec, seed), one group after another: ``_group`` builds the group's
 population once, and the plans once per batch size and hyper-parameters of
-it.  A group's cells also share what they compute alike: a round's local
-update, keyed by the model's bytes (and by the round when the local steps
-draw their batches), which the next cell reads where it retraces this
-one's rounds, and the losses of a model another cell has already
-evaluated.  Outputs stay byte-identical because both are pure functions of
-their key.  A cell keeps its own updates and the previous cell's, and the
-losses live as long as the group; a plain run is a group of one cell, and
-a learner that serves one cell keeps no memo.  Under ``ural`` a round whose
-shifted scores repeat the last round's reuses its allocation and round
-totals, a pure function of those scores within a run; the baselines draw
+it.  The group's cells run together, round by round (``_run_cells``), and
+share what they compute alike: a round's local updates, keyed by the
+model's bytes (and by the round when the local steps draw their batches),
+computed for every model that the last round did not hold in one stacked
+``local_update`` call, and the losses of the round's new models, evaluated
+in one ``adapted_loss`` call for those no cell evaluated before.  Outputs
+stay byte-identical because both are pure functions of their key and a
+stacked call gives each model the bits it has alone.  Updates live for two
+rounds and losses as long as the group; a plain run is a group of one
+cell, and a learner that serves one cell keeps no memo.  A round's
+allocation is its cell's own: eta1 and the other weights differ between
+cells, and the baselines draw
 from a stream keyed by the round and never reuse.  An environment where
 some device cannot upload at a positive rate on some RB, weights that leave
 the CPU frequencies at 0, or the greedy powers' eta1 * noise / h at 0 fail
@@ -142,20 +144,23 @@ class _Learner:
     ``adapted_loss`` are pure functions of the plans, the seed, the round
     (which keys the batch streams) and the model, so a sweep group shares
     one learner between its cells of one batch size and hyper-parameters,
-    whatever their rounds.  Every cell starts from the same model, and cells
-    that differ only in their allocation retrace each other's rounds until
-    their selections part, so ``updates`` maps a round's key to its
-    read-only (parameters, scores): the model's bytes under full batches,
-    whose update reads no stream, and ``(k, model bytes)`` when the steps
-    draw from the streams keyed by k.  ``start_cell`` moves the last cell's
-    ``updates`` to ``previous`` and drops the older ones; a round found in
-    either is read back (and, from ``previous``, copied into ``updates``),
-    so a cell's entries live until the cell two places later starts.
-    ``losses`` maps model bytes to (train, test) adapted losses, which a
-    cell reads when its model has the bytes of one another cell evaluated;
-    they live as long as the group.  ``updates`` and ``losses`` are None in
-    a learner of one cell, a plain run's included, as no other cell would
-    read them.  Only checked, finite results are stored.
+    whatever their rounds.  The group's cells run round by round together
+    (``_run_cells``).  Every cell starts from the same model, and cells that
+    differ only in their allocation retrace each other's rounds until their
+    selections part, so ``updates`` maps a round's key to its read-only
+    (parameters, scores): the model's bytes under full batches, whose update
+    reads no stream, and ``(k, model bytes)`` when the steps draw from the
+    streams keyed by k.  ``start_round`` moves the last round's ``updates``
+    to ``previous``, drops the older ones and lists in ``wanted`` the
+    round's models that neither holds; the first cell to miss updates all
+    of them in one stacked ``local_update`` call, and a round found in
+    either memo is read back (and, from ``previous``, copied into
+    ``updates``), so a cell whose selection was empty reads its last update
+    under full batches.  ``losses`` maps model bytes to (train, test)
+    adapted losses, which a cell reads when its model has the bytes of one
+    another cell evaluated; they live as long as the group.  ``updates`` and
+    ``losses`` are None in a learner of one cell, a plain run's included, as
+    no other cell would read them.  Only checked, finite results are stored.
     """
 
     def __init__(self, pop: Population, config: ExperimentConfig, memo: bool):
@@ -170,12 +175,34 @@ class _Learner:
             self.batch_states.flags.writeable = False
         self.updates: dict | None = {} if memo else None
         self.previous: dict = {}
+        self.wanted: dict = {}
         self.losses: dict | None = {} if memo else None
 
-    def start_cell(self) -> None:
-        """A cell starts: the last cell's updates become ``previous``, older ones are dropped."""
-        if self.updates is not None:
-            self.previous, self.updates = self.updates, {}
+    def key(self, theta: np.ndarray, k: int):
+        """The key of round k's update of ``theta``."""
+        # drawn batches read the streams keyed by k; full ones read no stream
+        return theta.tobytes() if self.batch_states is None else (k, theta.tobytes())
+
+    def start_round(self, k: int, thetas: list[np.ndarray]) -> None:
+        """Round k starts in the cells at models ``thetas``; the last round's updates are kept."""
+        if self.updates is None:
+            return
+        self.previous, self.updates = self.updates, {}
+        self.wanted = {}
+        for theta in thetas:
+            key = self.key(theta, k)
+            if key not in self.previous:
+                self.wanted.setdefault(key, theta)
+
+
+def _update(learner: _Learner, theta: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``local_update`` of round k from ``theta``, (d,) or a stack (c, 1, d); errors name the round."""
+    states = learner.batch_states
+    step_rng = None if states is None else lambda t: rng.generator(states[k, t])
+    try:
+        return local_update(learner.steps, theta, step_rng)
+    except NumericalError as exc:
+        raise NumericalError(f"round {k}: {exc}") from None
 
 
 def _round_of_updates(
@@ -183,38 +210,53 @@ def _round_of_updates(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every training device's local update for round k: parameters (n, d), scores (n,)."""
     memo = learner.updates
-    if memo is not None:
-        # drawn batches read the streams keyed by k; full ones read no stream
-        key = theta.tobytes() if learner.batch_states is None else (k, theta.tobytes())
-        if (hit := memo.get(key) or learner.previous.get(key)) is not None:
-            memo[key] = hit
-            return hit
-    states = learner.batch_states
-    step_rng = None if states is None else lambda t: rng.generator(states[k, t])
-    try:
-        result = local_update(learner.steps, theta, step_rng)
-    except NumericalError as exc:
-        raise NumericalError(f"round {k}: {exc}") from None
-    if memo is not None:
-        for a in result:
-            a.flags.writeable = False
-        memo[key] = result
+    if memo is None:
+        return _update(learner, theta, k)
+    key = learner.key(theta, k)
+    if (hit := memo.get(key) or learner.previous.get(key)) is not None:
+        memo[key] = hit
+        return hit
+    learner.wanted.pop(key, None)
+    keys, others = [key, *learner.wanted], list(learner.wanted.values())
+    learner.wanted = {}
+    if others:
+        try:
+            params, scores = _update(learner, np.stack([theta, *others])[:, None], k)
+        except NumericalError:
+            pass        # each model is updated alone, here or in its own cell's round
+        else:
+            params.flags.writeable = scores.flags.writeable = False
+            memo.update((kk, (params[i], scores[i])) for i, kk in enumerate(keys))
+            return memo[key]
+    result = _update(learner, theta, k)
+    for a in result:
+        a.flags.writeable = False
+    memo[key] = result
     return result
 
 
-def _round_losses(learner: _Learner, theta: np.ndarray, k: int) -> tuple[float, float]:
-    """Round k's train and test adapted losses; NumericalError if either is non-finite."""
+def _round_losses(
+    learner: _Learner, thetas: list[np.ndarray], k: int
+) -> list[tuple[float, float]]:
+    """Round k's train and test adapted losses of each model, in one call for those not in memo.
+
+    NumericalError, naming the first model's in ``thetas`` order, if any is non-finite.
+    """
     memo = learner.losses
+    keys = [theta.tobytes() for theta in thetas]
+    fresh = dict(zip(keys, thetas))
     if memo is not None:
-        key = theta.tobytes()
-        if (hit := memo.get(key)) is not None:
-            return hit
-    losses = adapted_loss(learner.loss_plan, theta)
-    if not all(map(math.isfinite, losses)):
-        raise NumericalError(f"round {k}: non-finite adapted loss {losses}")
-    if memo is not None:
-        memo[key] = losses
-    return losses
+        fresh = {key: theta for key, theta in fresh.items() if key not in memo}
+    if len(fresh) > 1:
+        fresh = dict(zip(fresh, adapted_loss(learner.loss_plan, np.stack(list(fresh.values())))))
+    else:
+        fresh = {key: adapted_loss(learner.loss_plan, theta) for key, theta in fresh.items()}
+    for key, losses in fresh.items():
+        if not all(map(math.isfinite, losses)):
+            raise NumericalError(f"round {k}: non-finite adapted loss {losses}")
+        if memo is not None:
+            memo[key] = losses
+    return [fresh.get(key) or memo[key] for key in keys]
 
 
 def _select(u: np.ndarray, config: ExperimentConfig, k: int) -> np.ndarray:
@@ -348,9 +390,9 @@ def _allocation_plan(
 # ---------------------------------------------------------------------------
 # the round loop
 
-# inside ``sweep``: the running group, as ``_group`` builds it.  ``run`` takes only a
-# config: bench/child.py's round clock wraps it with that signature
-_sweep_group: contextvars.ContextVar[tuple | None] = contextvars.ContextVar(
+# inside ``sweep``: the running ``_SweepGroup``.  ``run`` takes only a config:
+# bench/child.py's round clock wraps it with that signature
+_sweep_group: contextvars.ContextVar[_SweepGroup | None] = contextvars.ContextVar(
     "_sweep_group", default=None)
 
 
@@ -373,6 +415,103 @@ def _learner_key(config: ExperimentConfig) -> tuple:
     return config.batch_size, astuple(config.hyper)
 
 
+class _SweepGroup:
+    """A running sweep group's cells, which the group's first ``run`` call runs together.
+
+    ``sweep`` calls ``run`` once per cell, so that each cell's last round ends
+    as its call returns; the first call runs every cell (``_run_cells``) and
+    each call returns its own cell's rounds.
+    """
+
+    def __init__(self, configs: list[ExperimentConfig]):
+        self.configs = configs
+        self.results: dict | None = None
+
+    def rounds_of(self, config: ExperimentConfig) -> list[RoundMetrics]:
+        if self.results is None:
+            runs = _run_cells(self.configs, *_group(self.configs))
+            self.results = {id(c): ms for c, ms in zip(self.configs, runs)}
+        return self.results.pop(id(config))
+
+
+class _Cell:
+    """One run between its rounds: config, learner, environment, model and rounds so far."""
+
+    def __init__(self, config: ExperimentConfig, pop: Population, learner: _Learner):
+        self.config, self.learner, self.train_ids = config, learner, pop.train_ids
+        self.env = None
+        if config.mode == "wireless":
+            compute, radios, net = build_environment(config, pop)
+            self.env = compute, radios, net, _allocation_plan(config, compute, radios, net)
+        self.theta = np.zeros(config.population.d)
+        self.metrics: list[RoundMetrics] = []
+        self.exploding = False
+        self.pending: dict = {}
+
+    def step(self, k: int) -> None:
+        """Round k up to its losses: update, select or allocate, and aggregate into ``theta``."""
+        config = self.config
+        thetas, scores = _round_of_updates(self.learner, self.theta, k)
+        if self.env is not None:
+            compute, radios, net, plan = self.env
+            su = shifted_scores(scores)
+            alloc, comp, ives_iters = _allocate(config, k, su, compute, radios, net, plan)
+            rows = alloc.rows
+            contribution, energy, time = round_totals(comp, radios, net, alloc, su)
+            objective = contribution - net.eta1 * energy - net.eta2 * time
+        else:
+            rows = _select(scores, config, k)
+            contribution = running_sum(scores[rows])
+            energy = time = objective = 0.0
+            ives_iters = 0
+        if rows.size:
+            self.theta = aggregate(thetas[rows])
+        else:
+            log.info("round %d: empty selection, aggregation skipped", k)
+        self.pending = dict(round=k, contribution_sum=contribution, energy=energy, time=time,
+                            objective=objective, selected=tuple(self.train_ids[rows].tolist()),
+                            ives_iterations=ives_iters)
+
+    def record(self, k: int, losses: tuple[float, float]) -> None:
+        """Round k's ``RoundMetrics``, with the adapted losses of the model it ended at."""
+        train_loss, test_loss = losses
+        worst = max(train_loss, test_loss)
+        if worst > EXPLODING_LOSS and not self.exploding:
+            self.exploding = True
+            log.warning("round %d: adapted loss %r exceeds %g, the model is diverging; "
+                        "check hyper.beta=%r and hyper.alpha=%r", k, worst, EXPLODING_LOSS,
+                        self.config.hyper.beta, self.config.hyper.alpha)
+        self.metrics.append(RoundMetrics(train_loss=train_loss, test_loss=test_loss,
+                                         **self.pending))
+
+
+def _run_cells(
+    configs: list[ExperimentConfig], pop: Population, learners: dict
+) -> list[list[RoundMetrics]]:
+    """Each config's rounds, run together: round k of every cell before round k + 1.
+
+    Every cell's environment and allocation plan are built before round 0.
+    A round runs learner by learner: the learner hears which models its
+    cells are at (``_Learner.start_round``), so that the first cell to miss
+    updates all of them in one stacked ``local_update`` call; every cell
+    steps to its next model, the cells evaluate those models' losses in one
+    ``adapted_loss`` call, and each records its round.
+    """
+    cells = [_Cell(c, pop, learners[_learner_key(c)]) for c in configs]
+    teams = collections.defaultdict(list)
+    for cell in cells:
+        teams[cell.learner].append(cell)
+    for k in range(max(c.rounds for c in configs)):
+        for learner, team in teams.items():
+            live = [cell for cell in team if k < cell.config.rounds]
+            learner.start_round(k, [cell.theta for cell in live])
+            for cell in live:
+                cell.step(k)
+            for cell, losses in zip(live, _round_losses(learner, [c.theta for c in live], k)):
+                cell.record(k, losses)
+    return [cell.metrics for cell in cells]
+
+
 def run(config: ExperimentConfig) -> list[RoundMetrics]:
     """Federated meta-training, one ``RoundMetrics`` per round.
 
@@ -381,69 +520,15 @@ def run(config: ExperimentConfig) -> list[RoundMetrics]:
     is charged; in wireless mode ``_allocate`` decides uploads, frequencies,
     RBs and powers from the shifted scores and ``round_totals`` charges them.
     The uploads are aggregated into the next model (an empty selection keeps
-    it) and the adapted losses are evaluated.  The population and the
-    learner come from the running sweep group, with its memos of the
-    updates and the evaluated losses (see ``_Learner``); alone, the run is a
-    group of one cell and keeps no memo.  Under ``ural`` a round whose
-    shifted scores have the bytes of the last round's reads back that
-    round's rows, IVES iterations and totals instead of allocating again.
+    it) and the adapted losses are evaluated.  Inside a sweep the run is a
+    cell of the running group, which runs its cells together and shares
+    their updates and evaluated losses (see ``_Learner``); alone, the run is
+    a group of one cell and keeps no memo.
     """
-    pop, learners = _sweep_group.get() or _group([config])
-    learner = learners[_learner_key(config)]
-    wireless = config.mode == "wireless"
-    if wireless:
-        compute, radios, net = build_environment(config, pop)
-        alloc_plan = _allocation_plan(config, compute, radios, net)
-
-    learner.start_cell()
-    theta = np.zeros(config.population.d)
-    metrics: list[RoundMetrics] = []
-    exploding = False
-    last = None     # under ural: the last round's (shifted score bytes, rows, iterations, totals)
-    for k in range(config.rounds):
-        thetas, scores = _round_of_updates(learner, theta, k)
-        if wireless:
-            su = shifted_scores(scores)
-            key = su.tobytes() if config.allocation == "ural" else None
-            if last is not None and last[0] == key:
-                _, rows, ives_iters, totals = last
-            else:
-                alloc, comp, ives_iters = _allocate(config, k, su, compute, radios, net,
-                                                    alloc_plan)
-                rows = alloc.rows
-                totals = round_totals(comp, radios, net, alloc, su)
-                if key is not None:
-                    last = key, rows, ives_iters, totals
-            contribution, energy, time = totals
-            objective = contribution - net.eta1 * energy - net.eta2 * time
-        else:
-            rows = _select(scores, config, k)
-            contribution = running_sum(scores[rows])
-            energy = time = objective = 0.0
-            ives_iters = 0
-        if rows.size:
-            theta = aggregate(thetas[rows])
-        else:
-            log.info("round %d: empty selection, aggregation skipped", k)
-        train_loss, test_loss = _round_losses(learner, theta, k)
-        worst = max(train_loss, test_loss)
-        if worst > EXPLODING_LOSS and not exploding:
-            exploding = True
-            log.warning("round %d: adapted loss %r exceeds %g, the model is diverging; "
-                        "check hyper.beta=%r and hyper.alpha=%r", k, worst, EXPLODING_LOSS,
-                        config.hyper.beta, config.hyper.alpha)
-        metrics.append(RoundMetrics(
-            round=k,
-            train_loss=train_loss,
-            test_loss=test_loss,
-            contribution_sum=contribution,
-            energy=energy,
-            time=time,
-            objective=objective,
-            selected=tuple(pop.train_ids[rows].tolist()),
-            ives_iterations=ives_iters,
-        ))
-    return metrics
+    group = _sweep_group.get()
+    if group is not None:
+        return group.rounds_of(config)
+    return _run_cells([config], *_group([config]))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -500,9 +585,10 @@ def sweep(
     empty value or seed list leaves no cell to run, and a repeated seed, or
     two values written as the same ``value_text``, would give two cells one
     name, so each is a ConfigurationError.  The cells
-    run grouped by (population spec, seed), each group's back to back
-    through ``run``, and a group's population, plans and memos die before
-    the next group's are built.
+    run grouped by (population spec, seed), each group's round by round
+    together (``_SweepGroup``, through one ``run`` call per cell), and a
+    group's population, plans and memos die before the next group's are
+    built.
     """
     path = _sweep_path(parameter)
     seeds = [config.seed] if seeds is None else list(seeds)
@@ -525,7 +611,7 @@ def sweep(
     runs = dict.fromkeys((value, s) for value, _ in grid for s in seeds)
     for group in groups.values():
         # only the context variable holds the group, so it dies as its last cell ends
-        token = _sweep_group.set(_group([c for _, c in group]))
+        token = _sweep_group.set(_SweepGroup([c for _, c in group]))
         try:
             for value, c in group:
                 runs[value, c.seed] = run(c)

@@ -404,7 +404,7 @@ class LossPlan:
             a.flags.writeable = False
 
 
-def adapted_loss(plan: LossPlan, theta: np.ndarray) -> tuple[float, ...]:
+def adapted_loss(plan: LossPlan, theta: np.ndarray) -> tuple[float, ...] | list[tuple]:
     """Each split's mean over devices of the full-data loss after one personalization step.
 
     With a plan's least-squares ``form``, ``0.5 * ||R theta - z||^2``
@@ -413,21 +413,23 @@ def adapted_loss(plan: LossPlan, theta: np.ndarray) -> tuple[float, ...]:
     its own samples, every sample's margin at its device's adapted
     parameters, and each split's losses reduced to one weighted sum.  The
     step is the plan's ``alpha``.  Returns one loss per split given to the
-    plan, in that order.
+    plan, in that order; a stack (c, d) of models gives a list of c such
+    tuples, each with the bits its model has alone.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         if plan.form is not None:
-            resid = np.matmul(plan.r, theta) - plan.z
-            losses = 0.5 * np.einsum("kh,kh->k", resid, resid)
+            resid = np.matmul(plan.r, theta[..., None, :, None])[..., 0] - plan.z
+            losses = 0.5 * np.einsum("...kh,...kh->...k", resid, resid)
         else:
             family = plan.family
-            slope = family.margin_slope(plan.x @ theta, plan.y) * plan.w
-            adapted = theta - plan.alpha * np.add.reduceat(slope[:, None] * plan.x, plan.start,
-                                                           axis=0)
-            margin = np.einsum("nd,nd->n", plan.x, adapted.take(plan.row, axis=0))
+            slope = family.margin_slope(_margin(theta, plan.x), plan.y) * plan.w
+            adapted = theta[..., None, :] - plan.alpha * np.add.reduceat(
+                slope[..., None] * plan.x, plan.start, axis=-2)
+            margin = np.einsum("nd,...nd->...n", plan.x, adapted.take(plan.row, axis=-2))
             losses = np.add.reduceat(plan.v * family.margin_loss(margin, plan.y),
-                                     plan.split_start)
-    return tuple(losses.take(plan.split_of).tolist())
+                                     plan.split_start, axis=-1)
+    losses = losses.take(plan.split_of, axis=-1).tolist()
+    return tuple(losses) if theta.ndim == 1 else list(map(tuple, losses))
 
 
 class StepPlan:
@@ -511,7 +513,7 @@ def _lowest_slots(keys: np.ndarray, threshold: np.ndarray, b: int) -> np.ndarray
     return np.flatnonzero(below | (tied & (np.cumsum(tied, axis=-1) <= room)))
 
 
-_BOTH_SIGNS = np.array([1.0, -1.0])[:, None, None]
+_BOTH_SIGNS = np.array([1.0, -1.0])
 
 
 def batched_meta_gradient(
@@ -522,7 +524,8 @@ def batched_meta_gradient(
     ``batches`` are the three role batches (D, D', D''), each a triple
     ``(x (n, b, d), y (n, b), w (n, b))`` of samples, labels and sample
     weights, as ``draw_role_batches`` draws them; theta is shared (d,) or
-    per device (n, d).
+    per device (n, d), or a stack (..., n, d) of per-device models, which
+    gives a stack of (n, d) results, each with the bits it has alone.
     """
     (x0, y0, w0), (x1, y1, w1), (x2, y2, w2) = batches
     alpha = hyper.alpha
@@ -530,11 +533,12 @@ def batched_meta_gradient(
     if hyper.mode == MODE_FIRST_ORDER:
         return g
     if hyper.mode == MODE_HESSIAN:
-        hvp = np.einsum("ns,nsd->nd", w2, family.per_sample_hvp(theta, x2, y2, g))
+        hvp = np.einsum("ns,...nsd->...nd", w2, family.per_sample_hvp(theta, x2, y2, g))
     else:
         # finite_difference_hvp with both points in one pass: theta + (-step) is theta - step
         step = hyper.hv_epsilon * g
-        plus, minus = weighted_grad(family, x2, y2, w2, theta + step * _BOTH_SIGNS)
+        signs = _BOTH_SIGNS.reshape((2,) + (1,) * step.ndim)
+        plus, minus = weighted_grad(family, x2, y2, w2, theta + step * signs)
         hvp = (plus - minus) / (2.0 * hyper.hv_epsilon)
     return g - alpha * hvp
 
@@ -555,21 +559,24 @@ def local_update(
     None).
     Returns the updated parameters (n, d) and the contribution scores (n,)
     u_i = sum_t ||g_t||^2 - 2*(lambda1 + lambda2/sqrt(D_i)) * ||g_t||.
+    ``theta0`` is the devices' starting model (d,) or one per device (n, d);
+    a stack (c, 1, d) or (c, n, d) of these gives (c, n, d) and (c, n), each
+    with the bits it has alone, and draws each step's batches once for all.
     Raises NumericalError as soon as a meta-gradient or score is non-finite.
     """
     data, hyper, penalty, full = plan.data, plan.hyper, plan.penalty, plan.full_batches
     family = data.model_class
     n, _, d = data.x.shape
-    theta = np.empty((n, d))
+    theta = np.empty(theta0.shape[:-2] + (n, d))
     theta[:] = theta0
-    u = np.zeros(n)
+    u = np.zeros(theta.shape[:-1])
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(hyper.tau):
             batches = full or zip(*draw_role_batches(step_rng(t), plan))
             g = batched_meta_gradient(family, theta, batches, hyper)
             if not np.isfinite(g).all():
                 raise NumericalError(f"non-finite meta-gradient at local step {t}")
-            gn = np.sqrt(np.einsum("nd,nd->n", g, g))
+            gn = np.sqrt(np.einsum("...nd,...nd->...n", g, g))
             u += gn * gn - penalty * gn
             theta -= hyper.beta * g
     if not np.isfinite(u).all():

@@ -421,12 +421,10 @@ def test_sweep_cells_share_updates_and_losses_and_equal_runs_alone(monkeypatch,
 
     counting("local_update", harness.local_update)
     counting("adapted_loss", harness.adapted_loss)
-    cells = []                          # each cell's learner and its rounds' keys, in run order
+    keys = collections.defaultdict(set)     # each (learner, round)'s update keys
 
     def recording_round(learner, theta, k):
-        if k == 0:
-            cells.append((learner, []))
-        cells[-1][1].append(_update_key(cfg, k, theta))
+        keys[learner, k].add(_update_key(cfg, k, theta))
         return round_of_updates(learner, theta, k)
 
     round_of_updates = harness._round_of_updates
@@ -434,23 +432,12 @@ def test_sweep_cells_share_updates_and_losses_and_equal_runs_alone(monkeypatch,
     cfg = _wireless_json(overrides)
     seeds = [1, 2, 3]
     _, runs = sweep(cfg, "eta1", [0.5, 1.0, 1.5, 2.0, 2.5], seeds=seeds)
-    assert len(runs) * cfg.rounds == 150 and len(cells) == len(runs)
-    # a round computes its update unless its cell or the cell before it, on the same
-    # learner, already keyed it
-    computed, previous, owner = 0, set(), None
-    for learner, keys in cells:
-        if learner is not owner:
-            previous, owner = set(), learner
-        own = set()
-        for key in keys:
-            computed += key not in own and key not in previous
-            own.add(key)
-        previous = own
-    assert calls["local_update"] == computed
-    # every cell starts from the same model: at least round 0 is shared, one update per seed
-    assert computed <= 150 - (len(runs) - len(seeds))
-    # eta1 reaches only the allocation: cells of one seed that upload alike share losses
-    assert calls["adapted_loss"] < 150
+    assert len(runs) * cfg.rounds == 150 and len(keys) == len(seeds) * cfg.rounds
+    # a learner updates, in one stacked call, a round's models that its last round did not
+    new = [len(ks - keys.get((learner, k - 1), set())) for (learner, k), ks in keys.items()]
+    assert calls["local_update"] == sum(map(bool, new)) <= len(seeds) * cfg.rounds < sum(new)
+    # a round's losses are evaluated in one call, of the models no cell evaluated before
+    assert calls["adapted_loss"] <= len(seeds) * cfg.rounds
     monkeypatch.undo()
     _assert_cells_equal_their_runs_alone(cfg, "eta1", runs)
 
@@ -512,14 +499,14 @@ def test_a_sweep_learner_keeps_memos_only_when_cells_share_it(
 
 
 @pytest.mark.parametrize("batch_size", [None, 3], ids=["full-batch", "drawn-batch"])
-def test_a_sweeps_updates_are_read_only_and_die_two_cells_later(monkeypatch, batch_size):
+def test_a_sweeps_updates_are_read_only_and_die_with_their_group(monkeypatch, batch_size):
     rounds = []                         # per round: its cell, its learner and its arrays
     starts, read_back = [], []          # each group's first round-0 update; later cells' hits
 
     def recording_round(learner, theta, k):
         if k == 0:
-            # a cell starts: other groups' learners and updates are gone, and so is what
-            # only the cells two or more places back returned; each group has one learner
+            # round 0 of a cell: other groups' learners and updates are gone, and each
+            # group has one learner
             gc.collect()
             cell = len({c for c, *_ in rounds})
             kept = [ref() for c, _, refs in rounds if c == cell - 1 for ref in refs]
@@ -582,69 +569,34 @@ def test_a_sweep_holds_one_population_at_a_time(monkeypatch):
     assert len(populations) == 3 and most_alive == 1
 
 
-@pytest.mark.parametrize("batch_size, computed", [(None, 2), (3, 3)],
-                         ids=["full-batch", "drawn-batch"])
-def test_updates_keyed_by_the_round_only_under_drawn_batches(
-        monkeypatch, batch_size, computed):
+@pytest.mark.parametrize("batch_size", [None, 3], ids=["full-batch", "drawn-batch"])
+def test_a_learner_updates_a_rounds_new_models_in_one_call(monkeypatch, batch_size):
     cfg = _wireless_config(batch_size=batch_size)
+    d = cfg.population.d
     pop = generate_population(cfg.population, cfg.seed)
     shared = harness._Learner(pop, cfg, memo=True)
     plain = harness._Learner(pop, cfg, memo=False)
     calls = []
     local_update = harness.local_update
     monkeypatch.setattr(harness, "local_update",
-                        lambda *args: calls.append(args[1].tobytes()) or local_update(*args))
-    start, other = np.zeros(cfg.population.d), np.full(cfg.population.d, 0.5)
-    shared.start_cell()
-    # full batches read no stream, so the model repeated at round 1 is read back; drawn
-    # ones read the round's streams, so it is computed again
-    for k, theta in ((0, start), (1, start), (0, other), (0, start)):
-        for a, b in zip(harness._round_of_updates(shared, theta, k),
-                        harness._round_of_updates(plain, theta, k)):
-            assert np.array_equal(a, b) and not a.flags.writeable
-    assert len(calls) == 4 + computed
-    keys = [_update_key(cfg, k, theta) for k, theta in ((0, start), (1, start), (0, other))]
-    assert list(shared.updates) == list(dict.fromkeys(keys))
+                        lambda *args: calls.append(args[1].shape) or local_update(*args))
+    start, other = np.zeros(d), np.full(d, 0.5)
+    for k, models, stacked in (
+        (0, [start, other, start], [(2, 1, d)]),    # two new models, one call
+        # full batches read no stream, so a model repeated from the last round is read
+        # back; drawn ones read the round's streams, so it is computed again
+        (1, [start], [] if batch_size is None else [(d,)]),
+        (2, [other], [(d,)]),                       # round 0's entries are gone
+    ):
+        shared.start_round(k, models)
+        calls.clear()
+        got = [harness._round_of_updates(shared, theta, k) for theta in models]
+        assert calls == stacked
+        for theta, result in zip(models, got):
+            for a, b in zip(result, harness._round_of_updates(plain, theta, k)):
+                assert np.array_equal(a, b) and not a.flags.writeable and b.flags.writeable
+        assert list(shared.updates) == list(dict.fromkeys(_update_key(cfg, k, t) for t in models))
     assert plain.updates is None and plain.losses is None and plain.previous == {}
-    # the next cell reads the last one's entries and keeps those it reads; one more
-    # cell later the rest are gone
-    calls.clear()
-    shared.start_cell()
-    harness._round_of_updates(shared, start, 0)
-    assert calls == [] and list(shared.updates) == [keys[0]]
-    shared.start_cell()
-    assert list(shared.previous) == [keys[0]] and shared.updates == {}
-    harness._round_of_updates(shared, other, 0)
-    assert calls == [other.tobytes()]
-
-
-@pytest.mark.parametrize("allocation, eta1, pinned, allocations", [
-    ("ural", 0.5, False, 1),            # IVES selects nothing, so the model never moves
-    ("ural", 0.01, True, 1),            # it selects ten devices, into a pinned model
-    ("greedy", 0.5, True, 30),          # each round draws its own rows and RBs
-], ids=["ural-empty", "ural-pinned", "greedy-pinned"])
-def test_a_ural_run_allocates_once_while_its_scores_repeat(monkeypatch, allocation, eta1,
-                                                           pinned, allocations):
-    # at eta1=0.5, fixed_outputs.py's wireless-empty-tail: IVES's fixed point selects no device
-    cfg = _wireless_json({**SWEEP_SMALL, "env.eta1": eta1, "seed": 2, "rounds": 30,
-                          "allocation": allocation})
-    calls = collections.Counter()
-    for module, name in ((harness, "_allocate"), (ural_module, "ives")):
-        def counted(*args, _fn=getattr(module, name), _name=name):
-            calls[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(module, name, counted)
-    if pinned:                          # every round's update starts from the starting model
-        monkeypatch.setattr(harness, "aggregate", lambda models: np.zeros(cfg.population.d))
-    ms = run(cfg)
-    assert calls["_allocate"] == allocations
-    assert calls["ives"] == (allocations if allocation == "ural" else 0)
-    if allocation == "ural":
-        # every round is the first but for its index, and selects devices only when pinned
-        assert [dataclasses.replace(m, round=0) for m in ms] == [ms[0]] * 30
-        assert bool(ms[0].selected) == pinned
-    else:
-        assert len({m.energy for m in ms}) > 1
 
 
 def test_shared_population_and_run_constants_are_read_only(monkeypatch):
